@@ -35,7 +35,7 @@ was cut.
 from collections import namedtuple
 from itertools import product as iproduct
 
-from .dg import DgAlgebra, endomorphism_dg_algebra
+from .dg import DgAlgebra, _unit_vec, _zeros, endomorphism_dg_algebra
 from .derived import resolve_complex
 from .linalg import Mat
 
@@ -50,16 +50,6 @@ class ContractionFailure(AInfError):
 
 class PositivityViolation(AInfError):
     pass
-
-
-def _zeros(f, n):
-    return tuple([f.zero()] * n)
-
-
-def _unit_vec(f, n, k):
-    v = [f.zero()] * n
-    v[k] = f.one()
-    return tuple(v)
 
 
 def _add(f, x, y):

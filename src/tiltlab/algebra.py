@@ -745,11 +745,6 @@ def dual_module(M: Module, target_algebra: Algebra):
     return Module(target_algebra, M.dims, mats)
 
 
-def dual_map(f: ModuleMap, Mdual: Module, Ndual: Module):
-    """Dual of f: M -> N, as a map N* -> M* (blocks transposed)."""
-    return ModuleMap(Ndual, Mdual, [b.transpose() for b in f.blocks], check=False)
-
-
 # ---- submodules, quotients, homology ----
 
 def _row_space(mat):
@@ -1040,36 +1035,122 @@ def _dot(f, xs, ys):
     return acc
 
 
+# ---- sparse structure constants (shared with dg algebras) ----
+
+def sparse_structure(dense, dims, error):
+    """Structure constants with only the nonzero products kept.
+
+    dense[(i, j)][a][b] is the coordinate vector, in degree i + j, of the
+    product of the a-th degree-i and the b-th degree-j basis element;
+    dims maps degrees to dimensions.  Returns
+    {(i, j): {(a, b): ((k, c), ...)}} holding each nonzero product by
+    its nonzero coordinates.  Raises `error` when a table does not have
+    the shape the dimensions give it.
+    """
+    out = {}
+    for (i, j), table in dense.items():
+        n, m, w = dims.get(i, 0), dims.get(j, 0), dims.get(i + j, 0)
+        if len(table) != n or any(len(row) != m for row in table):
+            raise error(f"product table {(i, j)} is not {n} x {m}")
+        block = {}
+        for a, row in enumerate(table):
+            for b, vec in enumerate(row):
+                if len(vec) != w:
+                    raise error(f"product {(i, j)}[{a}][{b}] has "
+                                f"{len(vec)} coordinates, not {w}")
+                coords = tuple((k, c) for k, c in enumerate(vec) if c)
+                if coords:
+                    block[(a, b)] = coords
+        if block:
+            out[(i, j)] = block
+    return out
+
+
+def sparse_product(field, structure, i, x, j, y):
+    """x * y for x of degree i and y of degree j.
+
+    x and y are iterables of (index, coefficient) pairs; the result is
+    {index: coefficient} with its nonzero coordinates only.
+    """
+    block = structure.get((i, j))
+    out = {}
+    if block is None:
+        return out
+    f = field
+    for a, ca in x:
+        for b, cb in y:
+            prod = block.get((a, b))
+            if prod is None:
+                continue
+            cab = f.mul(ca, cb)
+            for k, c in prod:
+                t = f.mul(cab, c)
+                out[k] = f.add(out[k], t) if k in out else t
+    return {k: c for k, c in out.items() if c}
+
+
+def dense_product(field, structure, i, x, j, y, width):
+    """sparse_product on coordinate vectors, as a vector of length width."""
+    out = [field.zero()] * width
+    prod = sparse_product(field, structure,
+                          i, [(a, c) for a, c in enumerate(x) if c],
+                          j, [(b, c) for b, c in enumerate(y) if c])
+    for k, c in prod.items():
+        out[k] = c
+    return tuple(out)
+
+
+def is_associative(field, structure, dims):
+    """Whether (xy)z = x(yz) on every triple of basis elements."""
+    one = field.one()
+
+    def mul(i, x, j, y):
+        return sparse_product(field, structure, i, x, j, y)
+
+    basis = [(k, c) for k in sorted(dims) for c in range(dims[k])]
+    # Only triples with xy != 0 or yz != 0 are visited.  On any other
+    # triple both sides are products with a zero factor, so this accepts
+    # and rejects exactly what the check over all basis triples does.
+    for (i, j), block in structure.items():
+        for (a, b), ab in block.items():
+            for k, c in basis:
+                bc = structure.get((j, k), {}).get((b, c), ())
+                if mul(i + j, ab, k, ((c, one),)) != \
+                        mul(i, ((a, one),), j + k, bc):
+                    return False
+    # the triples left have xy = 0, so (xy)z = 0 and x(yz) must vanish
+    for (j, k), block in structure.items():
+        for (b, c), bc in block.items():
+            for i, a in basis:
+                if (a, b) not in structure.get((i, j), {}) and \
+                        mul(i, ((a, one),), j + k, bc):
+                    return False
+    return True
+
+
 # ---- abstract finite-dimensional algebras (for endomorphism rings) ----
 
 class FiniteAlgebra:
-    """Algebra given by structure constants plus an orthogonal idempotent list."""
+    """Algebra given by structure constants plus an orthogonal idempotent list.
+
+    table[a][b] (the constructor's argument) holds the coordinates of the
+    product of basis elements a and b.  It is stored sparse, as the
+    degree-zero block of sparse_structure: products[(0, 0)][(a, b)] lists
+    the nonzero coordinates of each nonzero product.
+    """
 
     def __init__(self, field, table, unit, idempotents, verify=True):
         self.field = field
-        self.table = tuple(tuple(tuple(c) for c in row) for row in table)
-        self.dim = len(self.table)
+        self.dim = len(table)
+        self.products = sparse_structure({(0, 0): table}, {0: self.dim},
+                                         AlgebraError)
         self.unit = tuple(unit)
         self.idempotents = [tuple(e) for e in idempotents]
         if verify:
             self.verify_structure()
 
     def mult(self, x, y):
-        f = self.field
-        z = f.zero()
-        acc = [z] * self.dim
-        for i, xc in enumerate(x):
-            if xc == z:
-                continue
-            for j, yc in enumerate(y):
-                if yc == z:
-                    continue
-                c = f.mul(xc, yc)
-                row = self.table[i][j]
-                for k, t in enumerate(row):
-                    if t != z:
-                        acc[k] = f.add(acc[k], f.mul(c, t))
-        return tuple(acc)
+        return dense_product(self.field, self.products, 0, x, 0, y, self.dim)
 
     def basis_elem(self, i):
         z = self.field.zero()
@@ -1084,23 +1165,16 @@ class FiniteAlgebra:
             bi = self.basis_elem(i)
             if self.mult(self.unit, bi) != bi or self.mult(bi, self.unit) != bi:
                 raise AlgebraError("unit fails on basis element")
-        for i in range(d):
-            for j in range(d):
-                xij = self.mult(self.basis_elem(i), self.basis_elem(j))
-                for k in range(d):
-                    lhs = self.mult(xij, self.basis_elem(k))
-                    rhs = self.mult(self.basis_elem(i),
-                                    self.mult(self.basis_elem(j), self.basis_elem(k)))
-                    if lhs != rhs:
-                        raise AlgebraError("associativity fails on basis triple")
+        if not is_associative(f, self.products, {0: d}):
+            raise AlgebraError("associativity fails on basis triple")
         acc = [f.zero()] * d
         for e in self.idempotents:
             if self.mult(e, e) != tuple(e):
                 raise AlgebraError("idempotent is not idempotent")
             acc = [f.add(a, b) for a, b in zip(acc, e)]
-        for e in self.idempotents:
-            for e2 in self.idempotents:
-                if e is not e2 and any(c != f.zero() for c in self.mult(e, e2)):
+        for s, e in enumerate(self.idempotents):
+            for t, e2 in enumerate(self.idempotents):
+                if s != t and any(self.mult(e, e2)):
                     raise AlgebraError("idempotents not orthogonal")
         if tuple(acc) != self.unit:
             raise AlgebraError("idempotents do not sum to the unit")

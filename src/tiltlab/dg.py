@@ -2,8 +2,10 @@
 
 Everything is finite-dimensional over an exact field and fully
 validated on construction: differentials square to zero, the Leibniz
-rule and associativity are checked on basis tuples, units and
-idempotent decompositions are verified.  Degrees follow the cochain
+rule and associativity are checked on every basis pair and triple where
+a product or a differential is nonzero (on the others both sides
+vanish), units and idempotent decompositions are verified.  Structure
+constants are stored sparse, nonzero products only.  Degrees follow the cochain
 convention (differentials raise degree by one); elements of a fixed
 degree are row vectors in the chosen basis of that degree.
 
@@ -19,7 +21,9 @@ algebra of a dual family comes from.
 
 from collections import namedtuple
 
-from .algebra import FiniteAlgebra, ModuleMap, hom_basis
+from .algebra import (FiniteAlgebra, ModuleMap, dense_product,
+                      hom_basis, is_associative, sparse_product,
+                      sparse_structure)
 from .complexes import _flatten_map
 from .linalg import Mat
 
@@ -93,9 +97,12 @@ class DgAlgebra:
     """Finite-dimensional non-positive dg algebra with chosen basis.
 
     dims: {degree <= 0: dimension}; d[i]: matrix of the differential
-    from degree i to i+1; mult[(i, j)][a][b]: coordinates of the
-    product of the a-th degree-i and b-th degree-j basis elements
-    inside degree i+j.  unit and idempotents live in degree 0.
+    from degree i to i+1.  The constructor takes mult[(i, j)][a][b]: the
+    coordinates, inside degree i+j, of the product of the a-th degree-i
+    and b-th degree-j basis elements.  It stores mult sparse, as
+    mult[(i, j)][(a, b)] = ((k, c), ...) for the nonzero products only
+    (see algebra.sparse_structure).  unit and idempotents live in
+    degree 0.
     """
 
     def __init__(self, field, dims, d, mult, unit, idempotents, check=True,
@@ -103,13 +110,17 @@ class DgAlgebra:
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
         self.d = {k: m for k, m in d.items() if not m.is_zero()}
-        self.mult = mult
         self.unit = tuple(unit)
         self.idempotents = [tuple(e) for e in idempotents]
         # endomorphism dg algebras of complexes carry positive parts;
         # they set nonpositive=False and are truncated before any use
         # that needs the non-positive theory
         self.nonpositive = nonpositive
+        if check:
+            # before the table is read, so that a table shaped for a
+            # positive part is reported as one
+            self._check_degrees()
+        self.mult = sparse_structure(mult, self.dims, DgError)
         if check:
             self.validate()
 
@@ -130,89 +141,80 @@ class DgAlgebra:
 
     def mult_basis(self, i, a, j, b):
         """Product of basis elements, as coordinates in degree i+j."""
-        t = self.mult.get((i, j))
-        if t is None:
-            return _zeros(self.field, self.dim_at(i + j))
-        return tuple(t[a][b])
+        out = list(_zeros(self.field, self.dim_at(i + j)))
+        for k, c in self.mult.get((i, j), {}).get((a, b), ()):
+            out[k] = c
+        return tuple(out)
 
     def elem_mult(self, i, x, j, y):
-        f = self.field
-        out = list(_zeros(f, self.dim_at(i + j)))
-        z = f.zero()
-        for a, ca in enumerate(x):
-            if ca == z:
-                continue
-            for b, cb in enumerate(y):
-                if cb == z:
-                    continue
-                prod = self.mult_basis(i, a, j, b)
-                for k, c in enumerate(prod):
-                    out[k] = f.add(out[k], f.mul(f.mul(ca, cb), c))
-        return tuple(out)
+        return dense_product(self.field, self.mult, i, x, j, y,
+                             self.dim_at(i + j))
 
     def elem_d(self, i, x):
         if i not in self.d:
             return _zeros(self.field, self.dim_at(i + 1))
         return tuple(Mat(self.field, [list(x)]).mul(self.d[i]).data[0])
 
-    def validate(self):
-        f = self.field
+    def _check_degrees(self):
         if self.nonpositive and any(k > 0 for k in self.dims):
             raise DgError("a non-positive dg algebra has no positive part")
         if self.dim_at(0) == 0:
             raise DgError("the degree-zero part must contain the unit")
+
+    def validate(self):
+        f = self.field
+        self._check_degrees()
         for k, m in self.d.items():
             if (m.nrows, m.ncols) != (self.dim_at(k), self.dim_at(k + 1)):
                 raise DgError("differential shape mismatch")
             if k + 1 in self.d and not m.mul(self.d[k + 1]).is_zero():
                 raise DgError("differential does not square to zero")
-        degs = self.degrees()
-        # Leibniz rule on basis pairs
-        for i in degs:
-            for j in degs:
-                if self.dim_at(i + j) == 0 and self.dim_at(i + j + 1) == 0:
-                    continue
-                for a in range(self.dim_at(i)):
-                    xa = _unit_vec(f, self.dim_at(i), a)
-                    dxa = self.elem_d(i, xa)
-                    for b in range(self.dim_at(j)):
-                        yb = _unit_vec(f, self.dim_at(j), b)
-                        dyb = self.elem_d(j, yb)
-                        lhs = self.elem_d(i + j, self.mult_basis(i, a, j, b))
-                        t1 = self.elem_mult(i + 1, dxa, j, yb)
-                        t2 = self.elem_mult(i, xa, j + 1, dyb)
-                        sgn = f.one() if i % 2 == 0 else f.neg(f.one())
-                        rhs = tuple(f.add(p, f.mul(sgn, q))
-                                    for p, q in zip(t1, t2))
-                        if lhs != rhs:
-                            raise DgError("Leibniz rule fails")
-        # associativity on basis triples
-        for i in degs:
-            for j in degs:
-                for k in degs:
-                    if self.dim_at(i + j + k) == 0:
-                        continue
-                    for a in range(self.dim_at(i)):
-                        for b in range(self.dim_at(j)):
-                            ab = self.mult_basis(i, a, j, b)
-                            xa = _unit_vec(f, self.dim_at(i), a)
-                            for c in range(self.dim_at(k)):
-                                bc = self.mult_basis(j, b, k, c)
-                                yc = _unit_vec(f, self.dim_at(k), c)
-                                l = self.elem_mult(i + j, ab, k, yc)
-                                r = self.elem_mult(i, xa, j + k, bc)
-                                if l != r:
-                                    raise DgError("multiplication is not "
-                                                  "associative")
+        one = f.one()
+        basis = [(k, a) for k in self.degrees() for a in range(self.dims[k])]
+        # d of each basis element, by its nonzero coordinates
+        dbasis = {(k, a): tuple((t, c) for t, c in enumerate(row) if c)
+                  for k, m in self.d.items() for a, row in enumerate(m.data)}
+
+        def mul(i, x, j, y):
+            return sparse_product(f, self.mult, i, x, j, y)
+
+        def diff(i, x):
+            out = {}
+            for a, ca in x:
+                for t, c in dbasis.get((i, a), ()):
+                    v = f.mul(ca, c)
+                    out[t] = f.add(out[t], v) if t in out else v
+            return {t: c for t, c in out.items() if c}
+
+        # Leibniz rule d(ab) = d(a) b + (-1)^i a d(b) on the basis pairs
+        # with ab != 0, d(a) != 0 or d(b) != 0.  On any other pair every
+        # term is zero, so this accepts and rejects exactly what the
+        # check over all basis pairs does.
+        pairs = {((i, a), (j, b)) for (i, j), block in self.mult.items()
+                 for a, b in block}
+        for x, dx in dbasis.items():
+            if dx:
+                pairs.update((x, y) for y in basis)
+                pairs.update((y, x) for y in basis)
+        for (i, a), (j, b) in pairs:
+            lhs = diff(i + j, self.mult.get((i, j), {}).get((a, b), ()))
+            rhs = mul(i + 1, dbasis.get((i, a), ()), j, ((b, one),))
+            for t, c in mul(i, ((a, one),), j + 1,
+                            dbasis.get((j, b), ())).items():
+                v = c if i % 2 == 0 else f.neg(c)
+                rhs[t] = f.add(rhs[t], v) if t in rhs else v
+            if lhs != {t: c for t, c in rhs.items() if c}:
+                raise DgError("Leibniz rule fails")
+        if not is_associative(f, self.mult, self.dims):
+            raise DgError("multiplication is not associative")
         if self.elem_d(0, self.unit) != _zeros(f, self.dim_at(1)):
             raise DgError("the unit must be a cycle")
-        for i in degs:
-            for a in range(self.dim_at(i)):
-                xa = _unit_vec(f, self.dim_at(i), a)
-                if self.elem_mult(0, self.unit, i, xa) != xa:
-                    raise DgError("unit fails on the left")
-                if self.elem_mult(i, xa, 0, self.unit) != xa:
-                    raise DgError("unit fails on the right")
+        unit = [(a, c) for a, c in enumerate(self.unit) if c]
+        for i, a in basis:
+            if mul(0, unit, i, ((a, one),)) != {a: one}:
+                raise DgError("unit fails on the left")
+            if mul(i, ((a, one),), 0, unit) != {a: one}:
+                raise DgError("unit fails on the right")
         acc = list(_zeros(f, self.dim_at(0)))
         for s, e in enumerate(self.idempotents):
             for t, e2 in enumerate(self.idempotents):
@@ -303,14 +305,6 @@ def dg_from_path_algebra(A) -> DgAlgebra:
                 e[i] = f.one()
         idems.append(tuple(e))
     return DgAlgebra(f, {0: n}, {}, mult, tuple(unit), idems)
-
-
-def dg_from_finite_algebra(G: FiniteAlgebra) -> DgAlgebra:
-    f = G.field
-    n = G.dim
-    mult = {(0, 0): [[tuple(G.table[a][b]) for b in range(n)]
-                     for a in range(n)]}
-    return DgAlgebra(f, {0: n}, {}, mult, G.unit, G.idempotents)
 
 
 # ---- dg modules ----

@@ -21,6 +21,23 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
 
 
+def test_prime_field_rejects_composites_without_small_factors():
+    # no factor below 2^20, so trial division up to 2^20 cannot see them
+    for n in (1048583 * 1048589, 1048583 ** 2):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    # a strong probable prime to every base up to 23
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3825123056546413051)
+    f = PrimeField(1048589)
+    assert f.mul(2, f.inv(2)) == 1
+    assert f.mul(1048588, f.inv(1048588)) == 1
+    # the least composite that passes every base up to 37: past the
+    # range the test decides, so it is refused rather than guessed
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(399165290221 * 798330580441)
+
+
 def test_field_parse_fraction_forms():
     assert QQ.parse("-2/5") == Fraction(-2, 5)
     f7 = PrimeField(7)

@@ -1,0 +1,278 @@
+"""Sparse structure constants of dg and finite algebras.
+
+DgAlgebra.validate and FiniteAlgebra.verify_structure visit only the
+basis tuples where a product or a differential is nonzero.  The fixed
+tables below put the only failure on a tuple that just one branch of
+that support reaches; the property test compares both constructors
+with a brute-force reference that checks every basis pair and triple.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tiltlab.algebra import AlgebraError, FiniteAlgebra
+from tiltlab.dg import DgAlgebra, DgError
+from tiltlab.linalg import Mat, PrimeField, QQ
+
+GF5 = PrimeField(5)
+
+
+def vec(f, *xs):
+    return tuple(f.of(x) for x in xs)
+
+
+def one_sided_table(f):
+    """Unit u, and x, y with xx = 0, xy = y, yx = yy = 0.
+
+    The only non-associative triple is (x, x, y): xx = 0 but
+    x(xy) = y.
+    """
+    u, x, y = vec(f, 1, 0, 0), vec(f, 0, 1, 0), vec(f, 0, 0, 1)
+    z = vec(f, 0, 0, 0)
+    return [[u, x, y],
+            [x, z, y],
+            [y, z, z]]
+
+
+def test_associativity_failure_with_zero_left_product_is_found():
+    table = one_sided_table(QQ)
+    unit = vec(QQ, 1, 0, 0)
+    with pytest.raises(DgError, match="associative"):
+        DgAlgebra(QQ, {0: 3}, {}, {(0, 0): table}, unit, [unit])
+    with pytest.raises(AlgebraError, match="associativity"):
+        FiniteAlgebra(QQ, table, unit, [unit])
+
+
+def test_leibniz_failure_on_a_zero_product_is_found():
+    # degree 0: u (unit), e1, a with e1 a = a, a e1 = 0 (upper triangular
+    # 2x2 matrices); degree -1: t with u t = t u = t and every other
+    # product zero; d(t) = a.  Leibniz holds on every pair except
+    # (e1, t): e1 t = 0 and d(e1) = 0, but e1 d(t) = a.
+    f = QQ
+    u, e1, a = vec(f, 1, 0, 0), vec(f, 0, 1, 0), vec(f, 0, 0, 1)
+    z0, t, z1 = vec(f, 0, 0, 0), vec(f, 1), vec(f, 0)
+    mult = {
+        (0, 0): [[u, e1, a], [e1, e1, a], [a, z0, z0]],
+        (0, -1): [[t], [z1], [z1]],
+        (-1, 0): [[t, z1, z1]],
+    }
+    d = {-1: Mat(f, [list(a)])}
+    idems = [e1, vec(f, 1, -1, 0)]
+    with pytest.raises(DgError, match="Leibniz"):
+        DgAlgebra(f, {0: 3, -1: 1}, d, mult, u, idems)
+    # with d(t) = 0 the same algebra is valid
+    DgAlgebra(f, {0: 3, -1: 1}, {}, mult, u, idems)
+
+
+def test_misshapen_tables_are_rejected():
+    table = one_sided_table(QQ)
+    unit = vec(QQ, 1, 0, 0)
+    short_row = [table[0], table[1], table[2][:2]]
+    long_vec = [table[0], table[1],
+                [table[2][0], table[2][1], vec(QQ, 0, 0, 0, 0)]]
+    for bad in (short_row, long_vec):
+        with pytest.raises(AlgebraError):
+            FiniteAlgebra(QQ, bad, unit, [unit])
+        with pytest.raises(DgError):
+            DgAlgebra(QQ, {0: 3}, {}, {(0, 0): bad}, unit, [unit])
+
+
+# ---- brute-force reference ----
+
+def ref_product(f, mult, dims, i, x, j, y):
+    out = [f.zero()] * dims.get(i + j, 0)
+    t = mult.get((i, j))
+    if t is None:
+        return tuple(out)
+    for a, ca in enumerate(x):
+        for b, cb in enumerate(y):
+            for k, c in enumerate(t[a][b]):
+                out[k] = f.add(out[k], f.mul(f.mul(ca, cb), c))
+    return tuple(out)
+
+
+def ref_d(f, d, dims, i, x):
+    out = [f.zero()] * dims.get(i + 1, 0)
+    for a, ca in enumerate(x):
+        for k, c in enumerate(d[i][a] if i in d else ()):
+            out[k] = f.add(out[k], f.mul(ca, c))
+    return tuple(out)
+
+
+def ref_unit_vec(f, n, k):
+    return tuple(f.one() if t == k else f.zero() for t in range(n))
+
+
+def ref_dg_failure(f, dims, d, mult, unit, idems):
+    """The first check a dg algebra fails, over all basis tuples."""
+    degs = sorted(dims)
+    zero = f.zero()
+    for k in d:
+        if k + 1 in d:
+            for a in range(dims[k]):
+                row = ref_unit_vec(f, dims[k], a)
+                if any(ref_d(f, d, dims, k + 1, ref_d(f, d, dims, k, row))):
+                    return "square"
+    for i in degs:
+        for j in degs:
+            sgn = f.one() if i % 2 == 0 else f.neg(f.one())
+            for a in range(dims[i]):
+                x = ref_unit_vec(f, dims[i], a)
+                for b in range(dims[j]):
+                    y = ref_unit_vec(f, dims[j], b)
+                    lhs = ref_d(f, d, dims, i + j,
+                                ref_product(f, mult, dims, i, x, j, y))
+                    t1 = ref_product(f, mult, dims, i + 1,
+                                     ref_d(f, d, dims, i, x), j, y)
+                    t2 = ref_product(f, mult, dims, i, x, j + 1,
+                                     ref_d(f, d, dims, j, y))
+                    rhs = tuple(f.add(p, f.mul(sgn, q))
+                                for p, q in zip(t1, t2))
+                    if lhs != rhs:
+                        return "Leibniz"
+    for i in degs:
+        for j in degs:
+            for k in degs:
+                for a in range(dims[i]):
+                    x = ref_unit_vec(f, dims[i], a)
+                    for b in range(dims[j]):
+                        y = ref_unit_vec(f, dims[j], b)
+                        for c in range(dims[k]):
+                            w = ref_unit_vec(f, dims[k], c)
+                            xy = ref_product(f, mult, dims, i, x, j, y)
+                            yw = ref_product(f, mult, dims, j, y, k, w)
+                            if ref_product(f, mult, dims, i + j, xy, k, w) \
+                                    != ref_product(f, mult, dims, i, x,
+                                                   j + k, yw):
+                                return "associative"
+    if any(ref_d(f, d, dims, 0, unit)):
+        return "cycle"
+    for i in degs:
+        for a in range(dims[i]):
+            x = ref_unit_vec(f, dims[i], a)
+            if ref_product(f, mult, dims, 0, unit, i, x) != x:
+                return "left"
+            if ref_product(f, mult, dims, i, x, 0, unit) != x:
+                return "right"
+    acc = [zero] * dims[0]
+    for s, e in enumerate(idems):
+        for t, e2 in enumerate(idems):
+            want = e if s == t else (zero,) * dims[0]
+            if ref_product(f, mult, dims, 0, e, 0, e2) != tuple(want):
+                return "orthogonal"
+        acc = [f.add(p, q) for p, q in zip(acc, e)]
+    if tuple(acc) != tuple(unit):
+        return "sum"
+    return None
+
+
+def ref_finite_failure(f, table, unit, idems):
+    """The first check a finite algebra fails, over all basis tuples."""
+    n = len(table)
+    dims, mult = {0: n}, {(0, 0): table}
+
+    def mul(x, y):
+        return ref_product(f, mult, dims, 0, x, 0, y)
+
+    for i in range(n):
+        x = ref_unit_vec(f, n, i)
+        if mul(unit, x) != x or mul(x, unit) != x:
+            return "unit"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, w = (ref_unit_vec(f, n, t) for t in (i, j, k))
+                if mul(mul(x, y), w) != mul(x, mul(y, w)):
+                    return "associativity"
+    for e in idems:
+        if mul(e, e) != e:
+            return "idempotent is not"
+    for s, e in enumerate(idems):
+        for t, e2 in enumerate(idems):
+            if s != t and any(mul(e, e2)):
+                return "orthogonal"
+    acc = [f.zero()] * n
+    for e in idems:
+        acc = [f.add(p, q) for p, q in zip(acc, e)]
+    if tuple(acc) != tuple(unit):
+        return "sum"
+    return None
+
+
+MESSAGES = {
+    "square": "square to zero", "Leibniz": "Leibniz",
+    "associative": "associative", "cycle": "cycle",
+    "left": "on the left", "right": "on the right",
+    "orthogonal": "orthogonal", "sum": "sum to the unit",
+    "unit": "unit fails", "associativity": "associativity",
+    "idempotent is not": "not idempotent",
+}
+
+
+@st.composite
+def graded_tables(draw):
+    """A unit u plus a few elements in degrees 0, -1, -2, with sparse
+    random products and differentials over QQ or GF(5)."""
+    f = draw(st.sampled_from([QQ, GF5]))
+    dims = {0: draw(st.integers(1, 3)), -1: draw(st.integers(0, 2)),
+            -2: draw(st.integers(0, 1))}
+    dims = {k: n for k, n in dims.items() if n}
+    density = draw(st.sampled_from([0, 1, 3]))
+    coef = st.sampled_from([1, 1, 2, -1])
+
+    def entry():
+        return f.of(draw(coef)) if draw(st.integers(0, 9)) < density \
+            else f.zero()
+
+    mult = {}
+    for i in dims:
+        for j in dims:
+            w = dims.get(i + j, 0)
+            if not w:
+                continue
+            t = []
+            for a in range(dims[i]):
+                row = []
+                for b in range(dims[j]):
+                    if i == 0 and a == 0:
+                        row.append(ref_unit_vec(f, w, b))
+                    elif j == 0 and b == 0:
+                        row.append(ref_unit_vec(f, w, a))
+                    else:
+                        row.append(tuple(entry() for _ in range(w)))
+                t.append(row)
+            mult[(i, j)] = t
+    d = {}
+    for k in (-2, -1):
+        if k in dims and k + 1 in dims:
+            d[k] = [[entry() for _ in range(dims[k + 1])]
+                    for _ in range(dims[k])]
+    unit = ref_unit_vec(f, dims[0], 0)
+    if draw(st.integers(0, 5)) == 0:
+        unit = tuple(f.add(c, entry()) for c in unit)
+    idems = [unit]
+    if draw(st.booleans()) and dims[0] > 1:
+        e = ref_unit_vec(f, dims[0], 1)
+        idems = [e, tuple(f.sub(p, q) for p, q in zip(unit, e))]
+    return f, dims, d, mult, unit, idems
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graded_tables())
+def test_support_restricted_checks_match_brute_force(case):
+    f, dims, d, mult, unit, idems = case
+    want = ref_dg_failure(f, dims, d, mult, unit, idems)
+    mats = {k: Mat(f, rows, ncols=dims[k + 1]) for k, rows in d.items()}
+    if want is None:
+        DgAlgebra(f, dims, mats, mult, unit, idems)
+    else:
+        with pytest.raises(DgError, match=MESSAGES[want]):
+            DgAlgebra(f, dims, mats, mult, unit, idems)
+    table = mult[(0, 0)]
+    want = ref_finite_failure(f, table, unit, idems)
+    if want is None:
+        FiniteAlgebra(f, table, unit, idems)
+    else:
+        with pytest.raises(AlgebraError, match=MESSAGES[want]):
+            FiniteAlgebra(f, table, unit, idems)
