@@ -37,7 +37,7 @@ from itertools import product as iproduct
 
 from .dg import DgAlgebra, _unit_vec, _zeros, endomorphism_dg_algebra
 from .derived import resolve_complex
-from .linalg import Mat
+from .linalg import Mat, independent_rows
 
 
 class AInfError(Exception):
@@ -64,7 +64,49 @@ def _sign(f, parity):
     return f.one() if parity % 2 == 0 else f.neg(f.one())
 
 
-class AInfAlgebra:
+def _nonzero_ops(ops):
+    """{arity: {key: coords}} without the zero values and empty arities."""
+    out = {}
+    for n, table in ops.items():
+        kept = {key: tuple(val) for key, val in table.items() if any(val)}
+        if kept:
+            out[n] = kept
+    return out
+
+
+class _GradedOperations:
+    """Graded dimensions and multilinear operations, shared by minimal
+    A-infinity algebras and their modules; op(n, key) is the operation
+    on basis references."""
+
+    def dim_at(self, k):
+        return self.dims.get(k, 0)
+
+    def degrees(self):
+        return sorted(self.dims)
+
+    @property
+    def total_dim(self):
+        return sum(self.dims.values())
+
+    def op_elem(self, n, items):
+        """Multilinear extension; items are (degree, coords) pairs."""
+        f = self.field
+        out_deg = sum(d for d, _ in items) + 2 - n
+        acc = list(_zeros(f, self.dim_at(out_deg)))
+        idxs = [[a for a, c in enumerate(vec) if c] for _, vec in items]
+        for combo in iproduct(*idxs):
+            key = tuple((items[t][0], combo[t]) for t in range(n))
+            coeff = f.one()
+            for t in range(n):
+                coeff = f.mul(coeff, items[t][1][combo[t]])
+            val = self.op(n, key)
+            for a, c in enumerate(val):
+                acc[a] = f.add(acc[a], f.mul(coeff, c))
+        return tuple(acc)
+
+
+class AInfAlgebra(_GradedOperations):
     """Minimal A-infinity algebra on a finite graded basis.
 
     dims: {degree: dimension}.  ops: {arity n: {key: coords}} where a
@@ -78,12 +120,7 @@ class AInfAlgebra:
                  tags=None, positive=False, check=True):
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
-        self.ops = {}
-        for n, table in ops.items():
-            kept = {key: tuple(val) for key, val in table.items()
-                    if any(c != field.zero() for c in val)}
-            if kept:
-                self.ops[n] = kept
+        self.ops = _nonzero_ops(ops)
         self.idempotents = [tuple(e) for e in idempotents]
         self.arity_cap = arity_cap
         self.positive = positive
@@ -91,16 +128,6 @@ class AInfAlgebra:
         self.tags = tags if tags is not None else self._compute_tags()
         if check:
             self.validate()
-
-    def dim_at(self, k):
-        return self.dims.get(k, 0)
-
-    def degrees(self):
-        return sorted(self.dims)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     @property
     def unit(self):
@@ -116,24 +143,6 @@ class AInfAlgebra:
         if table is None or key not in table:
             return _zeros(self.field, self.dim_at(out_deg))
         return table[key]
-
-    def op_elem(self, n, items):
-        """Multilinear extension; items are (degree, coords) pairs."""
-        f = self.field
-        out_deg = sum(d for d, _ in items) + 2 - n
-        acc = list(_zeros(f, self.dim_at(out_deg)))
-        z = f.zero()
-        idxs = [[a for a, c in enumerate(vec) if c != z]
-                for _, vec in items]
-        for combo in iproduct(*idxs):
-            key = tuple((items[t][0], combo[t]) for t in range(n))
-            coeff = f.one()
-            for t in range(n):
-                coeff = f.mul(coeff, items[t][1][combo[t]])
-            val = self.op(n, key)
-            for a, c in enumerate(val):
-                acc[a] = f.add(acc[a], f.mul(coeff, c))
-        return tuple(acc)
 
     def shifted_op(self, n, key):
         """b_n on shifted basis elements, coords in classical grading."""
@@ -300,26 +309,6 @@ _Contraction = namedtuple(
 # proj[k]: E.dim_at(k) x hdims[k]; htp[k]: E.dim_at(k) x E.dim_at(k-1)
 
 
-def _complete_rows(f, base, ncols, preferred=()):
-    """Rows extending base to a larger independent set.
-
-    Preferred candidates are tried first, then unit vectors; the
-    result lists only the added rows, in the order chosen.
-    """
-    rows = [list(r) for r in base.data]
-    added = []
-    rank = Mat(f, rows, ncols=ncols).rank() if rows else 0
-    cands = [list(v) for v in preferred]
-    cands += [list(_unit_vec(f, ncols, j)) for j in range(ncols)]
-    for cand in cands:
-        trial = Mat(f, rows + [cand], ncols=ncols)
-        if trial.rank() > rank:
-            rows.append(cand)
-            added.append(tuple(cand))
-            rank += 1
-    return added
-
-
 def _blockwise_contraction(E: DgAlgebra):
     """Representatives, projection, homotopy, chosen corner by corner."""
     f = E.field
@@ -346,7 +335,8 @@ def _blockwise_contraction(E: DgAlgebra):
         dm = Mat(f, d_loc, ncols=len(nxt))
         Z = dm.left_kernel_basis().row_space_basis()
         zrows[(k, tag)] = Z
-        crows[(k, tag)] = _complete_rows(f, Z, n)
+        crows[(k, tag)] = independent_rows(
+            Z, [_unit_vec(f, n, j) for j in range(n)])
 
     # pass two: boundaries from the previous complement, then
     # representatives: idempotents first in their degree-zero corners
@@ -367,15 +357,7 @@ def _blockwise_contraction(E: DgAlgebra):
         if k == 0 and tag[0] == tag[1]:
             e = E.idempotents[tag[0]]
             preferred.append(tuple(e[a] for a in idxs))
-        reps = []
-        stack = [list(r) for r in B.data]
-        rank = B.rank()
-        for cand in preferred + [tuple(r) for r in zrows[(k, tag)].data]:
-            trial = Mat(f, stack + [list(cand)], ncols=n)
-            if trial.rank() > rank:
-                stack.append(list(cand))
-                reps.append(tuple(cand))
-                rank += 1
+        reps = independent_rows(B, preferred + list(zrows[(k, tag)].data))
         if preferred and (not reps or reps[0] != preferred[0]):
             raise ContractionFailure(
                 "an idempotent class is contractible")
@@ -561,7 +543,7 @@ def collection_ext_model(objects, arity_cap=4):
 
 # ---- stalk modules over a positive minimal model ----
 
-class AInfModuleStalk:
+class AInfModuleStalk(_GradedOperations):
     """Right module with operations m_n^M : M (x) A^(n-1) -> M.
 
     Keys pair a module basis reference with algebra basis references;
@@ -573,24 +555,9 @@ class AInfModuleStalk:
         self.algebra = algebra
         self.field = algebra.field
         self.dims = {k: n for k, n in dims.items() if n}
-        self.ops = {}
-        for n, table in ops.items():
-            kept = {key: tuple(val) for key, val in table.items()
-                    if any(c != self.field.zero() for c in val)}
-            if kept:
-                self.ops[n] = kept
+        self.ops = _nonzero_ops(ops)
         if check:
             self.validate()
-
-    def dim_at(self, k):
-        return self.dims.get(k, 0)
-
-    def degrees(self):
-        return sorted(self.dims)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def op(self, n, key):
         mdeg = key[0][0]
@@ -599,23 +566,6 @@ class AInfModuleStalk:
         if table is None or key not in table:
             return _zeros(self.field, self.dim_at(out_deg))
         return table[key]
-
-    def op_elem(self, n, items):
-        f = self.field
-        out_deg = sum(d for d, _ in items) + 2 - n
-        acc = list(_zeros(f, self.dim_at(out_deg)))
-        z = f.zero()
-        idxs = [[a for a, c in enumerate(vec) if c != z]
-                for _, vec in items]
-        for combo in iproduct(*idxs):
-            key = tuple((items[t][0], combo[t]) for t in range(n))
-            coeff = f.one()
-            for t in range(n):
-                coeff = f.mul(coeff, items[t][1][combo[t]])
-            val = self.op(n, key)
-            for a, c in enumerate(val):
-                acc[a] = f.add(acc[a], f.mul(coeff, c))
-        return tuple(acc)
 
     def validate(self):
         f = self.field

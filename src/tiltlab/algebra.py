@@ -97,11 +97,6 @@ class Quiver:
         return Quiver(self.n, [(lab, t, s) for lab, s, t in self.arrows])
 
 
-def quiver_from_dict(d):
-    arrows = [(a["label"], int(a["from"]) - 1, int(a["to"]) - 1) for a in d.get("arrows", [])]
-    return Quiver(int(d["vertices"]), arrows)
-
-
 class Algebra:
     """Finite-dimensional quotient of a path algebra.
 
@@ -339,25 +334,6 @@ class Algebra:
             return f"e{src + 1}"
         return "*".join(self.quiver.label(a) for a in arrs)
 
-    def elem_name(self, x):
-        f = self.field
-        z = f.zero()
-        parts = []
-        for i, c in enumerate(x):
-            if c == z:
-                continue
-            cs = f.to_str(c)
-            parts.append(self.basis_name(i) if cs == "1" else f"({cs})*{self.basis_name(i)}")
-        return " + ".join(parts) if parts else "0"
-
-    def peirce_component(self, x, u, v):
-        """The (u, v) graded part of an element (paths u -> v)."""
-        z = self.field.zero()
-        return tuple(
-            c if (self.basis_source(i) == u and self.basis_target(i) == v) else z
-            for i, c in enumerate(x)
-        )
-
     def cartan_matrix(self):
         """C[i][j] = dim e_i A e_j, as plain ints."""
         n = self.quiver.n
@@ -450,13 +426,6 @@ class Algebra:
             self._inj[v] = dual_module(self.op().projective(v), self)
         return self._inj[v]
 
-    def regular_module(self):
-        return direct_sum_modules(self, [self.projective(v) for v in range(self.quiver.n)])[0]
-
-    def dimension_vector(self, module):
-        return module.dims
-
-
 class Module:
     """Right module: dims per vertex, one matrix per arrow, row action."""
 
@@ -503,26 +472,6 @@ class Module:
         for a in arrs:
             m = m.mul(self.mats[a])
         return m
-
-    def act_full(self, elem):
-        """Square matrix of a general element on the flattened space."""
-        A = self.algebra
-        f = A.field
-        z = f.zero()
-        rows = [[z] * self.total for _ in range(self.total)]
-        for i, c in enumerate(elem):
-            if c == z:
-                continue
-            src, arrs = A.paths[A.basis[i]]
-            tgt = A.path_target(A.paths[A.basis[i]])
-            blk = self.path_action(src, arrs)
-            ro, co = self.offsets[src], self.offsets[tgt]
-            for r in range(blk.nrows):
-                for s in range(blk.ncols):
-                    x = blk[r, s]
-                    if x != z:
-                        rows[ro + r][co + s] = f.add(rows[ro + r][co + s], f.mul(c, x))
-        return Mat(f, rows)
 
     def validate(self):
         """Action factors through the algebra: checked on basis pairs."""
@@ -830,12 +779,6 @@ def kernel_module(f: ModuleMap):
     return sub_module(f.source, span)
 
 
-def image_rows(f: ModuleMap):
-    return [f.blocks[v].row_space_basis() if f.source.dims[v] else
-            Mat.zeros(f.source.algebra.field, 0, f.target.dims[v])
-            for v in range(f.source.algebra.quiver.n)]
-
-
 def homology_module(f: ModuleMap, g: ModuleMap):
     """ker(g) / im(f) for composable maps with f then g = 0."""
     if f.target is not g.source:
@@ -912,34 +855,6 @@ def projective_cover(M: Module):
     for (inc, proj), sm in zip(incs, summand_maps):
         cover = cover.add(proj.then(sm))
     return verts, P, cover
-
-
-def module_iso_search(M: Module, N: Module, tries=200, seed=0):
-    """Invertible module map M -> N, or None.  Sufficient certificate only."""
-    if M.dims != N.dims:
-        return None
-    if M.total == 0:
-        return ModuleMap.zero(M, N)
-    basis = hom_basis(M, N)
-    if not basis:
-        return None
-    for h in basis:
-        if h.is_iso():
-            return h
-    f = M.algebra.field
-    rng = random.Random(seed)
-    if isinstance(getattr(f, "p", None), int):
-        pool = list(range(f.p))
-    else:
-        pool = list(range(-3, 4))
-    for _ in range(tries):
-        cand = ModuleMap.zero(M, N)
-        for h in basis:
-            c = f.of(rng.choice(pool))
-            cand = cand.add(h.scale(c))
-        if cand.is_iso():
-            return cand
-    return None
 
 
 def indec_iso(M: Module, N: Module):
@@ -1139,15 +1054,14 @@ class FiniteAlgebra:
     the nonzero coordinates of each nonzero product.
     """
 
-    def __init__(self, field, table, unit, idempotents, verify=True):
+    def __init__(self, field, table, unit, idempotents):
         self.field = field
         self.dim = len(table)
         self.products = sparse_structure({(0, 0): table}, {0: self.dim},
                                          AlgebraError)
         self.unit = tuple(unit)
         self.idempotents = [tuple(e) for e in idempotents]
-        if verify:
-            self.verify_structure()
+        self.verify_structure()
 
     def mult(self, x, y):
         return dense_product(self.field, self.products, 0, x, 0, y, self.dim)
@@ -1315,16 +1229,3 @@ def _split_eigenvalue(field, charpoly_coeffs, d):
     c = charpoly_coeffs[idx]
     # c = -m * lambda^{p^a} and Frobenius fixes the prime field
     return f.div(f.neg(c), f.of(m))
-
-
-def algebra_from_dict(d):
-    """Build an Algebra from parsed JSON."""
-    from .linalg import field_from_spec
-
-    field = field_from_spec(d["field"])
-    quiver = quiver_from_dict(d["quiver"])
-    rels = []
-    for rel in d.get("relations", []):
-        rels.append([(t.get("coeff", "1"), list(t["path"])) for t in rel["terms"]])
-    bound = d.get("nilpotency_bound")
-    return Algebra(field, quiver, rels, nilpotency_bound=bound)

@@ -26,7 +26,7 @@ from .algebra import (
     hom_basis,
     homology_module,
 )
-from .linalg import Mat
+from .linalg import Mat, Subquotient
 
 Summand = namedtuple("Summand", ["kind", "vertex"])  # kind: "P" | "I" | "S"
 
@@ -682,35 +682,9 @@ class VectComplex:
     def homology_dim(self, n):
         return self.cycles(n).nrows - self.boundaries(n).nrows
 
-    def homology_reps(self, n):
-        """(reps, boundaries): rows of representatives and the boundary space."""
-        Z = self.cycles(n)
-        B = self.boundaries(n)
-        f = self.field
-        rows = [list(r) for r in B.data]
-        base_rank = B.rank()
-        reps = []
-        cur = rows[:]
-        cur_rank = base_rank
-        for i in range(Z.nrows):
-            cand = cur + [list(Z.data[i])]
-            r = Mat(f, cand, ncols=self.dims.get(n, 0)).rank()
-            if r > cur_rank:
-                reps.append(list(Z.data[i]))
-                cur = cand
-                cur_rank = r
-        return Mat(f, reps, ncols=self.dims.get(n, 0)), B
-
-    def class_coords(self, n, vec, reps, B):
-        """Coordinates of a cycle's class over the chosen reps; None if not a cycle."""
-        f = self.field
-        if reps.nrows == 0 and B.nrows == 0:
-            return tuple()
-        stacked = Mat(f, list(reps.data) + list(B.data), ncols=vec.ncols)
-        sol = stacked.transpose().solve(vec.transpose())
-        if sol is None:
-            return None
-        return tuple(sol[i, 0] for i in range(reps.nrows))
+    def homology(self, n):
+        """H^n as the subquotient of the cycles by the boundaries."""
+        return Subquotient(self.cycles(n), self.boundaries(n))
 
 
 # ---- hom complexes ----
@@ -754,11 +728,11 @@ class HomComplex:
                     sign = self.field.of(-((-1) ** (n % 2)))
                     t2 = t2.scale(sign)
                     img[k - 1] = img[k - 1].add(t2) if (k - 1) in img else t2
-                rows.append(self._coords(n + 1, img))
+                rows.append(self.coords(n + 1, img))
             diffs[n] = Mat(self.field, rows, ncols=dims.get(n + 1, 0))
         self.vect = VectComplex(self.field, dims, diffs, check=True)
 
-    def _coords(self, n, img):
+    def coords(self, n, img):
         """Coordinates of {k: ModuleMap} over the degree-n basis."""
         f = self.field
         entries = self.bases.get(n, [])
@@ -837,12 +811,10 @@ class HomComplex:
         return self.vect.homology_dim(n)
 
     def chain_classes(self, n=0):
-        """Representative cycles at degree n as {k: ModuleMap} dicts."""
-        reps, B = self.vect.homology_reps(n)
-        out = []
-        for i in range(reps.nrows):
-            out.append(self.element(n, list(reps.data[i])))
-        return out, (reps, B)
+        """Representative cycles at degree n as {k: ModuleMap} dicts,
+        and H^n as a Subquotient of the degree-n coordinates."""
+        H = self.vect.homology(n)
+        return [self.element(n, list(r)) for r in H.reps.data], H
 
 
 def _flatten_map(m: ModuleMap):

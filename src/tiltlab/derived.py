@@ -11,7 +11,7 @@ which it can be trusted.
 
 from collections import namedtuple
 
-from .linalg import Mat, smith_normal_form, is_unimodular
+from .linalg import smith_normal_form, is_unimodular
 from .algebra import (
     AlgebraError,
     ModuleMap,

@@ -22,10 +22,10 @@ algebra of a dual family comes from.
 from collections import namedtuple
 
 from .algebra import (FiniteAlgebra, ModuleMap, dense_product,
-                      hom_basis, is_associative, sparse_product,
-                      sparse_structure)
-from .complexes import _flatten_map
-from .linalg import Mat
+                      is_associative, sparse_product, sparse_structure)
+from .complexes import HomComplex
+from .linalg import Mat, Subquotient
+from .tilting import hom_to_element
 
 
 class DgError(Exception):
@@ -61,34 +61,14 @@ def _h_dims(field, dims, d):
     return out
 
 
-class _Quotient:
-    """Subquotient bookkeeping: (row span of Z) / (row span of B)."""
-
-    def __init__(self, field, Z: Mat, B: Mat):
-        self.field = field
-        self.amb = Z.ncols
-        self.B = B.row_space_basis()
-        rows = []
-        stack = [list(r) for r in self.B.data]
-        for r in Z.data:
-            trial = Mat(field, stack + [list(r)], ncols=self.amb)
-            if trial.rank() > len(stack):
-                rows.append(list(r))
-                stack.append(list(r))
-        self.reps = Mat(field, rows, ncols=self.amb)
-        self.dim = self.reps.nrows
-
-    def coords(self, vec):
-        """Class coordinates of an ambient row vector; None if outside."""
-        basis = Mat(self.field,
-                    list(self.reps.data) + list(self.B.data),
-                    ncols=self.amb)
-        sol = basis.transpose().solve(
-            Mat(self.field, [list(vec)]).transpose())
-        if sol is None:
-            return None
-        flat = sol.transpose().data[0] if sol.ncols else []
-        return tuple(flat[: self.dim])
+def _cohomology(X, k):
+    """H^k of a dg algebra or module: the echelonised cycles of degree k
+    over the boundaries."""
+    f, n = X.field, X.dim_at(k)
+    Z = X.d[k].left_kernel_basis().row_space_basis() if k in X.d \
+        else Mat.identity(f, n)
+    B = X.d[k - 1] if k - 1 in X.d else Mat.zeros(f, 0, n)
+    return Subquotient(Z, B)
 
 
 # ---- dg algebras ----
@@ -133,11 +113,6 @@ class DgAlgebra:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def d_mat(self, k):
-        if k in self.d:
-            return self.d[k]
-        return Mat.zeros(self.field, self.dim_at(k), self.dim_at(k + 1))
 
     def mult_basis(self, i, a, j, b):
         """Product of basis elements, as coordinates in degree i+j."""
@@ -261,10 +236,7 @@ class DgAlgebra:
     def h0_algebra(self):
         """H^0 as a verified finite-dimensional algebra, with the class map."""
         f = self.field
-        n0 = self.dim_at(0)
-        B = self.d[-1] if -1 in self.d else Mat.zeros(f, 0, n0)
-        Z = Mat.identity(f, n0)
-        quo = _Quotient(f, Z, B)
+        quo = _cohomology(self, 0)
 
         def cls(vec):
             out = quo.coords(vec)
@@ -282,7 +254,7 @@ class DgAlgebra:
             table.append(row)
         unit = cls(self.unit)
         idems = [cls(e) for e in self.idempotents]
-        return FiniteAlgebra(f, table, unit, idems, verify=True), cls
+        return FiniteAlgebra(f, table, unit, idems), cls
 
 
 def dg_from_path_algebra(A) -> DgAlgebra:
@@ -492,8 +464,8 @@ perfection certificate; operations that need one take this type.
 """
 
 
-def _delta_degree(sp, t, u):
-    return 1 - sp.pieces[t][0] + sp.pieces[u][0]
+def _delta_degree(pieces, t, u):
+    return 1 - pieces[t][0] + pieces[u][0]
 
 
 def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
@@ -508,7 +480,7 @@ def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
         if not (0 <= t < u < len(pieces)):
             raise DgError("connecting entries must be strictly upper "
                           "triangular")
-        deg = _delta_degree(sp, t, u)
+        deg = _delta_degree(sp.pieces, t, u)
         if A.dim_at(deg) != len(x):
             raise DgError("connecting entry has the wrong degree")
         iu, it = pieces[u][1], pieces[t][1]
@@ -517,6 +489,29 @@ def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
                 raise DgError("connecting entry outside its corner")
     materialize(sp)  # d^2 = 0 and all module laws, checked once
     return sp
+
+
+def strict_perfect_from_complex(D: DgAlgebra, P) -> StrictPerfect:
+    """A bounded complex P of projectives over a path algebra, as a
+    strictly perfect module over D = dg_from_path_algebra(algebra).
+
+    The summand P_v in degree n is the piece (-n, v); each nonzero block
+    of the differential is the algebra element it multiplies by.
+    """
+    pieces, pos = [], {}
+    for n in P.support():
+        for k, s in enumerate(P.parts[n]):
+            pos[(n, k)] = len(pieces)
+            pieces.append((-n, s.vertex))
+    delta = {}
+    for n in P.support():
+        for k, s in enumerate(P.parts[n]):
+            for l, t in enumerate(P.parts.get(n + 1, ())):
+                blk = P.block(n, k, l)
+                if blk is not None and not blk.is_zero():
+                    delta[(pos[(n, k)], pos[(n + 1, l)])] = \
+                        hom_to_element(blk, s.vertex, t.vertex)
+    return strict_perfect(D, pieces, delta)
 
 
 def materialize(sp: StrictPerfect) -> DgModule:
@@ -542,7 +537,7 @@ def materialize(sp: StrictPerfect) -> DgModule:
                         rows[offs[k][t] + r][offs[k + 1][t] + c] = \
                             M.d[k][r, c]
         for (t, u), x in sp.delta.items():
-            deg = _delta_degree(sp, t, u)
+            deg = _delta_degree(sp.pieces, t, u)
             st, it_ = sp.pieces[t]
             su, iu = sp.pieces[u]
             # left multiplication by x: piece t degree k -> piece u, k+1
@@ -639,7 +634,7 @@ def truncate(M: DgModule):
 
     proj = {}
     hi_dims, hi_d, hi_act = {}, {}, {}
-    quo = _Quotient(f, Mat.identity(f, M.dim_at(1)), img) \
+    quo = Subquotient(Mat.identity(f, M.dim_at(1)), img) \
         if M.dim_at(1) else None
     for k in M.degrees():
         if k > 1:
@@ -690,11 +685,7 @@ def heart_to_h0(M: DgModule):
             f"(witness degree {bad[0]})")
     f = A.field
     H0, cls = A.h0_algebra()
-    n0 = M.dim_at(0)
-    Z = M.d[0].left_kernel_basis().row_space_basis() if 0 in M.d \
-        else Mat.identity(f, n0)
-    B = M.d[-1] if -1 in M.d else Mat.zeros(f, 0, n0)
-    quo = _Quotient(f, Z, B)
+    quo = _cohomology(M, 0)
     # induced action of each H^0(A) basis class
     mats = []
     for b in range(H0.dim):
@@ -889,9 +880,9 @@ def _elimination_projection(A, tags, pieces, delta, t, u, y):
             xtq = delta.get((t, q))
             if xtq is None or olddims[u] == 0 or newdims[c] == 0:
                 continue
-            z = A.elem_mult(_delta_degree_raw(pieces, t, q), xtq, 0, y)
+            z = A.elem_mult(_delta_degree(pieces, t, q), xtq, 0, y)
             blk = _left_mult_block(A, tags, z,
-                                   _delta_degree_raw(pieces, t, q),
+                                   _delta_degree(pieces, t, q),
                                    k + pieces[u][0],
                                    pieces[u][1], pieces[q][1])
             for r in range(blk.nrows):
@@ -899,10 +890,6 @@ def _elimination_projection(A, tags, pieces, delta, t, u, y):
                     m[ooffs[u] + r][noffs[c] + cc] = f.neg(blk[r, cc])
         mats[k] = Mat(f, m, ncols=sum(newdims))
     return mats
-
-
-def _delta_degree_raw(pieces, t, u):
-    return 1 - pieces[t][0] + pieces[u][0]
 
 
 def minimal_perfect_resolution(sp: StrictPerfect):
@@ -924,7 +911,7 @@ def minimal_perfect_resolution(sp: StrictPerfect):
     while True:
         hit = None
         for (t, u), x in delta.items():
-            if _delta_degree_raw(pieces, t, u) != 0:
+            if _delta_degree(pieces, t, u) != 0:
                 continue
             y = _try_invert(A, tags[0], x, pieces[t][1], pieces[u][1])
             if y is not None:
@@ -945,10 +932,10 @@ def minimal_perfect_resolution(sp: StrictPerfect):
                 xtq, xpu = delta.get((t, q)), delta.get((p, u))
                 if xtq is not None and xpu is not None:
                     z = A.elem_mult(
-                        _delta_degree_raw(pieces, t, q), xtq, 0, y)
+                        _delta_degree(pieces, t, q), xtq, 0, y)
                     corr = A.elem_mult(
-                        _delta_degree_raw(pieces, t, q), z,
-                        _delta_degree_raw(pieces, p, u), xpu)
+                        _delta_degree(pieces, t, q), z,
+                        _delta_degree(pieces, p, u), xpu)
                     if acc is None:
                         acc = _zeros(f, len(corr))
                     acc = tuple(f.sub(a, b) for a, b in zip(acc, corr))
@@ -1015,15 +1002,7 @@ def minimal_perfect_resolution(sp: StrictPerfect):
     if ho != hn:
         raise DgError("cancellation changed the cohomology")
     for k, hdim in ho.items():
-        zo = old_m.d[k].left_kernel_basis().row_space_basis() \
-            if k in old_m.d else Mat.identity(f, old_m.dim_at(k))
-        bo = old_m.d[k - 1] if k - 1 in old_m.d \
-            else Mat.zeros(f, 0, old_m.dim_at(k))
-        zn = new_m.d[k].left_kernel_basis().row_space_basis() \
-            if k in new_m.d else Mat.identity(f, new_m.dim_at(k))
-        bn = new_m.d[k - 1] if k - 1 in new_m.d \
-            else Mat.zeros(f, 0, new_m.dim_at(k))
-        qo, qn = _Quotient(f, zo, bo), _Quotient(f, zn, bn)
+        qo, qn = _cohomology(old_m, k), _cohomology(new_m, k)
         pk = proj_total.get(k)
         rows = []
         for r in range(qo.dim):
@@ -1149,7 +1128,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
             for (p, u), x in sp.delta.items():
                 if u != t:
                     continue
-                w = N.elem_act(k - s_t, v, _delta_degree(sp, p, u), x)
+                w = N.elem_act(k - s_t, v, _delta_degree(sp.pieces, p, u), x)
                 if all(c == f.zero() for c in w):
                     continue
                 if (p, k + 1) not in slices:
@@ -1229,7 +1208,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
                     continue
                 prod = A.elem_mult(
                     k - s_t, _unit_vec(f, A.dim_at(k - s_t), a),
-                    _delta_degree(sp, p, u), x)
+                    _delta_degree(sp.pieces, p, u), x)
                 for b, coef in enumerate(prod):
                     if coef == f.zero():
                         continue
@@ -1286,10 +1265,12 @@ def endomorphism_dg_algebra(pieces):
     """The endomorphism dg algebra of a finite list of complexes.
 
     Degree-m elements are families of module maps X_p^n -> X_q^{n+m};
-    the differential is f . d - (-1)^m d . f and the product of two
-    families applies the right factor first, so the degree-0 identity
-    families are orthogonal idempotents adapted to the pieces.  The
-    result usually has positive components; pass it through
+    block (p, q) is the hom complex HomComplex(X_p, X_q), so the
+    differential f . d - (-1)^m d . f is the block diagonal of theirs.
+    Degree m lists the blocks' bases, p outer and q inner.  The product
+    of two families applies the right factor first, so the degree-0
+    identity families are orthogonal idempotents adapted to the pieces.
+    The result usually has positive components; pass it through
     gamma_tilde for the truncated algebra.
     """
     if not pieces:
@@ -1300,71 +1281,49 @@ def endomorphism_dg_algebra(pieces):
             raise DgError("complexes live over different algebras")
         if X.approx_above is not None or X.approx_below is not None:
             raise DgError("endomorphisms need fully known complexes")
-    f = alg.field
-    supports = [X.support() for X in pieces]
-    if any(not s for s in supports):
+    if any(X.is_zero() for X in pieces):
         raise DgError("zero complexes have no endomorphism algebra")
-    lo = min(min(s) for s in supports)
-    hi = max(max(s) for s in supports)
-
+    f = alg.field
+    blocks = {(p, q): HomComplex(X, Y)
+              for p, X in enumerate(pieces) for q, Y in enumerate(pieces)}
     basis = {}      # m -> list of (p, q, n, ModuleMap)
-    groups = {}     # (m, p, q, n) -> (offset, stacked flat Mat)
-    for m in range(lo - hi, hi - lo + 1):
-        row = []
-        for p, X in enumerate(pieces):
-            for q, Y in enumerate(pieces):
-                for n in supports[p]:
-                    if n + m not in Y.parts:
-                        continue
-                    hb = hom_basis(X.module(n), Y.module(n + m))
-                    if not hb:
-                        continue
-                    flat = Mat(f, [_flatten_map(h) for h in hb])
-                    groups[(m, p, q, n)] = (len(row), flat)
-                    row.extend((p, q, n, h) for h in hb)
-        if row:
-            basis[m] = row
-    dims = {m: len(v) for m, v in basis.items()}
+    offsets = {}    # (m, p, q) -> first index of block (p, q) in degree m
+    for (p, q), hc in blocks.items():
+        for m, entries in hc.bases.items():
+            row = basis.setdefault(m, [])
+            offsets[(m, p, q)] = len(row)
+            row.extend((p, q, n, h) for n, h in entries)
+    dims = {m: len(basis[m]) for m in sorted(basis)}
 
-    def coords_of(m, comps):
-        """comps: dict (p, q, n) -> ModuleMap, as a degree-m vector."""
-        out = [f.zero()] * dims.get(m, 0)
-        for key, mp in comps.items():
-            if mp.is_zero():
-                continue
-            if (m,) + key not in groups:
-                raise DgError("endomorphism component outside the basis")
-            off, flat = groups[(m,) + key]
-            cr = _coords_in_rows(flat, _flatten_map(mp),
-                                 "endomorphism component")
-            for c, coef in enumerate(cr):
-                out[off + c] = f.add(out[off + c], coef)
+    def coords_of(m, p, q, comps):
+        """comps: {n: ModuleMap} inside block (p, q), as a degree-m vector."""
+        vec = blocks[(p, q)].coords(m, comps)
+        out = list(_zeros(f, dims[m]))
+        if vec:
+            off = offsets[(m, p, q)]
+            out[off:off + len(vec)] = vec
         return tuple(out)
 
     d = {}
     for m in sorted(dims):
-        if dims.get(m + 1, 0) == 0:
+        if m + 1 not in dims:
             continue
-        sgn = f.one() if m % 2 == 0 else f.neg(f.one())
         rows = []
-        for (p, q, n, h) in basis[m]:
-            comps = {}
-            t1 = h.then(pieces[q].d_full(n + m))
-            if not t1.is_zero():
-                comps[(p, q, n)] = t1
-            t2 = pieces[p].d_full(n - 1).then(h) \
-                if (n - 1) in pieces[p].parts else None
-            if t2 is not None and not t2.is_zero():
-                comps[(p, q, n - 1)] = t2.scale(f.neg(sgn))
-            rows.append(list(coords_of(m + 1, comps)))
-        mt = Mat(f, rows, ncols=dims[m + 1])
-        if not mt.is_zero():
-            d[m] = mt
+        for (p, q), hc in blocks.items():
+            dm = hc.vect.diffs.get(m)
+            for a in range(len(hc.bases.get(m, ()))):
+                row = list(_zeros(f, dims[m + 1]))
+                if dm is not None:
+                    off = offsets[(m + 1, p, q)]
+                    row[off:off + dm.ncols] = dm.data[a]
+                rows.append(row)
+        d[m] = Mat(f, rows, ncols=dims[m + 1])
     mult = {}
     for i in sorted(dims):
         for j in sorted(dims):
-            if dims.get(i + j, 0) == 0:
+            if i + j not in dims:
                 continue
+            zero = _zeros(f, dims[i + j])
             t = []
             for (p, q, n, h) in basis[i]:
                 row = []
@@ -1372,22 +1331,18 @@ def endomorphism_dg_algebra(pieces):
                     # product x·y applies y first: need y to land where
                     # x starts, in matching degrees
                     if q2 == p and n2 + j == n:
-                        row.append(coords_of(
-                            i + j, {(p2, q, n2): h2.then(h)}))
+                        row.append(coords_of(i + j, p2, q, {n2: h2.then(h)}))
                     else:
-                        row.append(_zeros(f, dims[i + j]))
+                        row.append(zero)
                 t.append(row)
             mult[(i, j)] = t
 
-    unit_comps = {}
-    idem_comps = [dict() for _ in pieces]
-    for p, X in enumerate(pieces):
-        for n in supports[p]:
-            ident = ModuleMap.identity(X.module(n))
-            unit_comps[(p, p, n)] = ident
-            idem_comps[p][(p, p, n)] = ident
-    unit = coords_of(0, unit_comps)
-    idems = [coords_of(0, c) for c in idem_comps]
+    idems = [coords_of(0, p, p, {n: ModuleMap.identity(X.module(n))
+                                 for n in X.parts})
+             for p, X in enumerate(pieces)]
+    unit = _zeros(f, dims[0])
+    for e in idems:
+        unit = tuple(f.add(a, b) for a, b in zip(unit, e))
     return DgAlgebra(f, dims, d, mult, unit, idems, check=True,
                      nonpositive=False)
 

@@ -188,7 +188,10 @@ def field_from_spec(spec):
     if spec == "rational":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
-        return PrimeField(spec["prime"])
+        p = spec["prime"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"prime must be an integer, got {p!r}")
+        return PrimeField(p)
     raise ValueError(f"unrecognized field spec: {spec!r}")
 
 
@@ -313,11 +316,6 @@ class Mat:
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
         return Mat(self.field, self.data + other.data, ncols=self.ncols)
-
-    def submatrix(self, row_idx, col_idx):
-        return Mat(self.field, [
-            [self.data[i][j] for j in col_idx] for i in row_idx
-        ], ncols=len(col_idx))
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -476,10 +474,88 @@ class Mat:
         # poly is highest-degree-first; return lowest-first
         return list(reversed(poly))
 
-    def pretty(self):
-        return "[" + "; ".join(
-            " ".join(self.field.to_str(x) for x in row) for row in self.data
-        ) + "]"
+
+class _Echelon:
+    """Incremental echelon form of the rows offered to it.
+
+    A row independent of the stored ones is reduced against them, scaled
+    to a leading one and stored together with its expression in the
+    offered rows kept so far (numbered in the order they were kept), so
+    one pass of reduction decides membership and gives coordinates.
+    """
+
+    def __init__(self, base: Mat):
+        self.field = base.field
+        self.rows = []  # (pivot, reduced row, {kept index: coefficient})
+        self.extend(base.data)
+
+    def _reduce(self, vec):
+        """(residual, comb) with vec = residual + sum of comb[g] * kept g."""
+        f = self.field
+        vec = list(vec)
+        comb = {}
+        for pivot, row, expr in self.rows:
+            c = vec[pivot]
+            if not c:
+                continue
+            vec = [f.sub(x, f.mul(c, y)) if y else x for x, y in zip(vec, row)]
+            for g, a in expr.items():
+                v = f.mul(c, a)
+                comb[g] = f.add(comb[g], v) if g in comb else v
+        return vec, comb
+
+    def add(self, vec):
+        """Store vec when it is independent of the stored rows."""
+        f = self.field
+        res, comb = self._reduce(vec)
+        lead = next((j for j, x in enumerate(res) if x), None)
+        if lead is None:
+            return False
+        inv = f.inv(res[lead])
+        expr = {g: f.neg(f.mul(inv, a)) for g, a in comb.items()}
+        expr[len(self.rows)] = inv
+        self.rows.append((lead, [f.mul(inv, x) for x in res], expr))
+        return True
+
+    def extend(self, candidates):
+        """The candidates, in order, that add() stores."""
+        return [tuple(c) for c in candidates if self.add(c)]
+
+    def coords(self, vec):
+        """{kept index: coefficient} expressing vec; None outside the span."""
+        res, comb = self._reduce(vec)
+        return None if any(res) else comb
+
+
+def independent_rows(base: Mat, candidates):
+    """The candidates, in order, independent of base's rows and of the
+    candidates kept before them."""
+    return _Echelon(base).extend(candidates)
+
+
+class Subquotient:
+    """(row span of Z) / (row span of B), with chosen representatives.
+
+    reps holds the rows of Z, in order, that are independent modulo B and
+    the rows kept before them; B's rows need not be independent.  Class
+    coordinates over reps are unique, so they depend only on the spans
+    and on the rows of Z.
+    """
+
+    def __init__(self, Z: Mat, B: Mat):
+        self._echelon = _Echelon(B)
+        self._first = len(self._echelon.rows)
+        self.reps = Mat(Z.field, self._echelon.extend(Z.data), ncols=Z.ncols)
+        self.dim = self.reps.nrows
+
+    def coords(self, vec):
+        """Class coordinates of a vector of span(Z) + span(B) over reps;
+        None for a vector outside it."""
+        comb = self._echelon.coords(vec)
+        if comb is None:
+            return None
+        z = self.reps.field.zero()
+        return tuple(comb.get(self._first + i, z) for i in range(self.dim))
 
 
 def smith_normal_form(rows):

@@ -16,7 +16,8 @@ A job is a JSON document:
 
 Vertices are 1-based in files, 0-based internally.  A stalk's "shift"
 is the cohomological degree it sits in, so shift -1 is one step of the
-suspension.  Coefficients may be integers or exact strings ("-2/3").
+suspension.  Coefficients are JSON integers or exact strings ("-2/3")
+that the field reads; anything else is refused as malformed.
 Cyclic quivers need a nilpotency bound; when the relations force one,
 it is found by growing the truncation level until the dimension
 stabilizes and certifies.
@@ -35,9 +36,11 @@ from . import __version__
 from .algebra import Algebra, AlgebraError, Quiver
 from .ainfinity import (AInfError, collection_ext_model, dual_bar_dg)
 from .complexes import Summand, minimize, stalk_complex
-from .derived import validate_simple_minded
-from .dg import DgError, gamma_tilde
-from .linalg import Mat, field_from_spec
+from .derived import resolve_complex, validate_simple_minded
+from .dg import (DgError, dg_from_path_algebra, endomorphism_dg_algebra,
+                 gamma_tilde, minimal_perfect_resolution,
+                 strict_perfect_from_complex, truncate_algebra)
+from .linalg import Mat, field_from_spec, independent_rows
 from .tilting import check_tilting, nu_inverse_complex
 
 STAGES = ("validate", "rickard", "tilt", "gamma", "ainf")
@@ -84,7 +87,22 @@ def _parse_quiver(data):
     return Quiver(r, arrows)
 
 
-def _parse_relations(data, labels):
+def _exact_scalar(field, c):
+    """True for a JSON integer or a string that field.parse reads."""
+    if isinstance(c, bool):
+        return False
+    if isinstance(c, int):
+        return True
+    if not isinstance(c, str):
+        return False
+    try:
+        field.parse(c)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _parse_relations(data, field, labels):
     rels = []
     for k, rel in enumerate(data or []):
         _require(isinstance(rel, dict) and "terms" in rel,
@@ -99,7 +117,11 @@ def _parse_relations(data, labels):
             for lab in path:
                 _require(lab in labels,
                          f"relation {k}: unknown arrow label {lab!r}")
-            terms.append((term.get("coeff", 1), list(path)))
+            coeff = term.get("coeff", 1)
+            _require(_exact_scalar(field, coeff),
+                     f"relation {k}: coefficient {coeff!r} is not an "
+                     "integer or an exact fraction string")
+            terms.append((coeff, list(path)))
         rels.append(terms)
     return rels
 
@@ -164,7 +186,7 @@ def parse_job(data, name="job", overrides=None):
         raise JobError(str(e))
     quiver = _parse_quiver(data["quiver"])
     labels = {a[0] for a in quiver.arrows}
-    relations = _parse_relations(data.get("relations"), labels)
+    relations = _parse_relations(data.get("relations"), field, labels)
     bound = data.get("nilpotency_bound")
     if bound is not None:
         _require(isinstance(bound, int) and bound >= 1,
@@ -278,15 +300,8 @@ def algebra_presentation(G):
             part = _corner_rows(G, powers[0], i, j)
             sq = _corner_rows(G, powers[1], i, j) if len(powers) > 1 \
                 else Mat.zeros(f, 0, G.dim)
-            base = [list(x) for x in sq.data]
-            rank = len(base)
-            for row in part.data:
-                cand = base + [list(row)]
-                got = Mat(f, cand, ncols=G.dim).rank()
-                if got > rank:
-                    base, rank = cand, got
-                    arrows.append((_arrow_label(len(arrows)), i, j,
-                                   tuple(row)))
+            for row in independent_rows(sq, part.data):
+                arrows.append((_arrow_label(len(arrows)), i, j, row))
 
     # composable paths of length 2..L, in (length, discovery) order
     paths = []
@@ -694,12 +709,6 @@ def dg_reduce_report(job):
     toolkit end to end (resolution, strict perfect form, Gaussian
     minimization, truncation).
     """
-    from .derived import resolve_complex
-    from .dg import (dg_from_path_algebra, endomorphism_dg_algebra,
-                     strict_perfect, minimal_perfect_resolution,
-                     truncate_algebra)
-    from .tilting import hom_to_element
-
     A = job["algebra"]
     D = dg_from_path_algebra(A)
     lines = [f"tiltlab {__version__}",
@@ -718,28 +727,12 @@ def dg_reduce_report(job):
             exit_code = EXIT_INCONCLUSIVE
             continue
         P = res.complex
-        pieces, pos = [], {}
-        for n in P.support():
-            for k, s in enumerate(P.parts[n]):
-                pos[(n, k)] = len(pieces)
-                pieces.append((-n, s.vertex))
-        delta = {}
-        for n in P.support():
-            if n + 1 not in P.parts:
-                continue
-            for k, s in enumerate(P.parts[n]):
-                for l, t in enumerate(P.parts[n + 1]):
-                    blk = P.block(n, k, l)
-                    if blk is None or blk.is_zero():
-                        continue
-                    lam = hom_to_element(blk, s.vertex, t.vertex)
-                    delta[(pos[(n, k)], pos[(n + 1, l)])] = lam
-        sp = strict_perfect(D, pieces, delta)
+        sp = strict_perfect_from_complex(D, P)
         mini, witness = minimal_perfect_resolution(sp)
         shape = " ".join(f"({s},{v + 1})" for s, v in mini.pieces)
         lines.append(f"X{i + 1}: pieces [{shape or 'zero'}] "
                      f"cancelled={witness['cancelled_pairs']} "
-                     f"from {len(pieces)} summands")
+                     f"from {len(sp.pieces)} summands")
         resolved.append(P)
     if exit_code == EXIT_OK and resolved:
         E = endomorphism_dg_algebra(resolved)

@@ -274,17 +274,21 @@ def _pair_range(X: Complex, T: Complex):
     return T.min_deg() - X.max_deg(), T.max_deg() - X.min_deg()
 
 
-def _dual_basis_check_one(objects, T, i):
-    """Full orthogonality check of a single exact candidate against all X_j."""
+def _dual_basis_entries(objects, T, i):
+    """(j, m, dim Hom(X_j, T[m]) or None where uncertified, expected dim)
+    over the structural range of every pair, generated lazily."""
     for j, Xj in enumerate(objects):
         lo, hi = _pair_range(Xj, T)
         lo, hi = min(lo, 0), max(hi, 0)
         tab = derived_hom(Xj, T, lo, hi)
         for m in range(lo, hi + 1):
-            want = 1 if (i == j and m == 0) else 0
-            if m not in tab.entries or tab.entries[m] != want:
-                return False
-    return True
+            yield j, m, tab.entries.get(m), 1 if (i == j and m == 0) else 0
+
+
+def _dual_basis_check_one(objects, T, i):
+    """Full orthogonality check of a single exact candidate against all X_j."""
+    return all(got == want
+               for _, _, got, want in _dual_basis_entries(objects, T, i))
 
 
 def verify_dual_basis(objects, Ts):
@@ -297,20 +301,12 @@ def verify_dual_basis(objects, Ts):
     failures = []
     unchecked = []
     for i, T in enumerate(Ts):
-        for j, Xj in enumerate(objects):
-            lo, hi = _pair_range(Xj, T)
-            lo, hi = min(lo, 0), max(hi, 0)
-            tab = derived_hom(Xj, T, lo, hi)
-            for m in range(lo, hi + 1):
-                want = 1 if (i == j and m == 0) else 0
-                if m in tab.entries:
-                    got = tab.entries[m]
-                    if got != want:
-                        failures.append(
-                            {"source": j, "target": i, "shift": m,
-                             "dim": got, "expected": want})
-                else:
-                    unchecked.append({"source": j, "target": i, "shift": m})
+        for j, m, got, want in _dual_basis_entries(objects, T, i):
+            if got is None:
+                unchecked.append({"source": j, "target": i, "shift": m})
+            elif got != want:
+                failures.append({"source": j, "target": i, "shift": m,
+                                 "dim": got, "expected": want})
     if failures:
         status = "failed"
     elif unchecked:
@@ -414,13 +410,11 @@ def h0_endomorphism_algebra(runs):
     hc = HomComplex(T, T)
     if not hc.is_valid_degree(0):
         raise AlgebraError("degree zero fell outside the certified window")
-    reps, (R, B) = hc.chain_classes(0)
+    reps, H = hc.chain_classes(0)
     dim = len(reps)
 
     def coords_of(comps):
-        vec = hc._coords(0, {k: m for k, m in comps.items() if not m.is_zero()})
-        out = hc.vect.class_coords(
-            0, Mat(f, [vec], ncols=len(vec)), R, B)
+        out = H.coords(hc.coords(0, comps))
         if out is None:
             raise AlgebraError("composite of cycles failed to be a cycle")
         return out
@@ -451,7 +445,7 @@ def h0_endomorphism_algebra(runs):
             comps[n] = ModuleMap(tot, tot, blocks, check=False)
         idems.append(coords_of(comps))
 
-    gamma = FiniteAlgebra(f, table, unit, idems, verify=True)
+    gamma = FiniteAlgebra(f, table, unit, idems)
     info = {"dim": dim, "idempotents": idems}
     return gamma, info
 

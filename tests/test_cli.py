@@ -172,6 +172,18 @@ def test_bad_vertex_is_a_usage_error(tmp_path, capsys):
     assert "vertex 5" in err
 
 
+def test_inexact_coefficient_is_a_usage_error(tmp_path, capsys):
+    job = {**A2_SIMPLES,
+           "field": {"prime": 7},
+           "quiver": {"vertices": 3,
+                      "arrows": [{"from": 1, "to": 2, "label": "a"},
+                                 {"from": 2, "to": 3, "label": "b"}]},
+           "relations": [{"terms": [{"coeff": 0.5, "path": ["a", "b"]}]}]}
+    code, _, err = run(capsys, ["validate", write_job(tmp_path, job)])
+    assert code == 4
+    assert "coefficient 0.5" in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, ["tilt", str(tmp_path / "absent.json")])
     assert code == 4

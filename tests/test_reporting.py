@@ -72,6 +72,17 @@ def test_parse_overrides_beat_the_file():
     assert job["budget"] == 64
 
 
+def with_coeff(c, field="rational"):
+    """Mutation: the path algebra 1 -a-> 2 -b-> 3 with relation c*ab."""
+    def mutate(d):
+        d.update(field=field,
+                 quiver={"vertices": 3,
+                         "arrows": [{"from": 1, "to": 2, "label": "a"},
+                                    {"from": 2, "to": 3, "label": "b"}]},
+                 relations=[{"terms": [{"coeff": c, "path": ["a", "b"]}]}])
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, needle", [
     (lambda d: d.pop("field"), "field"),
     (lambda d: d.update(extra=1), "unknown job field"),
@@ -89,6 +100,17 @@ def test_parse_overrides_beat_the_file():
                                 "arrows": [{"from": 1, "to": 9,
                                             "label": "a"}]}),
      "outside"),
+    (with_coeff(0.5, {"prime": 7}), "coefficient 0.5"),
+    (with_coeff(0.1), "coefficient 0.1"),
+    (with_coeff("abc"), "coefficient 'abc'"),
+    (with_coeff("1/0"), "coefficient '1/0'"),
+    (with_coeff("1/7", {"prime": 7}), "coefficient '1/7'"),
+    (with_coeff(None), "coefficient None"),
+    (with_coeff([1]), "coefficient \\[1\\]"),
+    (with_coeff(True), "coefficient True"),
+    (lambda d: d.update(field={"prime": 7.9}), "integer, got 7.9"),
+    (lambda d: d.update(field={"prime": "7"}), "integer, got '7'"),
+    (lambda d: d.update(field={"prime": True}), "integer, got True"),
 ])
 def test_parse_rejects_malformed_jobs(mutate, needle):
     data = {k: (dict(v) if isinstance(v, dict) else v)
