@@ -637,46 +637,63 @@ def hom_basis(M: Module, N: Module):
     return out
 
 
+def summand_offsets(algebra, mods):
+    """(offsets, dims) of the direct sum of mods: summand k starts at
+    offsets[k][v] at vertex v, and the sum has dimension dims[v] there."""
+    offsets = []
+    dims = (0,) * algebra.quiver.n
+    for m in mods:
+        offsets.append(dims)
+        dims = tuple(d + e for d, e in zip(dims, m.dims))
+    return offsets, dims
+
+
 def direct_sum_modules(algebra, mods):
-    """Returns (sum module, list of (inclusion, projection) maps)."""
+    """Returns (sum module, offsets): summand k starts at offsets[k][v]
+    in the sum's space at vertex v."""
     f = algebra.field
-    n = algebra.quiver.n
     if len(mods) == 1:
-        ident = ModuleMap.identity(mods[0])
-        return mods[0], [(ident, ident)]
-    dims = tuple(sum(m.dims[v] for m in mods) for v in range(n))
+        return mods[0], [(0,) * algebra.quiver.n]
+    offsets, dims = summand_offsets(algebra, mods)
     mats = {}
     for a, (_, s, t) in enumerate(algebra.quiver.arrows):
         # block diagonal assembly
         big = [[f.zero()] * dims[t] for _ in range(dims[s])]
-        ro = co = 0
-        for m in mods:
-            blk = m.mats[a]
-            for r in range(blk.nrows):
-                for c in range(blk.ncols):
-                    big[ro + r][co + c] = blk[r, c]
-            ro += m.dims[s]
-            co += m.dims[t]
+        for m, off in zip(mods, offsets):
+            ro, co = off[s], off[t]
+            for r, row in enumerate(m.mats[a].data):
+                big[ro + r][co:co + len(row)] = row
         mats[a] = Mat(f, big, ncols=dims[t])
-    total = Module(algebra, dims, mats)
-    maps = []
-    offs = [0] * n
-    for m in mods:
-        inc_blocks = []
-        proj_blocks = []
-        for v in range(n):
-            inc = Mat.zeros(f, m.dims[v], dims[v]).data
-            inc = [list(r) for r in inc]
-            for r in range(m.dims[v]):
-                inc[r][offs[v] + r] = f.one()
-            incm = Mat(f, inc) if m.dims[v] else Mat.zeros(f, 0, dims[v])
-            inc_blocks.append(incm)
-            proj_blocks.append(incm.transpose())
-        maps.append((ModuleMap(m, total, inc_blocks, check=False),
-                     ModuleMap(total, m, proj_blocks, check=False)))
-        for v in range(n):
-            offs[v] += m.dims[v]
-    return total, maps
+    return Module(algebra, dims, mats), offsets
+
+
+def map_slice(F: ModuleMap, source: Module, rows, target: Module, cols):
+    """The summand block of F from source, which starts at rows[v] in
+    F.source, to target, which starts at cols[v] in F.target."""
+    f = source.algebra.field
+    blocks = []
+    for v, b in enumerate(F.blocks):
+        r, c, w = rows[v], cols[v], target.dims[v]
+        blocks.append(Mat(f, [row[c:c + w] for row in b.data[r:r + source.dims[v]]],
+                          ncols=w))
+    return ModuleMap(source, target, blocks, check=False)
+
+
+def map_placement(source: Module, rows, target: Module, cols, blocks):
+    """The map source -> target whose (k, l) summand block is blocks[(k, l)],
+    a map from the summand at offsets rows[k] to the one at cols[l]; zero
+    outside the given blocks."""
+    f = source.algebra.field
+    z = f.zero()
+    out = []
+    for v in range(source.algebra.quiver.n):
+        full = [[z] * target.dims[v] for _ in range(source.dims[v])]
+        for (k, l), b in blocks.items():
+            r, c = rows[k][v], cols[l][v]
+            for i, row in enumerate(b.blocks[v].data):
+                full[r + i][c:c + len(row)] = row
+        out.append(Mat(f, full, ncols=target.dims[v]))
+    return ModuleMap(source, target, out, check=False)
 
 
 def dual_module(M: Module, target_algebra: Algebra):
@@ -835,11 +852,10 @@ def projective_cover(M: Module):
             e = [f.zero()] * M.dims[v]
             e[j] = f.one()
             gens.append((v, tuple(e)))
-    P, incs = direct_sum_modules(A, [A.projective(v) for v in verts])
-    blocks = [[] for _ in range(A.quiver.n)]
+    P, offsets = direct_sum_modules(A, [A.projective(v) for v in verts])
     # map each projective summand by acting on its generator
-    summand_maps = []
-    for (v, gvec) in gens:
+    summand_maps = {}
+    for k, (v, gvec) in enumerate(gens):
         Pv = A.projective(v)
         bl = []
         for t in range(A.quiver.n):
@@ -849,11 +865,8 @@ def projective_cover(M: Module):
                 img = Mat(f, [list(gvec)]).mul(M.path_action(src, arrs))
                 rows.append(list(img.data[0]))
             bl.append(Mat(f, rows) if rows else Mat.zeros(f, 0, M.dims[t]))
-        summand_maps.append(ModuleMap(Pv, M, bl, check=False))
-    # assemble through inclusions
-    cover = ModuleMap.zero(P, M)
-    for (inc, proj), sm in zip(incs, summand_maps):
-        cover = cover.add(proj.then(sm))
+        summand_maps[(k, 0)] = ModuleMap(Pv, M, bl, check=False)
+    cover = map_placement(P, offsets, M, [(0,) * A.quiver.n], summand_maps)
     return verts, P, cover
 
 

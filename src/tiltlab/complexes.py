@@ -4,6 +4,11 @@ Every complex in the pipeline is a direct sum of projectives, injectives
 and simples in each degree, and remembers which.  Differentials are kept
 as block matrices of module maps between those summands, which is what
 makes Gaussian minimization and the blockwise functor transport work.
+A direct sum is its sum module plus, for each summand, the offset where
+the summand starts at every vertex (Complex.offsets).  A summand block
+of a map is read with algebra.map_slice, and a map is assembled from
+blocks with algebra.map_placement; no inclusion or projection matrices
+are multiplied.
 
 A complex may carry approx_above = t, meaning: the stored complex is the
 brutal truncation to degrees <= t of an object that truly continues
@@ -25,6 +30,8 @@ from .algebra import (
     direct_sum_modules,
     hom_basis,
     homology_module,
+    map_placement,
+    map_slice,
 )
 from .linalg import Mat, Subquotient
 
@@ -74,7 +81,7 @@ class Complex:
         self.approx_above = approx_above
         self.approx_below = approx_below
         self._module = {}
-        self._maps = {}
+        self._offsets = {}
         self._dfull = {}
         if validate:
             self.validate()
@@ -98,18 +105,14 @@ class Complex:
 
     def module(self, n):
         if n not in self._module:
-            mods = self.part_modules(n)
-            if mods:
-                total, maps = direct_sum_modules(self.algebra, mods)
-            else:
-                total, maps = zero_module(self.algebra), []
-            self._module[n] = total
-            self._maps[n] = maps
+            self._module[n], self._offsets[n] = direct_sum_modules(
+                self.algebra, self.part_modules(n))
         return self._module[n]
 
-    def summand_maps(self, n):
+    def offsets(self, n):
+        """offsets(n)[k][v]: where summand k of degree n starts at vertex v."""
         self.module(n)
-        return self._maps[n]
+        return self._offsets[n]
 
     def block(self, n, k, l):
         grid = self.blocks.get(n)
@@ -121,18 +124,11 @@ class Complex:
         """Differential as one ModuleMap; zero map when a side is absent."""
         if n in self._dfull:
             return self._dfull[n]
-        src, tgt = self.module(n), self.module(n + 1)
-        acc = ModuleMap.zero(src, tgt)
-        grid = self.blocks.get(n)
-        if grid is not None:
-            smaps, tmaps = self.summand_maps(n), self.summand_maps(n + 1)
-            for k, row in enumerate(grid):
-                for l, blk in enumerate(row):
-                    if blk is None:
-                        continue
-                    inc = smaps[k][1]  # projection from total to part k
-                    proj = tmaps[l][0]  # inclusion of part l
-                    acc = acc.add(inc.then(blk).then(proj))
+        grid = self.blocks.get(n, ())
+        placed = {(k, l): blk for k, row in enumerate(grid)
+                  for l, blk in enumerate(row) if blk is not None}
+        acc = map_placement(self.module(n), self.offsets(n), self.module(n + 1),
+                            self.offsets(n + 1), placed)
         self._dfull[n] = acc
         return acc
 
@@ -307,9 +303,10 @@ class ChainMap:
         return True
 
     def block(self, n, k, l):
-        smaps = self.source.summand_maps(n)
-        tmaps = self.target.summand_maps(n)
-        return smaps[k][0].then(self.comp(n)).then(tmaps[l][1])
+        X, Y = self.source, self.target
+        A = X.algebra
+        return map_slice(self.comp(n), tag_module(A, X.parts[n][k]), X.offsets(n)[k],
+                         tag_module(A, Y.parts[n][l]), Y.offsets(n)[l])
 
     def then(self, other):
         if other.source is not self.target:
@@ -406,37 +403,25 @@ def cone(f: ChainMap):
     C = Complex(algebra, parts, blocks, approx_above=above,
                 approx_below=below, validate=False)
 
+    origin = (0,) * algebra.quiver.n
     inc_comps = {}
     for n in Y.parts:
         if n not in C.parts:
             continue
         src = Y.module(n)
-        tgt = C.module(n)
-        xoff = [sum(tag_module(algebra, t).dims[v] for t in X.parts.get(n + 1, ()))
-                for v in range(algebra.quiver.n)]
-        blocks_inc = []
-        for v in range(algebra.quiver.n):
-            m = Mat.zeros(algebra.field, src.dims[v], tgt.dims[v]).data
-            m = [list(r) for r in m]
-            for r in range(src.dims[v]):
-                m[r][xoff[v] + r] = algebra.field.one()
-            blocks_inc.append(Mat(algebra.field, m, ncols=tgt.dims[v]))
-        inc_comps[n] = ModuleMap(src, tgt, blocks_inc, check=False)
+        # the target block follows the shifted-source block
+        ystart = C.offsets(n)[len(X.parts.get(n + 1, ()))]
+        inc_comps[n] = map_placement(src, [origin], C.module(n), [ystart],
+                                     {(0, 0): ModuleMap.identity(src)})
     inc = ChainMap(Y, C, inc_comps, check=False)
 
     SX = X.shift(1)
     proj_comps = {}
     for n in C.parts:
-        src = C.module(n)
         tgt = SX.module(n)
-        blocks_pr = []
-        for v in range(algebra.quiver.n):
-            # the shifted-source block sits first in the cone ordering
-            m = [[algebra.field.zero()] * tgt.dims[v] for _ in range(src.dims[v])]
-            for r in range(tgt.dims[v]):
-                m[r][r] = algebra.field.one()
-            blocks_pr.append(Mat(algebra.field, m, ncols=tgt.dims[v]))
-        proj_comps[n] = ModuleMap(src, tgt, blocks_pr, check=False)
+        # the shifted-source block sits first in the cone ordering
+        proj_comps[n] = map_placement(C.module(n), [origin], tgt, [origin],
+                                      {(0, 0): ModuleMap.identity(tgt)})
     proj = ChainMap(C, SX, proj_comps, check=False)
     return C, inc, proj
 
@@ -463,7 +448,8 @@ def _drop_index(parts, idx):
 
 
 def _cancel_step(X: Complex, n, k, l):
-    """Cancel summand k of degree n against summand l of degree n+1."""
+    """Cancel summand k of degree n against summand l of degree n+1;
+    returns the smaller complex and the inverse of the cancelled block."""
     algebra = X.algebra
     f = algebra.field
     phi = X.block(n, k, l)
@@ -516,98 +502,81 @@ def _cancel_step(X: Complex, n, k, l):
     # the constructor drops grids whose degrees lost all summands
     Y = Complex(algebra, new_parts, new_blocks, approx_above=X.approx_above,
                 approx_below=X.approx_below, validate=False)
+    return Y, phi_inv
 
-    # witnesses: g: X -> Y, fm: Y -> X, h: X -> X[-1]
+
+def _cancel_witnesses(X: Complex, Y: Complex, n, k, l, phi_inv):
+    """g: X -> Y, fm: Y -> X and h: X -> X[-1] of one cancellation."""
+    minus_one = X.algebra.field.of(-1)
     g_comps = {}
     f_comps = {}
-    for m in set(X.parts):
+    for m in X.parts:
         Xm = X.module(m)
-        Ym = Y.module(m)
         if m not in (n, n + 1):
             ident = ModuleMap.identity(Xm)
             g_comps[m] = ident
             f_comps[m] = ident
             continue
-        smaps_X = X.summand_maps(m)
         drop = k if m == n else l
         keep = [i for i in range(len(X.parts[m])) if i != drop]
-        smaps_Y = Y.summand_maps(m) if m in Y.parts else []
-        # projection then inclusion, identity on kept parts
-        gm = ModuleMap.zero(Xm, Ym)
-        fm = ModuleMap.zero(Ym, Xm)
-        for newpos, oldpos in enumerate(keep):
-            gm = gm.add(smaps_X[oldpos][1].then(smaps_Y[newpos][0]))
-            fm = fm.add(smaps_Y[newpos][1].then(smaps_X[oldpos][0]))
-        g_comps[m] = gm
-        f_comps[m] = fm
-    # corrections
-    smaps_n = X.summand_maps(n)
-    smaps_n1 = X.summand_maps(n + 1)
-    if (n + 1) in Y.parts:
-        # g at degree n+1: v-part maps by -phi_inv @ beta into kept summands
-        gm = g_comps[n + 1]
-        for b in range(len(X.parts[n + 1])):
-            if b == l:
-                continue
-            beta = X.block(n, k, b)
-            if beta is None:
-                continue
-            newpos = b if b < l else b - 1
-            corr = (smaps_n1[l][1].then(phi_inv).then(beta)
-                    .then(Y.summand_maps(n + 1)[newpos][0]))
-            gm = gm.add(corr.scale(f.of(-1)))
-        g_comps[n + 1] = gm
-    if n in Y.parts:
-        # f at degree n: kept summand a gains -gamma @ phi_inv into the u-part
-        fm = f_comps[n]
-        for a in range(len(X.parts[n])):
-            if a == k:
-                continue
-            gamma = X.block(n, a, l)
-            if gamma is None:
-                continue
-            newpos = a if a < k else a - 1
-            corr = (Y.summand_maps(n)[newpos][1].then(gamma).then(phi_inv)
-                    .then(smaps_n[k][0]))
-            fm = fm.add(corr.scale(f.of(-1)))
-        f_comps[n] = fm
-    h_comps = {n + 1: smaps_n1[l][1].then(phi_inv).then(smaps_n[k][0])}
-
+        mods = X.part_modules(m)
+        g_blocks = {}
+        f_blocks = {}
+        for new, old in enumerate(keep):
+            # identity on kept parts
+            ident = ModuleMap.identity(mods[old])
+            g_blocks[(old, new)] = ident
+            f_blocks[(new, old)] = ident
+            if m == n + 1:
+                # g at degree n+1: v-part maps by -phi_inv @ beta into kept summands
+                beta = X.block(n, k, old)
+                if beta is not None:
+                    g_blocks[(l, new)] = phi_inv.then(beta).scale(minus_one)
+            else:
+                # f at degree n: kept summand a gains -gamma @ phi_inv into the u-part
+                gamma = X.block(n, old, l)
+                if gamma is not None:
+                    f_blocks[(new, k)] = gamma.then(phi_inv).scale(minus_one)
+        Ym = Y.module(m)
+        g_comps[m] = map_placement(Xm, X.offsets(m), Ym, Y.offsets(m), g_blocks)
+        f_comps[m] = map_placement(Ym, Y.offsets(m), Xm, X.offsets(m), f_blocks)
+    h_comps = {n + 1: map_placement(X.module(n + 1), X.offsets(n + 1), X.module(n),
+                                    X.offsets(n), {(l, k): phi_inv})}
     g = ChainMap(X, Y, g_comps, check=False)
     fmap = ChainMap(Y, X, f_comps, check=False)
-    return Y, g, fmap, h_comps
+    return g, fmap, h_comps
 
 
 def minimize(X: Complex, verify=True) -> MinimizeResult:
-    """Strip all cancellable summand pairs; returns witnesses.
+    """Strip all cancellable summand pairs, by block Gaussian elimination.
 
-    to_min: X -> Xmin, from_min: Xmin -> X with to_min after from_min the
-    identity, and identity minus (from_min then to_min) equal to dh + hd.
+    With verify, the witnesses are built and checked: to_min: X -> Xmin,
+    from_min: Xmin -> X with to_min after from_min the identity, and
+    identity minus (from_min then to_min) equal to dh + hd.  Without
+    verify no witness is built, and to_min, from_min and homotopy are None.
     """
     cur = X
-    g_total = ChainMap.identity(X)
-    f_total = ChainMap.identity(X)
-    h_total = {}
+    if verify:
+        g_total = ChainMap.identity(X)
+        f_total = ChainMap.identity(X)
+        h_total = {}
     while True:
         found = _find_cancellable(cur)
         if found is None:
             break
-        n, k, l = found
-        nxt, g, fm, h = _cancel_step(cur, n, k, l)
-        # h_total = h_total + g_total h f_total (as maps on X)
-        new_h = dict(h_total)
-        for m, hm in h.items():
-            term = g_total.comp(m).then(hm).then(f_total.comp(m - 1))
-            if m in new_h:
-                new_h[m] = new_h[m].add(term)
-            else:
-                new_h[m] = term
-        h_total = new_h
-        g_total = g_total.then(g)
-        f_total = fm.then(f_total)
+        nxt, phi_inv = _cancel_step(cur, *found)
+        if verify:
+            g, fm, h = _cancel_witnesses(cur, nxt, *found, phi_inv)
+            # h_total = h_total + g_total h f_total (as maps on X)
+            for m, hm in h.items():
+                term = g_total.comp(m).then(hm).then(f_total.comp(m - 1))
+                h_total[m] = h_total[m].add(term) if m in h_total else term
+            g_total = g_total.then(g)
+            f_total = fm.then(f_total)
         cur = nxt
-    if verify:
-        _verify_minimize(X, cur, g_total, f_total, h_total)
+    if not verify:
+        return MinimizeResult(cur, None, None, None)
+    _verify_minimize(X, cur, g_total, f_total, h_total)
     return MinimizeResult(cur, g_total, f_total, h_total)
 
 

@@ -17,7 +17,10 @@ from .algebra import (
     ModuleMap,
     direct_sum_modules,
     kernel_module,
+    map_placement,
+    map_slice,
     projective_cover,
+    summand_offsets,
 )
 from .complexes import (
     Complex,
@@ -103,8 +106,10 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     if bottom is None:
         bottom = xlo - default_depth(A, xhi - xlo)
     minus_one = A.field.of(-1)
+    origin = (0,) * A.quiver.n  # offsets of a module that is one summand
 
     verts = {}
+    offsets = {}
     phis = {}
     d_maps = {}
     cur_P = zero_module(A)
@@ -117,19 +122,21 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
             break
         K, kinc = kernel_module(cur_d)
         Xn = X.module(n)
-        Sum, smaps = direct_sum_modules(A, [Xn, K])
-        proj_x, proj_k = smaps[0][1], smaps[1][1]
+        Sum, sum_offsets = direct_sum_modules(A, [Xn, K])
         # pairs (x, k) with d(x) = phi(k)
-        t = proj_x.then(X.d_full(n)).add(
-            proj_k.then(kinc).then(cur_phi).scale(minus_one))
+        t = map_placement(Sum, sum_offsets, X.module(n + 1), [origin], {
+            (0, 0): X.d_full(n),
+            (1, 0): kinc.then(cur_phi).scale(minus_one)})
         W, winc = kernel_module(t)
         if W.total == 0 and n <= xlo:
             exact = True
             break
         vlist, P, c = projective_cover(W)
         verts[n] = vlist
-        phis[n] = c.then(winc).then(proj_x)
-        d_maps[n] = c.then(winc).then(proj_k).then(kinc)
+        offsets[n], _ = summand_offsets(A, [A.projective(v) for v in vlist])
+        cw = c.then(winc)
+        phis[n] = map_slice(cw, P, origin, Xn, sum_offsets[0])
+        d_maps[n] = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
         cur_P, cur_phi, cur_d = P, phis[n], d_maps[n]
         n -= 1
 
@@ -139,15 +146,12 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     for m in parts:
         if (m + 1) not in parts:
             continue
-        _, src_maps = direct_sum_modules(
-            A, [A.projective(v) for v in verts[m]])
-        _, tgt_maps = direct_sum_modules(
-            A, [A.projective(v) for v in verts[m + 1]])
         grid = []
-        for k in range(len(verts[m])):
+        for k, u in enumerate(verts[m]):
             row = []
-            for l in range(len(verts[m + 1])):
-                b = src_maps[k][0].then(d_maps[m]).then(tgt_maps[l][1])
+            for l, v in enumerate(verts[m + 1]):
+                b = map_slice(d_maps[m], A.projective(u), offsets[m][k],
+                              A.projective(v), offsets[m + 1][l])
                 row.append(None if b.is_zero() else b)
             grid.append(row)
         blocks[m] = grid

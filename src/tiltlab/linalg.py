@@ -141,14 +141,19 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
+# Fractions are immutable, so every zero() and one() can share these.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class RationalField(Field):
     """The rationals with exact Fraction arithmetic."""
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def of(self, x):
         return Fraction(x)
@@ -288,11 +293,11 @@ class Mat:
             )
         f = self.field
         z = f.zero()
-        ot = other.transpose().data
+        cols = list(zip(*other.data)) if other.nrows else [()] * other.ncols
         out = []
         for row in self.data:
             out_row = []
-            for col in ot:
+            for col in cols:
                 acc = z
                 for a, b in zip(row, col):
                     if a and b:
@@ -475,7 +480,7 @@ class Mat:
         return list(reversed(poly))
 
 
-class _Echelon:
+class Echelon:
     """Incremental echelon form of the rows offered to it.
 
     A row independent of the stored ones is reduced against them, scaled
@@ -530,7 +535,7 @@ class _Echelon:
 def independent_rows(base: Mat, candidates):
     """The candidates, in order, independent of base's rows and of the
     candidates kept before them."""
-    return _Echelon(base).extend(candidates)
+    return Echelon(base).extend(candidates)
 
 
 class Subquotient:
@@ -543,7 +548,7 @@ class Subquotient:
     """
 
     def __init__(self, Z: Mat, B: Mat):
-        self._echelon = _Echelon(B)
+        self._echelon = Echelon(B)
         self._first = len(self._echelon.rows)
         self.reps = Mat(Z.field, self._echelon.extend(Z.data), ncols=Z.ncols)
         self.dim = self.reps.nrows

@@ -40,7 +40,7 @@ from .derived import resolve_complex, validate_simple_minded
 from .dg import (DgError, dg_from_path_algebra, endomorphism_dg_algebra,
                  gamma_tilde, minimal_perfect_resolution,
                  strict_perfect_from_complex, truncate_algebra)
-from .linalg import Mat, field_from_spec, independent_rows
+from .linalg import Echelon, Mat, field_from_spec, independent_rows
 from .tilting import check_tilting, nu_inverse_complex
 
 STAGES = ("validate", "rickard", "tilt", "gamma", "ainf")
@@ -66,19 +66,25 @@ def _require(cond, msg):
         raise JobError(msg)
 
 
+def _is_int(x):
+    """A JSON integer; JSON booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_quiver(data):
     _require(isinstance(data, dict), "quiver must be an object")
     _require("vertices" in data, "quiver.vertices is missing")
     r = data["vertices"]
-    _require(isinstance(r, int) and r >= 1, "quiver.vertices must be >= 1")
+    _require(_is_int(r) and r >= 1,
+             "quiver.vertices must be an integer >= 1")
     arrows = []
     for k, a in enumerate(data.get("arrows", [])):
         _require(isinstance(a, dict) and {"from", "to", "label"} <= set(a),
                  f"arrow {k} needs from/to/label")
         s, t = a["from"], a["to"]
         for v in (s, t):
-            _require(isinstance(v, int) and 1 <= v <= r,
-                     f"arrow {k} endpoint {v} outside 1..{r}")
+            _require(_is_int(v) and 1 <= v <= r,
+                     f"arrow {k} endpoint {v!r} outside 1..{r}")
         _require(isinstance(a["label"], str) and a["label"],
                  f"arrow {k} label must be a nonempty string")
         arrows.append((a["label"], s - 1, t - 1))
@@ -89,9 +95,7 @@ def _parse_quiver(data):
 
 def _exact_scalar(field, c):
     """True for a JSON integer or a string that field.parse reads."""
-    if isinstance(c, bool):
-        return False
-    if isinstance(c, int):
+    if _is_int(c):
         return True
     if not isinstance(c, str):
         return False
@@ -145,9 +149,9 @@ def _parse_objects(data, A):
 
     def stalk(kind, v, shift):
         _require(kind in ("P", "I", "S"), f"unknown module kind {kind!r}")
-        _require(isinstance(v, int) and 1 <= v <= r,
-                 f"vertex {v} outside 1..{r}")
-        _require(isinstance(shift, int), "shift must be an integer")
+        _require(_is_int(v) and 1 <= v <= r,
+                 f"vertex {v!r} outside 1..{r}")
+        _require(_is_int(shift), "shift must be an integer")
         return stalk_complex(A, Summand(kind, v - 1), shift)
 
     if data is None or data == "simples":
@@ -189,7 +193,7 @@ def parse_job(data, name="job", overrides=None):
     relations = _parse_relations(data.get("relations"), field, labels)
     bound = data.get("nilpotency_bound")
     if bound is not None:
-        _require(isinstance(bound, int) and bound >= 1,
+        _require(_is_int(bound) and bound >= 1,
                  "nilpotency_bound must be a positive integer")
     try:
         A = _build_algebra(field, quiver, relations, bound)
@@ -204,18 +208,18 @@ def parse_job(data, name="job", overrides=None):
             params[key] = data[key]
         if overrides and overrides.get(key) is not None:
             params[key] = overrides[key]
-    _require(isinstance(params["window"], int) and params["window"] >= 1,
+    _require(_is_int(params["window"]) and params["window"] >= 1,
              "window must be a positive integer")
-    _require(isinstance(params["budget"], int) and params["budget"] >= 0,
+    _require(_is_int(params["budget"]) and params["budget"] >= 0,
              "budget must be a nonnegative integer")
     _require(params["length"] is None or
-             (isinstance(params["length"], int) and params["length"] >= 1),
+             (_is_int(params["length"]) and params["length"] >= 1),
              "length must be a positive integer")
-    _require(isinstance(params["arity_cap"], int) and params["arity_cap"] >= 2,
-             "arity_cap must be at least 2")
-    _require(isinstance(params["generation_budget"], int)
+    _require(_is_int(params["arity_cap"]) and params["arity_cap"] >= 2,
+             "arity_cap must be an integer >= 2")
+    _require(_is_int(params["generation_budget"])
              and params["generation_budget"] >= 0,
-             "generation_budget must be nonnegative")
+             "generation_budget must be a nonnegative integer")
     _require(params["policy"] in ("proceed", "strict"),
              "policy must be \"proceed\" or \"strict\"")
 
@@ -324,19 +328,13 @@ def algebra_presentation(G):
 
     values = [evaluate(p) for p in paths]
 
-    def rank_of(rows):
-        return Mat(f, rows, ncols=len(paths)).rank() if rows else 0
-
-    consequences = []
+    consequences = Echelon(Mat.zeros(f, 0, len(paths)))
 
     def absorb(vec):
-        """Grow the ideal closure of the consequence space by one vector."""
+        """Close the consequence space under arrows once vec has joined it."""
         stack = [vec]
         while stack:
             v = stack.pop()
-            if rank_of(consequences + [list(v)]) == len(consequences):
-                continue
-            consequences.append(list(v))
             for k in range(len(arrows)):
                 for side in ("L", "R"):
                     w = [f.zero()] * len(paths)
@@ -349,7 +347,7 @@ def algebra_presentation(G):
                         if q in pos:
                             w[pos[q]] = f.add(w[pos[q]], c)
                             hit = True
-                    if hit:
+                    if hit and consequences.add(w):
                         stack.append(w)
 
     gens = []
@@ -364,14 +362,14 @@ def algebra_presentation(G):
                 vec = [f.zero()] * len(paths)
                 for t, c in zip(idxs, krow):
                     vec[t] = c
-                if rank_of(consequences + [vec]) > len(consequences):
+                if consequences.add(vec):
                     lead = next(c for c in krow if c != f.zero())
                     inv = f.inv(lead)
                     gens.append(tuple(f.mul(inv, c) for c in vec))
                     absorb(gens[-1])
 
     # sanity: evaluation is onto, so its kernel fixes the dimension
-    if r + len(arrows) + len(paths) - len(consequences) != G.dim:
+    if r + len(arrows) + len(paths) - len(consequences.rows) != G.dim:
         raise AlgebraError("presentation bookkeeping lost dimensions")
 
     names = ["*".join(arrows[k][0] for k in p) for p in paths]

@@ -23,7 +23,8 @@ from collections import namedtuple
 
 from .linalg import Mat
 from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
-                      ModuleMap, is_self_injective)
+                      ModuleMap, is_self_injective, map_placement,
+                      summand_offsets)
 from .complexes import (ChainMap, Complex, HomComplex, Summand,
                         complex_iso_search, cone, direct_sum_complexes,
                         h0_chain_maps, minimize)
@@ -169,20 +170,13 @@ def _fingerprint(T: Complex, btab):
 def _assemble_evaluation(pieces, T: Complex):
     """One chain map (direct sum of the sources) -> T from several maps."""
     A = T.algebra
-    f = A.field
     U = direct_sum_complexes([p[0] for p in pieces])
+    origin = (0,) * A.quiver.n
     comps = {}
     for n in U.parts:
-        tgt = T.module(n)
-        blocks = []
-        for v in range(A.quiver.n):
-            rows = []
-            for (Ui, gi) in pieces:
-                blk = gi.comp(n).blocks[v]
-                rows.extend(list(r) for r in blk.data)
-            blocks.append(Mat(f, rows, ncols=tgt.dims[v]) if rows
-                          else Mat.zeros(f, 0, tgt.dims[v]))
-        comps[n] = ModuleMap(U.module(n), tgt, blocks, check=False)
+        offsets, _ = summand_offsets(A, [Ui.module(n) for Ui, _ in pieces])
+        comps[n] = map_placement(U.module(n), offsets, T.module(n), [origin],
+                                 {(i, 0): gi.comp(n) for i, (_, gi) in enumerate(pieces)})
     return U, ChainMap(U, T, comps, check=False)
 
 
@@ -429,20 +423,14 @@ def h0_endomorphism_algebra(runs):
         table.append(row)
     unit = coords_of({n: ModuleMap.identity(T.module(n)) for n in T.parts})
 
+    # companion i's idempotent is the identity on its block of T
+    pieces = {n: [S.module(n) for S in summands] for n in T.parts}
+    offsets = {n: summand_offsets(A, mods)[0] for n, mods in pieces.items()}
     idems = []
     for i in range(len(summands)):
-        comps = {}
-        for n in T.parts:
-            tot = T.module(n)
-            blocks = []
-            for v in range(A.quiver.n):
-                start = sum(s.dims_at(n)[v] for s in summands[:i])
-                width = summands[i].dims_at(n)[v]
-                rows = [[f.one() if (start <= r < start + width and r == c)
-                         else f.zero() for c in range(tot.dims[v])]
-                        for r in range(tot.dims[v])]
-                blocks.append(Mat(f, rows, ncols=tot.dims[v]))
-            comps[n] = ModuleMap(tot, tot, blocks, check=False)
+        comps = {n: map_placement(T.module(n), offsets[n], T.module(n), offsets[n],
+                                  {(i, i): ModuleMap.identity(pieces[n][i])})
+                 for n in T.parts}
         idems.append(coords_of(comps))
 
     gamma = FiniteAlgebra(f, table, unit, idems)

@@ -1,0 +1,171 @@
+"""Direct sums by block offsets, and minimization without witnesses.
+
+map_slice and map_placement are checked against the composition through
+dense inclusion and projection matrices that direct_sum_modules used to
+return; that construction is kept here as the reference.  minimize
+without verify must reach the same complex as with it, on cones of
+random chain maps between random bounded complexes.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from tiltlab.algebra import (Algebra, Module, ModuleMap, Quiver,
+                             direct_sum_modules, map_placement, map_slice)
+from tiltlab.complexes import (ChainMap, Summand, cone, direct_sum_complexes,
+                               h0_chain_maps, minimize, stalk_complex,
+                               tag_module)
+from tiltlab.derived import resolve_complex
+from tiltlab.linalg import Mat, PrimeField, QQ
+
+FIELDS = {"Q": QQ, "GF5": PrimeField(5)}
+
+ALGEBRAS = {
+    "A2": lambda f: Algebra(f, Quiver(2, [("a", 0, 1)]), []),
+    "A3/ab": lambda f: Algebra(
+        f, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [[(1, ["a", "b"])]]),
+    "kronecker": lambda f: Algebra(
+        f, Quiver(2, [("a", 0, 1), ("b", 0, 1)]), []),
+    "dual": lambda f: Algebra(
+        f, Quiver(1, [("x", 0, 0)]), [[(1, ["x", "x"])]], nilpotency_bound=2),
+    "nak2": lambda f: Algebra(
+        f, Quiver(2, [("a", 0, 1), ("b", 1, 0)]),
+        [[(1, ["a", "b"])], [(1, ["b", "a"])]], nilpotency_bound=2),
+}
+
+
+def reference_sum(algebra, mods):
+    """The sum module and its (inclusion, projection) pairs, assembled
+    entry by entry as direct_sum_modules did before offsets."""
+    f = algebra.field
+    n = algebra.quiver.n
+    if len(mods) == 1:
+        ident = ModuleMap.identity(mods[0])
+        return mods[0], [(ident, ident)]
+    dims = tuple(sum(m.dims[v] for m in mods) for v in range(n))
+    mats = {}
+    for a, (_, s, t) in enumerate(algebra.quiver.arrows):
+        big = [[f.zero()] * dims[t] for _ in range(dims[s])]
+        ro = co = 0
+        for m in mods:
+            blk = m.mats[a]
+            for r in range(blk.nrows):
+                for c in range(blk.ncols):
+                    big[ro + r][co + c] = blk[r, c]
+            ro += m.dims[s]
+            co += m.dims[t]
+        mats[a] = Mat(f, big, ncols=dims[t])
+    total = Module(algebra, dims, mats)
+    maps = []
+    offs = [0] * n
+    for m in mods:
+        inc_blocks = []
+        for v in range(n):
+            rows = [[f.one() if c == offs[v] + r else f.zero()
+                     for c in range(dims[v])] for r in range(m.dims[v])]
+            inc_blocks.append(Mat(f, rows, ncols=dims[v]))
+        maps.append((ModuleMap(m, total, inc_blocks, check=False),
+                     ModuleMap(total, m, [b.transpose() for b in inc_blocks],
+                               check=False)))
+        offs = [o + d for o, d in zip(offs, m.dims)]
+    return total, maps
+
+
+def random_indecomposables(A, rng):
+    kinds = [rng.choice("PIS") for _ in range(rng.randint(2, 4))]
+    return [tag_module(A, Summand(k, rng.randrange(A.quiver.n))) for k in kinds]
+
+
+def random_linear_map(source, target, rng):
+    """Vertexwise random matrices; not a module map in general, so every
+    entry of a block tells where it was read from."""
+    f = source.algebra.field
+    return ModuleMap(source, target, [
+        Mat(f, [[f.of(rng.randrange(-3, 4)) for _ in range(target.dims[v])]
+                for _ in range(source.dims[v])], ncols=target.dims[v])
+        for v in range(source.algebra.quiver.n)], check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_slice_and_placement_match_inclusion_and_projection(
+        seed, field_key, algebra_key):
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    src_mods = random_indecomposables(A, rng)
+    tgt_mods = random_indecomposables(A, rng)
+    S, src_offsets = direct_sum_modules(A, src_mods)
+    T, tgt_offsets = direct_sum_modules(A, tgt_mods)
+    S_ref, src_maps = reference_sum(A, src_mods)
+    T_ref, tgt_maps = reference_sum(A, tgt_mods)
+    assert S == S_ref and T == T_ref
+    assert all(inc.commutes() for inc, _ in src_maps)
+
+    F = random_linear_map(S, T, rng)
+    for k, (inc, _) in enumerate(src_maps):
+        for l, (_, proj) in enumerate(tgt_maps):
+            got = map_slice(F, src_mods[k], src_offsets[k],
+                            tgt_mods[l], tgt_offsets[l])
+            assert got == inc.then(F).then(proj)
+
+    blocks = {(k, l): random_linear_map(src_mods[k], tgt_mods[l], rng)
+              for k in range(len(src_mods)) for l in range(len(tgt_mods))
+              if rng.random() < 0.6}
+    placed = map_placement(S, src_offsets, T, tgt_offsets, blocks)
+    want = ModuleMap.zero(S, T)
+    for (k, l), b in blocks.items():
+        want = want.add(src_maps[k][1].then(b).then(tgt_maps[l][0]))
+    assert placed == want
+    for k in range(len(src_mods)):
+        for l in range(len(tgt_mods)):
+            back = map_slice(placed, src_mods[k], src_offsets[k],
+                             tgt_mods[l], tgt_offsets[l])
+            assert back == blocks.get(
+                (k, l), ModuleMap.zero(src_mods[k], tgt_mods[l]))
+
+
+def random_complex(A, rng):
+    """A direct sum of shifted stalks and cut projective resolutions."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        shift = rng.randint(-1, 1)
+        tag = Summand(rng.choice("PIS"), rng.randrange(A.quiver.n))
+        X = stalk_complex(A, tag, shift)
+        if rng.random() < 0.5:
+            X = resolve_complex(X, bottom=shift - 2).complex
+        pieces.append(X)
+    return direct_sum_complexes(pieces)
+
+
+def random_chain_map(X, Y, rng):
+    f = X.algebra.field
+    maps, _ = h0_chain_maps(X, Y)
+    if X is Y:
+        maps.append(ChainMap.identity(X))
+    acc = ChainMap.zero(X, Y)
+    for m in maps:
+        acc = acc.add(m.scale(f.of(rng.randrange(-2, 3))))
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_minimize_without_witnesses_reaches_the_same_complex(
+        seed, field_key, algebra_key):
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    X = random_complex(A, rng)
+    Y = X if rng.random() < 0.3 else random_complex(A, rng)
+    C = cone(random_chain_map(X, Y, rng))[0]
+    if rng.random() < 0.5:
+        Z = random_complex(A, rng)
+        C = cone(random_chain_map(Z, C, rng))[0]
+
+    fast = minimize(C, verify=False)
+    assert (fast.to_min, fast.from_min, fast.homotopy) == (None, None, None)
+    full = minimize(C)  # raises when a witness fails its check
+    assert fast.complex == full.complex
+    assert full.to_min.commutes() and full.from_min.commutes()

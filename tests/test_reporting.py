@@ -111,6 +111,24 @@ def with_coeff(c, field="rational"):
     (lambda d: d.update(field={"prime": 7.9}), "integer, got 7.9"),
     (lambda d: d.update(field={"prime": "7"}), "integer, got '7'"),
     (lambda d: d.update(field={"prime": True}), "integer, got True"),
+    # JSON booleans are not integers, although isinstance(True, int) holds
+    (lambda d: d.update(window=True),
+     "window must be a positive integer"),
+    (lambda d: d.update(quiver={"vertices": True, "arrows": []}),
+     "vertices must be an integer"),
+    (lambda d: d.update(quiver={"vertices": 2,
+                                "arrows": [{"from": True, "to": 2,
+                                            "label": "a"}]}),
+     "endpoint True"),
+    (lambda d: d.update(objects=[{"module": "S", "vertex": True}]),
+     "vertex True"),
+    (lambda d: d.update(objects=[{"module": "S", "vertex": 1,
+                                  "shift": False}]), "shift"),
+    (lambda d: d.update(nilpotency_bound=True), "nilpotency_bound"),
+    (lambda d: d.update(length=True), "length"),
+    (lambda d: d.update(arity_cap=True), "arity_cap must be an integer"),
+    (lambda d: d.update(budget=False), "budget"),
+    (lambda d: d.update(generation_budget=True), "generation_budget"),
 ])
 def test_parse_rejects_malformed_jobs(mutate, needle):
     data = {k: (dict(v) if isinstance(v, dict) else v)
