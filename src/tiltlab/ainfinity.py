@@ -169,12 +169,12 @@ class AInfAlgebra(_GradedOperations):
                     rx = self.op_elem(2, [(k, x), (0, e)])
                     if lx == x:
                         li = i
-                    elif any(c != f.zero() for c in lx):
+                    elif any(lx):
                         li = None
                         break
                     if rx == x:
                         ri = i
-                    elif any(c != f.zero() for c in rx):
+                    elif any(rx):
                         ri = None
                         break
                 if li is None or ri is None:
@@ -216,7 +216,7 @@ class AInfAlgebra(_GradedOperations):
                 for t in range(0, n - k + 1):
                     inner_key = key[t:t + k]
                     inner = self.shifted_op(k, inner_key)
-                    if all(c == f.zero() for c in inner):
+                    if not any(inner):
                         continue
                     inner_deg = sum(d for d, _ in inner_key) + 2 - k
                     items = [(d, _unit_vec(f, self.dim_at(d), a))
@@ -230,7 +230,7 @@ class AInfAlgebra(_GradedOperations):
                     val = _scale(f, _sign(f, parity),
                                  self.op_elem(outer, items))
                     acc = [f.add(p, q) for p, q in zip(acc, val)]
-            if any(c != f.zero() for c in acc):
+            if any(acc):
                 return key, tuple(acc)
         return None
 
@@ -252,7 +252,7 @@ class AInfAlgebra(_GradedOperations):
                 lt = self.left_tag(*key[0])
                 rt = self.right_tag(*key[-1])
                 for a, c in enumerate(val):
-                    if c != f.zero() and self.tags[out_deg][a] != (lt, rt):
+                    if c and self.tags[out_deg][a] != (lt, rt):
                         raise AInfError("operation leaves its corner")
         # idempotents: orthogonal, and their sum is a strict unit
         for i, e in enumerate(self.idempotents):
@@ -314,7 +314,7 @@ def _blockwise_contraction(E: DgAlgebra):
     f = E.field
     tags = E.peirce_tags()
     for e in E.idempotents:
-        if any(c != f.zero() for c in E.elem_d(0, e)):
+        if any(E.elem_d(0, e)):
             raise ContractionFailure(
                 "an idempotent is not a cycle; corners are not stable")
 
@@ -476,9 +476,9 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
                     right = leaves[s] if b - s == 1 else hb(lam(s, b))
                     dl, vl = left
                     dr, vr = right
-                    if not any(c != f.zero() for c in vl):
+                    if not any(vl):
                         continue
-                    if not any(c != f.zero() for c in vr):
+                    if not any(vr):
                         continue
                     d2, v2 = b2(left, right)
                     acc = [f.add(p, q) for p, q in zip(acc, v2)]
@@ -488,18 +488,18 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
 
             def hb(x):
                 d, v = x
-                if d not in con.htp or not any(c != f.zero() for c in v):
+                if d not in con.htp or not any(v):
                     return (d - 1, _zeros(f, E.dim_at(d - 1)))
                 return (d - 1,
                         tuple(Mat(f, [list(v)]).mul(con.htp[d]).data[0]))
 
             dv, vv = lam(0, n)
-            if not any(c != f.zero() for c in vv):
+            if not any(vv):
                 continue
             if dv not in con.proj:
                 continue
             hvec = tuple(Mat(f, [list(vv)]).mul(con.proj[dv]).data[0])
-            if not any(c != f.zero() for c in hvec):
+            if not any(hvec):
                 continue
             # fold in the shift conversion so the stored operation and
             # its shifted form agree with the transferred value
@@ -604,7 +604,7 @@ class AInfModuleStalk(_GradedOperations):
                 # value needs the same shift conversion as an algebra op
                 ipar = sum((k - 1 - t) * key[t][0] for t in range(k))
                 inner = _scale(f, _sign(f, ipar), self.op(k, key[:k]))
-                if any(c != f.zero() for c in inner):
+                if any(inner):
                     ideg = sum(d for d, _ in key[:k]) + 2 - k
                     items = [(ideg, inner)] + [
                         (d, _unit_vec(f, A.dim_at(d), a))
@@ -618,7 +618,7 @@ class AInfModuleStalk(_GradedOperations):
                 for t in range(1, n - k + 1):
                     ikey = key[t:t + k]
                     inner = A.shifted_op(k, ikey)
-                    if all(c == f.zero() for c in inner):
+                    if not any(inner):
                         continue
                     ideg = sum(d for d, _ in ikey) + 2 - k
                     items = [(key[0][0],
@@ -635,7 +635,7 @@ class AInfModuleStalk(_GradedOperations):
                     val = _scale(f, _sign(f, parity),
                                  self.op_elem(outer, items))
                     acc = [f.add(p, q) for p, q in zip(acc, val)]
-            if any(c != f.zero() for c in acc):
+            if any(acc):
                 return key, tuple(acc)
         return None
 
@@ -645,7 +645,6 @@ def projective_ainf_modules(X: AInfAlgebra):
     if not X.positive:
         raise PositivityViolation(
             "projective stalks need a positive model")
-    f = X.field
     out = []
     for i in range(len(X.idempotents)):
         sel = {}
@@ -667,7 +666,7 @@ def projective_ainf_modules(X: AInfAlgebra):
                 kept = sel.get(out_deg, [])
                 local = tuple(val[a] for a in kept)
                 for a, c in enumerate(val):
-                    if c != f.zero() and a not in kept:
+                    if c and a not in kept:
                         raise AInfError(
                             "corner module is not closed under the "
                             "operations")
@@ -702,7 +701,7 @@ def simple_ainf_modules(X: AInfAlgebra):
                 raise PositivityViolation(
                     "degree zero is not spanned by the idempotents")
             lam = sol.data[i][0]
-            if lam != f.zero():
+            if lam:
                 ops2[((0, 0), (0, a))] = (lam,)
         sims.append(AInfModuleStalk(X, {0: 1}, {2: ops2}, check=True))
     if sum(s.total_dim for s in sims) != X.dim_at(0):
@@ -801,11 +800,11 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
             for arity in range(2, len(T) - t + 1):
                 run = T[t:t + arity]
                 coll = X.shifted_op(arity, run)
-                if all(c == f.zero() for c in coll):
+                if not any(coll):
                     continue
                 cdeg = sum(dd for dd, _ in run) + 2 - arity
                 for a, c in enumerate(coll):
-                    if c == f.zero():
+                    if not c:
                         continue
                     S = T[:t] + ((cdeg, a),) + T[t + arity:]
                     if S not in word_set:

@@ -205,7 +205,7 @@ class Algebra:
                             k = path_index[(p[0], full)]
                             vec[k] = f.add(vec[k], c)
                             nonzero = True
-                        if nonzero and any(x != z for x in vec):
+                        if nonzero and any(vec):
                             rows.append(vec)
         if not rows:
             return [], ()
@@ -216,11 +216,10 @@ class Algebra:
     def _reduce_path_vector(self, vec):
         """Coordinates over self.basis of a vector in the path space."""
         f = self.field
-        z = f.zero()
         vec = list(vec)
         for pc, row in self._reduction[0]:
             c = vec[pc]
-            if c != z:
+            if c:
                 vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
         return tuple(vec[k] for k in self.basis)
 
@@ -311,14 +310,14 @@ class Algebra:
         table = self.mult_table()
         acc = [z] * self.dim
         for i, xc in enumerate(x):
-            if xc == z:
+            if not xc:
                 continue
             for j, yc in enumerate(y):
-                if yc == z:
+                if not yc:
                     continue
                 c = f.mul(xc, yc)
                 for k, t in enumerate(table[i][j]):
-                    if t != z:
+                    if t:
                         acc[k] = f.add(acc[k], f.mul(c, t))
         return tuple(acc)
 
@@ -362,7 +361,7 @@ class Algebra:
         z = f.zero()
         vec = [z] * len(opp.paths)
         for i, c in enumerate(x):
-            if c == z:
+            if not c:
                 continue
             src, arrs = self.paths[self.basis[i]]
             rsrc = self.path_target(self.paths[self.basis[i]])
@@ -395,7 +394,7 @@ class Algebra:
                 img = self.mult(self._unit_coord(i), elem)
                 row = [f.zero()] * dims[t]
                 for k, c in enumerate(img):
-                    if c != f.zero():
+                    if c:
                         tt, rr = pos[k]
                         if tt != t:
                             raise AlgebraError("projective action left its grade")
@@ -495,10 +494,9 @@ class Module:
     def _partial_act(self, src, tgt, elem):
         A = self.algebra
         f = A.field
-        z = f.zero()
         acc = Mat.zeros(f, self.dims[src], self.dims[tgt])
         for k, c in enumerate(elem):
-            if c == z:
+            if not c:
                 continue
             ps, parrs = A.paths[A.basis[k]]
             if ps != src or A.path_target(A.paths[A.basis[k]]) != tgt:
@@ -613,12 +611,12 @@ def hom_basis(M: Module, N: Module):
                 row = [z] * total
                 # sum_k AM[p][k] F_t[k][q] - sum_l F_s[p][l] AN[l][q] = 0
                 for k in range(M.dims[t]):
-                    if AM[p, k] != z:
+                    if AM[p, k]:
                         row[uidx(t, k, q)] = f.add(row[uidx(t, k, q)], AM[p, k])
                 for l in range(N.dims[s]):
-                    if AN[l, q] != z:
+                    if AN[l, q]:
                         row[uidx(s, p, l)] = f.sub(row[uidx(s, p, l)], AN[l, q])
-                if any(x != z for x in row):
+                if any(row):
                     rows.append(row)
     if rows:
         K = Mat(f, rows).kernel_basis()
@@ -763,7 +761,7 @@ def quotient_module(M: Module, span_rows):
             e[j] = f.one()
             for (pc, row) in zip(pivots, R.data):
                 c = e[pc]
-                if c != f.zero():
+                if c:
                     e = [f.sub(x, f.mul(c, y)) for x, y in zip(e, row)]
             rows.append([e[k] for k in free])
         projs.append(Mat(f, rows) if rows else Mat.zeros(f, 0, len(free)))
@@ -914,14 +912,13 @@ def is_self_injective(A: Algebra):
 def symmetric_form(A: Algebra, tries=64, seed=0):
     """A linear form with phi(ab) = phi(ba) and nondegenerate Gram, or None."""
     f = A.field
-    z = f.zero()
     d = A.dim
     table = A.mult_table()
     rows = []
     for u in range(d):
         for v in range(u + 1, d):
             row = [f.sub(a, b) for a, b in zip(table[u][v], table[v][u])]
-            if any(x != z for x in row):
+            if any(row):
                 rows.append(row)
     if rows:
         K = Mat(f, rows).kernel_basis()
@@ -1148,7 +1145,7 @@ class FiniteAlgebra:
             shifted = [f.sub(x, f.mul(lam, e)) for x, e in zip(b, self.idempotents[i])]
             Ls = self.left_mult_matrix_on(tuple(shifted), corner)
             cps = Ls.charpoly()
-            if any(c != f.zero() for c in cps[:-1]):
+            if any(cps[:-1]):
                 raise LocalStructureError("corner element is not scalar plus nilpotent")
             lambdas.append(lam)
         return corner, lambdas
@@ -1156,7 +1153,6 @@ class FiniteAlgebra:
     def radical_rows(self):
         """Row basis of the radical; verified nilpotent two-sided of codim r."""
         f = self.field
-        z = f.zero()
         n = len(self.idempotents)
         rows = []
         for i in range(n):

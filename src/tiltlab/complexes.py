@@ -728,11 +728,10 @@ class HomComplex:
 
     def element(self, n, coords):
         """Rebuild {k: ModuleMap} from coordinates at degree n."""
-        f = self.field
         entries = self.bases.get(n, [])
         acc = {}
         for c, (k, h) in zip(coords, entries):
-            if c == f.zero():
+            if not c:
                 continue
             term = h.scale(c)
             acc[k] = acc[k].add(term) if k in acc else term

@@ -11,9 +11,9 @@ degree are row vectors in the chosen basis of that degree.
 
 The toolkit covers the standard truncation t-structure, passage to the
 degree-zero cohomology algebra and its module category, stripping of
-contractible idempotent summands, minimal forms of strictly perfect
-modules, the one-dimensional simples with their orthogonality table,
-and the Nakayama functor on strictly perfect modules.  A bounded
+contractible idempotent summands, the one-dimensional simples with
+their orthogonality table, and the Nakayama functor on strictly perfect
+modules.  A bounded
 complex of modules over a path algebra can be packaged into its
 endomorphism dg algebra, which is where the truncated endomorphism
 algebra of a dual family comes from.
@@ -25,7 +25,6 @@ from .algebra import (FiniteAlgebra, ModuleMap, dense_product,
                       is_associative, sparse_product, sparse_structure)
 from .complexes import HomComplex
 from .linalg import Mat, Subquotient
-from .tilting import hom_to_element
 
 
 class DgError(Exception):
@@ -322,13 +321,12 @@ class DgModule:
 
     def elem_act(self, k, x, i, y):
         f = self.field
-        z = f.zero()
         out = list(_zeros(f, self.dim_at(k + i)))
         for m, cm in enumerate(x):
-            if cm == z:
+            if not cm:
                 continue
             for a, ca in enumerate(y):
-                if ca == z:
+                if not ca:
                     continue
                 img = self.act_basis(k, m, i, a)
                 for t, c in enumerate(img):
@@ -418,7 +416,7 @@ def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
             img = A.elem_d(k, _unit_vec(f, A.dim_at(k), a))
             row = [f.zero()] * len(pick.get(k + 1, []))
             for b, c in enumerate(img):
-                if c == f.zero():
+                if not c:
                     continue
                 if b not in pos.get(k + 1, {}):
                     raise DgError("differential left the idempotent slice")
@@ -440,7 +438,7 @@ def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
                     prod = A.mult_basis(k, a, j, b)
                     vec = [f.zero()] * len(pick[k + j])
                     for c, coef in enumerate(prod):
-                        if coef == f.zero():
+                        if not coef:
                             continue
                         if c not in pos[k + j]:
                             raise DgError("action left the idempotent slice")
@@ -485,33 +483,10 @@ def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
             raise DgError("connecting entry has the wrong degree")
         iu, it = pieces[u][1], pieces[t][1]
         for a, c in enumerate(x):
-            if c != A.field.zero() and tags[deg][a] != (iu, it):
+            if c and tags[deg][a] != (iu, it):
                 raise DgError("connecting entry outside its corner")
     materialize(sp)  # d^2 = 0 and all module laws, checked once
     return sp
-
-
-def strict_perfect_from_complex(D: DgAlgebra, P) -> StrictPerfect:
-    """A bounded complex P of projectives over a path algebra, as a
-    strictly perfect module over D = dg_from_path_algebra(algebra).
-
-    The summand P_v in degree n is the piece (-n, v); each nonzero block
-    of the differential is the algebra element it multiplies by.
-    """
-    pieces, pos = [], {}
-    for n in P.support():
-        for k, s in enumerate(P.parts[n]):
-            pos[(n, k)] = len(pieces)
-            pieces.append((-n, s.vertex))
-    delta = {}
-    for n in P.support():
-        for k, s in enumerate(P.parts[n]):
-            for l, t in enumerate(P.parts.get(n + 1, ())):
-                blk = P.block(n, k, l)
-                if blk is not None and not blk.is_zero():
-                    delta[(pos[(n, k)], pos[(n + 1, l)])] = \
-                        hom_to_element(blk, s.vertex, t.vertex)
-    return strict_perfect(D, pieces, delta)
 
 
 def materialize(sp: StrictPerfect) -> DgModule:
@@ -550,7 +525,7 @@ def materialize(sp: StrictPerfect) -> DgModule:
                 img = A.elem_mult(deg, x, k + st,
                                   _unit_vec(f, A.dim_at(k + st), a))
                 for b, coef in enumerate(img):
-                    if coef == f.zero():
+                    if not coef:
                         continue
                     if b not in pos_u:
                         raise DgError("connecting map left its slice")
@@ -785,239 +760,6 @@ def morita_reduce(A: DgAlgebra):
     return DgAlgebra(f, dims, d, mult, unit, idems), kept, stripped
 
 
-# ---- minimal forms of strictly perfect modules ----
-
-def _corner_basis(A: DgAlgebra, tags0, li, ri):
-    return [a for a, t in enumerate(tags0) if t == (li, ri)]
-
-
-def _try_invert(A: DgAlgebra, tags0, x, it, iu):
-    """y with x*y = e_{iu} and y*x = e_{it}, or None.
-
-    x sits in e_{iu} A^0 e_{it}; a two-sided inverse certifies that
-    left multiplication by x is an isomorphism e_{it}A -> e_{iu}A.
-    """
-    f = A.field
-    n0 = A.dim_at(0)
-    cand = _corner_basis(A, tags0, it, iu)
-    if not cand:
-        return None
-    rows = []
-    for a in cand:
-        ya = _unit_vec(f, n0, a)
-        rows.append(list(A.elem_mult(0, x, 0, ya))
-                    + list(A.elem_mult(0, ya, 0, x)))
-    target = list(A.idempotents[iu]) + list(A.idempotents[it])
-    sol = Mat(f, rows, ncols=2 * n0).transpose().solve(
-        Mat(f, [target]).transpose())
-    if sol is None:
-        return None
-    coeffs = sol.transpose().data[0]
-    y = list(_zeros(f, n0))
-    for c, a in zip(coeffs, cand):
-        y[a] = c
-    return tuple(y)
-
-
-def _left_mult_block(A: DgAlgebra, tags, z, zdeg, n, li, lo):
-    """Matrix of left multiplication by z between idempotent slices.
-
-    Source: degree-n basis elements with left tag li; target: degree
-    n+zdeg elements with left tag lo.  Rows are sources.
-    """
-    f = A.field
-    src = [a for a, (l, _) in enumerate(tags.get(n, [])) if l == li]
-    tgt = [a for a, (l, _) in enumerate(tags.get(n + zdeg, [])) if l == lo]
-    pos = {a: c for c, a in enumerate(tgt)}
-    rows = []
-    for a in src:
-        img = A.elem_mult(zdeg, z, n, _unit_vec(f, A.dim_at(n), a))
-        row = [f.zero()] * len(tgt)
-        for b, coef in enumerate(img):
-            if coef == f.zero():
-                continue
-            if b not in pos:
-                raise DgError("left multiplication left its slice")
-            row[pos[b]] = coef
-        rows.append(row)
-    return Mat(f, rows, ncols=len(tgt))
-
-
-def _piece_degrees(A: DgAlgebra, pieces):
-    degs = set()
-    amin, amax = min(A.degrees()), max(A.degrees())
-    for s, _ in pieces:
-        for k in range(amin - s, amax - s + 1):
-            degs.add(k)
-    return sorted(degs)
-
-
-def _piece_dims(A: DgAlgebra, tags, pieces, k):
-    """Per-piece dimensions at module degree k."""
-    out = []
-    for s, i in pieces:
-        out.append(sum(1 for (l, _) in tags.get(k + s, []) if l == i))
-    return out
-
-
-def _elimination_projection(A, tags, pieces, delta, t, u, y):
-    """Per-degree matrices of the projection that cancels pieces t, u."""
-    f = A.field
-    kept = [p for p in range(len(pieces)) if p not in (t, u)]
-    mats = {}
-    for k in _piece_degrees(A, pieces):
-        olddims = _piece_dims(A, tags, pieces, k)
-        newdims = [olddims[p] for p in kept]
-        if sum(olddims) == 0:
-            continue
-        ooffs = [sum(olddims[:p]) for p in range(len(pieces))]
-        noffs = [sum(newdims[:c]) for c in range(len(kept))]
-        m = [[f.zero()] * sum(newdims) for _ in range(sum(olddims))]
-        for c, p in enumerate(kept):
-            for r in range(olddims[p]):
-                m[ooffs[p] + r][noffs[c] + r] = f.one()
-        for c, q in enumerate(kept):
-            xtq = delta.get((t, q))
-            if xtq is None or olddims[u] == 0 or newdims[c] == 0:
-                continue
-            z = A.elem_mult(_delta_degree(pieces, t, q), xtq, 0, y)
-            blk = _left_mult_block(A, tags, z,
-                                   _delta_degree(pieces, t, q),
-                                   k + pieces[u][0],
-                                   pieces[u][1], pieces[q][1])
-            for r in range(blk.nrows):
-                for cc in range(blk.ncols):
-                    m[ooffs[u] + r][noffs[c] + cc] = f.neg(blk[r, cc])
-        mats[k] = Mat(f, m, ncols=sum(newdims))
-    return mats
-
-
-def minimal_perfect_resolution(sp: StrictPerfect):
-    """Cancel invertible connecting entries until the form is minimal.
-
-    Returns (minimal StrictPerfect, witness).  The witness records the
-    number of cancelled piece pairs and certifies the composed
-    projection: it commutes with the differentials and induces an
-    isomorphism on cohomology in every degree, both checked by exact
-    matrix computation.  Repeated application is idempotent.
-    """
-    A = sp.algebra
-    f = A.field
-    tags = A.peirce_tags()
-    pieces = list(sp.pieces)
-    delta = dict(sp.delta)
-    proj_total = None
-    steps = 0
-    while True:
-        hit = None
-        for (t, u), x in delta.items():
-            if _delta_degree(pieces, t, u) != 0:
-                continue
-            y = _try_invert(A, tags[0], x, pieces[t][1], pieces[u][1])
-            if y is not None:
-                hit = (t, u, x, y)
-                break
-        if hit is None:
-            break
-        t, u, x, y = hit
-        steps += 1
-        pmats = _elimination_projection(A, tags, pieces, delta, t, u, y)
-        kept = [p for p in range(len(pieces)) if p not in (t, u)]
-        new_delta = {}
-        for ci, p in enumerate(kept):
-            for cj, q in enumerate(kept):
-                if p == q:
-                    continue
-                acc = delta.get((p, q))
-                xtq, xpu = delta.get((t, q)), delta.get((p, u))
-                if xtq is not None and xpu is not None:
-                    z = A.elem_mult(
-                        _delta_degree(pieces, t, q), xtq, 0, y)
-                    corr = A.elem_mult(
-                        _delta_degree(pieces, t, q), z,
-                        _delta_degree(pieces, p, u), xpu)
-                    if acc is None:
-                        acc = _zeros(f, len(corr))
-                    acc = tuple(f.sub(a, b) for a, b in zip(acc, corr))
-                if acc is not None and any(c != f.zero() for c in acc):
-                    new_delta[(ci, cj)] = acc
-        pieces = [pieces[p] for p in kept]
-        delta = new_delta
-        if proj_total is None:
-            proj_total = pmats
-        else:
-            proj_total = {
-                k: proj_total[k].mul(pmats[k])
-                for k in pmats if k in proj_total}
-
-    # strict triangularity holds after sorting by descending shift:
-    # a nonzero entry lowers the shift strictly
-    order = sorted(range(len(pieces)), key=lambda p: -pieces[p][0])
-    inv = {p: c for c, p in enumerate(order)}
-    sorted_pieces = [pieces[p] for p in order]
-    sorted_delta = {}
-    for (p, q), x in delta.items():
-        a, b = inv[p], inv[q]
-        if a >= b:
-            raise DgError("cancellation broke the filtration order")
-        sorted_delta[(a, b)] = x
-    if proj_total is not None:
-        perm = {}
-        for k in _piece_degrees(A, pieces):
-            olddims = _piece_dims(A, tags, pieces, k)
-            if sum(olddims) == 0:
-                continue
-            ooffs = [sum(olddims[:p]) for p in range(len(pieces))]
-            ndims = [olddims[p] for p in order]
-            noffs = [sum(ndims[:c]) for c in range(len(order))]
-            m = [[f.zero()] * sum(ndims) for _ in range(sum(olddims))]
-            for c, p in enumerate(order):
-                for r in range(olddims[p]):
-                    m[ooffs[p] + r][noffs[c] + r] = f.one()
-            perm[k] = Mat(f, m, ncols=sum(ndims))
-        proj_total = {k: proj_total[k].mul(perm[k])
-                      for k in perm if k in proj_total}
-
-    out = strict_perfect(A, sorted_pieces, sorted_delta)
-    witness = {"cancelled_pairs": steps}
-    if steps == 0:
-        witness["chain_map_checked"] = True
-        witness["h_iso_checked"] = True
-        return sp, witness
-
-    old_m, new_m = materialize(sp), materialize(out)
-    for k in sorted(set(old_m.degrees()) | set(new_m.degrees())):
-        pk = proj_total.get(k)
-        pk1 = proj_total.get(k + 1)
-        do = old_m.d.get(k)
-        dn = new_m.d.get(k)
-        lhs = do.mul(pk1) if (do is not None and pk1 is not None) \
-            else Mat.zeros(f, old_m.dim_at(k), new_m.dim_at(k + 1))
-        rhs = pk.mul(dn) if (pk is not None and dn is not None) \
-            else Mat.zeros(f, old_m.dim_at(k), new_m.dim_at(k + 1))
-        if not lhs.sub(rhs).is_zero():
-            raise DgError("cancellation projection is not a chain map")
-    witness["chain_map_checked"] = True
-    ho, hn = old_m.cohomology_dims(), new_m.cohomology_dims()
-    if ho != hn:
-        raise DgError("cancellation changed the cohomology")
-    for k, hdim in ho.items():
-        qo, qn = _cohomology(old_m, k), _cohomology(new_m, k)
-        pk = proj_total.get(k)
-        rows = []
-        for r in range(qo.dim):
-            vec = tuple(Mat(f, [list(qo.reps.data[r])]).mul(pk).data[0]) \
-                if pk is not None else _zeros(f, new_m.dim_at(k))
-            c = qn.coords(vec)
-            if c is None:
-                raise DgError("projection does not respect cohomology")
-            rows.append(list(c))
-        if Mat(f, rows, ncols=qn.dim).rank() != hdim:
-            raise DgError("projection is not a cohomology isomorphism")
-    witness["h_iso_checked"] = True
-    return out, witness
-
-
 # ---- one-dimensional simples and their orthogonality table ----
 
 def dg_simples(A: DgAlgebra):
@@ -1032,7 +774,7 @@ def dg_simples(A: DgAlgebra):
     n0 = A.dim_at(0)
     out = []
     for i, e in enumerate(A.idempotents):
-        if all(c == f.zero() for c in cls(e)):
+        if not any(cls(e)):
             # the would-be simple is zero in the derived category and
             # carries no unital module structure
             raise DgError(
@@ -1117,7 +859,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
             out = {q: list(_zeros(f, slices[(q, k + 1)].nrows))
                    for q in range(len(sp.pieces)) if (q, k + 1) in slices}
             dv = N.elem_d(k - s_t, v)
-            if any(c != f.zero() for c in dv):
+            if any(dv):
                 if (t, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
                 cr = _coords_in_rows(slices[(t, k + 1)], dv, "hom value")
@@ -1129,7 +871,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
                 if u != t:
                     continue
                 w = N.elem_act(k - s_t, v, _delta_degree(sp.pieces, p, u), x)
-                if all(c == f.zero() for c in w):
+                if not any(w):
                     continue
                 if (p, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
@@ -1200,7 +942,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
             out = [f.zero()] * len(ybasis.get(k + 1, []))
             da = A.elem_d(k - s_t, _unit_vec(f, A.dim_at(k - s_t), a))
             for b, coef in enumerate(da):
-                if coef != f.zero():
+                if coef:
                     out[ypos[k + 1][(t, b)]] = coef
             sgn = f.one() if k % 2 == 0 else f.neg(f.one())
             for (p, u), x in sp.delta.items():
@@ -1210,7 +952,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
                     k - s_t, _unit_vec(f, A.dim_at(k - s_t), a),
                     _delta_degree(sp.pieces, p, u), x)
                 for b, coef in enumerate(prod):
-                    if coef == f.zero():
+                    if not coef:
                         continue
                     c = ypos[k + 1][(p, b)]
                     out[c] = f.sub(out[c], f.mul(sgn, coef))
@@ -1226,7 +968,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
             prod = A.elem_mult(j, xvec, k - s_t,
                                _unit_vec(f, A.dim_at(k - s_t), a))
             for b, coef in enumerate(prod):
-                if coef != f.zero():
+                if coef:
                     out[ypos[k + j][(t, b)]] = coef
             rows.append(out)
         return Mat(f, rows, ncols=len(ybasis.get(k + j, [])))
@@ -1380,7 +1122,7 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
 
     def coords(k, vec):
         if k > 0:
-            if any(c != f.zero() for c in vec):
+            if any(vec):
                 raise DgError("truncated product escaped upward")
             return None
         if k == 0:

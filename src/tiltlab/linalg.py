@@ -470,7 +470,7 @@ class Mat:
             col = col[: k + 1]
             new = [z] * (k + 1)
             for i, c in enumerate(col):
-                if c == z:
+                if not c:
                     continue
                 for j, p in enumerate(poly):
                     if i + j <= k:

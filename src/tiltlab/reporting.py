@@ -37,9 +37,8 @@ from .algebra import Algebra, AlgebraError, Quiver
 from .ainfinity import (AInfError, collection_ext_model, dual_bar_dg)
 from .complexes import Summand, minimize, stalk_complex
 from .derived import resolve_complex, validate_simple_minded
-from .dg import (DgError, dg_from_path_algebra, endomorphism_dg_algebra,
-                 gamma_tilde, minimal_perfect_resolution,
-                 strict_perfect_from_complex, truncate_algebra)
+from .dg import (DgError, endomorphism_dg_algebra, gamma_tilde,
+                 truncate_algebra)
 from .linalg import Echelon, Mat, field_from_spec, independent_rows
 from .tilting import check_tilting, nu_inverse_complex
 
@@ -263,10 +262,9 @@ def _corner_rows(G, rows, i, j):
 
 
 def _poly_text(field, vec, names):
-    z = field.zero()
     parts = []
     for c, name in zip(vec, names):
-        if c == z:
+        if not c:
             continue
         txt = field.to_str(c)
         if txt == "1":
@@ -340,7 +338,7 @@ def algebra_presentation(G):
                     w = [f.zero()] * len(paths)
                     hit = False
                     for n, c in enumerate(v):
-                        if c == f.zero():
+                        if not c:
                             continue
                         p = paths[n]
                         q = (k,) + p if side == "L" else p + (k,)
@@ -363,7 +361,7 @@ def algebra_presentation(G):
                 for t, c in zip(idxs, krow):
                     vec[t] = c
                 if consequences.add(vec):
-                    lead = next(c for c in krow if c != f.zero())
+                    lead = next(c for c in krow if c)
                     inv = f.inv(lead)
                     gens.append(tuple(f.mul(inv, c) for c in vec))
                     absorb(gens[-1])
@@ -701,14 +699,14 @@ def render_report(report):
 # ---- the dg reduction report ----
 
 def dg_reduce_report(job):
-    """Minimal perfect forms of the objects plus endomorphism dims.
+    """Minimal forms of the objects' projective resolutions, plus the
+    dimensions of their endomorphism dg algebra and its truncation.
 
-    Built from the same job format; exercises the non-positive dg
-    toolkit end to end (resolution, strict perfect form, Gaussian
-    minimization, truncation).
+    Built from the same job format.  Each resolution P is minimized by
+    certified Gaussian elimination (complexes.minimize); the summand P_v
+    in degree n prints as the piece (-n, v), and cancelled counts the
+    cancelled summand pairs.
     """
-    A = job["algebra"]
-    D = dg_from_path_algebra(A)
     lines = [f"tiltlab {__version__}",
              f"job: {job['name']}",
              "mode: dg-reduce"]
@@ -725,12 +723,14 @@ def dg_reduce_report(job):
             exit_code = EXIT_INCONCLUSIVE
             continue
         P = res.complex
-        sp = strict_perfect_from_complex(D, P)
-        mini, witness = minimal_perfect_resolution(sp)
-        shape = " ".join(f"({s},{v + 1})" for s, v in mini.pieces)
+        mini = minimize(P).complex
+        pieces = [(-n, s.vertex) for n in mini.support()
+                  for s in mini.parts[n]]
+        total = sum(len(P.parts[n]) for n in P.support())
+        shape = " ".join(f"({s},{v + 1})" for s, v in pieces)
         lines.append(f"X{i + 1}: pieces [{shape or 'zero'}] "
-                     f"cancelled={witness['cancelled_pairs']} "
-                     f"from {len(sp.pieces)} summands")
+                     f"cancelled={(total - len(pieces)) // 2} "
+                     f"from {total} summands")
         resolved.append(P)
     if exit_code == EXIT_OK and resolved:
         E = endomorphism_dg_algebra(resolved)

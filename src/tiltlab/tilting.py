@@ -73,7 +73,7 @@ def left_mult_map(A, lam, u, v):
             img = A.mult(lam, A._unit_coord(i))
             row = [z] * Pv.dims[t]
             for j, c in enumerate(img):
-                if c == z:
+                if not c:
                     continue
                 if j not in allowed:
                     raise AlgebraError("left multiplication left its grade")

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,17 @@ def test_dg_reduce_summarizes_minimal_forms(tmp_path, capsys):
     assert code == 0
     assert "X1: pieces [(1,2) (0,1)]" in out
     assert "truncated_dims:" in out
+
+
+@pytest.mark.parametrize("name, want_code", [
+    ("a2_simples", 0), ("a2_apr", 0), ("a2_negative", 0),
+    ("dual_numbers", 3), ("nakayama2", 3), ("a4_cubic", 0)])
+def test_dg_reduce_matches_the_pinned_text(capsys, name, want_code):
+    expected = Path(__file__).parent / "expected_dg_reduce" / f"{name}.txt"
+    code, out, _ = run(capsys, ["dg-reduce",
+                                str(default_corpus_dir() / f"{name}.json")])
+    assert code == want_code
+    assert out == expected.read_text()
 
 
 def test_out_flag_writes_the_report_as_json(tmp_path, capsys):

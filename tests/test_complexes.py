@@ -18,6 +18,7 @@ from tiltlab.complexes import (
     tag_module,
 )
 from tiltlab.linalg import QQ
+from tiltlab.tilting import hom_to_element, left_mult_map
 
 
 @pytest.fixture
@@ -105,6 +106,29 @@ def test_minimize_leaves_minimal_alone(A):
     X = res_s1(A)
     res = minimize(X)
     assert res.complex == X
+
+
+def test_minimize_gaussian_correction_term():
+    # P2+P3 --[e2 0; b a]--> P2+P1 over A3: cancelling the unit entry e2
+    # routes the correction -a*b from P3 around it to P1
+    A3 = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
+    names = [A3.basis_name(i) for i in range(A3.dim)]
+
+    def elem(name, c=1):
+        vec = [QQ.zero()] * A3.dim
+        vec[names.index(name)] = QQ.of(c)
+        return tuple(vec)
+
+    P1, P2, P3 = (Summand("P", v) for v in range(3))
+    X = Complex(A3, {-1: (P2, P3), 0: (P2, P1)},
+                {-1: [[left_mult_map(A3, elem("e2"), 1, 1),
+                       left_mult_map(A3, elem("a"), 1, 0)],
+                      [left_mult_map(A3, elem("b"), 2, 1), None]]})
+    res = minimize(X)
+    Y = res.complex
+    assert Y.parts == {-1: (P3,), 0: (P1,)}
+    assert hom_to_element(Y.block(-1, 0, 0), 2, 0) == elem("a*b", -1)
+    assert Y.homology_dims() == X.homology_dims()
 
 
 def test_cone_approx_above(A):

@@ -1,9 +1,9 @@
 """Tests for the non-positive dg toolkit.
 
-Expected numbers were computed by hand: small truncations, Gaussian
-cancellations, and dual bases are all traceable on two or three
-idempotents.  The endomorphism-algebra checks reuse the cone-iteration
-engine so the two pipelines are compared on identical inputs.
+Expected numbers were computed by hand: small truncations and dual
+bases are all traceable on two or three idempotents.  The
+endomorphism-algebra checks reuse the cone-iteration engine so the two
+pipelines are compared on identical inputs.
 """
 
 import random
@@ -28,7 +28,6 @@ from tiltlab.dg import (
     hom_cohomology,
     hom_perfect_module,
     materialize,
-    minimal_perfect_resolution,
     morita_reduce,
     simple_delta_table,
     strict_perfect,
@@ -303,55 +302,6 @@ def test_simples_refuse_contractible_idempotents():
         dg_simples(E)
 
 
-# ---- minimal strictly perfect forms ----
-
-def test_minimal_form_cancels_a_contractible_cone():
-    e0 = unit_coords(A2, "e1")
-    sp = strict_perfect(D2, [(1, 0), (0, 0)], {(0, 1): e0})
-    mini, witness = minimal_perfect_resolution(sp)
-    assert mini.pieces == ()
-    assert witness["cancelled_pairs"] == 1
-    assert witness["chain_map_checked"] and witness["h_iso_checked"]
-
-
-def test_minimal_form_keeps_radical_entries():
-    sp = res_perfect(D2, S(A2, 0))
-    mini, witness = minimal_perfect_resolution(sp)
-    assert mini.pieces == sp.pieces
-    assert mini.delta == sp.delta
-    assert witness["cancelled_pairs"] == 0
-    again, w2 = minimal_perfect_resolution(mini)
-    assert again.pieces == mini.pieces and w2["cancelled_pairs"] == 0
-
-
-def test_minimal_form_partial_cancellation():
-    e0 = unit_coords(A2, "e1")
-    sp = strict_perfect(D2, [(1, 0), (0, 0), (0, 1)], {(0, 1): e0})
-    mini, witness = minimal_perfect_resolution(sp)
-    assert mini.pieces == ((0, 1),)
-    assert mini.delta == {}
-    assert witness["cancelled_pairs"] == 1
-
-
-def test_minimal_form_gaussian_correction_term():
-    # cancelling the unit entry routes a correction -a*b around it
-    e1 = unit_coords(A3, "e2")
-    xa = unit_coords(A3, "a")
-    xb = unit_coords(A3, "b")
-    sp = strict_perfect(
-        D3, [(1, 1), (1, 2), (0, 1), (0, 0)],
-        {(0, 2): e1, (1, 2): xb, (0, 3): xa})
-    mini, witness = minimal_perfect_resolution(sp)
-    assert witness["cancelled_pairs"] == 1
-    assert mini.pieces == ((1, 2), (0, 0))
-    entry = mini.delta[(0, 1)]
-    want = [QQ.zero()] * A3.dim
-    want[bindex(A3, "a*b")] = q(-1)
-    assert list(entry) == want
-    assert materialize(mini).cohomology_dims() == \
-        materialize(sp).cohomology_dims()
-
-
 # ---- simples, hom complexes, orthogonality ----
 
 def test_simple_actions_over_a2():
@@ -470,7 +420,7 @@ def test_endomorphisms_of_the_free_collection():
 
 # ---- randomized structural checks ----
 
-def random_projective_complex(rng, A, D):
+def random_projective_complex(rng, A):
     parts = []
     for _ in range(rng.randrange(1, 4)):
         v = rng.randrange(A.quiver.n)
@@ -479,20 +429,18 @@ def random_projective_complex(rng, A, D):
         parts.append(stalk_complex(A, Summand(kind, v), deg))
     from tiltlab.complexes import direct_sum_complexes
     X = direct_sum_complexes(parts)
-    return res_perfect(D, X)
+    return resolve_complex(X).complex
 
 
 def test_random_instances_stay_consistent():
     rng = random.Random(7)
     for _ in range(12):
         A, D = rng.choice([(A2, D2), (A3, D3)])
-        sp = random_projective_complex(rng, A, D)
-        M = materialize(sp)
-        mini, witness = minimal_perfect_resolution(sp)
-        assert witness["chain_map_checked"] and witness["h_iso_checked"]
-        assert materialize(mini).cohomology_dims() == M.cohomology_dims()
-        again, w2 = minimal_perfect_resolution(mini)
-        assert w2["cancelled_pairs"] == 0
+        P = random_projective_complex(rng, A)
+        mini = minimize(P).complex
+        assert mini.homology_dims() == P.homology_dims()
+        assert minimize(mini).complex == mini
+        sp = perfect_from_projective(D, P)
         nu = dg_nakayama(sp)
         nu.validate()
         fwd = hom_cohomology(sp, materialize(strict_perfect(D, [(0, 0)])))
