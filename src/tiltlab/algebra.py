@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import Field, Mat
+from .linalg import Echelon, Field, Mat
 
 PATH_CAP = 200_000
 
@@ -512,7 +512,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.blocks = list(blocks)
-        f = source.algebra.field
         for v, b in enumerate(self.blocks):
             if (b.nrows, b.ncols) != (source.dims[v], target.dims[v]):
                 raise AlgebraError("module map block shape mismatch")
@@ -661,7 +660,7 @@ def direct_sum_modules(algebra, mods):
             ro, co = off[s], off[t]
             for r, row in enumerate(m.mats[a].data):
                 big[ro + r][co:co + len(row)] = row
-        mats[a] = Mat(f, big, ncols=dims[t])
+        mats[a] = Mat._trusted(f, tuple(map(tuple, big)), dims[t])
     return Module(algebra, dims, mats), offsets
 
 
@@ -672,8 +671,8 @@ def map_slice(F: ModuleMap, source: Module, rows, target: Module, cols):
     blocks = []
     for v, b in enumerate(F.blocks):
         r, c, w = rows[v], cols[v], target.dims[v]
-        blocks.append(Mat(f, [row[c:c + w] for row in b.data[r:r + source.dims[v]]],
-                          ncols=w))
+        blocks.append(Mat._trusted(
+            f, tuple(row[c:c + w] for row in b.data[r:r + source.dims[v]]), w))
     return ModuleMap(source, target, blocks, check=False)
 
 
@@ -690,7 +689,7 @@ def map_placement(source: Module, rows, target: Module, cols, blocks):
             r, c = rows[k][v], cols[l][v]
             for i, row in enumerate(b.blocks[v].data):
                 full[r + i][c:c + len(row)] = row
-        out.append(Mat(f, full, ncols=target.dims[v]))
+        out.append(Mat._trusted(f, tuple(map(tuple, full)), target.dims[v]))
     return ModuleMap(source, target, out, check=False)
 
 
@@ -851,18 +850,21 @@ def projective_cover(M: Module):
             e[j] = f.one()
             gens.append((v, tuple(e)))
     P, offsets = direct_sum_modules(A, [A.projective(v) for v in verts])
-    # map each projective summand by acting on its generator
+    # map each projective summand by acting on its generator; paths from
+    # the generator's vertex share prefixes, so each prefix acts once
     summand_maps = {}
     for k, (v, gvec) in enumerate(gens):
         Pv = A.projective(v)
-        bl = []
-        for t in range(A.quiver.n):
-            rows = []
-            for i in Pv._proj_basis[t]:
-                src, arrs = A.paths[A.basis[i]]
-                img = Mat(f, [list(gvec)]).mul(M.path_action(src, arrs))
-                rows.append(list(img.data[0]))
-            bl.append(Mat(f, rows) if rows else Mat.zeros(f, 0, M.dims[t]))
+        acts = {(): Mat(f, [gvec])}
+
+        def act(arrs):
+            if arrs not in acts:
+                acts[arrs] = act(arrs[:-1]).mul(M.mats[arrs[-1]])
+            return acts[arrs]
+
+        bl = [Mat(f, [act(A.paths[A.basis[i]][1]).data[0]
+                      for i in Pv._proj_basis[t]], ncols=M.dims[t])
+              for t in range(A.quiver.n)]
         summand_maps[(k, 0)] = ModuleMap(Pv, M, bl, check=False)
     cover = map_placement(P, offsets, M, [(0,) * A.quiver.n], summand_maps)
     return verts, P, cover
@@ -1176,12 +1178,12 @@ class FiniteAlgebra:
         if J.nrows != self.dim - len(self.idempotents):
             raise AlgebraError("radical has wrong codimension")
         # two-sided ideal
-        for r in range(J.nrows):
-            x = tuple(J.data[r])
+        ideal = Echelon(J)
+        for x in J.data:
             for k in range(self.dim):
                 b = self.basis_elem(k)
                 for y in (self.mult(x, b), self.mult(b, x)):
-                    if Mat(f, list(J.data) + [list(y)]).rank() != J.nrows:
+                    if ideal.coords(y) is None:
                         raise AlgebraError("radical candidate is not an ideal")
         # nilpotent
         cur = J

@@ -3,7 +3,8 @@
 Exit status: 0 when the requested stages pass, 2 when a mathematical
 check fails (the collection axioms, orthogonality, the tilting
 verdict, a cross-check), 3 when the answer is inconclusive at the
-given budgets, 4 for unreadable input or bad configuration.
+given budgets, 4 for unreadable input or bad configuration, 5 for an
+internal error (any other exception, reported on one line).
 """
 
 import argparse
@@ -12,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .reporting import (EXIT_BADINPUT, EmptyCorpus, JobError,
-                        dg_reduce_report, parse_job, render_report,
+from .reporting import (EXIT_BADINPUT, EXIT_INTERNAL, EmptyCorpus,
+                        JobError, dg_reduce_report, parse_job, render_report,
                         run_corpus, run_pipeline)
 
 _STAGE_OF = {
@@ -110,6 +111,10 @@ def main(argv=None):
     except (JobError, EmptyCorpus, json.JSONDecodeError, OSError) as e:
         print(f"tiltlab: {e}", file=sys.stderr)
         return EXIT_BADINPUT
+    except Exception as e:
+        print(f"tiltlab: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .algebra import (
     map_placement,
     map_slice,
 )
-from .linalg import Mat, Subquotient
+from .linalg import Echelon, Mat, Subquotient
 
 Summand = namedtuple("Summand", ["kind", "vertex"])  # kind: "P" | "I" | "S"
 
@@ -670,6 +670,7 @@ class HomComplex:
         self.Y = Y
         self.field = X.algebra.field
         self.bases = {}
+        self._echelons = {}
         lo = min((m - k for k in X.parts for m in Y.parts), default=0)
         hi = max((m - k for k in X.parts for m in Y.parts), default=-1)
         for n in range(lo, hi + 1):
@@ -703,28 +704,33 @@ class HomComplex:
 
     def coords(self, n, img):
         """Coordinates of {k: ModuleMap} over the degree-n basis."""
-        f = self.field
-        entries = self.bases.get(n, [])
-        out = [f.zero()] * len(entries)
-        by_k = {}
-        for i, (k, h) in enumerate(entries):
-            by_k.setdefault(k, []).append((i, h))
+        out = [self.field.zero()] * len(self.bases.get(n, []))
         for k, m in img.items():
             if m.is_zero():
                 continue
-            cols = by_k.get(k)
-            if cols is None:
-                raise AlgebraError("hom complex: image outside basis support")
-            vec = _flatten_map(m)
-            basis_rows = Mat(f, [_flatten_map(h) for _, h in cols],
-                             ncols=len(vec))
-            sol = basis_rows.transpose().solve(
-                Mat(f, [vec], ncols=len(vec)).transpose())
-            if sol is None:
+            first, ech = self._block_echelon(n, k)
+            comb = ech.coords(_flatten_map(m))
+            if comb is None:
                 raise AlgebraError("hom complex: map not in hom basis span")
-            for (i, _), r in zip(cols, range(sol.nrows)):
-                out[i] = sol[r, 0]
+            for r, c in comb.items():
+                out[first + r] = c
         return out
+
+    def _block_echelon(self, n, k):
+        """(first index, Echelon of the flattened basis maps) for the
+        degree-n entries from X^k, built on first use.  The entries of one
+        k are consecutive and independent, so the Echelon keeps each one
+        under its offset from the first."""
+        key = (n, k)
+        if key not in self._echelons:
+            block = [(i, h) for i, (kk, h) in enumerate(self.bases.get(n, []))
+                     if kk == k]
+            if not block:
+                raise AlgebraError("hom complex: image outside basis support")
+            rows = [_flatten_map(h) for _, h in block]
+            self._echelons[key] = (block[0][0], Echelon(
+                Mat(self.field, rows, ncols=len(rows[0]))))
+        return self._echelons[key]
 
     def element(self, n, coords):
         """Rebuild {k: ModuleMap} from coordinates at degree n."""

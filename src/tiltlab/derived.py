@@ -389,10 +389,18 @@ def validate_simple_minded(objects, cone_budget=48):
     vanish), so the finite check is complete.  Generation is certified
     by the cone search when it reaches every simple; unimodularity of
     the class matrix is reported as the necessary part otherwise.
+
+    Each member that is not a complex of projectives is resolved once,
+    to the deepest bottom any target needs (the lowest target degree
+    minus two), and that resolution is the source of every hom out of
+    it: a deeper cut agrees with a shallower one in every degree the
+    shallower one computes.
     """
     A = objects[0].algebra
     mins = [minimize(X, verify=False).complex for X in objects]
     windows = [_homology_window(X) for X in mins]
+    bottom = min((X.min_deg() for X, w in zip(mins, windows) if w is not None),
+                 default=0) - 2
 
     report = {"objects": [X.describe() for X in mins]}
     report["count"] = {
@@ -404,11 +412,16 @@ def validate_simple_minded(objects, cone_budget=48):
     fail1 = []
     fail2 = []
     for i, Xi in enumerate(mins):
+        wi = windows[i]
+        if wi is None:
+            # acyclic member: no negative maps to check, endo check
+            # below will fail it
+            continue
+        if not all_tags(Xi, "P"):
+            Xi = resolve_complex(Xi, bottom=bottom).complex
         for j, Xj in enumerate(mins):
-            wi, wj = windows[i], windows[j]
-            if wi is None or wj is None:
-                # acyclic member: no negative maps to check, endo check
-                # below will fail it
+            wj = windows[j]
+            if wj is None:
                 continue
             floor = wj[0] - wi[1]
             if floor <= -1:

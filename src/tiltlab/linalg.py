@@ -201,7 +201,13 @@ def field_from_spec(spec):
 
 
 class Mat:
-    """Immutable dense matrix over a Field; rows stored as tuples."""
+    """Immutable dense matrix over a Field; rows stored as tuples.
+
+    The constructor re-tuples and checks the rows it is given, so every
+    matrix built from outside data (parsers, callers, tests) is well
+    formed.  A kernel that builds its own result from equal-length tuples
+    goes through _trusted instead, which stores them unchecked.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
@@ -219,18 +225,28 @@ class Mat:
         self.data = rows
 
     @classmethod
+    def _trusted(cls, field, rows, ncols):
+        """Wrap a tuple of tuples, each of length ncols, without checking."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m.data = rows
+        return m
+
+    @classmethod
     def from_rows(cls, field, rows):
         return cls(field, [[field.of(x) for x in row] for row in rows])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._trusted(field, ((field.zero(),) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._trusted(field, tuple(
+            tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -303,13 +319,13 @@ class Mat:
                     if a and b:
                         acc = f.add(acc, f.mul(a, b))
                 out_row.append(acc)
-            out.append(out_row)
-        return Mat(f, out, ncols=other.ncols)
+            out.append(tuple(out_row))
+        return Mat._trusted(f, tuple(out), other.ncols)
 
     def transpose(self):
         if self.nrows == 0:
-            return Mat(self.field, [[] for _ in range(self.ncols)], ncols=0)
-        return Mat(self.field, list(zip(*self.data)), ncols=self.nrows)
+            return Mat._trusted(self.field, ((),) * self.ncols, 0)
+        return Mat._trusted(self.field, tuple(zip(*self.data)), self.nrows)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -358,7 +374,7 @@ class Mat:
             rank += 1
             if rank == self.nrows:
                 break
-        return Mat(f, rows, ncols=self.ncols), tuple(pivots)
+        return Mat._trusted(f, tuple(map(tuple, rows)), self.ncols), tuple(pivots)
 
     def rank(self):
         _, pivots = self.rref()
@@ -379,8 +395,8 @@ class Mat:
                 v[pc] = f.neg(R.data[r][j])
             cols.append(v)
         if not cols:
-            return Mat(f, [[] for _ in range(self.ncols)], ncols=0)
-        return Mat(f, list(zip(*cols)), ncols=len(cols))
+            return Mat._trusted(f, ((),) * self.ncols, 0)
+        return Mat._trusted(f, tuple(zip(*cols)), len(cols))
 
     def solve(self, b):
         """Solve self @ x = b for a column-stacked b; None if inconsistent."""
@@ -400,14 +416,13 @@ class Mat:
                 x[pc] = R.data[r][self.ncols + k]
             xs.append(x)
         if not xs:
-            return Mat(f, [[] for _ in range(self.ncols)], ncols=0)
-        return Mat(f, list(zip(*xs)), ncols=len(xs))
+            return Mat._trusted(f, ((),) * self.ncols, 0)
+        return Mat._trusted(f, tuple(zip(*xs)), len(xs))
 
     def row_space_basis(self):
         """Rows spanning the row space, in echelon form."""
         R, pivots = self.rref()
-        return Mat(self.field, [R.data[i] for i in range(len(pivots))],
-                   ncols=self.ncols)
+        return Mat._trusted(self.field, R.data[:len(pivots)], self.ncols)
 
     def left_kernel_basis(self):
         """Rows v with v @ self = 0."""

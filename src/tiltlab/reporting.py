@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BADINPUT = 4
+EXIT_INTERNAL = 5
 
 
 class JobError(Exception):

@@ -217,6 +217,18 @@ def test_finite_algebra_from_path_algebra():
     assert G.quiver_arrow_counts() == [[0, 1], [0, 0]]
 
 
+def test_finite_algebra_refuses_a_radical_that_is_no_ideal():
+    A = a2()
+    G = FiniteAlgebra(QQ, A.mult_table(), A.one(),
+                      [A.idempotent(0), A.idempotent(1)])
+    G._verify_radical(G.radical_rows())
+    # the span of e_1 has the radical's codimension, but e_1 times the
+    # arrow (or the arrow times e_1) leaves it
+    J = Mat(QQ, [A.idempotent(0)])
+    with pytest.raises(AlgebraError, match="not an ideal"):
+        G._verify_radical(J)
+
+
 def test_finite_algebra_radical_gf2():
     A = dual_numbers(PrimeField(2))
     G = FiniteAlgebra(A.field, A.mult_table(), A.one(), [A.idempotent(0)])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tiltlab import cli
 from tiltlab.cli import default_corpus_dir, main
 
 A2_SIMPLES = {
@@ -216,6 +217,18 @@ def test_bad_flag_is_a_usage_error(tmp_path, capsys):
     code, _, _ = run(capsys, ["tilt", write_job(tmp_path, A2_SIMPLES),
                               "--no-such-flag"])
     assert code == 4
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    def broken(job, upto):
+        raise RuntimeError("invariant broke")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    code, out, err = run(capsys, ["tilt", write_job(tmp_path, A2_SIMPLES)])
+    assert code == 5
+    assert out == ""
+    assert err == "tiltlab: internal error: RuntimeError: invariant broke\n"
 
 
 # ---- the corpus ----

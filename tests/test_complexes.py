@@ -1,8 +1,12 @@
 """Tagged complexes: shift, cone, minimization, hom complexes."""
 
-import pytest
+import random
 
-from tiltlab.algebra import Algebra, AlgebraError, ModuleMap, Quiver, hom_basis
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tiltlab.algebra import (Algebra, AlgebraError, ModuleMap, Quiver, hom_basis,
+                             map_placement)
 from tiltlab.complexes import (
     ChainMap,
     Complex,
@@ -17,7 +21,8 @@ from tiltlab.complexes import (
     stalk_complex,
     tag_module,
 )
-from tiltlab.linalg import QQ
+from tiltlab.derived import resolve_complex
+from tiltlab.linalg import QQ, Mat, PrimeField
 from tiltlab.tilting import hom_to_element, left_mult_map
 
 
@@ -77,9 +82,23 @@ def test_cone_triangle_composes_to_zero(A):
     Y = stalk_complex(A, Summand("P", 0), 0)
     f = ChainMap(X, Y, {0: proj_map_a(A)})
     C, inc, proj = cone(f)
-    assert f.then(inc).then(proj).is_zero() or True
+    assert f.then(inc).then(proj).is_zero()
     # the composite Y -> C -> Sigma X must vanish
     assert inc.then(proj).is_zero()
+    # X -> Y -> C is not zero, but it is null-homotopic: its class in
+    # H^0 Hom(X, C) vanishes
+    assert not f.then(inc).is_zero()
+    hc = HomComplex(X, C)
+    _, H = hc.chain_classes(0)
+    cls = H.coords(hc.coords(0, f.then(inc).comps))
+    assert cls is not None and not any(cls)
+    # the null-homotopy is the inclusion h of X into the shifted-source
+    # block of C one degree down; with d_X = 0, X -> Y -> C equals h d_C,
+    # which pins the sign of the f block in the cone differential
+    origin = (0,) * A.quiver.n
+    h = map_placement(X.module(0), [origin], C.module(-1), [origin],
+                      {(0, 0): ModuleMap.identity(X.module(0))})
+    assert h.then(C.d_full(-1)).full() == f.then(inc).comp(0).full()
 
 
 def test_minimize_kills_contractible(A):
@@ -201,3 +220,72 @@ def test_direct_sum_complexes(A):
 def test_describe(A):
     X = res_s1(A)
     assert X.describe() == "[-1: P2] [0: P1]"
+
+
+def _flat(m):
+    return [x for b in m.blocks for row in b.data for x in row]
+
+
+def _coords_by_solve(hc, n, img):
+    """HomComplex.coords as one transpose-and-solve per block: the
+    coordinates, or None where it raised."""
+    f = hc.field
+    entries = hc.bases.get(n, [])
+    out = [f.zero()] * len(entries)
+    for k, m in img.items():
+        if m.is_zero():
+            continue
+        cols = [(i, h) for i, (kk, h) in enumerate(entries) if kk == k]
+        if not cols:
+            return None
+        vec = _flat(m)
+        basis_rows = Mat(f, [_flat(h) for _, h in cols], ncols=len(vec))
+        sol = basis_rows.transpose().solve(
+            Mat(f, [vec], ncols=len(vec)).transpose())
+        if sol is None:
+            return None
+        for (i, _), r in zip(cols, range(sol.nrows)):
+            out[i] = sol[r, 0]
+    return out
+
+
+def _random_complex(A, rng):
+    parts = [stalk_complex(A, Summand(rng.choice("PIS"), rng.randrange(3)),
+                           rng.randrange(-1, 2))
+             for _ in range(rng.randrange(1, 4))]
+    if rng.random() < 0.5:
+        S = stalk_complex(A, Summand("S", rng.randrange(3)), 0)
+        parts.append(resolve_complex(S).complex)
+    return direct_sum_complexes(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["Q", 5]))
+def test_hom_coords_match_a_solve_per_block(seed, field_key):
+    rng = random.Random(seed)
+    field = QQ if field_key == "Q" else PrimeField(field_key)
+    arrows = [("a", 0, 1) if rng.random() < 0.5 else ("a", 1, 0),
+              ("b", 1, 2) if rng.random() < 0.5 else ("b", 2, 1)]
+    A3 = Algebra(field, Quiver(3, arrows), [])
+    X, Y = _random_complex(A3, rng), _random_complex(A3, rng)
+    hc = HomComplex(X, Y)
+    for n, entries in hc.bases.items():
+        # a combination of the basis is given back its coefficients
+        coeffs = [field.of(rng.randrange(-3, 4)) for _ in entries]
+        img = hc.element(n, coeffs)
+        assert hc.coords(n, img) == _coords_by_solve(hc, n, img) == coeffs
+        # a blockwise linear map from one X^k, with or without basis
+        # entries: given the solver's coordinates, or refused
+        k = rng.choice([k for k in sorted(X.parts) if k + n in Y.parts])
+        src, tgt = X.module(k), Y.module(k + n)
+        blocks = [Mat(field, [[field.of(rng.randrange(-2, 3))
+                               for _ in range(tgt.dims[v])]
+                              for _ in range(src.dims[v])], ncols=tgt.dims[v])
+                  for v in range(3)]
+        img = {k: ModuleMap(src, tgt, blocks, check=False)}
+        want = _coords_by_solve(hc, n, img)
+        if want is None:
+            with pytest.raises(AlgebraError):
+                hc.coords(n, img)
+        else:
+            assert hc.coords(n, img) == want

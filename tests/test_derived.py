@@ -1,9 +1,11 @@
 """Resolutions, coresolutions, derived hom tables, collection checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tiltlab import derived
 from tiltlab.algebra import Algebra, AlgebraError, Quiver, indec_iso
-from tiltlab.complexes import Complex, Summand, stalk_complex
+from tiltlab.complexes import Complex, Summand, minimize, stalk_complex
 from tiltlab.derived import (
     HomTable,
     class_matrix,
@@ -247,3 +249,99 @@ def test_negative_ext_violation_detected(DUAL):
     rep2 = validate_simple_minded([S(DUAL, 0), S(DUAL, 0, deg=-1)])
     assert not rep2["is_smc"]
     assert rep2["count"]["status"] == "FAIL"
+
+
+# ---- one resolution per member ----
+
+def _hereditary(n, flips, field=QQ):
+    """A_n with arrow i between vertices i and i + 1, reversed where flips[i]."""
+    arrows = [(f"a{i}", i + 1, i) if flip else (f"a{i}", i, i + 1)
+              for i, flip in enumerate(flips)]
+    return Algebra(field, Quiver(n, arrows), [])
+
+
+def _cyclic_nakayama_3_3():
+    """kZ_3 / rad^3 over GF(5): self-injective, no resolution terminates."""
+    arrows = [(f"x{i}", i, (i + 1) % 3) for i in range(3)]
+    rels = [[(1, [f"x{(i + k) % 3}" for k in range(3)])] for i in range(3)]
+    return Algebra(PrimeField(5), Quiver(3, arrows), rels, nilpotency_bound=3)
+
+
+def _per_pair_failures(objects):
+    """Conditions 1 and 2 as validate_simple_minded computed them when it
+    handed every ordered pair of members to derived_hom unresolved."""
+    mins = [minimize(X, verify=False).complex for X in objects]
+    hd = [X.homology_dims() for X in mins]
+    windows = [(min(h), max(h)) if h else None for h in hd]
+    fail1, fail2 = [], []
+    for i, Xi in enumerate(mins):
+        for j, Xj in enumerate(mins):
+            wi, wj = windows[i], windows[j]
+            if wi is None or wj is None:
+                continue
+            floor = wj[0] - wi[1]
+            if floor <= -1:
+                tab = derived_hom(Xi, Xj, floor, -1)
+                fail1 += [{"source": i, "target": j, "shift": m,
+                           "dim": tab.dim(m)}
+                          for m in range(floor, 0) if tab.dim(m)]
+            d0 = derived_hom(Xi, Xj, 0, 0).dim(0)
+            if d0 != (1 if i == j else 0):
+                fail2.append({"source": i, "target": j, "dim": d0,
+                              "expected": 1 if i == j else 0})
+    fail2 += [{"source": i, "target": i, "dim": 0, "expected": 1}
+              for i, w in enumerate(windows) if w is None]
+    return fail1, fail2
+
+
+@st.composite
+def _collections(draw):
+    shape = draw(st.sampled_from(["A3", "A4", "nakayama_3_3"]))
+    if shape == "nakayama_3_3":
+        A = _cyclic_nakayama_3_3()
+    else:
+        n = int(shape[1])
+        A = _hereditary(n, draw(st.lists(st.booleans(), min_size=n - 1,
+                                         max_size=n - 1)))
+    n = A.quiver.n
+    shifts = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
+    members = [("S", v, s) for v, s in enumerate(shifts)]
+    # sometimes drop a simple or add a stalk of any kind, so that failing
+    # counts and projective or injective members are reached too
+    extra = draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if extra == "drop":
+        members.pop(draw(st.integers(0, n - 1)))
+    elif extra == "add":
+        members.append((draw(st.sampled_from("SPI")),
+                        draw(st.integers(0, n - 1)), draw(st.integers(-2, 1))))
+    return [stalk_complex(A, Summand(kind, v), deg)
+            for kind, v, deg in members]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_collections())
+def test_validation_matches_the_per_pair_reference(objects):
+    rep = validate_simple_minded(objects)
+    fail1, fail2 = _per_pair_failures(objects)
+    assert rep["cond1"] == {"status": "FAIL" if fail1 else "PASS",
+                            "failures": fail1}
+    assert rep["cond2"] == {"status": "FAIL" if fail2 else "PASS",
+                            "failures": fail2}
+    assert rep["is_smc"] == (rep["count"]["status"] == "PASS"
+                             and not fail1 and not fail2
+                             and rep["cond3"]["status"] != "FAIL")
+
+
+def test_validation_resolves_each_member_once(monkeypatch):
+    A5 = _hereditary(5, [False, False, True, True])
+    objects = [S(A5, v, deg=-(v % 2)) for v in range(5)]
+    calls = []
+
+    def counting(X, *args, **kwargs):
+        calls.append(X)
+        return resolve_complex(X, *args, **kwargs)
+
+    monkeypatch.setattr(derived, "resolve_complex", counting)
+    validate_simple_minded(objects)
+    assert len(calls) == 5
+    assert len({X.describe() for X in calls}) == 5

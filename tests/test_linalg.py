@@ -173,3 +173,40 @@ def test_charpoly_of_nilpotent_is_power(seed, n):
     cp = m.charpoly()
     assert cp[-1] == 1
     assert all(c == 0 for c in cp[:-1])
+
+
+def _checked_copy(R):
+    """R rebuilt through the checking constructor; its rows as stored."""
+    assert isinstance(R.data, tuple)
+    assert all(isinstance(r, tuple) and len(r) == R.ncols for r in R.data)
+    assert R.nrows == len(R.data)
+    return Mat(R.field, R.data, ncols=R.ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 3), st.sampled_from(["Q", 5]))
+def test_kernel_results_are_well_formed(seed, nrows, ncols, k, field_key):
+    rng = random.Random(seed)
+    field = QQ if field_key == "Q" else PrimeField(field_key)
+    m = _random_mat(field, rng, nrows, ncols)
+    if not nrows:
+        m = Mat(field, [], ncols=ncols)
+    other = _random_mat(field, rng, ncols, k) if ncols else Mat(field, [], ncols=k)
+    R, _ = m.rref()
+    results = [m.mul(other), m.transpose(), R, m.kernel_basis(),
+               m.row_space_basis(), Mat.zeros(field, nrows, ncols),
+               Mat.identity(field, ncols)]
+    consistent = m.solve(m.mul(other))
+    assert consistent is not None
+    results.append(consistent)
+    rhs = _random_mat(field, rng, nrows, k) if nrows else Mat(field, [], ncols=k)
+    x = m.solve(rhs)
+    if x is not None:
+        results.append(x)
+    for res in results:
+        assert res == _checked_copy(res)
+    assert (m.mul(other).nrows, m.mul(other).ncols) == (nrows, k)
+    assert (m.transpose().nrows, m.transpose().ncols) == (ncols, nrows)
+    assert m.kernel_basis().nrows == ncols
+    assert (consistent.nrows, consistent.ncols) == (ncols, k)
