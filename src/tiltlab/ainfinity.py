@@ -64,30 +64,38 @@ def _sign(f, parity):
     return f.one() if parity % 2 == 0 else f.neg(f.one())
 
 
-def _nonzero_ops(ops):
-    """{arity: {key: coords}} without the zero values and empty arities."""
-    out = {}
-    for n, table in ops.items():
-        kept = {key: tuple(val) for key, val in table.items() if any(val)}
-        if kept:
-            out[n] = kept
-    return out
+class AInfAlgebra:
+    """Minimal A-infinity algebra on a finite graded basis.
 
+    dims: {degree: dimension}.  ops: {arity n: {key: coords}} where a
+    key is an n-tuple of (degree, index) basis references and coords
+    live in degree sum + 2 - n.  idempotents are degree-0 vectors; the
+    strict unit is their sum.  tags assign each basis element its
+    Peirce corner (left idempotent, right idempotent).
+    """
 
-class _GradedOperations:
-    """Graded dimensions and multilinear operations, shared by minimal
-    A-infinity algebras and their modules; op(n, key) is the operation
-    on basis references."""
+    def __init__(self, field, dims, ops, idempotents, arity_cap,
+                 tags=None, positive=False, check=True):
+        self.field = field
+        self.dims = {k: n for k, n in dims.items() if n}
+        self.ops = {}  # zero values and empty arities are dropped
+        for n, table in ops.items():
+            kept = {key: tuple(val) for key, val in table.items() if any(val)}
+            if kept:
+                self.ops[n] = kept
+        self.idempotents = [tuple(e) for e in idempotents]
+        self.arity_cap = arity_cap
+        self.positive = positive
+        self.strict_unit = True
+        self.tags = tags if tags is not None else self._compute_tags()
+        if check:
+            self.validate()
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
 
     def degrees(self):
         return sorted(self.dims)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def op_elem(self, n, items):
         """Multilinear extension; items are (degree, coords) pairs."""
@@ -104,30 +112,6 @@ class _GradedOperations:
             for a, c in enumerate(val):
                 acc[a] = f.add(acc[a], f.mul(coeff, c))
         return tuple(acc)
-
-
-class AInfAlgebra(_GradedOperations):
-    """Minimal A-infinity algebra on a finite graded basis.
-
-    dims: {degree: dimension}.  ops: {arity n: {key: coords}} where a
-    key is an n-tuple of (degree, index) basis references and coords
-    live in degree sum + 2 - n.  idempotents are degree-0 vectors; the
-    strict unit is their sum.  tags assign each basis element its
-    Peirce corner (left idempotent, right idempotent).
-    """
-
-    def __init__(self, field, dims, ops, idempotents, arity_cap,
-                 tags=None, positive=False, check=True):
-        self.field = field
-        self.dims = {k: n for k, n in dims.items() if n}
-        self.ops = _nonzero_ops(ops)
-        self.idempotents = [tuple(e) for e in idempotents]
-        self.arity_cap = arity_cap
-        self.positive = positive
-        self.strict_unit = True
-        self.tags = tags if tags is not None else self._compute_tags()
-        if check:
-            self.validate()
 
     @property
     def unit(self):
@@ -295,10 +279,6 @@ class AInfAlgebra(_GradedOperations):
             if self.dim_at(0) != len(self.idempotents):
                 raise PositivityViolation(
                     "degree zero is larger than the idempotent span")
-
-    def vanishing_above(self, n0):
-        """True when every stored operation has arity at most n0."""
-        return all(n <= n0 for n in self.ops)
 
 
 # ---- homotopy transfer ----
@@ -539,174 +519,6 @@ def collection_ext_model(objects, arity_cap=4):
         forms.append(r.complex)
     E = endomorphism_dg_algebra(forms)
     return kadeishvili_minimal_model(E, arity_cap)
-
-
-# ---- stalk modules over a positive minimal model ----
-
-class AInfModuleStalk(_GradedOperations):
-    """Right module with operations m_n^M : M (x) A^(n-1) -> M.
-
-    Keys pair a module basis reference with algebra basis references;
-    the module Stasheff system is checked in the same shifted form as
-    for algebras, with the module slot leftmost.
-    """
-
-    def __init__(self, algebra: AInfAlgebra, dims, ops, check=True):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.dims = {k: n for k, n in dims.items() if n}
-        self.ops = _nonzero_ops(ops)
-        if check:
-            self.validate()
-
-    def op(self, n, key):
-        mdeg = key[0][0]
-        out_deg = mdeg + sum(d for d, _ in key[1:]) + 2 - n
-        table = self.ops.get(n)
-        if table is None or key not in table:
-            return _zeros(self.field, self.dim_at(out_deg))
-        return table[key]
-
-    def validate(self):
-        f = self.field
-        A = self.algebra
-        one = A.unit
-        for k in self.degrees():
-            for a in range(self.dim_at(k)):
-                x = _unit_vec(f, self.dim_at(k), a)
-                if self.op_elem(2, [(k, x), (0, one)]) != x:
-                    raise AInfError("module unit law fails")
-        for n in range(3, A.arity_cap + 2):
-            bad = self.stasheff_defect(n)
-            if bad is not None:
-                raise AInfError(
-                    f"module identities fail at arity {n} on {bad[0]}")
-
-    def _keys(self, n):
-        mrefs = [(k, a) for k in self.degrees()
-                 for a in range(self.dim_at(k))]
-        arefs = [(k, a) for k in self.algebra.degrees()
-                 for a in range(self.algebra.dim_at(k))]
-        out = [(m,) for m in mrefs]
-        for _ in range(n - 1):
-            out = [p + (r,) for p in out for r in arefs]
-        return out
-
-    def stasheff_defect(self, n):
-        f = self.field
-        A = self.algebra
-        for key in self._keys(n):
-            out_deg = sum(d for d, _ in key) + 3 - n
-            acc = list(_zeros(f, self.dim_at(out_deg)))
-            for k in range(2, n):
-                outer = n - k + 1
-                # module operation inside (prefix is empty); the inner
-                # value needs the same shift conversion as an algebra op
-                ipar = sum((k - 1 - t) * key[t][0] for t in range(k))
-                inner = _scale(f, _sign(f, ipar), self.op(k, key[:k]))
-                if any(inner):
-                    ideg = sum(d for d, _ in key[:k]) + 2 - k
-                    items = [(ideg, inner)] + [
-                        (d, _unit_vec(f, A.dim_at(d), a))
-                        for d, a in key[k:]]
-                    parity = sum((outer - 1 - s) * items[s][0]
-                                 for s in range(outer))
-                    val = _scale(f, _sign(f, parity),
-                                 self.op_elem(outer, items))
-                    acc = [f.add(p, q) for p, q in zip(acc, val)]
-                # algebra operation inside, at positions past the slot
-                for t in range(1, n - k + 1):
-                    ikey = key[t:t + k]
-                    inner = A.shifted_op(k, ikey)
-                    if not any(inner):
-                        continue
-                    ideg = sum(d for d, _ in ikey) + 2 - k
-                    items = [(key[0][0],
-                              _unit_vec(f, self.dim_at(key[0][0]),
-                                        key[0][1]))]
-                    items += [(d, _unit_vec(f, A.dim_at(d), a))
-                              for d, a in key[1:t]]
-                    items.append((ideg, inner))
-                    items += [(d, _unit_vec(f, A.dim_at(d), a))
-                              for d, a in key[t + k:]]
-                    parity = sum((outer - 1 - s) * items[s][0]
-                                 for s in range(outer))
-                    parity += sum(d - 1 for d, _ in key[:t])
-                    val = _scale(f, _sign(f, parity),
-                                 self.op_elem(outer, items))
-                    acc = [f.add(p, q) for p, q in zip(acc, val)]
-            if any(acc):
-                return key, tuple(acc)
-        return None
-
-
-def projective_ainf_modules(X: AInfAlgebra):
-    """The corner modules e_i A with operations restricted from A."""
-    if not X.positive:
-        raise PositivityViolation(
-            "projective stalks need a positive model")
-    out = []
-    for i in range(len(X.idempotents)):
-        sel = {}
-        dims = {}
-        for k in X.degrees():
-            rows = [a for a in range(X.dim_at(k))
-                    if X.left_tag(k, a) == i]
-            if rows:
-                sel[k] = rows
-                dims[k] = len(rows)
-        ops = {}
-        for n, table in X.ops.items():
-            sub = {}
-            for key, val in table.items():
-                d0, a0 = key[0]
-                if X.left_tag(d0, a0) != i:
-                    continue
-                out_deg = sum(d for d, _ in key) + 2 - n
-                kept = sel.get(out_deg, [])
-                local = tuple(val[a] for a in kept)
-                for a, c in enumerate(val):
-                    if c and a not in kept:
-                        raise AInfError(
-                            "corner module is not closed under the "
-                            "operations")
-                mkey = ((d0, sel[d0].index(a0)),) + key[1:]
-                sub[mkey] = local
-            if sub:
-                ops[n] = sub
-        out.append(AInfModuleStalk(X, dims, ops, check=True))
-    return out
-
-
-def simple_ainf_modules(X: AInfAlgebra):
-    """One-dimensional tops of the corner modules.
-
-    Over a positive model the degree-zero corner acts through the
-    idempotent coefficients and every higher action vanishes for
-    degree reasons, so each simple is a stalk in degree zero.
-    """
-    if not X.positive:
-        raise PositivityViolation("simple stalks need a positive model")
-    f = X.field
-    r = len(X.idempotents)
-    emat = Mat(f, [list(e) for e in X.idempotents],
-               ncols=X.dim_at(0)).transpose()
-    sims = []
-    for i in range(r):
-        ops2 = {}
-        for a in range(X.dim_at(0)):
-            x = _unit_vec(f, X.dim_at(0), a)
-            sol = emat.solve(Mat(f, [list(x)]).transpose())
-            if sol is None:
-                raise PositivityViolation(
-                    "degree zero is not spanned by the idempotents")
-            lam = sol.data[i][0]
-            if lam:
-                ops2[((0, 0), (0, a))] = (lam,)
-        sims.append(AInfModuleStalk(X, {0: 1}, {2: ops2}, check=True))
-    if sum(s.total_dim for s in sims) != X.dim_at(0):
-        raise AInfError("the simples do not add up to the degree-zero part")
-    return sims
 
 
 # ---- the dual bar construction ----

@@ -14,8 +14,6 @@ raising it would not change the algebra.
 
 from __future__ import annotations
 
-import random
-
 from .linalg import Echelon, Field, Mat
 
 PATH_CAP = 200_000
@@ -257,25 +255,6 @@ class Algebra:
         z = self.field.zero()
         vec = [z] * len(self.paths)
         vec[k] = self.field.one()
-        return self._reduce_path_vector(vec)
-
-    def elem_from_terms(self, terms):
-        """terms: list of (coeff, [arrow labels]); [] means sum of idempotents not allowed here."""
-        f = self.field
-        z = f.zero()
-        vec = [z] * len(self.paths)
-        for c, labs in terms:
-            c = f.parse(c) if isinstance(c, str) else f.of(c)
-            if not labs:
-                raise AlgebraError("empty path in element; use idempotent(v)")
-            arrs = tuple(self.quiver.by_label[l] for l in labs)
-            src = self.quiver.source(arrs[0])
-            full = (src, arrs)
-            if len(arrs) >= self.bound:
-                continue
-            if full not in self.path_index:
-                raise AlgebraError("element path not composable")
-            vec[self.path_index[full]] = f.add(vec[self.path_index[full]], c)
         return self._reduce_path_vector(vec)
 
     def _concat_reduce(self, pu, pv):
@@ -911,57 +890,6 @@ def is_self_injective(A: Algebra):
     return nakayama_permutation(A) is not None
 
 
-def symmetric_form(A: Algebra, tries=64, seed=0):
-    """A linear form with phi(ab) = phi(ba) and nondegenerate Gram, or None."""
-    f = A.field
-    d = A.dim
-    table = A.mult_table()
-    rows = []
-    for u in range(d):
-        for v in range(u + 1, d):
-            row = [f.sub(a, b) for a, b in zip(table[u][v], table[v][u])]
-            if any(row):
-                rows.append(row)
-    if rows:
-        K = Mat(f, rows).kernel_basis()
-        cands = [tuple(K[i, j] for i in range(d)) for j in range(K.ncols)]
-    else:
-        eye = Mat.identity(f, d)
-        cands = [tuple(eye[i, j] for i in range(d)) for j in range(d)]
-    if not cands:
-        return None
-
-    def gram(phi):
-        return Mat(f, [[_dot(f, table[u][v], phi) for v in range(d)] for u in range(d)])
-
-    for phi in cands:
-        if gram(phi).rank() == d:
-            return phi
-    rng = random.Random(seed)
-    pool = list(range(f.p)) if isinstance(getattr(f, "p", None), int) else list(range(-3, 4))
-    for _ in range(tries):
-        phi = tuple(f.zero() for _ in range(d))
-        acc = [f.zero()] * d
-        for c in cands:
-            s = f.of(rng.choice(pool))
-            acc = [f.add(x, f.mul(s, y)) for x, y in zip(acc, c)]
-        phi = tuple(acc)
-        if gram(phi).rank() == d:
-            return phi
-    return None
-
-
-def is_symmetric_algebra(A: Algebra):
-    return symmetric_form(A) is not None
-
-
-def _dot(f, xs, ys):
-    acc = f.zero()
-    for x, y in zip(xs, ys):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
 # ---- sparse structure constants (shared with dg algebras) ----
 
 def sparse_structure(dense, dims, error):
@@ -1196,31 +1124,6 @@ class FiniteAlgebra:
                     nxt_rows.append(list(self.mult(tuple(cur.data[r]), tuple(J.data[s]))))
             cur = Mat(f, nxt_rows).row_space_basis() if nxt_rows else Mat.zeros(f, 0, self.dim)
         raise AlgebraError("radical candidate is not nilpotent")
-
-    def quiver_arrow_counts(self):
-        """dim of e_i (J/J^2) e_j for each pair, from the verified radical."""
-        f = self.field
-        J = self.radical_rows()
-        J2_rows = []
-        for r in range(J.nrows):
-            for s in range(J.nrows):
-                J2_rows.append(list(self.mult(tuple(J.data[r]), tuple(J.data[s]))))
-        J2 = Mat(f, J2_rows).row_space_basis() if J2_rows else Mat.zeros(f, 0, self.dim)
-        n = len(self.idempotents)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ei, ej = self.idempotents[i], self.idempotents[j]
-                part = []
-                for r in range(J.nrows):
-                    part.append(list(self.mult(self.mult(ei, tuple(J.data[r])), ej)))
-                partJ2 = []
-                for r in range(J2.nrows):
-                    partJ2.append(list(self.mult(self.mult(ei, tuple(J2.data[r])), ej)))
-                dim_part = Mat(f, part).rank() if part else 0
-                dim_j2 = Mat(f, partJ2).rank() if partJ2 else 0
-                out[i][j] = dim_part - dim_j2
-        return out
 
 
 def _split_eigenvalue(field, charpoly_coeffs, d):

@@ -841,24 +841,3 @@ def complex_iso_search(X: Complex, Y: Complex, tries=200, seed=0):
         if acc.is_degreewise_iso():
             return acc
     return None
-
-
-def complexes_indec_iso(X: Complex, Y: Complex):
-    """Decisive for minimal complexes that are indecomposable up to homotopy."""
-    if {n: X.dims_at(n) for n in X.parts} != {n: Y.dims_at(n) for n in Y.parts}:
-        return False
-    if X.is_zero():
-        return True
-    hcf = HomComplex(X, Y)
-    hcb = HomComplex(Y, X)
-    Zf = hcf.vect.cycles(0)
-    Zb = hcb.vect.cycles(0)
-    fwd = [ChainMap(X, Y, hcf.element(0, list(Zf.data[i])), check=False)
-           for i in range(Zf.nrows)]
-    bwd = [ChainMap(Y, X, hcb.element(0, list(Zb.data[i])), check=False)
-           for i in range(Zb.nrows)]
-    for u in fwd:
-        for v in bwd:
-            if u.then(v).is_degreewise_iso():
-                return True
-    return False

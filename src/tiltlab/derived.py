@@ -194,14 +194,6 @@ def injective_form(X: Complex, top=None, validate=False) -> Complex:
     return minimize(res.complex, verify=validate).complex
 
 
-def projective_form(X: Complex, bottom=None, validate=False) -> Complex:
-    """Minimal complex of projectives quasi-isomorphic to X (up to any cut)."""
-    if X.parts and all_tags(X, "P"):
-        return minimize(X, verify=validate).complex
-    res = resolve_complex(X, bottom=bottom, validate=validate)
-    return minimize(res.complex, verify=validate).complex
-
-
 # ---- derived hom tables ----
 
 class HomTable:

@@ -9,11 +9,8 @@ constants are stored sparse, nonzero products only.  Degrees follow the cochain
 convention (differentials raise degree by one); elements of a fixed
 degree are row vectors in the chosen basis of that degree.
 
-The toolkit covers the standard truncation t-structure, passage to the
-degree-zero cohomology algebra and its module category, stripping of
-contractible idempotent summands, the one-dimensional simples with
-their orthogonality table, and the Nakayama functor on strictly perfect
-modules.  A bounded
+The toolkit covers strictly perfect modules, with the standard
+truncation t-structure and the Nakayama functor on them.  A bounded
 complex of modules over a path algebra can be packaged into its
 endomorphism dg algebra, which is where the truncated endomorphism
 algebra of a dual family comes from.
@@ -21,8 +18,8 @@ algebra of a dual family comes from.
 
 from collections import namedtuple
 
-from .algebra import (FiniteAlgebra, ModuleMap, dense_product,
-                      is_associative, sparse_product, sparse_structure)
+from .algebra import (ModuleMap, dense_product, is_associative,
+                      sparse_product, sparse_structure)
 from .complexes import HomComplex
 from .linalg import Mat, Subquotient
 
@@ -40,12 +37,17 @@ def _unit_vec(f, n, k):
     return tuple(f.one() if i == k else z for i in range(n))
 
 
-def _coords_in_rows(rows: Mat, vec, what="element"):
-    """Coordinates of a row vector in the span of the given rows."""
-    sol = rows.transpose().solve(Mat(rows.field, [list(vec)]).transpose())
-    if sol is None:
-        raise DgError(f"{what} is not in the expected span")
-    return tuple(sol.transpose().data[0]) if sol.ncols else ()
+def _span_coords(rows: Mat):
+    """Coordinates over independent rows: coords(vec, what) solves through
+    one echelon form held for every query and raises outside the span."""
+    span = Subquotient(rows, Mat.zeros(rows.field, 0, rows.ncols))
+
+    def coords(vec, what):
+        out = span.coords(vec)
+        if out is None:
+            raise DgError(f"{what} is not in the expected span")
+        return out
+    return coords
 
 
 def _h_dims(field, dims, d):
@@ -58,16 +60,6 @@ def _h_dims(field, dims, d):
         if h:
             out[k] = h
     return out
-
-
-def _cohomology(X, k):
-    """H^k of a dg algebra or module: the echelonised cycles of degree k
-    over the boundaries."""
-    f, n = X.field, X.dim_at(k)
-    Z = X.d[k].left_kernel_basis().row_space_basis() if k in X.d \
-        else Mat.identity(f, n)
-    B = X.d[k - 1] if k - 1 in X.d else Mat.zeros(f, 0, n)
-    return Subquotient(Z, B)
 
 
 # ---- dg algebras ----
@@ -105,10 +97,6 @@ class DgAlgebra:
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def degrees(self):
         return sorted(self.dims)
@@ -232,50 +220,14 @@ class DgAlgebra:
             tags[k] = row
         return tags
 
-    def h0_algebra(self):
-        """H^0 as a verified finite-dimensional algebra, with the class map."""
-        f = self.field
-        quo = _cohomology(self, 0)
-
-        def cls(vec):
-            out = quo.coords(vec)
-            if out is None:
-                raise DgError("degree-zero vector escaped its own space")
-            return out
-
-        table = []
-        for a in range(quo.dim):
-            row = []
-            xa = tuple(quo.reps.data[a])
-            for b in range(quo.dim):
-                yb = tuple(quo.reps.data[b])
-                row.append(cls(self.elem_mult(0, xa, 0, yb)))
-            table.append(row)
-        unit = cls(self.unit)
-        idems = [cls(e) for e in self.idempotents]
-        return FiniteAlgebra(f, table, unit, idems), cls
-
 
 def dg_from_path_algebra(A) -> DgAlgebra:
     """An ordinary path-algebra quotient viewed as a dg algebra in degree 0."""
-    f = A.field
     n = A.dim
     mult = {(0, 0): [[tuple(A.mult(A._unit_coord(a), A._unit_coord(b)))
                       for b in range(n)] for a in range(n)]}
-    unit = [f.zero()] * n
-    idems = []
-    for i in range(n):
-        src, arrs = A.paths[A.basis[i]]
-        if not arrs:
-            unit[i] = f.one()
-    for v in range(A.quiver.n):
-        e = [f.zero()] * n
-        for i in range(n):
-            src, arrs = A.paths[A.basis[i]]
-            if not arrs and src == v:
-                e[i] = f.one()
-        idems.append(tuple(e))
-    return DgAlgebra(f, {0: n}, {}, mult, tuple(unit), idems)
+    idems = [A.idempotent(v) for v in range(A.quiver.n)]
+    return DgAlgebra(A.field, {0: n}, {}, mult, A.one(), idems)
 
 
 # ---- dg modules ----
@@ -302,10 +254,6 @@ class DgModule:
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def degrees(self):
         return sorted(self.dims)
@@ -381,18 +329,6 @@ class DgModule:
 
     def cohomology_dims(self):
         return _h_dims(self.field, self.dims, self.d)
-
-    def idempotent_slice_dims(self, i):
-        """Graded dimensions of M e_i; needs right tags."""
-        if self.right_tags is None:
-            raise DgError("module carries no idempotent tags")
-        return {k: sum(1 for t in self.right_tags[k] if t == i)
-                for k in self.degrees()
-                if any(t == i for t in self.right_tags[k])}
-
-
-def zero_dg_module(A: DgAlgebra) -> DgModule:
-    return DgModule(A, {}, {}, {}, check=False, right_tags={})
 
 
 # ---- free summands and strictly perfect modules ----
@@ -584,12 +520,12 @@ def truncate(M: DgModule):
         elif k == 0 and ker.nrows:
             lo_dims[0] = ker.nrows
             inc[0] = ker
+    lo_coords = {k: _span_coords(inc[k]) for k in lo_dims}
     for k in lo_dims:
         if k + 1 in lo_dims and k in M.d:
             big = inc[k].mul(M.d[k])
-            rows = [
-                _coords_in_rows(inc[k + 1], r, "truncated differential")
-                for r in big.data]
+            rows = [lo_coords[k + 1](r, "truncated differential")
+                    for r in big.data]
             lo_d[k] = Mat(f, [list(r) for r in rows], ncols=lo_dims[k + 1])
         for i in A.degrees():
             if k + i not in lo_dims:
@@ -600,8 +536,7 @@ def truncate(M: DgModule):
                 for a in range(A.dim_at(i)):
                     vec = M.elem_act(k, tuple(inc[k].data[m]), i,
                                      _unit_vec(f, A.dim_at(i), a))
-                    row.append(_coords_in_rows(inc[k + i], vec,
-                                               "truncated action"))
+                    row.append(lo_coords[k + i](vec, "truncated action"))
                 t.append(row)
             lo_act[(k, i)] = t
     lo = DgModule(A, lo_dims, lo_d, lo_act, check=True,
@@ -642,159 +577,6 @@ def truncate(M: DgModule):
             hi_act[(k, i)] = t
     hi = DgModule(A, hi_dims, hi_d, hi_act, check=True, right_tags=None)
     return lo, hi, inc, proj
-
-
-def heart_to_h0(M: DgModule):
-    """H^0 of a module with cohomology concentrated in degree zero.
-
-    Returns (dimension, action matrices over the basis of H^0(A),
-    H^0(A) as a FiniteAlgebra).  Raises with a witness degree when the
-    concentration hypothesis fails.
-    """
-    A = M.algebra
-    h = M.cohomology_dims()
-    bad = sorted(m for m in h if m != 0)
-    if bad:
-        raise DgError(
-            f"cohomology is not concentrated in degree zero "
-            f"(witness degree {bad[0]})")
-    f = A.field
-    H0, cls = A.h0_algebra()
-    quo = _cohomology(M, 0)
-    # induced action of each H^0(A) basis class
-    mats = []
-    for b in range(H0.dim):
-        lift = _lift_h0_class(A, cls, b, H0)
-        rows = []
-        for m in range(quo.dim):
-            vec = M.elem_act(0, tuple(quo.reps.data[m]), 0, lift)
-            c = quo.coords(vec)
-            if c is None:
-                raise DgError("induced action left the cohomology")
-            rows.append(list(c))
-        mats.append(Mat(f, rows, ncols=quo.dim))
-    return quo.dim, mats, H0
-
-
-def _lift_h0_class(A: DgAlgebra, cls, b, H0: FiniteAlgebra):
-    """A degree-0 element whose class is the b-th basis vector of H^0."""
-    f = A.field
-    n0 = A.dim_at(0)
-    for a in range(n0):
-        vec = _unit_vec(f, n0, a)
-        if cls(vec) == _unit_vec(f, H0.dim, b):
-            return vec
-    # general case: solve through the class map
-    rows = [list(cls(_unit_vec(f, n0, a))) for a in range(n0)]
-    sol = Mat(f, rows, ncols=H0.dim).transpose() \
-        .solve(Mat(f, [list(_unit_vec(f, H0.dim, b))]).transpose())
-    if sol is None:
-        raise DgError("cohomology class has no degree-zero lift")
-    return tuple(sol.transpose().data[0])
-
-
-# ---- Morita reduction ----
-
-def morita_reduce(A: DgAlgebra):
-    """Strip idempotent summands that the differential contracts.
-
-    An idempotent e with e in im(d) spans a summand eA homotopic to
-    zero.  Because im(d) meets degree 0 in a two-sided ideal, testing
-    each idempotent separately is exhaustive.  Returns the corner
-    algebra on the kept idempotents plus the kept/stripped index
-    lists.
-    """
-    f = A.field
-    n0 = A.dim_at(0)
-    img = A.d[-1] if -1 in A.d else Mat.zeros(f, 0, n0)
-    stripped, kept = [], []
-    for i, e in enumerate(A.idempotents):
-        sol = img.transpose().solve(Mat(f, [list(e)]).transpose()) \
-            if img.nrows else None
-        (stripped if sol is not None else kept).append(i)
-    if not stripped:
-        return A, kept, stripped
-    if not kept:
-        raise DgError("every idempotent is contractible; the corner is zero")
-    e = list(_zeros(f, n0))
-    for i in kept:
-        e = [f.add(p, q) for p, q in zip(e, A.idempotents[i])]
-    e = tuple(e)
-
-    sub_rows = {}
-    for k in A.degrees():
-        rows = []
-        for a in range(A.dim_at(k)):
-            xa = _unit_vec(f, A.dim_at(k), a)
-            rows.append(list(A.elem_mult(
-                0, e, k, A.elem_mult(k, xa, 0, e))))
-        sub_rows[k] = Mat(f, rows, ncols=A.dim_at(k)).row_space_basis()
-    dims = {k: m.nrows for k, m in sub_rows.items() if m.nrows}
-
-    def coords(k, vec):
-        return _coords_in_rows(sub_rows[k], vec, "corner element")
-
-    d = {}
-    for k in dims:
-        if dims.get(k + 1, 0) == 0 or k not in A.d:
-            continue
-        rows = [list(coords(k + 1, A.elem_d(k, tuple(sub_rows[k].data[a]))))
-                for a in range(dims[k])]
-        d[k] = Mat(f, rows, ncols=dims[k + 1])
-    mult = {}
-    for i in dims:
-        for j in dims:
-            if dims.get(i + j, 0) == 0:
-                continue
-            t = []
-            for a in range(dims[i]):
-                row = []
-                for b in range(dims[j]):
-                    prod = A.elem_mult(i, tuple(sub_rows[i].data[a]),
-                                       j, tuple(sub_rows[j].data[b]))
-                    row.append(coords(i + j, prod))
-                t.append(row)
-            mult[(i, j)] = t
-    unit = coords(0, e)
-    idems = [coords(0, A.idempotents[i]) for i in kept]
-    return DgAlgebra(f, dims, d, mult, unit, idems), kept, stripped
-
-
-# ---- one-dimensional simples and their orthogonality table ----
-
-def dg_simples(A: DgAlgebra):
-    """The simple module at each idempotent, concentrated in degree 0.
-
-    Basis elements of negative degree act by zero for degree reasons;
-    the degree-0 part acts through the residue of the corresponding
-    local corner of H^0.  Module laws are verified on construction.
-    """
-    f = A.field
-    H0, cls = A.h0_algebra()
-    n0 = A.dim_at(0)
-    out = []
-    for i, e in enumerate(A.idempotents):
-        if not any(cls(e)):
-            # the would-be simple is zero in the derived category and
-            # carries no unital module structure
-            raise DgError(
-                "simple module requested at a contractible idempotent; "
-                "apply the Morita reduction first")
-        corner, lambdas = H0.local_residue_functional(i)
-        row = []
-        for a in range(n0):
-            xa = _unit_vec(f, n0, a)
-            y = A.elem_mult(0, e, 0, A.elem_mult(0, xa, 0, e))
-            cy = cls(y)
-            coords = _coords_in_rows(corner, cy, "corner element")
-            lam = f.zero()
-            for c, l in zip(coords, lambdas):
-                lam = f.add(lam, f.mul(c, l))
-            row.append((lam,))
-        S = DgModule(A, {0: 1}, {}, {(0, 0): [row]}, check=True,
-                     right_tags={0: [i]})
-        out.append(S)
-    return out
 
 
 HomData = namedtuple("HomData", ["field", "dims", "d", "basis"])
@@ -838,6 +620,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
             if slc.nrows:
                 slices[(t, k)] = slc
                 degs.add(k)
+    slice_coords = {key: _span_coords(slc) for key, slc in slices.items()}
     dims, basis = {}, {}
     for k in sorted(degs):
         labels = []
@@ -862,7 +645,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
             if any(dv):
                 if (t, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
-                cr = _coords_in_rows(slices[(t, k + 1)], dv, "hom value")
+                cr = slice_coords[(t, k + 1)](dv, "hom value")
                 for c, coef in enumerate(cr):
                     out[t][c] = f.add(out[t][c], coef)
             # the generator of piece p maps to x_{pt} inside piece t,
@@ -875,7 +658,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
                     continue
                 if (p, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
-                cr = _coords_in_rows(slices[(p, k + 1)], w, "hom value")
+                cr = slice_coords[(p, k + 1)](w, "hom value")
                 for c, coef in enumerate(cr):
                     out[p][c] = f.sub(out[p][c], f.mul(sgn, coef))
             row = []
@@ -894,18 +677,6 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
 def hom_cohomology(sp: StrictPerfect, N: DgModule):
     h = hom_perfect_module(sp, N)
     return _h_dims(h.field, h.dims, h.d)
-
-
-def simple_delta_table(A: DgAlgebra):
-    """dims of H^m Hom(e_i A, S_j): the orthogonality table."""
-    simples = dg_simples(A)
-    r = len(A.idempotents)
-    table = {}
-    for i in range(r):
-        sp = strict_perfect(A, [(0, i)])
-        for j, S in enumerate(simples):
-            table[(i, j)] = hom_cohomology(sp, S)
-    return table
 
 
 # ---- the Nakayama functor on strictly perfect modules ----
@@ -1119,6 +890,7 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
     dims = {k: n for k, n in E.dims.items() if k < 0}
     if ker.nrows:
         dims[0] = ker.nrows
+    ker_coords = _span_coords(ker)
 
     def coords(k, vec):
         if k > 0:
@@ -1126,7 +898,7 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
                 raise DgError("truncated product escaped upward")
             return None
         if k == 0:
-            return _coords_in_rows(ker, vec, "degree-zero cycle")
+            return ker_coords(vec, "degree-zero cycle")
         return tuple(vec)
 
     def rep(k, a):
@@ -1157,14 +929,3 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
     unit = coords(0, E.unit)
     idems = [coords(0, e) for e in E.idempotents]
     return DgAlgebra(f, dims, d, mult, unit, idems, check=True)
-
-
-def algebra_heart(E: DgAlgebra) -> FiniteAlgebra:
-    """H^0 when the cohomology is concentrated there; witness otherwise."""
-    h = E.cohomology_dims()
-    bad = sorted(m for m in h if m != 0)
-    if bad:
-        raise DgError(
-            f"cohomology is not concentrated in degree zero "
-            f"(witness degree {bad[0]})")
-    return E.h0_algebra()[0]

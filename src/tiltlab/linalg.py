@@ -333,11 +333,6 @@ class Mat:
         return Mat(self.field, [ra + rb for ra, rb in zip(self.data, other.data)],
                    ncols=self.ncols + other.ncols)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat(self.field, self.data + other.data, ncols=self.ncols)
-
     def _check_same_shape(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")

@@ -20,8 +20,6 @@ from tiltlab.ainfinity import (
     collection_ext_model,
     dual_bar_dg,
     kadeishvili_minimal_model,
-    projective_ainf_modules,
-    simple_ainf_modules,
 )
 from tiltlab.complexes import Summand, minimize, stalk_complex
 from tiltlab.derived import resolve_complex
@@ -60,7 +58,7 @@ def test_transfer_on_the_simple_pair():
     X = collection_ext_model([S(A2, 0), S(A2, 1)], arity_cap=4)
     assert X.dims == {0: 2, 1: 1}
     assert X.positive and X.strict_unit
-    assert X.vanishing_above(2)
+    assert all(n <= 2 for n in X.ops)
     assert X.tags == {0: [(0, 0), (1, 1)], 1: [(1, 0)]}
     E = ext_dg([S(A2, 0), S(A2, 1)])
     assert E.cohomology_dims() == X.dims
@@ -80,7 +78,7 @@ def test_transfer_is_strictly_unital():
 def test_transfer_degree_parity_kills_higher_operations():
     for objs in ([S(A2, 0), S(A2, 1)], [P(A2, 0), S(A2, 1, -1)]):
         X = collection_ext_model(objs, arity_cap=4)
-        assert X.vanishing_above(2)
+        assert all(n <= 2 for n in X.ops)
 
 
 def test_transfer_on_the_shifted_pair():
@@ -149,38 +147,6 @@ def test_transfer_refuses_contractible_idempotents():
         (q(1), q(1)), [(q(1), q(0)), (q(0), q(1))])
     with pytest.raises(ContractionFailure):
         kadeishvili_minimal_model(E, arity_cap=3)
-
-
-# ---- stalk modules ----
-
-def test_simple_modules_are_stalks():
-    X = collection_ext_model([S(A2, 0), S(A2, 1)], arity_cap=4)
-    sims = simple_ainf_modules(X)
-    assert [s.dims for s in sims] == [{0: 1}, {0: 1}]
-    assert sims[0].op(2, ((0, 0), (0, 0))) == (q(1),)
-    assert sims[0].op(2, ((0, 0), (0, 1))) == (q(0),)
-    assert sims[1].op(2, ((0, 0), (0, 1))) == (q(1),)
-
-
-def test_projective_modules_restrict_the_operations():
-    X = collection_ext_model([S(A2, 0), S(A2, 1)], arity_cap=4)
-    projs = projective_ainf_modules(X)
-    assert [p.dims for p in projs] == [{0: 1}, {0: 1, 1: 1}]
-    # dim P_i = 1 + dim of the positive part of the i-th row corner
-    for i, p in enumerate(projs):
-        above = sum(1 for k in X.degrees() if k > 0
-                    for a in range(X.dim_at(k))
-                    if X.left_tag(k, a) == i)
-        assert p.total_dim == 1 + above
-
-
-def test_simple_modules_need_positivity():
-    X = AInfAlgebra(QQ, {0: 1}, {2: {((0, 0), (0, 0)): (q(1),)}},
-                    [(q(1),)], 2, positive=False)
-    with pytest.raises(PositivityViolation):
-        simple_ainf_modules(X)
-    with pytest.raises(PositivityViolation):
-        projective_ainf_modules(X)
 
 
 # ---- the dual bar construction ----

@@ -14,7 +14,6 @@ from tiltlab.derived import (
     dual_complex,
     generation_certificate,
     injective_form,
-    projective_form,
     resolve_complex,
     simple_stalk_profile,
     validate_simple_minded,
@@ -129,7 +128,7 @@ def test_injective_form_minimizes(A2):
 
 def test_projective_form_of_injective_stalk(A2):
     # I_1 = S_1 has projective resolution [P_2 -> P_1]
-    Xp = projective_form(stalk_complex(A2, Summand("I", 0), 0))
+    Xp = resolve_complex(stalk_complex(A2, Summand("I", 0), 0)).complex
     assert Xp.parts == {-1: (Summand("P", 1),), 0: (Summand("P", 0),)}
 
 

@@ -17,22 +17,16 @@ from tiltlab.dg import (
     DgAlgebra,
     DgError,
     DgModule,
-    algebra_heart,
     dg_from_path_algebra,
     dg_nakayama,
-    dg_simples,
     endomorphism_dg_algebra,
     free_dg_module,
     gamma_tilde,
-    heart_to_h0,
     hom_cohomology,
     hom_perfect_module,
     materialize,
-    morita_reduce,
-    simple_delta_table,
     strict_perfect,
     truncate,
-    zero_dg_module,
 )
 from tiltlab.linalg import Mat, QQ
 from tiltlab.tilting import check_tilting, hom_to_element, nu_inverse_complex
@@ -67,21 +61,6 @@ def unit_coords(A, name):
     vec = [QQ.zero()] * A.dim
     vec[bindex(A, name)] = QQ.one()
     return tuple(vec)
-
-
-def contractible_pair():
-    """Two orthogonal idempotents with d(xi) = e2; e2 is contractible."""
-    dims = {0: 2, -1: 1}
-    d = {-1: qmat([[0, 1]])}
-    mult = {
-        (0, 0): [[(q(1), q(0)), (q(0), q(0))],
-                 [(q(0), q(0)), (q(0), q(1))]],
-        (0, -1): [[(q(0),)], [(q(1),)]],
-        (-1, 0): [[(q(0),), (q(1),)]],
-    }
-    return DgAlgebra(QQ, dims, d, mult,
-                     unit=(q(1), q(1)),
-                     idempotents=[(q(1), q(0)), (q(0), q(1))])
 
 
 def perfect_from_projective(D, X):
@@ -162,9 +141,6 @@ def test_path_algebra_embeds_in_degree_zero():
     assert D2.cohomology_dims() == {0: 3}
     tags = D2.peirce_tags()
     assert tags[0] == [(0, 0), (1, 1), (0, 1)]
-    H0, cls = D2.h0_algebra()
-    assert H0.dim == 3
-    assert H0.cartan_matrix() == A2.cartan_matrix()
 
 
 # ---- free modules and strictly perfect presentations ----
@@ -173,11 +149,8 @@ def test_free_module_shapes():
     M = free_dg_module(D2, 0)
     assert M.dims == {0: 2}
     assert M.right_tags == {0: [0, 1]}
-    assert M.idempotent_slice_dims(0) == {0: 1}
-    assert M.idempotent_slice_dims(1) == {0: 1}
     Ms = free_dg_module(D2, 1, shift=2)
     assert Ms.dims == {-2: 1}
-    assert zero_dg_module(D2).is_zero()
 
 
 def test_strict_perfect_rejects_bad_data():
@@ -262,67 +235,22 @@ def test_truncate_inclusion_is_a_chain_map():
         assert lhs.sub(rhs).is_zero()
 
 
-# ---- H^0 hearts of modules ----
-
-def test_heart_of_a_resolution_is_the_simple():
-    M = materialize(res_perfect(D2, S(A2, 0)))
-    dim, acts, H0 = heart_to_h0(M)
-    assert dim == 1
-    # e1 fixes the class, e2 and a kill it
-    assert acts[bindex(A2, "e1")][(0, 0)] == q(1)
-    assert acts[bindex(A2, "e2")][(0, 0)] == q(0)
-    assert acts[bindex(A2, "a")][(0, 0)] == q(0)
-
-
-def test_heart_refuses_spread_out_cohomology():
-    M = materialize(strict_perfect(D2, [(1, 0)]))
-    with pytest.raises(DgError, match="witness degree -1"):
-        heart_to_h0(M)
-
-
-# ---- Morita reduction of contractible idempotents ----
-
-def test_morita_reduce_strips_contractible_corner():
-    E = contractible_pair()
-    corner, kept, stripped = morita_reduce(E)
-    assert kept == [0] and stripped == [1]
-    assert corner.dims == {0: 1}
-    assert corner.cohomology_dims() == {0: 1}
-
-
-def test_morita_reduce_keeps_honest_algebras():
-    corner, kept, stripped = morita_reduce(D2)
-    assert corner is D2
-    assert kept == [0, 1] and stripped == []
-
-
-def test_simples_refuse_contractible_idempotents():
-    E = contractible_pair()
-    with pytest.raises(DgError, match="contractible"):
-        dg_simples(E)
-
-
-# ---- simples, hom complexes, orthogonality ----
-
-def test_simple_actions_over_a2():
-    S0, S1 = dg_simples(D2)
-    assert S0.dims == {0: 1} and S1.dims == {0: 1}
-    assert S0.act_basis(0, 0, 0, bindex(A2, "e1")) == (q(1),)
-    assert S0.act_basis(0, 0, 0, bindex(A2, "a")) == (q(0),)
-    assert S1.act_basis(0, 0, 0, bindex(A2, "e2")) == (q(1),)
-
+# ---- hom complexes into simples ----
 
 def test_hom_complex_recovers_ext_groups():
-    simples = dg_simples(D2)
+    # the simple at vertex i: e_i acts by one, every other basis
+    # element by zero
+    simples = [DgModule(D2, {0: 1}, {}, {(0, 0): [[
+        (q(1),) if b == bindex(A2, f"e{i + 1}") else (q(0),)
+        for b in range(A2.dim)]]}, right_tags={0: [i]}) for i in range(2)]
     sp = res_perfect(D2, S(A2, 0))
     assert hom_cohomology(sp, simples[0]) == {0: 1}
     assert hom_cohomology(sp, simples[1]) == {1: 1}
-
-
-def test_orthogonality_table_of_frees():
-    table = simple_delta_table(D2)
-    for (i, j), h in table.items():
-        assert h == ({0: 1} if i == j else {})
+    # the frees are orthogonal to the simples
+    for i in range(2):
+        for j in range(2):
+            assert hom_cohomology(strict_perfect(D2, [(0, i)]),
+                                  simples[j]) == ({0: 1} if i == j else {})
 
 
 # ---- the dg Nakayama functor ----
@@ -374,22 +302,30 @@ def run_pieces(objects, window=2):
             for r in res["runs"]]
 
 
+def degree_zero_cartan(G):
+    """dim e_s G^0 e_t, counted on the Peirce tags: the Cartan matrix of
+    the heart when G is concentrated in degree zero."""
+    r = len(G.idempotents)
+    c = [[0] * r for _ in range(r)]
+    for s, t in G.peirce_tags()[0]:
+        c[s][t] += 1
+    return c
+
+
 def test_gamma_tilde_on_the_simple_collection():
     pieces = run_pieces([S(A2, 0), S(A2, 1)])
     G, h = gamma_tilde(pieces)
     assert h == {0: 3}
-    heart = algebra_heart(G)
-    assert heart.dim == 3
-    assert heart.cartan_matrix() == [[1, 1], [0, 1]]
+    assert G.dims == G.cohomology_dims() == {0: 3}
+    assert degree_zero_cartan(G) == [[1, 1], [0, 1]]
 
 
 def test_gamma_tilde_on_the_shifted_collection():
     pieces = run_pieces([P(A2, 0), S(A2, 1, -1)])
     G, h = gamma_tilde(pieces)
     assert h == {0: 3}
-    heart = algebra_heart(G)
-    assert heart.dim == 3
-    assert heart.cartan_matrix() == [[1, 0], [1, 1]]
+    assert G.dims == G.cohomology_dims() == {0: 3}
+    assert degree_zero_cartan(G) == [[1, 0], [1, 1]]
 
 
 def test_gamma_tilde_witness_on_a_non_tilting_family():
@@ -401,8 +337,8 @@ def test_gamma_tilde_witness_on_a_non_tilting_family():
     assert E.cohomology_dims() == {0: 2, -1: 1}
     G, h = gamma_tilde(pieces)
     assert h == {0: 2, -1: 1}
-    with pytest.raises(DgError, match="witness degree -1"):
-        algebra_heart(G)
+    # the truncation keeps the degree -1 class: the heart is not all of G
+    assert G.cohomology_dims() == {0: 2, -1: 1}
 
 
 def test_gamma_tilde_refuses_positive_cohomology():
@@ -414,8 +350,8 @@ def test_gamma_tilde_refuses_positive_cohomology():
 def test_endomorphisms_of_the_free_collection():
     G, h = gamma_tilde([P(A2, 0), P(A2, 1)])
     assert h == {0: 3}
-    heart = algebra_heart(G)
-    assert heart.cartan_matrix() == A2.cartan_matrix()
+    assert G.dims == G.cohomology_dims() == {0: 3}
+    assert degree_zero_cartan(G) == A2.cartan_matrix()
 
 
 # ---- randomized structural checks ----

@@ -1,0 +1,92 @@
+"""Every definition in src/tiltlab has a user the package or its gate sees.
+
+An AST scan over the package.  Each top-level function and class, and
+each method whose name is not a dunder, must meet one of these:
+
+- its name is read somewhere in src/tiltlab outside its own body;
+- tests/test_acceptance.py imports it;
+- bench/tracer.py wraps it as a boundary;
+- it is the console entry point;
+- it is a reference helper in KEPT, listed with its reason.
+
+A helper that only unit tests reach fails the scan.  Names are matched
+as identifiers (a bare name or an attribute), so a method shares the
+verdict of every other attribute with its name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tiltlab"
+ENTRY_POINTS = {"cli.main"}
+KEPT = {
+    "tilting.nu_map": "the Nakayama functor on maps; the twist tests use "
+                      "it as the independent reference for nu_inverse",
+    "tilting.nu_complex": "the Nakayama functor on complexes; the twist "
+                          "round trip checks nu_inverse against it",
+    "linalg.Mat.from_rows": "the constructor tests use for outside data",
+}
+
+
+def _identifiers(node):
+    """How often each identifier is read inside node."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def _definitions(module, tree):
+    """(qualified name, bare name, node) of every definition the scan
+    covers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("__"):
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item)
+
+
+def _acceptance_imports():
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {f"{node.module.split('.')[-1]}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("tiltlab.")
+            for alias in node.names}
+
+
+def _tracer_boundaries():
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "BOUNDARIES"
+                    for t in node.targets):
+            return {f"{m}.{a}" for m, a in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracer.py defines no BOUNDARIES")
+
+
+def test_every_definition_has_a_user():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    used = Counter()
+    for tree in trees.values():
+        used += _identifiers(tree)
+    protected = (_acceptance_imports() | _tracer_boundaries()
+                 | ENTRY_POINTS | set(KEPT))
+    defined, orphans = set(), []
+    for module, tree in sorted(trees.items()):
+        for qual, name, node in _definitions(module, tree):
+            defined.add(qual)
+            if used[name] - _identifiers(node)[name] <= 0 and \
+                    qual not in protected:
+                orphans.append(qual)
+    assert set(KEPT) <= defined, "a kept helper no longer exists"
+    assert not orphans, "definitions only tests reach: " + ", ".join(orphans)
