@@ -237,16 +237,24 @@ def test_truncate_inclusion_is_a_chain_map():
 
 # ---- hom complexes into simples ----
 
-def test_hom_complex_recovers_ext_groups():
+def a2_simples():
     # the simple at vertex i: e_i acts by one, every other basis
     # element by zero
-    simples = [DgModule(D2, {0: 1}, {}, {(0, 0): [[
+    return [DgModule(D2, {0: 1}, {}, {(0, 0): [[
         (q(1),) if b == bindex(A2, f"e{i + 1}") else (q(0),)
         for b in range(A2.dim)]]}, right_tags={0: [i]}) for i in range(2)]
+
+
+def test_hom_complex_recovers_ext_groups():
+    simples = a2_simples()
     sp = res_perfect(D2, S(A2, 0))
     assert hom_cohomology(sp, simples[0]) == {0: 1}
     assert hom_cohomology(sp, simples[1]) == {1: 1}
-    # the frees are orthogonal to the simples
+
+
+def test_orthogonality_table_of_frees():
+    # Hom(e_i A, S_j) is k in degree zero when i == j and zero otherwise
+    simples = a2_simples()
     for i in range(2):
         for j in range(2):
             assert hom_cohomology(strict_perfect(D2, [(0, i)]),
