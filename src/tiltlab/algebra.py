@@ -138,6 +138,11 @@ class Algebra:
         self._proj = {}
         self._inj = {}
         self._simple = {}
+        # the job memo, filled by complexes and emptied by clear_memo:
+        # tag tuple -> (direct sum module, offsets), and (source tags,
+        # target tags) -> (hom basis, Echelon of its flattened maps)
+        self.sum_memo = {}
+        self.hom_memo = {}
         self.bound_certified = None
         if certify_bound:
             self.bound_certified = self._certify_bound()
@@ -312,13 +317,12 @@ class Algebra:
             return f"e{src + 1}"
         return "*".join(self.quiver.label(a) for a in arrs)
 
-    def cartan_matrix(self):
-        """C[i][j] = dim e_i A e_j, as plain ints."""
-        n = self.quiver.n
-        C = [[0] * n for _ in range(n)]
-        for i in range(self.dim):
-            C[self.basis_source(i)][self.basis_target(i)] += 1
-        return C
+    def clear_memo(self):
+        """Empty the job memo, here and on the opposite algebra."""
+        for alg in (self, self._op):
+            if alg is not None:
+                alg.sum_memo.clear()
+                alg.hom_memo.clear()
 
     # ---- opposite and duality ----
 
@@ -689,10 +693,6 @@ def dual_module(M: Module, target_algebra: Algebra):
 
 # ---- submodules, quotients, homology ----
 
-def _row_space(mat):
-    return mat.row_space_basis()
-
-
 def sub_module(M: Module, span_rows):
     """Submodule spanned per vertex by the given row matrices.
 
@@ -701,7 +701,11 @@ def sub_module(M: Module, span_rows):
     """
     A = M.algebra
     f = A.field
-    basis = [_row_space(span_rows[v]) for v in range(A.quiver.n)]
+    basis, pivots = [], []
+    for rows in span_rows:
+        R, piv = rows.rref()
+        basis.append(Mat._trusted(f, R.data[:len(piv)], rows.ncols))
+        pivots.append(piv)
     dims = tuple(b.nrows for b in basis)
     mats = {}
     for a, (_, s, t) in enumerate(A.quiver.arrows):
@@ -709,11 +713,13 @@ def sub_module(M: Module, span_rows):
             mats[a] = Mat.zeros(f, 0, dims[t])
             continue
         img = basis[s].mul(M.mats[a])
-        # solve X @ basis[t] = img row by row
-        sol = basis[t].transpose().solve(img.transpose())
-        if sol is None:
+        # basis[t] is in reduced echelon form, so a vector of its span
+        # has its coordinates at the pivot columns
+        sol = Mat._trusted(f, tuple(tuple(row[p] for p in pivots[t])
+                                    for row in img.data), dims[t])
+        if sol.mul(basis[t]) != img:
             raise AlgebraError("sub_module: span not closed under action")
-        mats[a] = sol.transpose()
+        mats[a] = sol
     S = Module(A, dims, mats)
     inc = ModuleMap(S, M, basis, check=False)
     return S, inc

@@ -10,6 +10,12 @@ of a map is read with algebra.map_slice, and a map is assembled from
 blocks with algebra.map_placement; no inclusion or projection matrices
 are multiplied.
 
+The terms of every complex are sums drawn from the same few
+indecomposables, so the algebra keeps a job memo: one sum module per
+tag tuple (summand_sum) and one hom basis with its coordinate solver
+per pair of tag tuples (hom_block).  reporting.run_pipeline empties it
+when a job ends.
+
 A complex may carry approx_above = t, meaning: the stored complex is the
 brutal truncation to degrees <= t of an object that truly continues
 higher (a cut coresolution).  Stored components are genuine; what is
@@ -48,6 +54,31 @@ def tag_module(algebra: Algebra, tag: Summand) -> Module:
     raise AlgebraError(f"unknown summand kind {tag.kind!r}")
 
 
+def summand_sum(algebra: Algebra, tags):
+    """(sum module, offsets) of the tagged summands, shared per tag tuple
+    through the algebra's job memo."""
+    got = algebra.sum_memo.get(tags)
+    if got is None:
+        got = algebra.sum_memo[tags] = direct_sum_modules(
+            algebra, [tag_module(algebra, t) for t in tags])
+    return got
+
+
+def hom_block(algebra: Algebra, src, tgt):
+    """(hom_basis of the sums of two tag tuples, Echelon of the flattened
+    basis maps), shared per pair of tag tuples through the algebra's job
+    memo.  The basis maps are independent, so the Echelon keeps each one
+    under its own index."""
+    key = (src, tgt)
+    got = algebra.hom_memo.get(key)
+    if got is None:
+        maps = hom_basis(summand_sum(algebra, src)[0],
+                         summand_sum(algebra, tgt)[0])
+        got = algebra.hom_memo[key] = (maps, Echelon(Mat(
+            algebra.field, [_flatten_map(h) for h in maps])))
+    return got
+
+
 def zero_module(algebra: Algebra) -> Module:
     return Module(algebra, (0,) * algebra.quiver.n, {})
 
@@ -80,8 +111,7 @@ class Complex:
                 self.blocks[n] = tuple(tuple(row) for row in grid)
         self.approx_above = approx_above
         self.approx_below = approx_below
-        self._module = {}
-        self._offsets = {}
+        self._sums = {}
         self._dfull = {}
         if validate:
             self.validate()
@@ -104,15 +134,22 @@ class Complex:
         return [tag_module(self.algebra, t) for t in self.parts.get(n, ())]
 
     def module(self, n):
-        if n not in self._module:
-            self._module[n], self._offsets[n] = direct_sum_modules(
-                self.algebra, self.part_modules(n))
-        return self._module[n]
+        """The sum module of degree n.  It is summand_sum's module for the
+        degree's tag tuple, so complexes over one algebra share it; each
+        complex keeps the one it first read, so its maps stay composable
+        after the job memo is emptied."""
+        return self._sum(n)[0]
 
     def offsets(self, n):
         """offsets(n)[k][v]: where summand k of degree n starts at vertex v."""
-        self.module(n)
-        return self._offsets[n]
+        return self._sum(n)[1]
+
+    def _sum(self, n):
+        got = self._sums.get(n)
+        if got is None:
+            got = self._sums[n] = summand_sum(self.algebra,
+                                              self.parts.get(n, ()))
+        return got
 
     def block(self, n, k, l):
         grid = self.blocks.get(n)
@@ -662,15 +699,20 @@ class HomComplex:
     """Total hom complex of two tagged complexes, with basis bookkeeping.
 
     Degree n is the direct sum over k of module homs X^k -> Y^{k+n}; the
-    differential sends f to (f then d_Y) - (-1)^n (d_X then f).
+    differential sends f to (f then d_Y) - (-1)^n (d_X then f).  The
+    (n, k) block of the basis, and the solver that gives coordinates on
+    it, come from hom_block for the tag tuples of X^k and Y^{k+n}, so
+    hom complexes over one algebra share them.
     """
 
     def __init__(self, X: Complex, Y: Complex):
         self.X = X
         self.Y = Y
-        self.field = X.algebra.field
+        A = X.algebra
+        self.field = A.field
         self.bases = {}
-        self._echelons = {}
+        # (n, k) -> (index of the block's first entry, its Echelon)
+        self._solvers = {}
         lo = min((m - k for k in X.parts for m in Y.parts), default=0)
         hi = max((m - k for k in X.parts for m in Y.parts), default=-1)
         for n in range(lo, hi + 1):
@@ -678,8 +720,9 @@ class HomComplex:
             for k in sorted(X.parts):
                 if (k + n) not in Y.parts:
                     continue
-                for h in hom_basis(X.module(k), Y.module(k + n)):
-                    entries.append((k, h))
+                maps, ech = hom_block(A, X.parts[k], Y.parts[k + n])
+                self._solvers[(n, k)] = (len(entries), ech)
+                entries.extend((k, h) for h in maps)
             if entries:
                 self.bases[n] = entries
         dims = {n: len(e) for n, e in self.bases.items()}
@@ -708,29 +751,16 @@ class HomComplex:
         for k, m in img.items():
             if m.is_zero():
                 continue
-            first, ech = self._block_echelon(n, k)
+            solver = self._solvers.get((n, k))
+            if solver is None:
+                raise AlgebraError("hom complex: image outside basis support")
+            first, ech = solver
             comb = ech.coords(_flatten_map(m))
             if comb is None:
                 raise AlgebraError("hom complex: map not in hom basis span")
             for r, c in comb.items():
                 out[first + r] = c
         return out
-
-    def _block_echelon(self, n, k):
-        """(first index, Echelon of the flattened basis maps) for the
-        degree-n entries from X^k, built on first use.  The entries of one
-        k are consecutive and independent, so the Echelon keeps each one
-        under its offset from the first."""
-        key = (n, k)
-        if key not in self._echelons:
-            block = [(i, h) for i, (kk, h) in enumerate(self.bases.get(n, []))
-                     if kk == k]
-            if not block:
-                raise AlgebraError("hom complex: image outside basis support")
-            rows = [_flatten_map(h) for _, h in block]
-            self._echelons[key] = (block[0][0], Echelon(
-                Mat(self.field, rows, ncols=len(rows[0]))))
-        return self._echelons[key]
 
     def element(self, n, coords):
         """Rebuild {k: ModuleMap} from coordinates at degree n."""
@@ -816,7 +846,10 @@ def h0_chain_maps(X: Complex, Y: Complex):
     return out, hc
 
 
-def complex_iso_search(X: Complex, Y: Complex, tries=200, seed=0):
+ISO_SEARCH_TRIES = 200
+
+
+def complex_iso_search(X: Complex, Y: Complex, tries=ISO_SEARCH_TRIES, seed=0):
     """Invertible chain map X -> Y, or None.  Sufficient certificate."""
     import random as _random
 

@@ -3,11 +3,12 @@
 Everything is finite-dimensional over an exact field and fully
 validated on construction: differentials square to zero, the Leibniz
 rule and associativity are checked on every basis pair and triple where
-a product or a differential is nonzero (on the others both sides
-vanish), units and idempotent decompositions are verified.  Structure
-constants are stored sparse, nonzero products only.  Degrees follow the cochain
-convention (differentials raise degree by one); elements of a fixed
-degree are row vectors in the chosen basis of that degree.
+a product, or a product with a differential, is nonzero (on the others
+both sides vanish), units and idempotent decompositions are verified.
+Structure constants are stored sparse, nonzero products only.  Degrees
+follow the cochain convention (differentials raise degree by one);
+elements of a fixed degree are row vectors in the chosen basis of that
+degree.
 
 The toolkit covers strictly perfect modules, with the standard
 truncation t-structure and the Nakayama functor on them.  A bounded
@@ -149,15 +150,20 @@ class DgAlgebra:
             return {t: c for t, c in out.items() if c}
 
         # Leibniz rule d(ab) = d(a) b + (-1)^i a d(b) on the basis pairs
-        # with ab != 0, d(a) != 0 or d(b) != 0.  On any other pair every
-        # term is zero, so this accepts and rejects exactly what the
-        # check over all basis pairs does.
-        pairs = {((i, a), (j, b)) for (i, j), block in self.mult.items()
-                 for a, b in block}
-        for x, dx in dbasis.items():
-            if dx:
-                pairs.update((x, y) for y in basis)
-                pairs.update((y, x) for y in basis)
+        # with ab != 0, with cb != 0 for some c in the support of d(a), or
+        # with ac != 0 for some c in the support of d(b).  On any other
+        # pair every term is zero, so this accepts and rejects exactly
+        # what the check over all basis pairs does.
+        right, left = {}, {}  # x -> the y with xy != 0, and y -> the x
+        for (i, j), block in self.mult.items():
+            for a, b in block:
+                right.setdefault((i, a), []).append((j, b))
+                left.setdefault((j, b), []).append((i, a))
+        pairs = {(x, y) for x, ys in right.items() for y in ys}
+        for (i, a), dx in dbasis.items():
+            for c, _ in dx:
+                pairs.update(((i, a), y) for y in right.get((i + 1, c), ()))
+                pairs.update((y, (i, a)) for y in left.get((i + 1, c), ()))
         for (i, a), (j, b) in pairs:
             lhs = diff(i + j, self.mult.get((i, j), {}).get((a, b), ()))
             rhs = mul(i + 1, dbasis.get((i, a), ()), j, ((b, one),))
@@ -257,9 +263,6 @@ class DgModule:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def is_zero(self):
-        return not self.dims
 
     def act_basis(self, k, m, i, a):
         t = self.action.get((k, i))

@@ -413,8 +413,17 @@ def run_pipeline(job, upto="ainf"):
     """Run the stages through `upto` and return a report dict.
 
     The report is JSON-clean (no live objects) and carries the exit
-    status the caller should use.
+    status the caller should use.  The job memo of the algebra (and of
+    its opposite), which the stages fill with shared summand sums and
+    hom bases, is emptied on every way out, so it never outlives the job.
     """
+    try:
+        return _run_stages(job, upto)
+    finally:
+        job["algebra"].clear_memo()
+
+
+def _run_stages(job, upto):
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     report = {

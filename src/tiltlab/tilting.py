@@ -25,9 +25,9 @@ from .linalg import Mat
 from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
                       ModuleMap, is_self_injective, map_placement,
                       summand_offsets)
-from .complexes import (ChainMap, Complex, HomComplex, Summand,
-                        complex_iso_search, cone, direct_sum_complexes,
-                        h0_chain_maps, minimize)
+from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
+                        Summand, complex_iso_search, cone,
+                        direct_sum_complexes, h0_chain_maps, minimize)
 from .derived import all_tags, derived_hom, injective_form
 
 
@@ -442,13 +442,23 @@ def nu_stability(runs, tau):
     """Does each companion agree with the injective form of its untwist?
 
     Over a self-injective algebra this property certifies the windowed
-    verdict.  Compared degreewise after cutting both sides to the
-    shared trusted window.
+    verdict.
+    """
+    return _twist_check(runs, tau) == "stable"
+
+
+def _twist_check(runs, tau):
+    """"stable" when every companion agrees with the injective form of
+    its untwist, compared degreewise after cutting both sides to the
+    shared trusted window; "exhausted" when complex_iso_search missed on
+    a pair whose degreewise dimensions agree, so nothing is decided;
+    "unstable" when a companion is not a complex of injectives or the
+    dimensions differ.
     """
     for r in runs:
         T = r.complex
         if T.is_zero() or not all_tags(T, "I"):
-            return False
+            return "unstable"
         P = nu_inverse_complex(T)
         back = _clip(injective_form(P, top=tau))
         lim = None
@@ -456,9 +466,12 @@ def nu_stability(runs, tau):
             if v is not None:
                 lim = v if lim is None else min(lim, v)
         Tc, Bc = T.cut_above(lim), back.cut_above(lim)
+        if {n: Tc.dims_at(n) for n in Tc.parts} != \
+                {n: Bc.dims_at(n) for n in Bc.parts}:
+            return "unstable"
         if complex_iso_search(Tc, Bc) is None:
-            return False
-    return True
+            return "exhausted"
+    return "stable"
 
 
 # ---- the verdict ----
@@ -531,12 +544,17 @@ def check_tilting(objects, window=4, budget=64, depth=None, validate=False):
         verdict = "TILTING"
         reason = "no negative-degree self-maps, certified everywhere"
     else:
-        nu_ok = is_self_injective(objects[0].algebra) and nu_stability(
-            runs, built["tau"])
+        twist = (_twist_check(runs, built["tau"])
+                 if is_self_injective(objects[0].algebra) else None)
+        nu_ok = twist == "stable"
         if nu_ok:
             verdict = "TILTING"
             reason = ("window-clean and twist-stable over a self-injective "
                       "algebra")
+        elif twist == "exhausted":
+            verdict = "INCONCLUSIVE"
+            reason = ("twist stability unproven: iso search exhausted "
+                      f"({ISO_SEARCH_TRIES} tries)")
         else:
             verdict = "INCONCLUSIVE"
             reason = "the cut hid degrees that the verdict needs"

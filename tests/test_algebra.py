@@ -1,6 +1,9 @@
 """Path algebra layer: worked small algebras frozen as fixtures."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import (
     Algebra,
@@ -19,6 +22,7 @@ from tiltlab.algebra import (
     nakayama_permutation,
     projective_cover,
     quotient_module,
+    sub_module,
     top_data,
 )
 from tiltlab.linalg import Mat, PrimeField, QQ
@@ -34,6 +38,15 @@ def dual_numbers(field=QQ):
     # one vertex, loop x, x^2 = 0
     return Algebra(field, Quiver(1, [("x", 0, 0)]), [[(1, ["x", "x"])]],
                    nilpotency_bound=2)
+
+
+def cartan_counts(A):
+    """C[i][j] = dim e_i A e_j, counted over the path basis."""
+    n = A.quiver.n
+    C = [[0] * n for _ in range(n)]
+    for i in range(A.dim):
+        C[A.basis_source(i)][A.basis_target(i)] += 1
+    return C
 
 
 def nakayama_two(field=QQ):
@@ -52,7 +65,7 @@ def a4_cubic(field=QQ):
 def test_a2_basics():
     A = a2()
     assert A.dim == 3
-    assert A.cartan_matrix() == [[1, 1], [0, 1]]
+    assert cartan_counts(A) == [[1, 1], [0, 1]]
     names = {A.basis_name(i) for i in range(A.dim)}
     assert names == {"e1", "e2", "a"}
     # e1 * a = a, a * e2 = a, a * a = 0 (not composable)
@@ -170,7 +183,7 @@ def test_nakayama_two_self_injective_not_symmetric():
 def test_a4_cubic_dimension():
     A = a4_cubic()
     assert A.dim == 9
-    assert A.cartan_matrix() == [
+    assert cartan_counts(A) == [
         [1, 1, 1, 0],
         [0, 1, 1, 1],
         [0, 0, 1, 1],
@@ -265,3 +278,74 @@ def test_cyclic_requires_bound():
     q = Quiver(1, [("x", 0, 0)])
     with pytest.raises(AlgebraError):
         Algebra(QQ, q, [])
+
+
+# ---- sub_module against a solve per arrow ----
+
+def sub_module_by_solve(M, span_rows):
+    """sub_module as one transpose-and-solve per arrow: (dims, arrow
+    matrices, inclusion blocks), or None where the span is not closed."""
+    A = M.algebra
+    f = A.field
+    basis = [rows.row_space_basis() for rows in span_rows]
+    dims = tuple(b.nrows for b in basis)
+    mats = {}
+    for a, (_, s, t) in enumerate(A.quiver.arrows):
+        if dims[s] == 0:
+            mats[a] = Mat.zeros(f, 0, dims[t])
+            continue
+        img = basis[s].mul(M.mats[a])
+        sol = basis[t].transpose().solve(img.transpose())
+        if sol is None:
+            return None
+        mats[a] = sol.transpose()
+    return dims, mats, basis
+
+
+def closed_span(M, spans):
+    """The smallest spans per vertex that contain spans and are closed
+    under the arrow action."""
+    spans = list(spans)
+    grown = True
+    while grown:
+        grown = False
+        for a, (_, s, t) in enumerate(M.algebra.quiver.arrows):
+            if not spans[s].nrows:
+                continue
+            img = spans[s].mul(M.mats[a])
+            both = Mat(M.algebra.field, spans[t].data + img.data,
+                       ncols=M.dims[t])
+            if both.rank() > spans[t].rank():
+                spans[t] = both.row_space_basis()
+                grown = True
+    return spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["Q", 5]))
+def test_sub_module_matches_a_solve_per_arrow(seed, field_key):
+    rng = random.Random(seed)
+    field = QQ if field_key == "Q" else PrimeField(field_key)
+    A = rng.choice([a2, a4_cubic, nakayama_two, dual_numbers])(field)
+    n = A.quiver.n
+    kinds = (A.projective, A.injective, A.simple)
+    M, _ = direct_sum_modules(A, [rng.choice(kinds)(rng.randrange(n))
+                                  for _ in range(rng.randint(1, 3))])
+    spans = [Mat(field, [[field.of(rng.randrange(-2, 3))
+                          for _ in range(M.dims[v])]
+                         for _ in range(rng.randint(0, 2))], ncols=M.dims[v])
+             for v in range(n)]
+    if rng.random() < 0.5:
+        spans = closed_span(M, spans)
+    want = sub_module_by_solve(M, spans)
+    if want is None:
+        with pytest.raises(AlgebraError, match="not closed"):
+            sub_module(M, spans)
+        return
+    S, inc = sub_module(M, spans)
+    dims, mats, basis = want
+    assert S.dims == dims
+    assert all(S.mats[a] == mats[a] for a in range(len(A.quiver.arrows)))
+    assert inc.blocks == basis
+    S.validate()
+    assert inc.commutes()

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab.algebra import (Algebra, AlgebraError, ModuleMap, Quiver, hom_basis,
-                             map_placement)
+from tiltlab.algebra import (Algebra, AlgebraError, ModuleMap, Quiver,
+                             direct_sum_modules, hom_basis, map_placement)
 from tiltlab.complexes import (
     ChainMap,
     Complex,
@@ -223,11 +223,9 @@ def _flat(m):
     return [x for b in m.blocks for row in b.data for x in row]
 
 
-def _coords_by_solve(hc, n, img):
-    """HomComplex.coords as one transpose-and-solve per block: the
-    coordinates, or None where it raised."""
-    f = hc.field
-    entries = hc.bases.get(n, [])
+def _coords_by_solve(f, entries, img):
+    """HomComplex.coords over the basis entries as one transpose-and-solve
+    per block: the coordinates, or None where it raised."""
     out = [f.zero()] * len(entries)
     for k, m in img.items():
         if m.is_zero():
@@ -270,7 +268,8 @@ def test_hom_coords_match_a_solve_per_block(seed, field_key):
         # a combination of the basis is given back its coefficients
         coeffs = [field.of(rng.randrange(-3, 4)) for _ in entries]
         img = hc.element(n, coeffs)
-        assert hc.coords(n, img) == _coords_by_solve(hc, n, img) == coeffs
+        assert hc.coords(n, img) == _coords_by_solve(field, entries, img) \
+            == coeffs
         # a blockwise linear map from one X^k, with or without basis
         # entries: given the solver's coordinates, or refused
         k = rng.choice([k for k in sorted(X.parts) if k + n in Y.parts])
@@ -280,9 +279,93 @@ def test_hom_coords_match_a_solve_per_block(seed, field_key):
                               for _ in range(src.dims[v])], ncols=tgt.dims[v])
                   for v in range(3)]
         img = {k: ModuleMap(src, tgt, blocks, check=False)}
-        want = _coords_by_solve(hc, n, img)
+        want = _coords_by_solve(field, hc.bases.get(n, []), img)
         if want is None:
             with pytest.raises(AlgebraError):
                 hc.coords(n, img)
         else:
             assert hc.coords(n, img) == want
+
+
+def _hom_by_fresh_calls(X, Y):
+    """The hom complex as built without the job memo: fresh sum modules,
+    one hom_basis call per block, coordinates by one solve per block.
+    Returns (bases, diffs as lists of rows)."""
+    A = X.algebra
+    f = A.field
+
+    def module(Z, n):
+        mods = [tag_module(A, t) for t in Z.parts.get(n, ())]
+        return direct_sum_modules(A, mods)[0]
+
+    bases = {}
+    for n in sorted({m - k for k in X.parts for m in Y.parts}):
+        entries = [(k, h) for k in sorted(X.parts) if k + n in Y.parts
+                   for h in hom_basis(module(X, k), module(Y, k + n))]
+        if entries:
+            bases[n] = entries
+    diffs = {}
+    for n in bases:
+        if n + 1 not in bases:
+            continue
+        rows = []
+        for k, h in bases[n]:
+            img = {}
+            t1 = h.then(Y.d_full(k + n))
+            if not t1.is_zero():
+                img[k] = t1
+            t2 = X.d_full(k - 1).then(h)
+            if not t2.is_zero():
+                t2 = t2.scale(f.of(-((-1) ** (n % 2))))
+                img[k - 1] = img[k - 1].add(t2) if k - 1 in img else t2
+            rows.append(_coords_by_solve(f, bases[n + 1], img))
+        diffs[n] = rows
+    return bases, diffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["Q", 5]))
+def test_memo_hom_complexes_match_fresh_hom_basis_calls(seed, field_key):
+    rng = random.Random(seed)
+    field = QQ if field_key == "Q" else PrimeField(field_key)
+    A3 = Algebra(field, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
+    # shifts and sums of a few complexes repeat their tag tuples
+    base = [_random_complex(A3, rng) for _ in range(2)]
+    pool = base + [base[0].shift(rng.choice([-1, 1])),
+                   direct_sum_complexes(base)]
+    for X in pool:
+        for Y in pool:
+            hc = HomComplex(X, Y)
+            bases, diffs = _hom_by_fresh_calls(X, Y)
+            assert sorted(hc.bases) == sorted(bases)
+            for n, entries in bases.items():
+                got = hc.bases[n]
+                assert [k for k, _ in got] == [k for k, _ in entries]
+                for (k, h), (_, want) in zip(got, entries):
+                    assert h.blocks == want.blocks
+                    # the entry is the memo's map for its pair of tags
+                    maps, _ = A3.hom_memo[(X.parts[k], Y.parts[k + n])]
+                    assert any(h is m for m in maps)
+            assert sorted(hc.vect.diffs) == sorted(diffs)
+            for n, rows in diffs.items():
+                assert [list(r) for r in hc.vect.diffs[n].data] == rows
+            for n, entries in bases.items():
+                coeffs = [field.of(rng.randrange(-3, 4)) for _ in entries]
+                img = hc.element(n, coeffs)
+                assert hc.coords(n, img) == \
+                    _coords_by_solve(field, entries, img) == coeffs
+    # a complex keeps its sums when the memo is emptied: its differentials
+    # stay composable, and a hom complex built afterwards still matches
+    Z = direct_sum_complexes(base)
+    want = Z.homology_dims()
+    Z = direct_sum_complexes(base)
+    Z.d_full(Z.min_deg())
+    A3.clear_memo()
+    assert Z.homology_dims() == want
+    X, Y = pool[-1], pool[0]
+    hc = HomComplex(X, Y)
+    bases, diffs = _hom_by_fresh_calls(X, Y)
+    assert {n: [h.blocks for _, h in e] for n, e in hc.bases.items()} == \
+        {n: [h.blocks for _, h in e] for n, e in bases.items()}
+    assert {n: [list(r) for r in m.data]
+            for n, m in hc.vect.diffs.items()} == diffs

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tiltlab import reporting
 from tiltlab.reporting import (JobError, algebra_presentation, parse_job,
                                render_report, run_pipeline)
 
@@ -199,3 +200,41 @@ def test_render_is_pure_text_with_stable_sections():
               "== GAMMA ==", "== AINF ==")]
     assert order == sorted(order)
     assert render_report(rep) == text
+
+
+def _memo_sizes(A):
+    return [len(m) for alg in (A, A.op())
+            for m in (alg.sum_memo, alg.hom_memo)]
+
+
+@pytest.mark.parametrize("case", ["full", "axioms fail", "exception"])
+def test_the_job_memo_ends_with_the_job(monkeypatch, case):
+    objects = {"full": "simples", "exception": "simples",
+               "axioms fail": [{"module": "S", "vertex": 1},
+                               {"module": "S", "vertex": 1}]}[case]
+    job = parse_job({**A2_DATA, "objects": objects})
+    A = job["algebra"]
+    seen = []
+    validate = reporting.validate_simple_minded
+
+    def recording_validate(*args, **kwargs):
+        out = validate(*args, **kwargs)
+        seen.append(_memo_sizes(A))
+        return out
+
+    def failing_check(*args, **kwargs):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(reporting, "validate_simple_minded",
+                        recording_validate)
+    if case == "exception":
+        monkeypatch.setattr(reporting, "check_tilting", failing_check)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            run_pipeline(job)
+    else:
+        rep = run_pipeline(job)
+        assert (rep.get("stopped") == "the collection axioms failed") == \
+            (case == "axioms fail")
+    # the memo was in use during the run, and is empty after it
+    assert seen and seen[0][0] and seen[0][1]
+    assert _memo_sizes(A) == [0, 0, 0, 0]

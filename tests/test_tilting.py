@@ -2,6 +2,7 @@
 
 import pytest
 
+from tiltlab import tilting
 from tiltlab.algebra import Algebra, AlgebraError, Quiver, hom_basis
 from tiltlab.complexes import (
     Summand,
@@ -239,6 +240,35 @@ def test_simples_over_cyclic_nakayama(NAK2):
     assert rep["verdict"] == "TILTING"
     assert rep["gamma"].dim == 4
     assert rep["gamma"].cartan_matrix() == [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("name, iso_found, verdict, reason", [
+    ("DUAL", True, "TILTING",
+     "window-clean and twist-stable over a self-injective algebra"),
+    ("DUAL", False, "INCONCLUSIVE",
+     "twist stability unproven: iso search exhausted (200 tries)"),
+    ("A2", True, "INCONCLUSIVE",
+     "the cut hid degrees that the verdict needs"),
+])
+def test_twist_leg_reports_its_true_reason(request, monkeypatch, name,
+                                           iso_found, verdict, reason):
+    # no bundled job reaches the twist-stability leg of the verdict, so
+    # end_homology hides one degree to send the simples there
+    A = request.getfixturevalue(name)
+    end_homology = tilting.end_homology
+
+    def hiding(T):
+        dims, _, hc = end_homology(T)
+        return dims, [1], hc
+
+    monkeypatch.setattr(tilting, "end_homology", hiding)
+    if not iso_found:
+        monkeypatch.setattr(tilting, "complex_iso_search",
+                            lambda X, Y: None)
+    rep = check_tilting([S(A, v) for v in range(A.quiver.n)], window=2)
+    assert rep["verdict"] == verdict
+    assert rep["verdict_reason"] == reason
+    assert rep["nu_stable"] is (verdict == "TILTING")
 
 
 def test_gamma_product_orientation(A2):
