@@ -209,9 +209,8 @@ def _memo_sizes(A):
 
 @pytest.mark.parametrize("case", ["full", "axioms fail", "exception"])
 def test_the_job_memo_ends_with_the_job(monkeypatch, case):
-    objects = {"full": "simples", "exception": "simples",
-               "axioms fail": [{"module": "S", "vertex": 1},
-                               {"module": "S", "vertex": 1}]}[case]
+    objects = "simples" if case != "axioms fail" else \
+        [{"module": "S", "vertex": 1}, {"module": "S", "vertex": 1}]
     job = parse_job({**A2_DATA, "objects": objects})
     A = job["algebra"]
     seen = []

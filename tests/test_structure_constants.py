@@ -2,10 +2,10 @@
 
 DgAlgebra.validate and FiniteAlgebra.verify_structure visit only the
 basis tuples where a product, or a product with a differential, is
-nonzero.  The fixed
-tables below put the only failure on a tuple that just one branch of
-that support reaches; the property test compares both constructors
-with a brute-force reference that checks every basis pair and triple.
+nonzero.  The fixed tables below put the only failure on a tuple that
+just one branch of that support reaches; the property test compares
+both constructors with a brute-force reference that checks every basis
+pair and triple.
 """
 
 import pytest
