@@ -510,17 +510,6 @@ class ModuleMap:
                 return False
         return True
 
-    def full(self):
-        f = self.source.algebra.field
-        z = f.zero()
-        rows = [[z] * self.target.total for _ in range(self.source.total)]
-        for v, b in enumerate(self.blocks):
-            ro, co = self.source.offsets[v], self.target.offsets[v]
-            for r in range(b.nrows):
-                for c in range(b.ncols):
-                    rows[ro + r][co + c] = b[r, c]
-        return Mat(f, rows, ncols=self.target.total)
-
     def then(self, other):
         if other.source is not self.target and other.source != self.target:
             raise AlgebraError("composition mismatch")
@@ -691,7 +680,7 @@ def dual_module(M: Module, target_algebra: Algebra):
     return Module(target_algebra, M.dims, mats)
 
 
-# ---- submodules, quotients, homology ----
+# ---- submodules and kernels ----
 
 def sub_module(M: Module, span_rows):
     """Submodule spanned per vertex by the given row matrices.
@@ -725,49 +714,6 @@ def sub_module(M: Module, span_rows):
     return S, inc
 
 
-def quotient_module(M: Module, span_rows):
-    """Quotient by the span; returns (Q, projection ModuleMap)."""
-    A = M.algebra
-    f = A.field
-    n = A.quiver.n
-    reps = []
-    projs = []
-    for v in range(n):
-        R, pivots = span_rows[v].rref() if span_rows[v].nrows else (span_rows[v], ())
-        pivset = set(pivots)
-        free = [j for j in range(M.dims[v]) if j not in pivset]
-        reps.append(free)
-        # projection of an arbitrary row vector to coords over the free set
-        # x mod U: subtract pivot rows, read free coords
-        rows = []
-        for j in range(M.dims[v]):
-            e = [f.zero()] * M.dims[v]
-            e[j] = f.one()
-            for (pc, row) in zip(pivots, R.data):
-                c = e[pc]
-                if c:
-                    e = [f.sub(x, f.mul(c, y)) for x, y in zip(e, row)]
-            rows.append([e[k] for k in free])
-        projs.append(Mat(f, rows) if rows else Mat.zeros(f, 0, len(free)))
-    dims = tuple(len(r) for r in reps)
-    mats = {}
-    for a, (_, s, t) in enumerate(A.quiver.arrows):
-        if dims[s] == 0:
-            mats[a] = Mat.zeros(f, 0, dims[t])
-            continue
-        rows = []
-        for j in reps[s]:
-            e = [f.zero()] * M.dims[s]
-            e[j] = f.one()
-            img = Mat(f, [e]).mul(M.mats[a])
-            red = img.mul(projs[t])
-            rows.append(list(red.data[0]) if red.nrows else [])
-        mats[a] = Mat(f, rows)
-    Q = Module(A, dims, mats)
-    proj = ModuleMap(M, Q, projs, check=False)
-    return Q, proj
-
-
 def kernel_module(f: ModuleMap):
     """Kernel with induced action; returns (K, inclusion)."""
     A = f.source.algebra
@@ -776,27 +722,6 @@ def kernel_module(f: ModuleMap):
         k = f.blocks[v].transpose().kernel_basis().transpose()
         span.append(k if k.nrows else Mat.zeros(A.field, 0, f.source.dims[v]))
     return sub_module(f.source, span)
-
-
-def homology_module(f: ModuleMap, g: ModuleMap):
-    """ker(g) / im(f) for composable maps with f then g = 0."""
-    if f.target is not g.source:
-        raise AlgebraError("homology: maps not composable")
-    A = f.source.algebra
-    K, inc = kernel_module(g)
-    # rewrite im(f) in kernel coordinates
-    span = []
-    for v in range(A.quiver.n):
-        img = f.blocks[v]
-        if K.dims[v] == 0:
-            span.append(Mat.zeros(A.field, 0, 0))
-            continue
-        sol = inc.blocks[v].transpose().solve(img.transpose())
-        if sol is None:
-            raise AlgebraError("homology: image not inside kernel")
-        span.append(sol.transpose())
-    Q, _ = quotient_module(K, span)
-    return Q
 
 
 # ---- covers, tops, iso tests ----

@@ -186,12 +186,11 @@ def all_tags(X: Complex, kind):
     return all(t.kind == kind for p in X.parts.values() for t in p)
 
 
-def injective_form(X: Complex, top=None, validate=False) -> Complex:
+def injective_form(X: Complex, top=None) -> Complex:
     """Minimal complex of injectives quasi-isomorphic to X (up to any cut)."""
-    if X.parts and all_tags(X, "I"):
-        return minimize(X, verify=validate).complex
-    res = coresolve_complex(X, top=top, validate=validate)
-    return minimize(res.complex, verify=validate).complex
+    if not (X.parts and all_tags(X, "I")):
+        X = coresolve_complex(X, top=top).complex
+    return minimize(X, verify=False).complex
 
 
 # ---- derived hom tables ----

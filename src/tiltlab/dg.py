@@ -22,7 +22,7 @@ from collections import namedtuple
 from .algebra import (ModuleMap, dense_product, is_associative,
                       sparse_product, sparse_structure)
 from .complexes import HomComplex
-from .linalg import Mat, Subquotient
+from .linalg import Mat, Subquotient, homology_dims
 
 
 class DgError(Exception):
@@ -49,18 +49,6 @@ def _span_coords(rows: Mat):
             raise DgError(f"{what} is not in the expected span")
         return out
     return coords
-
-
-def _h_dims(field, dims, d):
-    """Cohomology dimensions of a complex of row-vector spaces."""
-    out = {}
-    for k, n in dims.items():
-        rk_out = d[k].rank() if k in d else 0
-        rk_in = d[k - 1].rank() if k - 1 in d else 0
-        h = n - rk_out - rk_in
-        if h:
-            out[k] = h
-    return out
 
 
 # ---- dg algebras ----
@@ -194,7 +182,7 @@ class DgAlgebra:
             raise DgError("idempotents do not sum to the unit")
 
     def cohomology_dims(self):
-        return _h_dims(self.field, self.dims, self.d)
+        return homology_dims(self.dims, self.d)
 
     def peirce_tags(self):
         """(left, right) idempotent tags per basis element.
@@ -331,7 +319,7 @@ class DgModule:
                                         "module action is not associative")
 
     def cohomology_dims(self):
-        return _h_dims(self.field, self.dims, self.d)
+        return homology_dims(self.dims, self.d)
 
 
 # ---- free summands and strictly perfect modules ----
@@ -679,7 +667,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
 
 def hom_cohomology(sp: StrictPerfect, N: DgModule):
     h = hom_perfect_module(sp, N)
-    return _h_dims(h.field, h.dims, h.d)
+    return homology_dims(h.dims, h.d)
 
 
 # ---- the Nakayama functor on strictly perfect modules ----

@@ -280,23 +280,10 @@ class Mat:
             for ra, rb in zip(self.data, other.data)
         ], ncols=self.ncols)
 
-    def sub(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        return Mat(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ], ncols=self.ncols)
-
     def scale(self, c):
         f = self.field
         c = f.of(c)
         return Mat(f, [[f.mul(c, x) for x in row] for row in self.data],
-                   ncols=self.ncols)
-
-    def neg(self):
-        f = self.field
-        return Mat(f, [[f.neg(x) for x in row] for row in self.data],
                    ncols=self.ncols)
 
     def mul(self, other):
@@ -546,6 +533,23 @@ def independent_rows(base: Mat, candidates):
     """The candidates, in order, independent of base's rows and of the
     candidates kept before them."""
     return Echelon(base).extend(candidates)
+
+
+def homology_dims(dims, d):
+    """Nonzero homology dimensions of a complex of row-vector spaces.
+
+    dims: {degree: dimension}; d[k]: matrix of the differential from
+    degree k to k+1.  H^k has dimension dims[k] - rank d[k] - rank d[k-1],
+    which holds only when d[k-1] d[k] = 0; callers check that.
+    """
+    out = {}
+    for k, n in dims.items():
+        rk_out = d[k].rank() if k in d else 0
+        rk_in = d[k - 1].rank() if k - 1 in d else 0
+        h = n - rk_out - rk_in
+        if h:
+            out[k] = h
+    return out
 
 
 class Subquotient:

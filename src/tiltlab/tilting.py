@@ -180,7 +180,7 @@ def _assemble_evaluation(pieces, T: Complex):
     return U, ChainMap(U, T, comps, check=False)
 
 
-def _b_table(sources, T, require_valid=True):
+def _b_table(sources, T):
     """Homotopy classes of maps from each shifted member into T.
 
     Returns (table, pieces) with table[(j, m)] = class count and pieces
@@ -192,7 +192,7 @@ def _b_table(sources, T, require_valid=True):
     by_shift = {}
     for (j, m, U) in sources:
         maps, hc = h0_chain_maps(U, T)
-        if require_valid and not hc.is_valid_degree(0):
+        if not hc.is_valid_degree(0):
             raise AlgebraError(
                 "hom window too shallow for the requested shift; "
                 "increase the resolution depth")
@@ -205,8 +205,8 @@ def _b_table(sources, T, require_valid=True):
     return btab, by_shift[nearest]
 
 
-def _iterate_object(objects, i, sources, window, budget, tau, validate):
-    T = _clip(injective_form(objects[i], top=tau, validate=validate))
+def _iterate_object(objects, i, sources, budget, tau):
+    T = _clip(injective_form(objects[i], top=tau))
     cones = 0
     rounds = 0
     b_tables = []
@@ -227,7 +227,7 @@ def _iterate_object(objects, i, sources, window, budget, tau, validate):
             break
         U, f = _assemble_evaluation(pieces, T)
         C, _, _ = cone(f)
-        T = _clip(injective_form(C, top=tau, validate=validate))
+        T = _clip(injective_form(C, top=tau))
         cones += len(pieces)
         rounds += 1
     return T, status, cones, rounds, b_tables
@@ -310,8 +310,7 @@ def verify_dual_basis(objects, Ts):
     return {"status": status, "failures": failures, "unchecked": unchecked}
 
 
-def build_dual_objects(objects, window=4, budget=64, depth=None,
-                       validate=False):
+def build_dual_objects(objects, window=4, budget=64, depth=None):
     """Run the cone iteration for every member of the family.
 
     window: how many negative shifts are inspected each round.
@@ -344,7 +343,7 @@ def build_dual_objects(objects, window=4, budget=64, depth=None,
     runs = []
     for i in range(len(objects)):
         T, status, cones, rounds, b_tables = _iterate_object(
-            objects, i, sources, window, budget, tau, validate)
+            objects, i, sources, budget, tau)
         certified = T.approx_above is None
         if not certified and status == "terminated":
             for cand in _exactness_candidates(T):
@@ -439,7 +438,7 @@ def h0_endomorphism_algebra(runs):
 
 
 def nu_stability(runs, tau):
-    """Does each companion agree with the injective form of its untwist?
+    """Does the Nakayama untwist permute the companions?
 
     Over a self-injective algebra this property certifies the windowed
     verdict.
@@ -448,35 +447,43 @@ def nu_stability(runs, tau):
 
 
 def _twist_check(runs, tau):
-    """"stable" when every companion agrees with the injective form of
-    its untwist, compared degreewise after cutting both sides to the
-    shared trusted window; "exhausted" when complex_iso_search missed on
-    a pair whose degreewise dimensions agree, so nothing is decided;
-    "unstable" when a companion is not a complex of injectives or the
-    dimensions differ.
+    """"stable" when the injective form of every companion's untwist is
+    isomorphic to a distinct companion, compared degreewise after
+    cutting both sides to the shared trusted window.  A companion T_j is
+    a candidate for the untwist of T_i when their degreewise dimensions
+    agree; j = i is tried first, since the Nakayama permutation often
+    fixes the vertices.  Matching greedily loses nothing, because
+    isomorphism is an equivalence.  "unstable" when a companion is not a
+    complex of injectives or an untwist has no candidate left;
+    "exhausted" when complex_iso_search missed on every candidate, so
+    nothing is decided.
     """
-    for r in runs:
-        T = r.complex
-        if T.is_zero() or not all_tags(T, "I"):
-            return "unstable"
-        P = nu_inverse_complex(T)
-        back = _clip(injective_form(P, top=tau))
-        lim = None
-        for v in (T.approx_above, back.approx_above):
-            if v is not None:
-                lim = v if lim is None else min(lim, v)
-        Tc, Bc = T.cut_above(lim), back.cut_above(lim)
-        if {n: Tc.dims_at(n) for n in Tc.parts} != \
-                {n: Bc.dims_at(n) for n in Bc.parts}:
-            return "unstable"
-        if complex_iso_search(Tc, Bc) is None:
-            return "exhausted"
+    Ts = [r.complex for r in runs]
+    if any(T.is_zero() or not all_tags(T, "I") for T in Ts):
+        return "unstable"
+    free = list(range(len(Ts)))
+    for i, T in enumerate(Ts):
+        back = _clip(injective_form(nu_inverse_complex(T), top=tau))
+        tried = False
+        for j in sorted(free, key=lambda j: j != i):
+            lim = min((v for v in (Ts[j].approx_above, back.approx_above)
+                       if v is not None), default=None)
+            Tc, Bc = Ts[j].cut_above(lim), back.cut_above(lim)
+            if {n: Tc.dims_at(n) for n in Tc.parts} != \
+                    {n: Bc.dims_at(n) for n in Bc.parts}:
+                continue
+            tried = True
+            if complex_iso_search(Tc, Bc) is not None:
+                free.remove(j)
+                break
+        else:
+            return "exhausted" if tried else "unstable"
     return "stable"
 
 
 # ---- the verdict ----
 
-def check_tilting(objects, window=4, budget=64, depth=None, validate=False):
+def check_tilting(objects, window=4, budget=64, depth=None):
     """Full pipeline: iterate, verify, inspect self-maps, pass a verdict.
 
     TILTING: every negative-degree self-map class of the total object
@@ -488,7 +495,7 @@ def check_tilting(objects, window=4, budget=64, depth=None, validate=False):
     the output cannot be trusted.
     """
     built = build_dual_objects(objects, window=window, budget=budget,
-                               depth=depth, validate=validate)
+                               depth=depth)
     runs = built["runs"]
     ver = built["verification"]
     T = total_complex(runs)

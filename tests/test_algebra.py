@@ -9,19 +9,16 @@ from tiltlab.algebra import (
     Algebra,
     AlgebraError,
     FiniteAlgebra,
-    ModuleMap,
     Module,
     Quiver,
     direct_sum_modules,
     dual_module,
     hom_basis,
-    homology_module,
     indec_iso,
     is_self_injective,
     kernel_module,
     nakayama_permutation,
     projective_cover,
-    quotient_module,
     sub_module,
     top_data,
 )
@@ -129,25 +126,6 @@ def test_top_and_radical_quotient():
     K, inc = kernel_module(g)
     assert K.dims == (0, 1)
     assert inc.commutes()
-
-
-def test_homology_module():
-    A = a2()
-    P0 = A.projective(0)
-    g = hom_basis(P0, A.simple(0))[0]
-    zero_in = ModuleMap.zero(A.projective(1), P0)
-    H = homology_module(zero_in, g)
-    assert H.dims == (0, 1)
-
-
-def test_quotient_module_action():
-    A = a2()
-    P0 = A.projective(0)
-    # quotient by the vertex-1 part: top of P0
-    span = [Mat.zeros(QQ, 0, P0.dims[0]), Mat.identity(QQ, P0.dims[1])]
-    Q, proj = quotient_module(P0, span)
-    assert Q.dims == (1, 0)
-    assert proj.commutes()
 
 
 def test_direct_sum_and_iso_search():

@@ -21,8 +21,10 @@ from tiltlab.complexes import (
     tag_module,
 )
 from tiltlab.derived import resolve_complex
-from tiltlab.linalg import QQ, Mat, PrimeField
+from tiltlab.linalg import QQ, Mat, PrimeField, Subquotient
 from tiltlab.tilting import hom_to_element, left_mult_map
+
+from test_direct_sums import ALGEBRAS, FIELDS, random_chain_map, random_complex
 
 
 @pytest.fixture
@@ -55,8 +57,6 @@ def test_stalk_and_shift(A):
 def test_resolution_homology(A):
     X = res_s1(A)
     X.validate()
-    assert X.homology(0).dims == (1, 0)
-    assert X.homology(-1).dims == (0, 0)
     assert X.homology_dims() == {0: (1, 0)}
 
 
@@ -97,7 +97,7 @@ def test_cone_triangle_composes_to_zero(A):
     origin = (0,) * A.quiver.n
     h = map_placement(X.module(0), [origin], C.module(-1), [origin],
                       {(0, 0): ModuleMap.identity(X.module(0))})
-    assert h.then(C.d_full(-1)).full() == f.then(inc).comp(0).full()
+    assert h.then(C.d_full(-1)).blocks == f.then(inc).comp(0).blocks
 
 
 def test_minimize_kills_contractible(A):
@@ -177,9 +177,9 @@ def test_hom_complex_valid_hi(A):
     X = stalk_complex(A, Summand("P", 0), 0)
     Y = Complex(A, {0: (Summand("P", 0),)}, {}, approx_above=5, validate=False)
     hc = HomComplex(X, Y)
-    assert hc.valid_hi() == 4
+    assert hc.valid_range()[1] == 4
     hc2 = HomComplex(X, stalk_complex(A, Summand("P", 0), 0))
-    assert hc2.valid_hi() is None
+    assert hc2.valid_range()[1] is None
 
 
 def test_h0_chain_maps(A):
@@ -212,6 +212,46 @@ def test_direct_sum_complexes(A):
     assert S.parts[-1] == (Summand("P", 1),)
     assert S.parts[0] == (Summand("P", 0), Summand("I", 0))
     assert S.homology_dims() == {0: (2, 0)}
+
+
+def _homology_by_subquotient(X):
+    """Complex.homology_dims, per vertex as the dimension of the
+    Subquotient of ker d_n by the rows of d_{n-1}."""
+    f = X.algebra.field
+    out = {}
+    for n in X.support():
+        dims = []
+        for v in range(X.algebra.quiver.n):
+            d_in, d_out = X.d_full(n - 1).blocks[v], X.d_full(n).blocks[v]
+            ker = d_out.left_kernel_basis() if d_out.ncols else \
+                Mat.identity(f, d_out.nrows)
+            dims.append(Subquotient(ker, d_in).dim)
+        if any(dims):
+            out[n] = tuple(dims)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_homology_dims_match_a_subquotient_per_vertex(
+        seed, field_key, algebra_key):
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    X = random_complex(A, rng)
+    Y = X if rng.random() < 0.3 else random_complex(A, rng)
+    for Z in (X, Y, cone(random_chain_map(X, Y, rng))[0]):
+        assert Z.homology_dims() == _homology_by_subquotient(Z)
+
+
+def test_homology_refuses_d_squared_nonzero(A):
+    # P_2 -> P_1 -> P_1, the arrow then the identity: d^2 is the arrow
+    ident = ModuleMap.identity(A.projective(0))
+    X = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),),
+                    1: (Summand("P", 0),)},
+                {-1: [[proj_map_a(A)]], 0: [[ident]]}, validate=False)
+    with pytest.raises(AlgebraError, match="image not inside kernel"):
+        X.homology_dims()
 
 
 def test_describe(A):

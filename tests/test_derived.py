@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab import derived
-from tiltlab.algebra import Algebra, AlgebraError, Quiver, indec_iso
+from tiltlab.algebra import Algebra, AlgebraError, Quiver
 from tiltlab.complexes import Complex, Summand, minimize, stalk_complex
 from tiltlab.derived import (
     HomTable,
@@ -86,8 +86,9 @@ def test_capped_resolution_reports_cut(DUAL):
     for n in res.complex.parts:
         assert res.complex.dims_at(n) == (2,)
     # trustworthy degrees still resolve the simple
-    assert res.complex.homology(0).dims == (1,)
-    assert res.complex.homology(-1).total == 0
+    hd = res.complex.homology_dims()
+    assert hd[0] == (1,)
+    assert -1 not in hd
 
 
 def test_resolve_refuses_top_cut(A2):
@@ -119,8 +120,8 @@ def test_injective_coresolution_of_simple(A2):
 def test_injective_form_minimizes(A2):
     T = injective_form(S(A2, 1))
     assert T.parts == {0: (Summand("I", 1),), 1: (Summand("I", 0),)}
-    H = T.homology(0)
-    assert indec_iso(H, A2.simple(1))
+    # a one-dimensional module is simple
+    assert T.homology_dims() == {0: (0, 1)}
     # injectives are left alone up to minimization
     J = injective_form(stalk_complex(A2, Summand("I", 0), 5))
     assert J.parts == {5: (Summand("I", 0),)}

@@ -247,6 +247,8 @@ def test_simples_over_cyclic_nakayama(NAK2):
      "window-clean and twist-stable over a self-injective algebra"),
     ("DUAL", False, "INCONCLUSIVE",
      "twist stability unproven: iso search exhausted (200 tries)"),
+    ("NAK2", True, "TILTING",
+     "window-clean and twist-stable over a self-injective algebra"),
     ("A2", True, "INCONCLUSIVE",
      "the cut hid degrees that the verdict needs"),
 ])
