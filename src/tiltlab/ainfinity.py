@@ -633,36 +633,24 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
                     row[cTpos] = f.add(row[cTpos], coeff)
     d = {k: Mat(f, rows, ncols=dims[k + 1]) for k, rows in d.items()}
 
+    # one signed coordinate per composable word pair, at their concatenation
     mult = {}
     for k1, lst1 in basis.items():
         for k2, lst2 in basis.items():
-            if dims.get(k1 + k2, 0) == 0:
-                continue
-            table = []
-            for (w1, i1) in lst1:
-                row = []
-                for (w2, i2) in lst2:
-                    out = _zeros(f, dims[k1 + k2])
-                    if rtag(w1, i1) == ltag(w2, i2) and \
-                            len(w1) + len(w2) <= tensor_cap:
-                        if w1 == () and w2 == ():
-                            tgt = ((), i1) if i1 == i2 else None
-                        elif w1 == ():
-                            tgt = (w2, None)
-                        elif w2 == ():
-                            tgt = (w1, None)
-                        else:
-                            tgt = (w1 + w2, None)
-                        if tgt is not None and tgt in index:
-                            kk, pos = index[tgt]
-                            p1 = sum(lw[la] for la in w1)
-                            p2 = sum(lw[la] for la in w2)
-                            vec = list(out)
-                            vec[pos] = _sign(f, p1 * p2)
-                            out = tuple(vec)
-                    row.append(out)
-                table.append(row)
-            mult[(k1, k2)] = table
+            block = {}
+            for a, (w1, i1) in enumerate(lst1):
+                for b, (w2, i2) in enumerate(lst2):
+                    if rtag(w1, i1) != ltag(w2, i2) or \
+                            len(w1) + len(w2) > tensor_cap:
+                        continue
+                    # two idempotent words meet only when i1 == i2
+                    tgt = (w1 + w2, None) if w1 + w2 else ((), i1)
+                    if tgt in index:
+                        p1 = sum(lw[la] for la in w1)
+                        p2 = sum(lw[la] for la in w2)
+                        block[(a, b)] = ((index[tgt][1], _sign(f, p1 * p2)),)
+            if block:
+                mult[(k1, k2)] = block
 
     unit = [f.zero()] * dims[0]
     idems = []

@@ -10,9 +10,16 @@ length >= nilpotency_bound.  For acyclic quivers the default bound is
 one more than the longest path, which changes nothing; for quivers with
 cycles the bound is part of the input and we certify (when cheap) that
 raising it would not change the algebra.
+
+This module defines the one structure-constant format (see
+sparse_structure): nonzero products by their nonzero coordinates.  The
+path algebra, FiniteAlgebra and the dg algebras all read it, and the
+code that produces an algebra builds it directly.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .linalg import Echelon, Field, Mat
 
@@ -133,7 +140,6 @@ class Algebra:
         self.basis_index = {k: i for i, k in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-        self._mult = None
         self._op = None
         self._proj = {}
         self._inj = {}
@@ -237,9 +243,6 @@ class Algebra:
 
     # ---- elements ----
 
-    def zero_elem(self):
-        return tuple(self.field.zero() for _ in range(self.dim))
-
     def idempotent(self, v):
         z = self.field.zero()
         vec = [z] * self.dim
@@ -274,36 +277,22 @@ class Algebra:
         vec[self.path_index[(pu[0], arrs)]] = self.field.one()
         return self._reduce_path_vector(vec)
 
-    def mult_table(self):
-        if self._mult is None:
-            zero = self.zero_elem()
-            table = []
-            for u in self.basis:
-                row = []
-                pu = self.paths[u]
-                for v in self.basis:
-                    r = self._concat_reduce(pu, self.paths[v])
-                    row.append(zero if r is None else r)
-                table.append(tuple(row))
-            self._mult = tuple(table)
-        return self._mult
+    @cached_property
+    def products(self):
+        """Structure constants in the sparse format of sparse_structure:
+        the degree-zero block, built once from path concatenation."""
+        block = {}
+        for a, u in enumerate(self.basis):
+            pu = self.paths[u]
+            for b, v in enumerate(self.basis):
+                r = self._concat_reduce(pu, self.paths[v])
+                coords = tuple((k, c) for k, c in enumerate(r or ()) if c)
+                if coords:
+                    block[(a, b)] = coords
+        return {(0, 0): block}
 
     def mult(self, x, y):
-        f = self.field
-        z = f.zero()
-        table = self.mult_table()
-        acc = [z] * self.dim
-        for i, xc in enumerate(x):
-            if not xc:
-                continue
-            for j, yc in enumerate(y):
-                if not yc:
-                    continue
-                c = f.mul(xc, yc)
-                for k, t in enumerate(table[i][j]):
-                    if t:
-                        acc[k] = f.add(acc[k], f.mul(c, t))
-        return tuple(acc)
+        return dense_product(self.field, self.products, 0, x, 0, y, self.dim)
 
     def basis_source(self, i):
         return self.paths[self.basis[i]][0]
@@ -823,33 +812,32 @@ def is_self_injective(A: Algebra):
 
 # ---- sparse structure constants (shared with dg algebras) ----
 
-def sparse_structure(dense, dims, error):
-    """Structure constants with only the nonzero products kept.
+def sparse_structure(structure, dims, error):
+    """The one structure-constant format, checked and returned.
 
-    dense[(i, j)][a][b] is the coordinate vector, in degree i + j, of the
-    product of the a-th degree-i and the b-th degree-j basis element;
-    dims maps degrees to dimensions.  Returns
-    {(i, j): {(a, b): ((k, c), ...)}} holding each nonzero product by
-    its nonzero coordinates.  Raises `error` when a table does not have
-    the shape the dimensions give it.
+    structure[(i, j)][(a, b)] = ((k, c), ...) lists the nonzero
+    coordinates c, at distinct indices k of degree i + j, of the product
+    of the a-th degree-i and the b-th degree-j basis element; dims maps
+    degrees to dimensions.  Only nonzero products appear, and the code
+    that produces an algebra builds this table directly.  Raises `error`
+    for an index outside dims, a coordinate outside the target degree or
+    listed twice, or a zero coefficient.
     """
-    out = {}
-    for (i, j), table in dense.items():
+    for (i, j), block in structure.items():
         n, m, w = dims.get(i, 0), dims.get(j, 0), dims.get(i + j, 0)
-        if len(table) != n or any(len(row) != m for row in table):
-            raise error(f"product table {(i, j)} is not {n} x {m}")
-        block = {}
-        for a, row in enumerate(table):
-            for b, vec in enumerate(row):
-                if len(vec) != w:
-                    raise error(f"product {(i, j)}[{a}][{b}] has "
-                                f"{len(vec)} coordinates, not {w}")
-                coords = tuple((k, c) for k, c in enumerate(vec) if c)
-                if coords:
-                    block[(a, b)] = coords
-        if block:
-            out[(i, j)] = block
-    return out
+        for (a, b), coords in block.items():
+            at = f"product {(i, j)}[{a}][{b}]"
+            if not (0 <= a < n and 0 <= b < m):
+                raise error(f"{at} indexes outside {n} x {m}")
+            ks = [k for k, _ in coords]
+            if not all(0 <= k < w for k in ks):
+                raise error(f"{at} has a coordinate outside degree {i + j} "
+                            f"of dimension {w}")
+            if len(set(ks)) != len(ks):
+                raise error(f"{at} lists a coordinate twice")
+            if not coords or not all(c for _, c in coords):
+                raise error(f"{at} lists a zero product or coefficient")
+    return structure
 
 
 def sparse_product(field, structure, i, x, j, y):
@@ -919,19 +907,19 @@ def is_associative(field, structure, dims):
 class FiniteAlgebra:
     """Algebra given by structure constants plus an orthogonal idempotent list.
 
-    table[a][b] (the constructor's argument) holds the coordinates of the
-    product of basis elements a and b.  It is stored sparse, as the
-    degree-zero block of sparse_structure: products[(0, 0)][(a, b)] lists
-    the nonzero coordinates of each nonzero product.
+    products is the degree-zero block {(0, 0): {(a, b): ((k, c), ...)}}
+    of the sparse format (see sparse_structure); the unit fixes the
+    dimension.
     """
 
-    def __init__(self, field, table, unit, idempotents):
+    def __init__(self, field, products, unit, idempotents):
         self.field = field
-        self.dim = len(table)
-        self.products = sparse_structure({(0, 0): table}, {0: self.dim},
-                                         AlgebraError)
         self.unit = tuple(unit)
+        self.dim = len(self.unit)
+        self.products = sparse_structure(products, {0: self.dim},
+                                         AlgebraError)
         self.idempotents = [tuple(e) for e in idempotents]
+        self._peirce = {}
         self.verify_structure()
 
     def mult(self, x, y):
@@ -964,13 +952,18 @@ class FiniteAlgebra:
         if tuple(acc) != self.unit:
             raise AlgebraError("idempotents do not sum to the unit")
 
-    def peirce_basis(self, i, j):
-        """Row basis of e_i A e_j inside the whole space."""
-        f = self.field
+    def corner_rows(self, i, j, rows):
+        """Row basis of the span of e_i x e_j over the rows x of a Mat."""
         ei, ej = self.idempotents[i], self.idempotents[j]
-        rows = [self.mult(self.mult(ei, self.basis_elem(k)), ej) for k in range(self.dim)]
-        M = Mat(f, rows)
-        return M.row_space_basis()
+        out = [list(self.mult(self.mult(ei, tuple(x)), ej)) for x in rows.data]
+        return Mat(self.field, out, ncols=self.dim).row_space_basis()
+
+    def peirce_basis(self, i, j):
+        """Row basis of e_i A e_j inside the whole space, built once."""
+        if (i, j) not in self._peirce:
+            self._peirce[(i, j)] = self.corner_rows(
+                i, j, Mat.identity(self.field, self.dim))
+        return self._peirce[(i, j)]
 
     def cartan_matrix(self):
         n = len(self.idempotents)
@@ -994,25 +987,24 @@ class FiniteAlgebra:
         f = self.field
         corner = self.peirce_basis(i, i)
         d = corner.nrows
+        eye = Mat.identity(f, d)
         lambdas = []
         for r in range(d):
-            b = tuple(corner.data[r])
-            L = self.left_mult_matrix_on(b, corner)
-            cp = L.charpoly()
-            lam = _split_eigenvalue(f, cp, d)
+            L = self.left_mult_matrix_on(tuple(corner.data[r]), corner)
+            lam = _split_eigenvalue(f, L.charpoly(), d)
             if lam is None:
                 raise LocalStructureError("corner residue is not split over the field")
-            # verify b - lam*e_i is nilpotent on the corner
-            shifted = [f.sub(x, f.mul(lam, e)) for x, e in zip(b, self.idempotents[i])]
-            Ls = self.left_mult_matrix_on(tuple(shifted), corner)
-            cps = Ls.charpoly()
-            if any(cps[:-1]):
+            # verify b - lam*e_i is nilpotent on the corner, where e_i
+            # acts as the identity: L_{b - lam e_i} = L_b - lam
+            if any(L.add(eye.scale(f.neg(lam))).charpoly()[:-1]):
                 raise LocalStructureError("corner element is not scalar plus nilpotent")
             lambdas.append(lam)
         return corner, lambdas
 
     def radical_rows(self):
-        """Row basis of the radical; verified nilpotent two-sided of codim r."""
+        """Row basis of the radical candidate J: the Peirce blocks off the
+        diagonal and the kernel of each corner's residue functional.
+        radical_powers verifies it."""
         f = self.field
         n = len(self.idempotents)
         rows = []
@@ -1028,11 +1020,15 @@ class FiniteAlgebra:
                 lam = lambdas[r]
                 shifted = [f.sub(x, f.mul(lam, e)) for x, e in zip(b, self.idempotents[i])]
                 rows.append(shifted)
-        J = Mat(f, rows).row_space_basis() if rows else Mat.zeros(f, 0, self.dim)
-        self._verify_radical(J)
-        return J
+        return Mat(f, rows).row_space_basis() if rows else Mat.zeros(f, 0, self.dim)
+
+    def radical_powers(self):
+        """[J, J^2, ..., 0] for the radical J, verified a nilpotent
+        two-sided ideal of codimension r."""
+        return self._verify_radical(self.radical_rows())
 
     def _verify_radical(self, J):
+        """The powers [J, J^2, ..., 0] of a verified radical candidate J."""
         f = self.field
         if J.nrows != self.dim - len(self.idempotents):
             raise AlgebraError("radical has wrong codimension")
@@ -1045,15 +1041,14 @@ class FiniteAlgebra:
                     if ideal.coords(y) is None:
                         raise AlgebraError("radical candidate is not an ideal")
         # nilpotent
-        cur = J
+        powers = [J]
         for _ in range(self.dim + 1):
+            cur = powers[-1]
             if cur.nrows == 0:
-                return
-            nxt_rows = []
-            for r in range(cur.nrows):
-                for s in range(J.nrows):
-                    nxt_rows.append(list(self.mult(tuple(cur.data[r]), tuple(J.data[s]))))
-            cur = Mat(f, nxt_rows).row_space_basis() if nxt_rows else Mat.zeros(f, 0, self.dim)
+                return powers
+            nxt_rows = [list(self.mult(tuple(x), tuple(y)))
+                        for x in cur.data for y in J.data]
+            powers.append(Mat(f, nxt_rows).row_space_basis())
         raise AlgebraError("radical candidate is not nilpotent")
 
 

@@ -850,7 +850,7 @@ def h0_chain_maps(X: Complex, Y: Complex):
 ISO_SEARCH_TRIES = 200
 
 
-def complex_iso_search(X: Complex, Y: Complex, tries=ISO_SEARCH_TRIES, seed=0):
+def complex_iso_search(X: Complex, Y: Complex):
     """Invertible chain map X -> Y, or None.  Sufficient certificate."""
     import random as _random
 
@@ -866,9 +866,9 @@ def complex_iso_search(X: Complex, Y: Complex, tries=ISO_SEARCH_TRIES, seed=0):
         if c.is_degreewise_iso():
             return c
     f = X.algebra.field
-    rng = _random.Random(seed)
+    rng = _random.Random(0)
     pool = list(range(f.p)) if hasattr(f, "p") else list(range(-3, 4))
-    for _ in range(tries):
+    for _ in range(ISO_SEARCH_TRIES):
         acc = ChainMap.zero(X, Y)
         for c in cands:
             acc = acc.add(c.scale(f.of(rng.choice(pool))))

@@ -285,7 +285,10 @@ def simple_stalk_profile(X: Complex):
     return dims.index(1), deg
 
 
-def generation_certificate(objects, cone_budget=48, size_cap=None, hom_cap=6):
+GENERATION_HOM_CAP = 6  # chain maps coned per pair of reached objects
+
+
+def generation_certificate(objects, cone_budget=48):
     """Search for the simples inside the triangulated closure of the objects.
 
     Breadth-first over cones of chain maps between reached objects (all
@@ -319,9 +322,8 @@ def generation_certificate(objects, cone_budget=48, size_cap=None, hom_cap=6):
 
     for X in objects:
         add(minimize(X, verify=False).complex)
-    if size_cap is None:
-        size_cap = 6 * max(A.dim, max((X.total_dim() for X in reached),
-                                      default=A.dim))
+    size_cap = 6 * max(A.dim, max((X.total_dim() for X in reached),
+                                  default=A.dim))
     cones_used = 0
     if found >= want:
         return True, sorted(found), cones_used
@@ -338,7 +340,7 @@ def generation_certificate(objects, cone_budget=48, size_cap=None, hom_cap=6):
                         break
                     Vs = V.shift(s)
                     maps, _ = h0_chain_maps(U, Vs)
-                    for f in maps[:hom_cap]:
+                    for f in maps[:GENERATION_HOM_CAP]:
                         if f.is_zero() or budget <= 0:
                             continue
                         budget -= 1

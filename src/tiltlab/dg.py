@@ -5,7 +5,9 @@ validated on construction: differentials square to zero, the Leibniz
 rule and associativity are checked on every basis pair and triple where
 a product, or a product with a differential, is nonzero (on the others
 both sides vanish), units and idempotent decompositions are verified.
-Structure constants are stored sparse, nonzero products only.  Degrees
+Structure constants come in the one sparse format that algebra defines
+(algebra.sparse_structure), nonzero products only, and every producer
+here builds that table directly.  Degrees
 follow the cochain convention (differentials raise degree by one);
 elements of a fixed degree are row vectors in the chosen basis of that
 degree.
@@ -57,12 +59,10 @@ class DgAlgebra:
     """Finite-dimensional non-positive dg algebra with chosen basis.
 
     dims: {degree <= 0: dimension}; d[i]: matrix of the differential
-    from degree i to i+1.  The constructor takes mult[(i, j)][a][b]: the
-    coordinates, inside degree i+j, of the product of the a-th degree-i
-    and b-th degree-j basis elements.  It stores mult sparse, as
-    mult[(i, j)][(a, b)] = ((k, c), ...) for the nonzero products only
-    (see algebra.sparse_structure).  unit and idempotents live in
-    degree 0.
+    from degree i to i+1.  mult[(i, j)][(a, b)] = ((k, c), ...) lists
+    the nonzero coordinates, inside degree i+j, of each nonzero product
+    of the a-th degree-i and b-th degree-j basis elements (see
+    algebra.sparse_structure).  unit and idempotents live in degree 0.
     """
 
     def __init__(self, field, dims, d, mult, unit, idempotents, check=True,
@@ -77,7 +77,7 @@ class DgAlgebra:
         # that needs the non-positive theory
         self.nonpositive = nonpositive
         if check:
-            # before the table is read, so that a table shaped for a
+            # before the table is checked, so that a table shaped for a
             # positive part is reported as one
             self._check_degrees()
         self.mult = sparse_structure(mult, self.dims, DgError)
@@ -89,13 +89,6 @@ class DgAlgebra:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def mult_basis(self, i, a, j, b):
-        """Product of basis elements, as coordinates in degree i+j."""
-        out = list(_zeros(self.field, self.dim_at(i + j)))
-        for k, c in self.mult.get((i, j), {}).get((a, b), ()):
-            out[k] = c
-        return tuple(out)
 
     def elem_mult(self, i, x, j, y):
         return dense_product(self.field, self.mult, i, x, j, y,
@@ -217,11 +210,8 @@ class DgAlgebra:
 
 def dg_from_path_algebra(A) -> DgAlgebra:
     """An ordinary path-algebra quotient viewed as a dg algebra in degree 0."""
-    n = A.dim
-    mult = {(0, 0): [[tuple(A.mult(A._unit_coord(a), A._unit_coord(b)))
-                      for b in range(n)] for a in range(n)]}
     idems = [A.idempotent(v) for v in range(A.quiver.n)]
-    return DgAlgebra(A.field, {0: n}, {}, mult, A.one(), idems)
+    return DgAlgebra(A.field, {0: A.dim}, {}, A.products, A.one(), idems)
 
 
 # ---- dg modules ----
@@ -313,7 +303,7 @@ class DgModule:
                                 zb = _unit_vec(f, A.dim_at(j), b)
                                 l = self.elem_act(k + i, xa, j, zb)
                                 r = self.elem_act(
-                                    k, xm, i + j, A.mult_basis(i, a, j, b))
+                                    k, xm, i + j, A.elem_mult(i, ya, j, zb))
                                 if l != r:
                                     raise DgError(
                                         "module action is not associative")
@@ -362,11 +352,8 @@ def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
             for a in pick[k]:
                 row = []
                 for b in range(A.dim_at(j)):
-                    prod = A.mult_basis(k, a, j, b)
                     vec = [f.zero()] * len(pick[k + j])
-                    for c, coef in enumerate(prod):
-                        if not coef:
-                            continue
+                    for c, coef in A.mult.get((k, j), {}).get((a, b), ()):
                         if c not in pos[k + j]:
                             raise DgError("action left the idempotent slice")
                         vec[pos[k + j][c]] = coef
@@ -800,13 +787,11 @@ def endomorphism_dg_algebra(pieces):
     dims = {m: len(basis[m]) for m in sorted(basis)}
 
     def coords_of(m, p, q, comps):
-        """comps: {n: ModuleMap} inside block (p, q), as a degree-m vector."""
+        """comps: {n: ModuleMap} inside block (p, q), as the (index,
+        coefficient) pairs of the nonzero coordinates in degree m."""
         vec = blocks[(p, q)].coords(m, comps)
-        out = list(_zeros(f, dims[m]))
-        if vec:
-            off = offsets[(m, p, q)]
-            out[off:off + len(vec)] = vec
-        return tuple(out)
+        off = offsets.get((m, p, q), 0)
+        return tuple((off + t, c) for t, c in enumerate(vec) if c)
 
     d = {}
     for m in sorted(dims):
@@ -827,27 +812,27 @@ def endomorphism_dg_algebra(pieces):
         for j in sorted(dims):
             if i + j not in dims:
                 continue
-            zero = _zeros(f, dims[i + j])
-            t = []
-            for (p, q, n, h) in basis[i]:
-                row = []
-                for (p2, q2, n2, h2) in basis[j]:
-                    # product x·y applies y first: need y to land where
-                    # x starts, in matching degrees
-                    if q2 == p and n2 + j == n:
-                        row.append(coords_of(i + j, p2, q, {n2: h2.then(h)}))
-                    else:
-                        row.append(zero)
-                t.append(row)
-            mult[(i, j)] = t
+            block = {}
+            for a, (p, q, n, h) in enumerate(basis[i]):
+                for b, (p2, q2, n2, h2) in enumerate(basis[j]):
+                    # product x·y applies y first: only pairs where y
+                    # lands where x starts, in matching degrees, compose
+                    if q2 != p or n2 + j != n:
+                        continue
+                    prod = coords_of(i + j, p2, q, {n2: h2.then(h)})
+                    if prod:
+                        block[(a, b)] = prod
+            mult[(i, j)] = block
 
-    idems = [coords_of(0, p, p, {n: ModuleMap.identity(X.module(n))
-                                 for n in X.parts})
-             for p, X in enumerate(pieces)]
-    unit = _zeros(f, dims[0])
-    for e in idems:
-        unit = tuple(f.add(a, b) for a, b in zip(unit, e))
-    return DgAlgebra(f, dims, d, mult, unit, idems, check=True,
+    idems = []
+    unit = list(_zeros(f, dims[0]))
+    for p, X in enumerate(pieces):
+        e = list(_zeros(f, dims[0]))
+        for t, c in coords_of(0, p, p, {n: ModuleMap.identity(X.module(n))
+                                        for n in X.parts}):
+            e[t] = unit[t] = c
+        idems.append(tuple(e))
+    return DgAlgebra(f, dims, d, mult, tuple(unit), idems, check=True,
                      nonpositive=False)
 
 
@@ -884,13 +869,7 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
     ker_coords = _span_coords(ker)
 
     def coords(k, vec):
-        if k > 0:
-            if any(vec):
-                raise DgError("truncated product escaped upward")
-            return None
-        if k == 0:
-            return ker_coords(vec, "degree-zero cycle")
-        return tuple(vec)
+        return ker_coords(vec, "degree-zero cycle") if k == 0 else tuple(vec)
 
     def rep(k, a):
         if k == 0:
@@ -909,14 +888,14 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
         for j in dims:
             if dims.get(i + j, 0) == 0:
                 continue
-            t = []
+            block = {}
             for a in range(dims[i]):
-                row = []
                 for b in range(dims[j]):
-                    prod = E.elem_mult(i, rep(i, a), j, rep(j, b))
-                    row.append(coords(i + j, prod))
-                t.append(row)
-            mult[(i, j)] = t
+                    prod = coords(i + j, E.elem_mult(i, rep(i, a), j, rep(j, b)))
+                    prod = tuple((k, c) for k, c in enumerate(prod) if c)
+                    if prod:
+                        block[(a, b)] = prod
+            mult[(i, j)] = block
     unit = coords(0, E.unit)
     idems = [coords(0, e) for e in E.idempotents]
     return DgAlgebra(f, dims, d, mult, unit, idems, check=True)

@@ -241,27 +241,6 @@ def _arrow_label(k):
     return letters[k] if k < 26 else f"a{k}"
 
 
-def _radical_powers(G):
-    f = G.field
-    J = G.radical_rows()
-    powers = [J]
-    cur = J
-    while cur.nrows:
-        rows = [list(G.mult(tuple(x), tuple(y)))
-                for x in cur.data for y in J.data]
-        cur = Mat(f, rows).row_space_basis() if rows \
-            else Mat.zeros(f, 0, G.dim)
-        powers.append(cur)
-    return powers
-
-
-def _corner_rows(G, rows, i, j):
-    f = G.field
-    ei, ej = G.idempotents[i], G.idempotents[j]
-    out = [list(G.mult(G.mult(ei, tuple(x)), ej)) for x in rows.data]
-    return Mat(f, out, ncols=G.dim).row_space_basis()
-
-
 def _poly_text(field, vec, names):
     parts = []
     for c, name in zip(vec, names):
@@ -293,15 +272,15 @@ def algebra_presentation(G):
     """
     f = G.field
     r = len(G.idempotents)
-    powers = _radical_powers(G)
+    powers = G.radical_powers()
     layers = [p.nrows for p in powers if p.nrows]
     L = len(layers) + 1  # rad^L = 0
 
     arrows = []  # (label, i, j, element)
     for i in range(r):
         for j in range(r):
-            part = _corner_rows(G, powers[0], i, j)
-            sq = _corner_rows(G, powers[1], i, j) if len(powers) > 1 \
+            part = G.corner_rows(i, j, powers[0])
+            sq = G.corner_rows(i, j, powers[1]) if len(powers) > 1 \
                 else Mat.zeros(f, 0, G.dim)
             for row in independent_rows(sq, part.data):
                 arrows.append((_arrow_label(len(arrows)), i, j, row))

@@ -387,20 +387,21 @@ def end_homology(T: Complex):
     return dims, unchecked, hc
 
 
-def h0_endomorphism_algebra(runs):
+def h0_endomorphism_algebra(runs, hc):
     """Degree-zero self-maps of the total object, as a finite algebra.
 
-    Basis: homotopy classes of chain endomorphisms.  The product of two
-    classes applies the right factor first, so the resulting Peirce
-    block e_i A e_j collects maps from the j-th companion to the i-th.
-    Returns (algebra, info) where info carries the class count and the
-    per-companion idempotent coordinates.
+    hc is the hom complex HomComplex(T, T) of the total object T of the
+    runs, as end_homology returns it.  Basis: homotopy classes of chain
+    endomorphisms.  The product of two classes applies the right factor
+    first, so the resulting Peirce block e_i A e_j collects maps from
+    the j-th companion to the i-th.  Returns (algebra, info) where info
+    carries the class count and the per-companion idempotent
+    coordinates.
     """
-    T = total_complex(runs)
+    T = hc.X
     A = T.algebra
     f = A.field
     summands = [r.complex for r in runs]
-    hc = HomComplex(T, T)
     if not hc.is_valid_degree(0):
         raise AlgebraError("degree zero fell outside the certified window")
     reps, H = hc.chain_classes(0)
@@ -413,13 +414,13 @@ def h0_endomorphism_algebra(runs):
         return out
 
     maps = [ChainMap(T, T, rep, check=False) for rep in reps]
-    table = []
+    block = {}
     for a in range(dim):
-        row = []
         for b in range(dim):
-            prod = maps[b].then(maps[a])
-            row.append(coords_of(prod.comps))
-        table.append(row)
+            prod = coords_of(maps[b].then(maps[a]).comps)
+            coords = tuple((k, c) for k, c in enumerate(prod) if c)
+            if coords:
+                block[(a, b)] = coords
     unit = coords_of({n: ModuleMap.identity(T.module(n)) for n in T.parts})
 
     # companion i's idempotent is the identity on its block of T
@@ -432,7 +433,7 @@ def h0_endomorphism_algebra(runs):
                  for n in T.parts}
         idems.append(coords_of(comps))
 
-    gamma = FiniteAlgebra(f, table, unit, idems)
+    gamma = FiniteAlgebra(f, {(0, 0): block}, unit, idems)
     info = {"dim": dim, "idempotents": idems}
     return gamma, info
 
@@ -499,13 +500,13 @@ def check_tilting(objects, window=4, budget=64, depth=None):
     runs = built["runs"]
     ver = built["verification"]
     T = total_complex(runs)
-    end_dims, end_unchecked, _ = end_homology(T)
+    end_dims, end_unchecked, hc = end_homology(T)
 
     gamma = None
     gamma_info = None
     gamma_error = None
     try:
-        gamma, gamma_info = h0_endomorphism_algebra(runs)
+        gamma, gamma_info = h0_endomorphism_algebra(runs, hc)
     except (AlgebraError, LocalStructureError) as e:
         gamma_error = str(e)
 

@@ -140,10 +140,9 @@ def test_transfer_refuses_contractible_idempotents():
     f = QQ
     E = DgAlgebra(
         f, {0: 2, -1: 1}, {-1: Mat(f, [[q(0), q(1)]])},
-        {(0, 0): [[(q(1), q(0)), (q(0), q(0))],
-                  [(q(0), q(0)), (q(0), q(1))]],
-         (0, -1): [[(q(0),)], [(q(1),)]],
-         (-1, 0): [[(q(0),), (q(1),)]]},
+        {(0, 0): {(0, 0): ((0, q(1)),), (1, 1): ((1, q(1)),)},
+         (0, -1): {(1, 0): ((0, q(1)),)},
+         (-1, 0): {(0, 1): ((0, q(1)),)}},
         (q(1), q(1)), [(q(1), q(0)), (q(0), q(1))])
     with pytest.raises(ContractionFailure):
         kadeishvili_minimal_model(E, arity_cap=3)

@@ -69,7 +69,7 @@ def test_a2_basics():
     e1, a = A.idempotent(0), A.arrow_elem("a")
     assert A.mult(e1, a) == a
     assert A.mult(a, A.idempotent(1)) == a
-    assert A.mult(a, a) == A.zero_elem()
+    assert A.mult(a, a) == (QQ.zero(),) * A.dim
 
 
 def test_a2_projectives_injectives():
@@ -170,7 +170,7 @@ def test_a4_cubic_dimension():
     # abc reduces to zero, ab and bc survive
     ab = A.mult(A.arrow_elem("a"), A.arrow_elem("b"))
     c = A.arrow_elem("c")
-    assert A.mult(ab, c) == A.zero_elem()
+    assert A.mult(ab, c) == (QQ.zero(),) * A.dim
 
 
 def test_opposite_antihom():
@@ -193,8 +193,7 @@ def test_dual_module_is_module():
 
 def test_finite_algebra_from_path_algebra():
     A = a2()
-    table = A.mult_table()
-    G = FiniteAlgebra(QQ, table, A.one(), [A.idempotent(0), A.idempotent(1)])
+    G = FiniteAlgebra(QQ, A.products, A.one(), [A.idempotent(0), A.idempotent(1)])
     assert G.cartan_matrix() == [[1, 1], [0, 1]]
     J = G.radical_rows()
     assert J.nrows == 1
@@ -203,7 +202,7 @@ def test_finite_algebra_from_path_algebra():
 
 def test_finite_algebra_refuses_a_radical_that_is_no_ideal():
     A = a2()
-    G = FiniteAlgebra(QQ, A.mult_table(), A.one(),
+    G = FiniteAlgebra(QQ, A.products, A.one(),
                       [A.idempotent(0), A.idempotent(1)])
     G._verify_radical(G.radical_rows())
     # the span of e_1 has the radical's codimension, but e_1 times the
@@ -215,7 +214,7 @@ def test_finite_algebra_refuses_a_radical_that_is_no_ideal():
 
 def test_finite_algebra_radical_gf2():
     A = dual_numbers(PrimeField(2))
-    G = FiniteAlgebra(A.field, A.mult_table(), A.one(), [A.idempotent(0)])
+    G = FiniteAlgebra(A.field, A.products, A.one(), [A.idempotent(0)])
     J = G.radical_rows()
     assert J.nrows == 1
     # the radical is spanned by the loop
@@ -225,8 +224,9 @@ def test_finite_algebra_radical_gf2():
 
 def test_finite_algebra_rejects_garbage():
     # group algebra of Z/2, but the claimed idempotent squares to the unit
-    table = [[(1, 0), (0, 1)], [(0, 1), (1, 0)]]
-    table = [[tuple(map(QQ.of, c)) for c in row] for row in table]
+    one = QQ.of(1)
+    table = {(0, 0): {(0, 0): ((0, one),), (0, 1): ((1, one),),
+                      (1, 0): ((1, one),), (1, 1): ((0, one),)}}
     with pytest.raises(AlgebraError):
         FiniteAlgebra(QQ, table, (QQ.of(1), QQ.of(0)), [(QQ.of(0), QQ.of(1))])
     # and a wrong unit
@@ -327,3 +327,122 @@ def test_sub_module_matches_a_solve_per_arrow(seed, field_key):
     assert inc.blocks == basis
     S.validate()
     assert inc.commutes()
+
+
+# ---- structure constants of the path algebra, by brute force ----
+
+def ref_paths(n, arrows, bound):
+    """Every path of length < bound, as (source, arrow indices)."""
+    out = [(v, ()) for v in range(n)]
+    frontier = list(out)
+    for _ in range(1, bound):
+        frontier = [(s, arrs + (k,)) for s, arrs in frontier
+                    for k, (a, _) in enumerate(arrows)
+                    if a == (arrows[arrs[-1]][1] if arrs else s)]
+        out += frontier
+    return out
+
+
+def ref_products(A, arrows, relations):
+    """Dense products of the basis paths of A: concatenate, then solve for
+    the coordinates over the basis paths modulo the ideal, which is
+    spanned by p * (e_x rel e_y) * q inside the paths shorter than the
+    bound.  Also checks that the basis paths complement the ideal."""
+    f = A.field
+    paths = ref_paths(A.quiver.n, arrows, A.bound)
+    assert set(paths) == set(A.paths)
+    index = {p: k for k, p in enumerate(paths)}
+
+    def tgt(p):
+        return arrows[p[1][-1]][1] if p[1] else p[0]
+
+    ideal = []
+    for rel in relations:
+        comps = {}
+        for c, labs in rel:
+            arrs = tuple("abc".index(lab) for lab in labs)
+            comps.setdefault((arrows[arrs[0]][0], arrows[arrs[-1]][1]),
+                             []).append((f.of(c), arrs))
+        for (x, y), terms in comps.items():
+            for p in paths:
+                for q in paths:
+                    if tgt(p) != x or q[0] != y:
+                        continue
+                    row = [f.zero()] * len(paths)
+                    for c, arrs in terms:
+                        full = p[1] + arrs + q[1]
+                        if len(full) < A.bound:
+                            k = index[(p[0], full)]
+                            row[k] = f.add(row[k], c)
+                    if any(row):
+                        ideal.append(row)
+    ideal = Mat(f, ideal, ncols=len(paths)).row_space_basis()
+    basis = [A.paths[k] for k in A.basis]
+    assert len(basis) + ideal.nrows == len(paths)
+    # the basis rows and the ideal together: invertible exactly when the
+    # basis paths complement the ideal
+    inv = Mat(f, [[f.one() if p == b else f.zero() for p in paths]
+                  for b in basis] + list(ideal.data),
+              ncols=len(paths)).inverse()
+    table = []
+    for u in basis:
+        row = []
+        for v in basis:
+            if tgt(u) != v[0] or len(u[1] + v[1]) >= A.bound:
+                row.append((f.zero(),) * len(basis))
+                continue
+            x = inv.data[index[(u[0], u[1] + v[1])]]
+            row.append(tuple(x[:len(basis)]))
+        table.append(row)
+    return table
+
+
+@st.composite
+def path_algebras(draw):
+    """A quiver with up to three arrows (loops and cycles allowed), a
+    nilpotency bound, and relations whose terms are random paths.  The
+    terms after the first mostly share its source and target, so that a
+    product can reduce to several basis paths."""
+    f = draw(st.sampled_from([QQ, PrimeField(3)]))
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=3))
+    bound = draw(st.integers(2, 4))
+    long = [p for p in ref_paths(n, arrows, bound) if len(p[1]) >= 2]
+    relations = []
+    if long:
+        for _ in range(draw(st.integers(0, 2))):
+            first = draw(st.sampled_from(long))
+            ends = (first[0], arrows[first[1][-1]][1])
+            same = [p for p in long if (p[0], arrows[p[1][-1]][1]) == ends]
+            terms = [first] + draw(st.lists(
+                st.sampled_from(same if draw(st.integers(0, 3)) else long),
+                min_size=1, max_size=3, unique=True))
+            relations.append([(draw(st.sampled_from([1, -1, 2])),
+                               ["abc"[a] for a in arrs])
+                              for _, arrs in terms])
+    A = Algebra(f, Quiver(n, [("abc"[k], s, t)
+                              for k, (s, t) in enumerate(arrows)]),
+                relations, nilpotency_bound=bound, certify_bound=False)
+    return A, arrows, relations, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_algebras())
+def test_path_algebra_products_match_concatenation(case):
+    A, arrows, relations, rng = case
+    f = A.field
+    table = ref_products(A, arrows, relations)
+    want = {(a, b): tuple((k, c) for k, c in enumerate(vec) if c)
+            for a, row in enumerate(table) for b, vec in enumerate(row)
+            if any(vec)}
+    assert A.products == {(0, 0): want}
+    for _ in range(3):
+        x, y = ([f.of(rng.randrange(-2, 3)) for _ in range(A.dim)]
+                for _ in range(2))
+        prod = [f.zero()] * A.dim
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y):
+                for k, c in enumerate(table[a][b]):
+                    prod[k] = f.add(prod[k], f.mul(f.mul(xa, yb), c))
+        assert A.mult(tuple(x), tuple(y)) == tuple(prod)

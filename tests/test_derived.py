@@ -7,7 +7,6 @@ from tiltlab import derived
 from tiltlab.algebra import Algebra, AlgebraError, Quiver
 from tiltlab.complexes import Complex, Summand, minimize, stalk_complex
 from tiltlab.derived import (
-    HomTable,
     class_matrix,
     coresolve_complex,
     derived_hom,

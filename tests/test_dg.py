@@ -96,12 +96,11 @@ def test_validate_rejects_broken_differential():
     dims = {0: 2, -1: 1, -2: 1}
     d = {-2: qmat([[1]]), -1: qmat([[0, 1]])}
     mult = {
-        (0, 0): [[(q(1), q(0)), (q(0), q(0))],
-                 [(q(0), q(0)), (q(0), q(1))]],
-        (0, -1): [[(q(0),)], [(q(1),)]],
-        (-1, 0): [[(q(0),), (q(1),)]],
-        (0, -2): [[(q(0),)], [(q(1),)]],
-        (-2, 0): [[(q(0),), (q(1),)]],
+        (0, 0): {(0, 0): ((0, q(1)),), (1, 1): ((1, q(1)),)},
+        (0, -1): {(1, 0): ((0, q(1)),)},
+        (-1, 0): {(0, 1): ((0, q(1)),)},
+        (0, -2): {(1, 0): ((0, q(1)),)},
+        (-2, 0): {(0, 1): ((0, q(1)),)},
     }
     with pytest.raises(DgError, match="square"):
         DgAlgebra(QQ, dims, d, mult, unit=(q(1), q(1)),
@@ -114,10 +113,9 @@ def test_validate_rejects_leibniz_violation():
     dims = {0: 2, -1: 1}
     d = {-1: qmat([[1, 0]])}
     mult = {
-        (0, 0): [[(q(1), q(0)), (q(0), q(0))],
-                 [(q(0), q(0)), (q(0), q(1))]],
-        (0, -1): [[(q(0),)], [(q(1),)]],
-        (-1, 0): [[(q(0),), (q(1),)]],
+        (0, 0): {(0, 0): ((0, q(1)),), (1, 1): ((1, q(1)),)},
+        (0, -1): {(1, 0): ((0, q(1)),)},
+        (-1, 0): {(0, 1): ((0, q(1)),)},
     }
     with pytest.raises(DgError, match="Leibniz"):
         DgAlgebra(QQ, dims, d, mult, unit=(q(1), q(1)),
@@ -126,13 +124,13 @@ def test_validate_rejects_leibniz_violation():
 
 def test_validate_rejects_positive_degrees_by_default():
     with pytest.raises(DgError, match="positive"):
-        DgAlgebra(QQ, {0: 1, 1: 1}, {}, {(0, 0): [[(q(1), q(0))]]},
+        DgAlgebra(QQ, {0: 1, 1: 1}, {}, {(0, 0): {(0, 0): ((0, q(1)),)}},
                   unit=(q(1), q(0)), idempotents=[(q(1), q(0))])
 
 
 def test_validate_rejects_non_orthogonal_idempotents():
     with pytest.raises(DgError, match="idempotent"):
-        DgAlgebra(QQ, {0: 1}, {}, {(0, 0): [[(q(1),)]]},
+        DgAlgebra(QQ, {0: 1}, {}, {(0, 0): {(0, 0): ((0, q(1)),)}},
                   unit=(q(1),), idempotents=[(q(1),), (q(1),)])
 
 

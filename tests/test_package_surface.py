@@ -12,6 +12,10 @@ each method whose name is not a dunder, must meet one of these:
 A helper that only unit tests reach fails the scan.  Names are matched
 as identifiers (a bare name or an attribute), so a method shares the
 verdict of every other attribute with its name.
+
+A second scan, over src/tiltlab and tests, fails when a module imports
+a name that it never reads.  No linter runs on the repository, so this
+is the only guard against stale imports.
 """
 
 import ast
@@ -90,3 +94,26 @@ def test_every_definition_has_a_user():
                 orphans.append(qual)
     assert set(KEPT) <= defined, "a kept helper no longer exists"
     assert not orphans, "definitions only tests reach: " + ", ".join(orphans)
+
+
+def _unread_imports(tree):
+    """Names the module's imports bind that no expression in it reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_is_read():
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for path in sorted([*PACKAGE.glob("*.py"),
+                                  *(ROOT / "tests").glob("*.py")])
+              for name in sorted(_unread_imports(ast.parse(path.read_text())))]
+    assert not unread, "imported but never read: " + ", ".join(unread)

@@ -3,8 +3,8 @@
 import pytest
 
 from tiltlab import reporting
-from tiltlab.reporting import (JobError, algebra_presentation, parse_job,
-                               render_report, run_pipeline)
+from tiltlab.reporting import (JobError, parse_job, render_report,
+                               run_pipeline)
 
 A2_DATA = {
     "field": "rational",

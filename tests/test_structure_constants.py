@@ -5,7 +5,8 @@ basis tuples where a product, or a product with a differential, is
 nonzero.  The fixed tables below put the only failure on a tuple that
 just one branch of that support reaches; the property test compares
 both constructors with a brute-force reference that checks every basis
-pair and triple.
+pair and triple.  The tables here are dense, mult[(i, j)][a][b], and
+reach the constructors through `sparse`.
 """
 
 import pytest
@@ -20,6 +21,14 @@ GF5 = PrimeField(5)
 
 def vec(f, *xs):
     return tuple(f.of(x) for x in xs)
+
+
+def sparse(mult):
+    """Dense tables mult[(i, j)][a][b] in the constructors' sparse format."""
+    return {ij: {(a, b): tuple((k, c) for k, c in enumerate(v) if c)
+                 for a, row in enumerate(t) for b, v in enumerate(row)
+                 if any(v)}
+            for ij, t in mult.items()}
 
 
 def one_sided_table(f):
@@ -39,9 +48,9 @@ def test_associativity_failure_with_zero_left_product_is_found():
     table = one_sided_table(QQ)
     unit = vec(QQ, 1, 0, 0)
     with pytest.raises(DgError, match="associative"):
-        DgAlgebra(QQ, {0: 3}, {}, {(0, 0): table}, unit, [unit])
+        DgAlgebra(QQ, {0: 3}, {}, sparse({(0, 0): table}), unit, [unit])
     with pytest.raises(AlgebraError, match="associativity"):
-        FiniteAlgebra(QQ, table, unit, [unit])
+        FiniteAlgebra(QQ, sparse({(0, 0): table}), unit, [unit])
 
 
 def test_leibniz_failure_on_a_zero_product_is_found():
@@ -60,22 +69,30 @@ def test_leibniz_failure_on_a_zero_product_is_found():
     d = {-1: Mat(f, [list(a)])}
     idems = [e1, vec(f, 1, -1, 0)]
     with pytest.raises(DgError, match="Leibniz"):
-        DgAlgebra(f, {0: 3, -1: 1}, d, mult, u, idems)
+        DgAlgebra(f, {0: 3, -1: 1}, d, sparse(mult), u, idems)
     # with d(t) = 0 the same algebra is valid
-    DgAlgebra(f, {0: 3, -1: 1}, {}, mult, u, idems)
+    DgAlgebra(f, {0: 3, -1: 1}, {}, sparse(mult), u, idems)
 
 
 def test_misshapen_tables_are_rejected():
-    table = one_sided_table(QQ)
+    # a sparse table may hold only nonzero products, by the nonzero
+    # coordinates of their degree, on basis indices inside dims
+    good = sparse({(0, 0): one_sided_table(QQ)})[(0, 0)]
     unit = vec(QQ, 1, 0, 0)
-    short_row = [table[0], table[1], table[2][:2]]
-    long_vec = [table[0], table[1],
-                [table[2][0], table[2][1], vec(QQ, 0, 0, 0, 0)]]
-    for bad in (short_row, long_vec):
-        with pytest.raises(AlgebraError):
+    one = QQ.one()
+    cases = [
+        ({(0, 0): {**good, (3, 0): ((0, one),)}}, "outside 3 x 3"),
+        ({(0, 0): good, (0, -1): {(0, 0): ((0, one),)}}, "outside 3 x 0"),
+        ({(0, 0): {**good, (2, 0): ((3, one),)}}, "outside degree 0"),
+        ({(0, 0): {**good, (2, 0): ((2, one), (2, one))}}, "twice"),
+        ({(0, 0): {**good, (2, 0): ((2, QQ.zero()),)}}, "zero"),
+        ({(0, 0): {**good, (2, 0): ()}}, "zero"),
+    ]
+    for bad, msg in cases:
+        with pytest.raises(AlgebraError, match=msg):
             FiniteAlgebra(QQ, bad, unit, [unit])
-        with pytest.raises(DgError):
-            DgAlgebra(QQ, {0: 3}, {}, {(0, 0): bad}, unit, [unit])
+        with pytest.raises(DgError, match=msg):
+            DgAlgebra(QQ, {0: 3}, {}, bad, unit, [unit])
 
 
 # ---- brute-force reference ----
@@ -295,14 +312,14 @@ def test_support_restricted_checks_match_brute_force(case):
     want = ref_dg_failure(f, dims, d, mult, unit, idems)
     mats = {k: Mat(f, rows, ncols=dims[k + 1]) for k, rows in d.items()}
     if want is None:
-        DgAlgebra(f, dims, mats, mult, unit, idems)
+        DgAlgebra(f, dims, mats, sparse(mult), unit, idems)
     else:
         with pytest.raises(DgError, match=MESSAGES[want]):
-            DgAlgebra(f, dims, mats, mult, unit, idems)
+            DgAlgebra(f, dims, mats, sparse(mult), unit, idems)
     table = mult[(0, 0)]
     want = ref_finite_failure(f, table, unit, idems)
     if want is None:
-        FiniteAlgebra(f, table, unit, idems)
+        FiniteAlgebra(f, sparse({(0, 0): table}), unit, idems)
     else:
         with pytest.raises(AlgebraError, match=MESSAGES[want]):
-            FiniteAlgebra(f, table, unit, idems)
+            FiniteAlgebra(f, sparse({(0, 0): table}), unit, idems)

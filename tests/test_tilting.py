@@ -18,14 +18,12 @@ from tiltlab.tilting import (
     build_dual_objects,
     check_tilting,
     hom_to_element,
-    h0_endomorphism_algebra,
     left_mult_map,
     nu_complex,
     nu_inv_map,
     nu_inverse_complex,
     nu_map,
     nu_stability,
-    total_complex,
 )
 
 
