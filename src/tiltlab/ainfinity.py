@@ -13,6 +13,14 @@ the tensor coalgebra squares to zero.  The fixed conversion is
 so the shifted insertions carry only prefix signs and no per-operation
 convention survives into the checks.
 
+Operations use the one structure-constant format of
+algebra.sparse_structure, extended to n inputs:
+ops[n][(d_1, ..., d_n)][(i_1, ..., i_n)] = ((k, c), ...) lists the
+nonzero coordinates of m_n on the basis elements i_t of degree d_t, in
+degree d_1 + ... + d_n + 2 - n.  So ops[2] is a product table that
+algebra.sparse_product reads, and every reader here walks nonzero
+coordinates only.
+
 Homotopy transfer runs along a contraction chosen blockwise with
 respect to the idempotent decomposition: representatives of cohomology
 classes, a complement of the cocycles, and a homotopy supported on
@@ -33,11 +41,11 @@ was cut.
 """
 
 from collections import namedtuple
-from itertools import product as iproduct
 
-from .dg import DgAlgebra, _unit_vec, _zeros, endomorphism_dg_algebra
+from .algebra import peirce_tags, sparse_product, sparse_structure
+from .dg import DgAlgebra, endomorphism_dg_algebra
 from .derived import resolve_complex
-from .linalg import Mat, independent_rows
+from .linalg import Echelon, Mat, independent_rows
 
 
 class AInfError(Exception):
@@ -52,44 +60,44 @@ class PositivityViolation(AInfError):
     pass
 
 
-def _add(f, x, y):
-    return tuple(f.add(a, b) for a, b in zip(x, y))
-
-
-def _scale(f, c, x):
-    return tuple(f.mul(c, a) for a in x)
-
-
 def _sign(f, parity):
     return f.one() if parity % 2 == 0 else f.neg(f.one())
+
+
+def _accumulate(f, out, c, coords):
+    """out += c * coords, for a dict out and ((index, coefficient), ...)."""
+    for k, v in coords:
+        t = f.mul(c, v)
+        out[k] = f.add(out[k], t) if k in out else t
 
 
 class AInfAlgebra:
     """Minimal A-infinity algebra on a finite graded basis.
 
-    dims: {degree: dimension}.  ops: {arity n: {key: coords}} where a
-    key is an n-tuple of (degree, index) basis references and coords
-    live in degree sum + 2 - n.  idempotents are degree-0 vectors; the
-    strict unit is their sum.  tags assign each basis element its
-    Peirce corner (left idempotent, right idempotent).
+    dims: {degree: dimension}.  ops[n] is the table of m_n in the one
+    structure-constant format (algebra.sparse_structure):
+    ops[n][degs][idx] = ((k, c), ...) lists the nonzero coordinates, in
+    degree sum(degs) + 2 - n, of m_n on the idx[t]-th basis element of
+    degree degs[t], so ops[2] is a product table.  idempotents are
+    degree-0 vectors; the strict unit is their sum.  tags assign each
+    basis element its Peirce corner (left idempotent, right idempotent),
+    read off the m_2 products with the idempotents.  The model is
+    positive when it has no negative degree and the idempotents span
+    degree zero.  Every structure is validated on construction.
     """
 
-    def __init__(self, field, dims, ops, idempotents, arity_cap,
-                 tags=None, positive=False, check=True):
+    def __init__(self, field, dims, ops, idempotents, arity_cap):
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
-        self.ops = {}  # zero values and empty arities are dropped
-        for n, table in ops.items():
-            kept = {key: tuple(val) for key, val in table.items() if any(val)}
-            if kept:
-                self.ops[n] = kept
+        self.ops = {n: sparse_structure(table, self.dims, AInfError)
+                    for n, table in ops.items() if any(table.values())}
         self.idempotents = [tuple(e) for e in idempotents]
         self.arity_cap = arity_cap
-        self.positive = positive
-        self.strict_unit = True
-        self.tags = tags if tags is not None else self._compute_tags()
-        if check:
-            self.validate()
+        self.positive = all(k >= 0 for k in self.dims) and \
+            self.dim_at(0) == len(self.idempotents)
+        self.tags = peirce_tags(field, self.ops.get(2, {}), self.dims,
+                                self.idempotents, AInfError)
+        self.validate()
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
@@ -97,42 +105,25 @@ class AInfAlgebra:
     def degrees(self):
         return sorted(self.dims)
 
-    def op_elem(self, n, items):
-        """Multilinear extension; items are (degree, coords) pairs."""
-        f = self.field
-        out_deg = sum(d for d, _ in items) + 2 - n
-        acc = list(_zeros(f, self.dim_at(out_deg)))
-        idxs = [[a for a, c in enumerate(vec) if c] for _, vec in items]
-        for combo in iproduct(*idxs):
-            key = tuple((items[t][0], combo[t]) for t in range(n))
-            coeff = f.one()
-            for t in range(n):
-                coeff = f.mul(coeff, items[t][1][combo[t]])
-            val = self.op(n, key)
-            for a, c in enumerate(val):
-                acc[a] = f.add(acc[a], f.mul(coeff, c))
-        return tuple(acc)
-
     @property
     def unit(self):
+        """The sum of the idempotents, by its nonzero coordinates."""
         f = self.field
-        acc = _zeros(f, self.dim_at(0))
+        acc = {}
         for e in self.idempotents:
-            acc = _add(f, acc, e)
-        return acc
+            _accumulate(f, acc, f.one(), enumerate(e))
+        return tuple((a, c) for a, c in sorted(acc.items()) if c)
 
-    def op(self, n, key):
-        out_deg = sum(d for d, _ in key) + 2 - n
-        table = self.ops.get(n)
-        if table is None or key not in table:
-            return _zeros(self.field, self.dim_at(out_deg))
-        return table[key]
-
-    def shifted_op(self, n, key):
-        """b_n on shifted basis elements, coords in classical grading."""
-        parity = sum((n - 1 - t) * key[t][0] for t in range(n))
-        return _scale(self.field, _sign(self.field, parity),
-                      self.op(n, key))
+    def shifted_op(self, key):
+        """b_n on the shifted basis elements key = ((degree, index), ...),
+        as the nonzero coordinates ((k, c), ...) in classical grading."""
+        n = len(key)
+        degs = tuple(d for d, _ in key)
+        val = self.ops.get(n, {}).get(degs, {}).get(
+            tuple(a for _, a in key), ())
+        if sum((n - 1 - t) * d for t, d in enumerate(degs)) % 2:
+            return tuple((k, self.field.neg(c)) for k, c in val)
+        return val
 
     def left_tag(self, deg, idx):
         return self.tags[deg][idx][0]
@@ -140,153 +131,117 @@ class AInfAlgebra:
     def right_tag(self, deg, idx):
         return self.tags[deg][idx][1]
 
-    def _compute_tags(self):
-        f = self.field
-        tags = {}
-        for k in self.degrees():
-            row = []
-            for a in range(self.dim_at(k)):
-                x = _unit_vec(f, self.dim_at(k), a)
-                li = ri = None
-                for i, e in enumerate(self.idempotents):
-                    lx = self.op_elem(2, [(0, e), (k, x)])
-                    rx = self.op_elem(2, [(k, x), (0, e)])
-                    if lx == x:
-                        li = i
-                    elif any(lx):
-                        li = None
-                        break
-                    if rx == x:
-                        ri = i
-                    elif any(rx):
-                        ri = None
-                        break
-                if li is None or ri is None:
-                    raise AInfError(
-                        "basis is not adapted to the idempotents")
-                row.append((li, ri))
-            tags[k] = row
-        return tags
-
-    def _keys(self, n):
-        """All chaining basis tuples of the given arity."""
-        refs = [(k, a) for k in self.degrees()
-                for a in range(self.dim_at(k))]
-        out = [()]
-        for _ in range(n):
-            nxt = []
-            for partial in out:
-                for r in refs:
-                    if partial and \
-                            self.right_tag(*partial[-1]) != self.left_tag(*r):
-                        continue
-                    nxt.append(partial + (r,))
-            out = nxt
-        return out
+    def op_items(self, n):
+        """(key, value) of each nonzero value of m_n, the key as
+        ((degree, index), ...)."""
+        return [(tuple(zip(degs, idx)), val)
+                for degs, block in self.ops.get(n, {}).items()
+                for idx, val in block.items()]
 
     def stasheff_defect(self, n):
         """First basis tuple where the arity-n identity fails, or None.
 
         The identity is stated in the shifted form: the sum over all
         single insertions of an inner operation into an outer one,
-        with the prefix sign, vanishes.
+        with the prefix sign, vanishes.  The value is returned by its
+        nonzero coordinates, {index: coefficient}.
         """
         f = self.field
-        for key in self._keys(n):
-            out_deg = sum(d for d, _ in key) + 3 - n
-            acc = list(_zeros(f, self.dim_at(out_deg)))
-            for k in range(2, n - 1 + 1):
-                outer = n - k + 1
+        # A term is nonzero only when its inner key carries a nonzero
+        # operation and the outer key, with that operation's output
+        # letter inserted, does too.  So the tuples visited are the outer
+        # keys with one letter replaced by an inner key whose value has
+        # that letter in its support; on every other tuple each term is
+        # zero, and the identity holds there.
+        partners = {}  # (arity, output letter) -> inner keys reaching it
+        for k in range(2, n):
+            for inner, val in self.op_items(k):
+                out = sum(d for d, _ in inner) + 2 - k
+                for a, _ in val:
+                    partners.setdefault((k, (out, a)), []).append(inner)
+        candidates = set()
+        for outer in range(2, n):
+            for key, _ in self.op_items(outer):
+                for t, letter in enumerate(key):
+                    for inner in partners.get((n - outer + 1, letter), ()):
+                        candidates.add(key[:t] + inner + key[t + 1:])
+        for key in sorted(candidates):
+            acc = {}
+            for k in range(2, n):
                 for t in range(0, n - k + 1):
                     inner_key = key[t:t + k]
-                    inner = self.shifted_op(k, inner_key)
-                    if not any(inner):
-                        continue
                     inner_deg = sum(d for d, _ in inner_key) + 2 - k
-                    items = [(d, _unit_vec(f, self.dim_at(d), a))
-                             for d, a in key[:t]]
-                    items.append((inner_deg, inner))
-                    items += [(d, _unit_vec(f, self.dim_at(d), a))
-                              for d, a in key[t + k:]]
-                    parity = sum((outer - 1 - s) * items[s][0]
-                                 for s in range(outer))
-                    parity += sum(d - 1 for d, _ in key[:t])
-                    val = _scale(f, _sign(f, parity),
-                                 self.op_elem(outer, items))
-                    acc = [f.add(p, q) for p, q in zip(acc, val)]
-            if any(acc):
-                return key, tuple(acc)
+                    prefix = sum(d - 1 for d, _ in key[:t])
+                    for a, c in self.shifted_op(inner_key):
+                        outer_key = key[:t] + ((inner_deg, a),) + \
+                            key[t + k:]
+                        _accumulate(f, acc, f.mul(_sign(f, prefix), c),
+                                    self.shifted_op(outer_key))
+            acc = {k: c for k, c in acc.items() if c}
+            if acc:
+                return key, acc
         return None
 
     def validate(self):
         f = self.field
         if any(n < 2 or n > self.arity_cap for n in self.ops):
             raise AInfError("operation arity outside the configured range")
-        for n, table in self.ops.items():
-            for key, val in table.items():
-                out_deg = sum(d for d, _ in key) + 2 - n
-                if len(val) != self.dim_at(out_deg):
-                    raise AInfError("operation lands in the wrong degree")
-                for d, a in key:
-                    if not (0 <= a < self.dim_at(d)):
-                        raise AInfError("operation key out of range")
+        if any(len(degs) != n for n, table in self.ops.items()
+               for degs in table):
+            raise AInfError("operation key has the wrong arity")
+        for n in self.ops:
+            for key, val in self.op_items(n):
                 for (d1, a1), (d2, a2) in zip(key, key[1:]):
                     if self.right_tag(d1, a1) != self.left_tag(d2, a2):
                         raise AInfError("operation key does not chain")
-                lt = self.left_tag(*key[0])
-                rt = self.right_tag(*key[-1])
-                for a, c in enumerate(val):
-                    if c and self.tags[out_deg][a] != (lt, rt):
-                        raise AInfError("operation leaves its corner")
+                corner = (self.left_tag(*key[0]), self.right_tag(*key[-1]))
+                out_deg = sum(d for d, _ in key) + 2 - n
+                if any(self.tags[out_deg][k] != corner for k, _ in val):
+                    raise AInfError("operation leaves its corner")
         # idempotents: orthogonal, and their sum is a strict unit
-        for i, e in enumerate(self.idempotents):
-            for j, e2 in enumerate(self.idempotents):
-                want = e if i == j else _zeros(f, self.dim_at(0))
-                if self.op_elem(2, [(0, e), (0, e2)]) != want:
+        m2 = self.ops.get(2, {})
+        one = f.one()
+        idems = [tuple((a, c) for a, c in enumerate(e) if c)
+                 for e in self.idempotents]
+        for i, e in enumerate(idems):
+            for j, e2 in enumerate(idems):
+                want = dict(e) if i == j else {}
+                if sparse_product(f, m2, 0, e, 0, e2) != want:
                     raise AInfError("idempotents are not orthogonal")
-        one = self.unit
+        unit = self.unit
         for k in self.degrees():
             for a in range(self.dim_at(k)):
-                x = _unit_vec(f, self.dim_at(k), a)
-                if self.op_elem(2, [(0, one), (k, x)]) != x or \
-                        self.op_elem(2, [(k, x), (0, one)]) != x:
+                x = ((a, one),)
+                if sparse_product(f, m2, 0, unit, k, x) != {a: one} or \
+                        sparse_product(f, m2, k, x, 0, unit) != {a: one}:
                     raise AInfError("the unit is not strictly unital")
-        for n, table in self.ops.items():
-            if n == 2:
-                continue
-            for key in table:
-                for t, (d, a) in enumerate(key):
-                    if d != 0:
-                        continue
-                    x = _unit_vec(f, self.dim_at(0), a)
-                    sol = Mat(f, [list(e) for e in self.idempotents],
-                              ncols=self.dim_at(0)).transpose().solve(
-                        Mat(f, [list(x)]).transpose())
-                    if sol is not None:
-                        raise AInfError(
-                            "higher operation does not vanish on the "
-                            "degree-zero part")
+        n0 = self.dim_at(0)
+        span = Echelon(Mat(f, self.idempotents, ncols=n0))
+        idem_span = {a for a, row in enumerate(Mat.identity(f, n0).data)
+                     if span.coords(row) is not None}
+        for n in self.ops:
+            if n > 2 and any(d == 0 and a in idem_span
+                             for key, _ in self.op_items(n)
+                             for d, a in key):
+                raise AInfError(
+                    "higher operation does not vanish on the "
+                    "degree-zero part")
         for n in range(3, self.arity_cap + 2):
             bad = self.stasheff_defect(n)
             if bad is not None:
                 raise AInfError(
                     f"higher associativity fails at arity {n} "
                     f"on {bad[0]}")
-        if self.positive:
-            if any(k < 0 for k in self.dims):
-                raise PositivityViolation(
-                    "negative degrees contradict positivity")
-            if self.dim_at(0) != len(self.idempotents):
-                raise PositivityViolation(
-                    "degree zero is larger than the idempotent span")
 
 
 # ---- homotopy transfer ----
 
 _Contraction = namedtuple(
     "_Contraction", ["hdims", "htags", "emb", "proj", "htp"])
-# emb[k]: hdims[k] x E.dim_at(k) rows of chosen representatives
-# proj[k]: E.dim_at(k) x hdims[k]; htp[k]: E.dim_at(k) x E.dim_at(k-1)
+# sparse rows ((index, coefficient), ...): emb[(k, j)] is the chosen
+# representative of the j-th class of degree k in E; proj[(k, a)] the
+# class of the a-th basis element of E in degree k; htp[(k, a)] its image
+# under the homotopy, in degree k - 1 of E
 
 
 def _blockwise_contraction(E: DgAlgebra):
@@ -307,26 +262,23 @@ def _blockwise_contraction(E: DgAlgebra):
     zrows, crows = {}, {}
     for (k, tag), idxs in sorted(blocks.items()):
         n = len(idxs)
-        d_loc = []
         nxt = blocks.get((k + 1, tag), [])
-        for a in idxs:
-            img = E.elem_d(k, _unit_vec(f, E.dim_at(k), a))
-            d_loc.append([img[b] for b in nxt])
+        d_loc = [[E.d[k].data[a][b] for b in nxt] if k in E.d
+                 else [f.zero()] * len(nxt) for a in idxs]
         dm = Mat(f, d_loc, ncols=len(nxt))
         Z = dm.left_kernel_basis().row_space_basis()
         zrows[(k, tag)] = Z
-        crows[(k, tag)] = independent_rows(
-            Z, [_unit_vec(f, n, j) for j in range(n)])
+        crows[(k, tag)] = independent_rows(Z, Mat.identity(f, n).data)
 
     # pass two: boundaries from the previous complement, then
     # representatives: idempotents first in their degree-zero corners
-    hdims, htags, emb_rows = {}, {}, {}
-    p_cols, h_cols = {}, {}
+    hdims, htags, emb, proj, htp = {}, {}, {}, {}, {}
     for (k, tag), idxs in sorted(blocks.items()):
         n = len(idxs)
         prev = blocks.get((k - 1, tag), [])
+        cprev = crows.get((k - 1, tag), [])
         brows = []
-        for c in crows.get((k - 1, tag), []):
+        for c in cprev:
             vec = [f.zero()] * E.dim_at(k - 1)
             for pos, a in enumerate(prev):
                 vec[a] = c[pos]
@@ -342,68 +294,29 @@ def _blockwise_contraction(E: DgAlgebra):
             raise ContractionFailure(
                 "an idempotent class is contractible")
         C = crows[(k, tag)]
-        T = Mat(f, [list(r) for r in B.data] + [list(r) for r in reps]
-                + [list(r) for r in C], ncols=n)
+        T = Mat(f, [*B.data, *reps, *C], ncols=n)
         if T.nrows != n or not T.is_invertible():
             raise ContractionFailure("corner splitting failed")
         Tinv = T.inverse()
         nb, nr = B.nrows, len(reps)
-        for pos, a in enumerate(idxs):
-            coords = Tinv.data[pos]
-            p_cols[(k, a)] = coords[nb:nb + nr]
-            h_cols[(k, a)] = (coords[:nb], (k - 1, tag))
+        # this block's classes follow those of the blocks before it in
+        # degree k, which come first in sorted order
         base = hdims.get(k, 0)
         hdims[k] = base + nr
         htags.setdefault(k, []).extend([tag] * nr)
-        for r in reps:
-            vec = [f.zero()] * E.dim_at(k)
-            for pos, a in enumerate(idxs):
-                vec[a] = r[pos]
-            emb_rows.setdefault(k, []).append(vec)
-
+        for j, r in enumerate(reps):
+            emb[(k, base + j)] = tuple((a, c) for a, c in zip(idxs, r) if c)
+        for pos, a in enumerate(idxs):
+            coords = Tinv.data[pos]
+            proj[(k, a)] = tuple((base + j, c) for j, c in
+                                 enumerate(coords[nb:nb + nr]) if c)
+            h = {}
+            for c, crow in zip(coords[:nb], cprev):
+                if c:
+                    _accumulate(f, h, c, zip(prev, crow))
+            htp[(k, a)] = tuple((b, c) for b, c in sorted(h.items()) if c)
     hdims = {k: n for k, n in hdims.items() if n}
-    emb = {k: Mat(f, rows, ncols=E.dim_at(k))
-           for k, rows in emb_rows.items() if rows}
-    proj = {}
-    for k in E.degrees():
-        cols = hdims.get(k, 0)
-        rows = []
-        for a in range(E.dim_at(k)):
-            row = [f.zero()] * cols
-            if (k, a) in p_cols:
-                seg = p_cols[(k, a)]
-                # this block's representatives occupy a contiguous run
-                offset = _h_offset(htags.get(k, []), tags[k][a])
-                for j, c in enumerate(seg):
-                    row[offset + j] = c
-            rows.append(row)
-        proj[k] = Mat(f, rows, ncols=cols)
-    htp = {}
-    for k in E.degrees():
-        prev_dim = E.dim_at(k - 1)
-        rows = []
-        for a in range(E.dim_at(k)):
-            row = [f.zero()] * prev_dim
-            if (k, a) in h_cols:
-                bcoords, (km1, tag) = h_cols[(k, a)]
-                cs = crows.get((km1, tag), [])
-                prev = blocks.get((km1, tag), [])
-                for j, c in enumerate(bcoords):
-                    for pos, b in enumerate(prev):
-                        row[b] = f.add(row[b], f.mul(c, cs[j][pos]))
-            rows.append(row)
-        htp[k] = Mat(f, rows, ncols=prev_dim)
     return _Contraction(hdims, htags, emb, proj, htp)
-
-
-def _h_offset(taglist, tag):
-    # representatives were appended block by block in sorted tag order
-    off = 0
-    for t in sorted(set(taglist)):
-        if t == tag:
-            return off
-        off += sum(1 for s in taglist if s == t)
-    return off
 
 
 def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
@@ -422,83 +335,70 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
     hdims = con.hdims
     href = [(k, a) for k in sorted(hdims) for a in range(hdims[k])]
 
-    def chain(seq):
-        for s, t in zip(seq, seq[1:]):
-            if con.htags[s[0]][s[1]][1] != con.htags[t[0]][t[1]][0]:
-                return False
-        return True
+    def apply(rows, k, vec):
+        """The sparse rows indexed by degree k applied to vec."""
+        out = {}
+        for a, c in vec.items():
+            _accumulate(f, out, c, rows.get((k, a), ()))
+        return {b: c for b, c in out.items() if c}
 
-    def b2(x, y):
-        dx, vx = x
-        dy, vy = y
-        vec = E.elem_mult(dx, vx, dy, vy)
-        return (dx + dy, _scale(f, _sign(f, dx), vec))
+    def trees(word):
+        """(degree, vector) of the sum over planar binary trees with
+        these leaves, before the root's homotopy or projection."""
+        acc = {}
+        for s in range(1, len(word)):
+            dl, vl = branch(word[:s])
+            dr, vr = branch(word[s:])
+            if not vl or not vr:
+                continue
+            sign = _sign(f, dl)  # b_2(x, y) = (-1)^|x| xy
+            _accumulate(f, acc, sign,
+                        sparse_product(f, E.mult, dl, vl.items(),
+                                       dr, vr.items()).items())
+        deg = sum(d for d, _ in word) + 2 - len(word)
+        return deg, {k: c for k, c in acc.items() if c}
+
+    memo = {}  # each proper subword of a key, one leaf or h(trees(word))
+
+    def branch(word):
+        if word not in memo:
+            if len(word) == 1:
+                k, j = word[0]
+                memo[word] = (k, dict(con.emb[(k, j)]))
+            else:
+                d, v = trees(word)
+                memo[word] = (d - 1, apply(con.htp, d, v))
+        return memo[word]
 
     ops = {}
+    words = [(r,) for r in href]
     for n in range(2, arity_cap + 1):
+        # the chaining words of length n, in lexicographic order
+        words = [w + (r,) for w in words for r in href
+                 if con.htags[w[-1][0]][w[-1][1]][1] ==
+                 con.htags[r[0]][r[1]][0]]
         table = {}
-        for key in iproduct(href, repeat=n):
-            if not chain(key):
-                continue
-            leaves = []
-            for k, a in key:
-                vec = tuple(con.emb[k].data[a])
-                leaves.append((k, vec))
-            memo = {}
-
-            def lam(a, b):
-                if (a, b) in memo:
-                    return memo[(a, b)]
-                deg_out = sum(d for d, _ in leaves[a:b]) + 2 - (b - a)
-                acc = list(_zeros(f, E.dim_at(deg_out)))
-                for s in range(a + 1, b):
-                    left = leaves[a] if s - a == 1 else hb(lam(a, s))
-                    right = leaves[s] if b - s == 1 else hb(lam(s, b))
-                    dl, vl = left
-                    dr, vr = right
-                    if not any(vl):
-                        continue
-                    if not any(vr):
-                        continue
-                    d2, v2 = b2(left, right)
-                    acc = [f.add(p, q) for p, q in zip(acc, v2)]
-                out = (deg_out, tuple(acc))
-                memo[(a, b)] = out
-                return out
-
-            def hb(x):
-                d, v = x
-                if d not in con.htp or not any(v):
-                    return (d - 1, _zeros(f, E.dim_at(d - 1)))
-                return (d - 1,
-                        tuple(Mat(f, [list(v)]).mul(con.htp[d]).data[0]))
-
-            dv, vv = lam(0, n)
-            if not any(vv):
-                continue
-            if dv not in con.proj:
-                continue
-            hvec = tuple(Mat(f, [list(vv)]).mul(con.proj[dv]).data[0])
-            if not any(hvec):
+        for key in words:
+            dv, vv = trees(key)
+            hvec = apply(con.proj, dv, vv)
+            if not hvec:
                 continue
             # fold in the shift conversion so the stored operation and
             # its shifted form agree with the transferred value
-            parity = sum((n - 1 - t) * key[t][0] for t in range(n))
-            table[key] = _scale(f, _sign(f, parity), hvec)
+            sign = _sign(f, sum((n - 1 - t) * key[t][0] for t in range(n)))
+            table.setdefault(tuple(d for d, _ in key), {})[
+                tuple(a for _, a in key)] = tuple(
+                    (j, f.mul(sign, c)) for j, c in sorted(hvec.items()))
         if table:
             ops[n] = table
 
     idems = []
-    for i, e in enumerate(E.idempotents):
-        if 0 not in con.proj:
-            raise ContractionFailure("no degree-zero cohomology")
-        idems.append(tuple(Mat(f, [list(e)]).mul(con.proj[0]).data[0]))
-    tags = {k: list(con.htags[k]) for k in hdims}
-    positive = all(k >= 0 for k in hdims) and \
-        hdims.get(0, 0) == len(idems)
-    X = AInfAlgebra(f, hdims, ops, idems, arity_cap,
-                    tags=tags, positive=positive, check=True)
-    return X
+    for e in E.idempotents:
+        vec = [f.zero()] * hdims[0]
+        for j, c in apply(con.proj, 0, dict(enumerate(e))).items():
+            vec[j] = c
+        idems.append(tuple(vec))
+    return AInfAlgebra(f, hdims, ops, idems, arity_cap)
 
 
 def collection_ext_model(objects, arity_cap=4):
@@ -592,16 +492,8 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
     def prefix_parity(w, t):
         return sum(lw[la] for la in w[:t])
 
-    d = {}
-    for k, lst in basis.items():
-        if dims.get(k + 1, 0) == 0:
-            continue
-        rows = []
-        for (w, i) in lst:
-            row = [f.zero()] * dims[k + 1]
-            # expansions live on longer words; collect them by scanning
-            rows.append(row)
-        d[k] = rows
+    d = {k: [[f.zero()] * dims[k + 1] for _ in lst]
+         for k, lst in basis.items() if dims.get(k + 1, 0)}
     # differential: for each target word, each run of letters, pair the
     # collapsed word against the source duals
     for T in words:
@@ -611,13 +503,8 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
         for t in range(len(T)):
             for arity in range(2, len(T) - t + 1):
                 run = T[t:t + arity]
-                coll = X.shifted_op(arity, run)
-                if not any(coll):
-                    continue
                 cdeg = sum(dd for dd, _ in run) + 2 - arity
-                for a, c in enumerate(coll):
-                    if not c:
-                        continue
+                for a, c in X.shifted_op(run):
                     S = T[:t] + ((cdeg, a),) + T[t + arity:]
                     if S not in word_set:
                         continue

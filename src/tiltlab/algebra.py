@@ -815,23 +815,29 @@ def is_self_injective(A: Algebra):
 def sparse_structure(structure, dims, error):
     """The one structure-constant format, checked and returned.
 
-    structure[(i, j)][(a, b)] = ((k, c), ...) lists the nonzero
-    coordinates c, at distinct indices k of degree i + j, of the product
-    of the a-th degree-i and the b-th degree-j basis element; dims maps
-    degrees to dimensions.  Only nonzero products appear, and the code
+    structure[degs][idx] = ((k, c), ...) lists the nonzero coordinates c,
+    at distinct indices k of degree sum(degs) + 2 - len(degs), of the
+    operation on the idx[t]-th basis element of degree degs[t]; dims maps
+    degrees to dimensions.  A product has degs = (i, j) and lands in
+    degree i + j; the n-ary operations of an A-infinity algebra, of degree
+    2 - n, use the same table.  Only nonzero values appear, and the code
     that produces an algebra builds this table directly.  Raises `error`
     for an index outside dims, a coordinate outside the target degree or
     listed twice, or a zero coefficient.
     """
-    for (i, j), block in structure.items():
-        n, m, w = dims.get(i, 0), dims.get(j, 0), dims.get(i + j, 0)
-        for (a, b), coords in block.items():
-            at = f"product {(i, j)}[{a}][{b}]"
-            if not (0 <= a < n and 0 <= b < m):
-                raise error(f"{at} indexes outside {n} x {m}")
+    for degs, block in structure.items():
+        ns = [dims.get(d, 0) for d in degs]
+        out = sum(degs) + 2 - len(degs)
+        w = dims.get(out, 0)
+        for idx, coords in block.items():
+            at = f"product {degs}" + "".join(f"[{a}]" for a in idx)
+            if len(idx) != len(ns) or \
+                    not all(0 <= a < n for a, n in zip(idx, ns)):
+                raise error(f"{at} indexes outside "
+                            + " x ".join(map(str, ns)))
             ks = [k for k, _ in coords]
             if not all(0 <= k < w for k in ks):
-                raise error(f"{at} has a coordinate outside degree {i + j} "
+                raise error(f"{at} has a coordinate outside degree {out} "
                             f"of dimension {w}")
             if len(set(ks)) != len(ks):
                 raise error(f"{at} lists a coordinate twice")
@@ -872,6 +878,33 @@ def dense_product(field, structure, i, x, j, y, width):
     for k, c in prod.items():
         out[k] = c
     return tuple(out)
+
+
+def peirce_tags(field, structure, dims, idempotents, error):
+    """(left, right) idempotent tags per basis element, by degree.
+
+    Requires the basis to be adapted: every e_s * b is b or zero, with b
+    for some s, and likewise every b * e_t.  The tags are the first such
+    s and t; orthogonal idempotents, which the callers check, make them
+    the only ones.  Raises `error` otherwise.
+    """
+    one = field.one()
+    idems = [[(a, c) for a, c in enumerate(e) if c] for e in idempotents]
+    tags = {}
+    for k in sorted(dims):
+        row = []
+        for a in range(dims[k]):
+            x, fixed = ((a, one),), {a: one}
+            left = [sparse_product(field, structure, 0, e, k, x)
+                    for e in idems]
+            right = [sparse_product(field, structure, k, x, 0, e)
+                     for e in idems]
+            if fixed not in left or fixed not in right or \
+                    any(p and p != fixed for p in left + right):
+                raise error("basis is not adapted to the idempotents")
+            row.append((left.index(fixed), right.index(fixed)))
+        tags[k] = row
+    return tags
 
 
 def is_associative(field, structure, dims):

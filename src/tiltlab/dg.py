@@ -22,7 +22,7 @@ algebra of a dual family comes from.
 from collections import namedtuple
 
 from .algebra import (ModuleMap, dense_product, is_associative,
-                      sparse_product, sparse_structure)
+                      peirce_tags, sparse_product, sparse_structure)
 from .complexes import HomComplex
 from .linalg import Mat, Subquotient, homology_dims
 
@@ -178,34 +178,10 @@ class DgAlgebra:
         return homology_dims(self.dims, self.d)
 
     def peirce_tags(self):
-        """(left, right) idempotent tags per basis element.
-
-        Requires the basis to be adapted: e_s * b * e_t equals b for
-        exactly one pair (s, t) and vanishes for the others.
-        """
-        f = self.field
-        tags = {}
-        for k in self.degrees():
-            row = []
-            for a in range(self.dim_at(k)):
-                xa = _unit_vec(f, self.dim_at(k), a)
-                left = [s for s, e in enumerate(self.idempotents)
-                        if self.elem_mult(0, e, k, xa) == xa]
-                right = [t for t, e in enumerate(self.idempotents)
-                         if self.elem_mult(k, xa, 0, e) == xa]
-                zero = _zeros(f, self.dim_at(k))
-                ok = (len(left) == 1 and len(right) == 1
-                      and all(self.elem_mult(0, e, k, xa) == zero
-                              for s, e in enumerate(self.idempotents)
-                              if s != left[0])
-                      and all(self.elem_mult(k, xa, 0, e) == zero
-                              for t, e in enumerate(self.idempotents)
-                              if t != right[0]))
-                if not ok:
-                    raise DgError("basis is not adapted to the idempotents")
-                row.append((left[0], right[0]))
-            tags[k] = row
-        return tags
+        """(left, right) idempotent tags per basis element (see
+        algebra.peirce_tags)."""
+        return peirce_tags(self.field, self.mult, self.dims,
+                           self.idempotents, DgError)
 
 
 def dg_from_path_algebra(A) -> DgAlgebra:

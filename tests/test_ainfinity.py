@@ -8,10 +8,13 @@ agreement here is a real cross-check.
 """
 
 import random
+from copy import copy
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiltlab.algebra import Algebra, Quiver
+from tiltlab.algebra import Algebra, Quiver, sparse_product
 from tiltlab.ainfinity import (
     AInfAlgebra,
     AInfError,
@@ -28,6 +31,9 @@ from tiltlab.linalg import QQ, Mat
 from tiltlab.tilting import check_tilting, nu_inverse_complex
 
 A2 = Algebra(QQ, Quiver(2, [("a", 0, 1)]), [])
+A3 = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
+A3R = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]),
+              [[(1, ["a", "b"])]])
 A4C = Algebra(QQ, Quiver(4, [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)]),
               [[(1, ["a", "b", "c"])]])
 KK = Algebra(QQ, Quiver(2, []), [])
@@ -57,7 +63,7 @@ def ext_dg(objects):
 def test_transfer_on_the_simple_pair():
     X = collection_ext_model([S(A2, 0), S(A2, 1)], arity_cap=4)
     assert X.dims == {0: 2, 1: 1}
-    assert X.positive and X.strict_unit
+    assert X.positive
     assert all(n <= 2 for n in X.ops)
     assert X.tags == {0: [(0, 0), (1, 1)], 1: [(1, 0)]}
     E = ext_dg([S(A2, 0), S(A2, 1)])
@@ -69,10 +75,9 @@ def test_transfer_is_strictly_unital():
     one = X.unit
     for k in X.degrees():
         for a in range(X.dim_at(k)):
-            x = tuple(q(1) if b == a else q(0)
-                      for b in range(X.dim_at(k)))
-            assert X.op_elem(2, [(0, one), (k, x)]) == x
-            assert X.op_elem(2, [(k, x), (0, one)]) == x
+            x = {a: q(1)}
+            assert sparse_product(QQ, X.ops[2], 0, one, k, x.items()) == x
+            assert sparse_product(QQ, X.ops[2], k, x.items(), 0, one) == x
 
 
 def test_transfer_degree_parity_kills_higher_operations():
@@ -93,13 +98,12 @@ def test_transfer_finds_the_triple_product():
     assert X.positive
     assert sorted(X.ops) == [2, 3]
     # the only arity-3 operation composes the three arrow classes
-    assert set(X.ops[3]) == {((1, 2), (1, 1), (1, 0))}
-    assert X.ops[3][((1, 2), (1, 1), (1, 0))] == (q(-1),)
+    assert list(X.ops[3]) == [(1, 1, 1)]
+    assert X.ops[3][(1, 1, 1)] == {(2, 1, 0): ((0, q(-1)),)}
 
 
 def test_transfer_dims_match_cohomology_on_random_collections():
     rng = random.Random(3)
-    A3 = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
     for _ in range(8):
         A = rng.choice([A2, A3])
         objs = []
@@ -114,18 +118,126 @@ def test_transfer_dims_match_cohomology_on_random_collections():
 
 
 def test_validation_rejects_broken_structures():
+    # the product of the idempotent with itself is zero
     with pytest.raises(AInfError, match="adapted"):
-        AInfAlgebra(QQ, {0: 1}, {2: {((0, 0), (0, 0)): (q(0),)}},
-                    [(q(1),)], 2)
+        AInfAlgebra(QQ, {0: 1}, {}, [(q(1),)], 2)
+    # both idempotents fix the basis element, so they cannot be orthogonal
     with pytest.raises(AInfError, match="orthogonal"):
-        AInfAlgebra(QQ, {0: 1}, {2: {((0, 0), (0, 0)): (q(2),)}},
-                    [(q(1),)], 2, tags={0: [(0, 0)]})
+        AInfAlgebra(QQ, {0: 1}, {2: {(0, 0): {(0, 0): ((0, q(1)),)}}},
+                    [(q(1),), (q(1),)], 2)
     X = collection_ext_model([S(A4C, i) for i in range(4)], arity_cap=4)
     bad_ops = {n: dict(t) for n, t in X.ops.items()}
-    bad_ops[3] = {((1, 0), (1, 2), (1, 1)): (q(1),)}  # does not chain
+    bad_ops[3] = {(1, 1, 1): {(0, 2, 1): ((0, q(1)),)}}  # does not chain
     with pytest.raises(AInfError, match="chain"):
-        AInfAlgebra(X.field, X.dims, bad_ops, X.idempotents, 4,
-                    tags=X.tags)
+        AInfAlgebra(X.field, X.dims, bad_ops, X.idempotents, 4)
+    with pytest.raises(AInfError, match="outside degree 2"):
+        AInfAlgebra(X.field, X.dims, {**X.ops, 3: {(1, 1, 1): {
+            (2, 1, 0): ((1, q(1)),)}}}, X.idempotents, 4)
+    with pytest.raises(AInfError, match="wrong arity"):
+        AInfAlgebra(X.field, X.dims, {**X.ops, 3: {(1, 1): {
+            (1, 0): ((0, q(1)),)}}}, X.idempotents, 4)
+    # m_3 with the unit as an argument
+    unital = {2: {(0, 0): {(0, 0): ((0, q(1)),)},
+                  (0, 1): {(0, 0): ((0, q(1)),)},
+                  (1, 0): {(0, 0): ((0, q(1)),)}}}
+    with pytest.raises(AInfError, match="degree-zero part"):
+        AInfAlgebra(QQ, {0: 1, 1: 1}, {**unital, 3: {(0, 1, 1): {
+            (0, 0, 0): ((0, q(1)),)}}}, [(q(1),)], 3)
+
+
+# ---- the pruned Stasheff check against every chaining tuple ----
+
+def chaining_keys(X, n):
+    """Every basis tuple of length n that chains along the tags."""
+    refs = [(k, a) for k in X.degrees() for a in range(X.dim_at(k))]
+    keys = [()]
+    for _ in range(n):
+        keys = [w + (r,) for w in keys for r in refs
+                if not w or X.right_tag(*w[-1]) == X.left_tag(*r)]
+    return keys
+
+
+def ref_stasheff_defect(X, n):
+    """The first chaining basis tuple, in lexicographic order, where the
+    arity-n identity fails, with its nonzero coordinates; dense vectors
+    over every tuple and every inserted letter."""
+    f = X.field
+
+    def b(key):
+        m = len(key)
+        out = [f.zero()] * X.dim_at(sum(d for d, _ in key) + 2 - m)
+        val = X.ops.get(m, {}).get(tuple(d for d, _ in key), {}).get(
+            tuple(a for _, a in key), ())
+        sign = f.of((-1) ** sum((m - 1 - t) * d
+                                for t, (d, _) in enumerate(key)))
+        for k, c in val:
+            out[k] = f.mul(sign, c)
+        return out
+
+    for key in chaining_keys(X, n):
+        acc = [f.zero()] * X.dim_at(sum(d for d, _ in key) + 3 - n)
+        for k in range(2, n):
+            for t in range(n - k + 1):
+                inner = b(key[t:t + k])
+                deg = sum(d for d, _ in key[t:t + k]) + 2 - k
+                sign = f.of((-1) ** sum(d - 1 for d, _ in key[:t]))
+                for a, c in enumerate(inner):
+                    outer = b(key[:t] + ((deg, a),) + key[t + k:])
+                    acc = [f.add(x, f.mul(f.mul(sign, c), y))
+                           for x, y in zip(acc, outer)]
+        if any(acc):
+            return key, {k: c for k, c in enumerate(acc) if c}
+    return None
+
+
+@lru_cache(maxsize=None)
+def random_model(seed):
+    """The minimal model of a small random collection of stalks."""
+    rng = random.Random(seed)
+    A = rng.choice([A2, A3, A3R, A4C])
+    if rng.random() < 0.5:
+        objs = [S(A, v, rng.choice([0, -1])) for v in range(A.quiver.n)]
+    else:
+        objs = [stalk_complex(A, Summand(rng.choice("SP"),
+                                         rng.randrange(A.quiver.n)),
+                              rng.randrange(-1, 2))
+                for _ in range(rng.randrange(1, 4))]
+    return collection_ext_model(objs, arity_cap=rng.choice([3, 4]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stasheff_defect_matches_every_chaining_tuple(data):
+    X = random_model(data.draw(st.integers(0, 11), label="model"))
+    f = X.field
+    ops = {n: {degs: dict(block) for degs, block in t.items()}
+           for n, t in X.ops.items()}
+    # add a nonzero multiple of one coordinate that stays in its corner
+    for _ in range(data.draw(st.integers(0, 3), label="perturbations")):
+        n = data.draw(st.integers(2, X.arity_cap), label="arity")
+        keys = chaining_keys(X, n)
+        if not keys:
+            continue
+        key = data.draw(st.sampled_from(keys), label="key")
+        out = sum(d for d, _ in key) + 2 - n
+        corner = (X.left_tag(*key[0]), X.right_tag(*key[-1]))
+        targets = [k for k in range(X.dim_at(out))
+                   if X.tags[out][k] == corner]
+        if not targets:
+            continue
+        k = data.draw(st.sampled_from(targets), label="coordinate")
+        delta = f.of(data.draw(st.sampled_from([1, -1, 2]), label="delta"))
+        degs, idx = tuple(d for d, _ in key), tuple(a for _, a in key)
+        block = ops.setdefault(n, {}).setdefault(degs, {})
+        coords = dict(block.get(idx, ()))
+        coords[k] = f.add(coords.get(k, f.zero()), delta)
+        block[idx] = tuple((j, c) for j, c in sorted(coords.items()) if c)
+        if not block[idx]:
+            del block[idx]
+    Y = copy(X)
+    Y.ops = ops
+    for n in range(3, X.arity_cap + 2):
+        assert Y.stasheff_defect(n) == ref_stasheff_defect(Y, n), n
 
 
 def test_transfer_of_a_single_simple():
@@ -186,11 +298,11 @@ def test_dual_bar_with_a_triple_product():
 def test_dual_bar_certification_is_honest_on_loops():
     # one degree-one letter on a loop: its dual has shifted degree
     # zero, so words of every length pile up in dual degree zero
-    unital = {2: {((0, 0), (0, 0)): (q(1),),
-                  ((0, 0), (1, 0)): (q(1),),
-                  ((1, 0), (0, 0)): (q(1),)}}
-    X = AInfAlgebra(QQ, {0: 1, 1: 1}, unital, [(q(1),)], 3,
-                    positive=True)
+    unital = {2: {(0, 0): {(0, 0): ((0, q(1)),)},
+                  (0, 1): {(0, 0): ((0, q(1)),)},
+                  (1, 0): {(0, 0): ((0, q(1)),)}}}
+    X = AInfAlgebra(QQ, {0: 1, 1: 1}, unital, [(q(1),)], 3)
+    assert X.positive
     db = dual_bar_dg(X, degree_window=3, tensor_cap=4)
     assert db.truncated
     assert 0 not in db.certified and -1 not in db.certified
@@ -199,10 +311,27 @@ def test_dual_bar_certification_is_honest_on_loops():
 
 
 def test_dual_bar_needs_positivity():
-    X = AInfAlgebra(QQ, {0: 1}, {2: {((0, 0), (0, 0)): (q(1),)}},
-                    [(q(1),)], 2, positive=False)
+    # the dual numbers: x spans degree zero beside the idempotent
+    dual = {2: {(0, 0): {(0, 0): ((0, q(1)),), (0, 1): ((1, q(1)),),
+                         (1, 0): ((1, q(1)),)}}}
+    X = AInfAlgebra(QQ, {0: 2}, dual, [(q(1), q(0))], 2)
+    assert not X.positive
     with pytest.raises(PositivityViolation):
         dual_bar_dg(X)
+
+
+def test_dual_bar_product_signs():
+    # a: 0 -> 1, b: 1 -> 0 with ab = 0: the Ext letters have odd shifted
+    # degree, so concatenating two words of odd length carries a -1; a
+    # product that always carried +1 breaks the Leibniz rule here
+    A = Algebra(QQ, Quiver(2, [("a", 0, 1), ("b", 1, 0)]),
+                [[(1, ["a", "b"])]], nilpotency_bound=3)
+    assert A.dim == 5
+    X = collection_ext_model([S(A, 0), S(A, 1)], arity_cap=4)
+    db = dual_bar_dg(X, degree_window=3, tensor_cap=6)
+    coords = [c for block in db.algebra.mult.values()
+              for val in block.values() for _, c in val]
+    assert (sum(c == -1 for c in coords), len(coords)) == (63, 484)
 
 
 def test_collection_model_refuses_endless_resolutions():

@@ -15,7 +15,9 @@ verdict of every other attribute with its name.
 
 A second scan, over src/tiltlab and tests, fails when a module imports
 a name that it never reads.  No linter runs on the repository, so this
-is the only guard against stale imports.
+is the only guard against stale imports.  A third fails when a module
+of src/tiltlab imports a private (`_`-prefixed, not dunder) name from
+another module of the package.
 """
 
 import ast
@@ -117,3 +119,16 @@ def test_every_import_is_read():
                                   *(ROOT / "tests").glob("*.py")])
               for name in sorted(_unread_imports(ast.parse(path.read_text())))]
     assert not unread, "imported but never read: " + ", ".join(unread)
+
+
+def test_no_private_name_crosses_modules():
+    crossing = [f"{path.stem}: {alias.name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("tiltlab"))
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not alias.name.endswith("__")]
+    assert not crossing, "private names imported across modules: " + \
+        ", ".join(crossing)
