@@ -45,6 +45,12 @@ def q(n):
     return QQ.of(n)
 
 
+# m_2 of the unit e and one degree-one loop x at one vertex: ex = xe = x
+LOOP = {2: {(0, 0): {(0, 0): ((0, q(1)),)},
+            (0, 1): {(0, 0): ((0, q(1)),)},
+            (1, 0): {(0, 0): ((0, q(1)),)}}}
+
+
 def S(A, v, deg=0):
     return stalk_complex(A, Summand("S", v), deg)
 
@@ -137,11 +143,8 @@ def test_validation_rejects_broken_structures():
         AInfAlgebra(X.field, X.dims, {**X.ops, 3: {(1, 1): {
             (1, 0): ((0, q(1)),)}}}, X.idempotents, 4)
     # m_3 with the unit as an argument
-    unital = {2: {(0, 0): {(0, 0): ((0, q(1)),)},
-                  (0, 1): {(0, 0): ((0, q(1)),)},
-                  (1, 0): {(0, 0): ((0, q(1)),)}}}
     with pytest.raises(AInfError, match="degree-zero part"):
-        AInfAlgebra(QQ, {0: 1, 1: 1}, {**unital, 3: {(0, 1, 1): {
+        AInfAlgebra(QQ, {0: 1, 1: 1}, {**LOOP, 3: {(0, 1, 1): {
             (0, 0, 0): ((0, q(1)),)}}}, [(q(1),)], 3)
 
 
@@ -298,10 +301,7 @@ def test_dual_bar_with_a_triple_product():
 def test_dual_bar_certification_is_honest_on_loops():
     # one degree-one letter on a loop: its dual has shifted degree
     # zero, so words of every length pile up in dual degree zero
-    unital = {2: {(0, 0): {(0, 0): ((0, q(1)),)},
-                  (0, 1): {(0, 0): ((0, q(1)),)},
-                  (1, 0): {(0, 0): ((0, q(1)),)}}}
-    X = AInfAlgebra(QQ, {0: 1, 1: 1}, unital, [(q(1),)], 3)
+    X = AInfAlgebra(QQ, {0: 1, 1: 1}, LOOP, [(q(1),)], 3)
     assert X.positive
     db = dual_bar_dg(X, degree_window=3, tensor_cap=4)
     assert db.truncated
