@@ -907,28 +907,42 @@ def peirce_tags(field, structure, dims, idempotents, error):
     return tags
 
 
-def is_associative(field, structure, dims):
+def is_associative(field, structure):
     """Whether (xy)z = x(yz) on every triple of basis elements."""
     one = field.one()
 
     def mul(i, x, j, y):
         return sparse_product(field, structure, i, x, j, y)
 
-    basis = [(k, c) for k in sorted(dims) for c in range(dims[k])]
-    # Only triples with xy != 0 or yz != 0 are visited.  On any other
-    # triple both sides are products with a zero factor, so this accepts
-    # and rejects exactly what the check over all basis triples does.
+    # right[(i, a)]: the basis elements z with a z != 0; left[(j, b)]:
+    # the basis elements x with x b != 0
+    right, left = {}, {}
+    for (i, j), block in structure.items():
+        for a, b in block:
+            right.setdefault((i, a), set()).add((j, b))
+            left.setdefault((j, b), set()).add((i, a))
+    # Only triples with xy != 0 or yz != 0 are visited; on any other
+    # triple both sides are products with a zero factor.  For xy != 0,
+    # z is skipped when yz = 0 and z is no right partner of a coordinate
+    # of xy: then (xy)z = 0 and x(yz) = 0.
     for (i, j), block in structure.items():
         for (a, b), ab in block.items():
-            for k, c in basis:
+            zs = set(right.get((j, b), ()))
+            for d, _ in ab:
+                zs |= right.get((i + j, d), set())
+            for k, c in zs:
                 bc = structure.get((j, k), {}).get((b, c), ())
                 if mul(i + j, ab, k, ((c, one),)) != \
                         mul(i, ((a, one),), j + k, bc):
                     return False
-    # the triples left have xy = 0, so (xy)z = 0 and x(yz) must vanish
+    # The triples left have xy = 0, so (xy)z = 0 and x(yz) must vanish;
+    # it does unless x is a left partner of a coordinate of yz.
     for (j, k), block in structure.items():
         for (b, c), bc in block.items():
-            for i, a in basis:
+            xs = set()
+            for d, _ in bc:
+                xs |= left.get((j + k, d), set())
+            for i, a in xs:
                 if (a, b) not in structure.get((i, j), {}) and \
                         mul(i, ((a, one),), j + k, bc):
                     return False
@@ -971,7 +985,7 @@ class FiniteAlgebra:
             bi = self.basis_elem(i)
             if self.mult(self.unit, bi) != bi or self.mult(bi, self.unit) != bi:
                 raise AlgebraError("unit fails on basis element")
-        if not is_associative(f, self.products, {0: d}):
+        if not is_associative(f, self.products):
             raise AlgebraError("associativity fails on basis triple")
         acc = [f.zero()] * d
         for e in self.idempotents:

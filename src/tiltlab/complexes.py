@@ -78,6 +78,61 @@ def hom_block(algebra: Algebra, src, tgt):
     return got
 
 
+def extend_along(iota, maps):
+    """Chain maps I -> T extending each g: X -> T along iota: X -> I.
+
+    X is a stalk in degree s, iota its coaugmentation into a
+    coresolution I (exact in every degree but its top), and every map
+    in maps goes into one complex of injectives T.  The extension is
+    built degree by degree (the comparison theorem, Weibel, An
+    Introduction to Homological Algebra, 2.3): in degree s it solves
+    iota^s then e^s = g^s, and above s it solves d_I then e^k =
+    e^{k-1} then d_T, over the hom_block basis of (I^k, T^k), one solve
+    for all maps.  The solve cannot fail: iota^s is injective, and above
+    s the right side vanishes on the kernel of d_I, which is the image
+    of iota^s (X has no differential) or of d_I (d_T^2 = 0) since I is
+    exact there; T^k is injective, so the right side extends.  A
+    failure therefore means a caller broke these conditions, and it
+    raises.
+    """
+    X, I = iota.source, iota.target
+    T = maps[0].target
+    A = I.algebra
+    f = A.field
+    (s,) = X.parts
+    comps = [{} for _ in maps]
+    for k in range(s, I.max_deg() + 1):
+        basis, _ = hom_block(A, I.parts.get(k, ()), T.parts.get(k, ()))
+        if k == s:
+            pre = iota.comp(s)
+            rhs = [g.comp(s) for g in maps]
+        else:
+            pre = I.d_full(k - 1)
+            d_T = T.d_full(k - 1)
+            rhs = [c[k - 1].then(d_T) if k - 1 in c
+                   else ModuleMap.zero(pre.source, d_T.target) for c in comps]
+        cols = [_flatten_map(r) for r in rhs]
+        if not basis:
+            if any(x for col in cols for x in col):
+                raise AlgebraError(f"no extension along the coaugmentation "
+                                   f"in degree {k}")
+            continue
+        M = Mat(f, [_flatten_map(pre.then(h)) for h in basis])
+        sol = M.transpose().solve(Mat(f, list(zip(*cols)), ncols=len(cols)))
+        if sol is None:
+            raise AlgebraError(f"no extension along the coaugmentation "
+                               f"in degree {k}")
+        for i, c in enumerate(comps):
+            acc = None
+            for b, h in enumerate(basis):
+                x = sol[b, i]
+                if x:
+                    acc = h.scale(x) if acc is None else acc.add(h.scale(x))
+            if acc is not None:
+                c[k] = acc
+    return [ChainMap(I, T, c, check=False) for c in comps]
+
+
 def zero_module(algebra: Algebra) -> Module:
     return Module(algebra, (0,) * algebra.quiver.n, {})
 
@@ -391,10 +446,10 @@ class ChainMap:
 
 
 def cone(f: ChainMap):
-    """Mapping cone with the triangle maps.
+    """Mapping cone of f: X -> Y.
 
-    Returns (C, include_target, project_shift_source): Y -> C and
-    C -> source shifted by one.
+    Degree n is X^{n+1} followed by Y^n; the differential is
+    (-d_X, f) on the X^{n+1} part and d_Y on the Y^n part.
     """
     X, Y = f.source, f.target
     algebra = X.algebra
@@ -443,30 +498,8 @@ def cone(f: ChainMap):
                 row.append(Y.block(n, k, l))
             grid.append(row)
         blocks[n] = grid
-    C = Complex(algebra, parts, blocks, approx_above=above,
-                approx_below=below, validate=False)
-
-    origin = (0,) * algebra.quiver.n
-    inc_comps = {}
-    for n in Y.parts:
-        if n not in C.parts:
-            continue
-        src = Y.module(n)
-        # the target block follows the shifted-source block
-        ystart = C.offsets(n)[len(X.parts.get(n + 1, ()))]
-        inc_comps[n] = map_placement(src, [origin], C.module(n), [ystart],
-                                     {(0, 0): ModuleMap.identity(src)})
-    inc = ChainMap(Y, C, inc_comps, check=False)
-
-    SX = X.shift(1)
-    proj_comps = {}
-    for n in C.parts:
-        tgt = SX.module(n)
-        # the shifted-source block sits first in the cone ordering
-        proj_comps[n] = map_placement(C.module(n), [origin], tgt, [origin],
-                                      {(0, 0): ModuleMap.identity(tgt)})
-    proj = ChainMap(C, SX, proj_comps, check=False)
-    return C, inc, proj
+    return Complex(algebra, parts, blocks, approx_above=above,
+                   approx_below=below, validate=False)
 
 
 # ---- minimization ----
@@ -708,11 +741,18 @@ class HomComplex:
     (n, k) block of the basis, and the solver that gives coordinates on
     it, come from hom_block for the tag tuples of X^k and Y^{k+n}, so
     hom complexes over one algebra share them.
+
+    degrees = (lo, hi) builds only the hom degrees lo..hi, so H^n can be
+    read for lo < n < hi and bases and coordinates for lo <= n <= hi; a
+    read outside raises.  The number of degrees grows with the length of
+    both complexes, and a caller that needs H^0 needs only -1..1.  None
+    builds every degree.
     """
 
-    def __init__(self, X: Complex, Y: Complex):
+    def __init__(self, X: Complex, Y: Complex, degrees=None):
         self.X = X
         self.Y = Y
+        self.degrees = degrees
         A = X.algebra
         self.field = A.field
         self.bases = {}
@@ -720,6 +760,8 @@ class HomComplex:
         self._solvers = {}
         lo = min((m - k for k in X.parts for m in Y.parts), default=0)
         hi = max((m - k for k in X.parts for m in Y.parts), default=-1)
+        if degrees is not None:
+            lo, hi = max(lo, degrees[0]), min(hi, degrees[1])
         for n in range(lo, hi + 1):
             entries = []
             for k in sorted(X.parts):
@@ -750,8 +792,17 @@ class HomComplex:
             diffs[n] = Mat(self.field, rows, ncols=dims.get(n + 1, 0))
         self.vect = VectComplex(self.field, dims, diffs, check=True)
 
+    def _require(self, lo, hi):
+        """Refuse a read that needs hom degrees outside the built ones."""
+        if self.degrees is not None and not (
+                self.degrees[0] <= lo and hi <= self.degrees[1]):
+            raise AlgebraError(
+                f"hom complex: degrees {lo}..{hi} were not built "
+                f"(built {self.degrees[0]}..{self.degrees[1]})")
+
     def coords(self, n, img):
         """Coordinates of {k: ModuleMap} over the degree-n basis."""
+        self._require(n, n)
         out = [self.field.zero()] * len(self.bases.get(n, []))
         for k, m in img.items():
             if m.is_zero():
@@ -769,6 +820,7 @@ class HomComplex:
 
     def element(self, n, coords):
         """Rebuild {k: ModuleMap} from coordinates at degree n."""
+        self._require(n, n)
         entries = self.bases.get(n, [])
         acc = {}
         for c, (k, h) in zip(coords, entries):
@@ -813,11 +865,13 @@ class HomComplex:
         return (lo is None or n >= lo) and (hi is None or n <= hi)
 
     def h_dim(self, n):
+        self._require(n - 1, n + 1)
         return self.vect.homology_dim(n)
 
     def chain_classes(self, n=0):
         """Representative cycles at degree n as {k: ModuleMap} dicts,
         and H^n as a Subquotient of the degree-n coordinates."""
+        self._require(n - 1, n + 1)
         H = self.vect.homology(n)
         return [self.element(n, list(r)) for r in H.reps.data], H
 
@@ -838,8 +892,9 @@ def chain_map_from_component_dict(X, Y, comps, shift=0):
 
 
 def h0_chain_maps(X: Complex, Y: Complex):
-    """Chain maps X -> Y, one per homotopy class; plus the hom complex."""
-    hc = HomComplex(X, Y)
+    """Chain maps X -> Y, one per homotopy class; plus the hom complex
+    (built in degrees -1..1)."""
+    hc = HomComplex(X, Y, degrees=(-1, 1))
     classes, _ = hc.chain_classes(0)
     out = []
     for cls in classes:
@@ -858,7 +913,7 @@ def complex_iso_search(X: Complex, Y: Complex):
         return None
     if X.is_zero():
         return ChainMap.zero(X, Y)
-    hc = HomComplex(X, Y)
+    hc = HomComplex(X, Y, degrees=(-1, 1))
     Z = hc.vect.cycles(0)
     cands = [ChainMap(X, Y, hc.element(0, list(Z.data[i])), check=False)
              for i in range(Z.nrows)]

@@ -182,12 +182,35 @@ def coresolve_complex(X: Complex, top=None, validate=False) -> Resolution:
     return Resolution(I, aug, res.exact)
 
 
+def shift_coresolution(res, U, m, top):
+    """The coaugmentation U -> I' of U = X[m], m < 0, from res, the
+    coresolution of X to top.
+
+    I' is res's complex cut at top + 1 + m and shifted by m: a
+    coresolution to a lower top is a prefix of one to a higher top, so
+    I' is the coresolution of U to top + 1, and a cone of a map out of
+    I' into a complex cut at top keeps its cut marker at top.  An exact
+    coresolution that ends below top + 1 + m is shifted whole, as the
+    coresolution of U to top + 1 then stops below top + 1.
+    """
+    I = res.complex
+    if not (res.exact and I.max_deg() <= top + m):
+        I = I.cut_above(top + 1 + m)
+    return ChainMap(U, I.shift(m),
+                    {k - m: c for k, c in res.aug.comps.items()}, check=False)
+
+
 def all_tags(X: Complex, kind):
     return all(t.kind == kind for p in X.parts.values() for t in p)
 
 
 def injective_form(X: Complex, top=None) -> Complex:
-    """Minimal complex of injectives quasi-isomorphic to X (up to any cut)."""
+    """Minimal complex of injectives quasi-isomorphic to X (up to any cut).
+
+    A complex of injectives, such as the cone of a map extended along a
+    coresolution (complexes.extend_along), is only minimized; anything
+    else is coresolved to top first.
+    """
     if not (X.parts and all_tags(X, "I")):
         X = coresolve_complex(X, top=top).complex
     return minimize(X, verify=False).complex
@@ -233,16 +256,10 @@ def derived_hom(X: Complex, Y: Complex, lo, hi) -> HomTable:
     """
     if lo > hi:
         raise AlgebraError("empty hom degree range")
-    if Y.parts and all_tags(Y, "I"):
-        hc = HomComplex(X, Y)
-    elif X.parts and all_tags(X, "P"):
-        hc = HomComplex(X, Y)
-    elif X.is_zero() or Y.is_zero():
-        hc = HomComplex(X, Y)
-    else:
-        ylo = Y.min_deg()
-        res = resolve_complex(X, bottom=ylo - hi - 2)
-        hc = HomComplex(res.complex, Y)
+    if not ((Y.parts and all_tags(Y, "I")) or (X.parts and all_tags(X, "P"))
+            or X.is_zero() or Y.is_zero()):
+        X = resolve_complex(X, bottom=Y.min_deg() - hi - 2).complex
+    hc = HomComplex(X, Y, degrees=(lo - 1, hi + 1))
     entries = {}
     for m in range(lo, hi + 1):
         if hc.is_valid_degree(m):
@@ -345,8 +362,7 @@ def generation_certificate(objects, cone_budget=48):
                             continue
                         budget -= 1
                         cones_used += 1
-                        C, _, _ = cone(f)
-                        Cm = minimize(C, verify=False).complex
+                        Cm = minimize(cone(f), verify=False).complex
                         if Cm.total_dim() > size_cap:
                             continue
                         before = len(reached)

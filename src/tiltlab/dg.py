@@ -154,7 +154,7 @@ class DgAlgebra:
                 rhs[t] = f.add(rhs[t], v) if t in rhs else v
             if lhs != {t: c for t, c in rhs.items() if c}:
                 raise DgError("Leibniz rule fails")
-        if not is_associative(f, self.mult, self.dims):
+        if not is_associative(f, self.mult):
             raise DgError("multiplication is not associative")
         if self.elem_d(0, self.unit) != _zeros(f, self.dim_at(1)):
             raise DgError("the unit must be a cycle")

@@ -4,7 +4,13 @@ Given objects X_1..X_r (normally a validated simple-minded family), the
 engine grows one companion T_i per object.  T_i starts as the minimal
 injective form of X_i and is repeatedly corrected by coning off every
 homotopy class of maps from negatively shifted members, nearest shift
-first, until the inspected window is clean.  A terminated run is then
+first, until the inspected window is clean.  Each member is coresolved
+once, at the cut tau, and a class map out of a shifted stalk is
+extended along the stalk's coresolution (complexes.extend_along), so
+each round cones the lifted map into a complex of injectives that only
+needs minimizing: nothing is re-coresolved.  A member that is not a
+stalk hands its class maps over as they are, and its cones are
+coresolved as a whole.  A terminated run is then
 re-verified against the defining property
 
     dim Hom(X_j, T_i shifted by m) = 1 when (i, m) = (j, 0), else 0,
@@ -27,8 +33,10 @@ from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
                       summand_offsets)
 from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
                         Summand, complex_iso_search, cone,
-                        direct_sum_complexes, h0_chain_maps, minimize)
-from .derived import all_tags, derived_hom, injective_form
+                        direct_sum_complexes, extend_along, h0_chain_maps,
+                        minimize)
+from .derived import (all_tags, coresolve_complex, derived_hom,
+                      injective_form, shift_coresolution)
 
 
 # ---- maps between projectives as algebra elements ----
@@ -183,14 +191,19 @@ def _assemble_evaluation(pieces, T: Complex):
 def _b_table(sources, T):
     """Homotopy classes of maps from each shifted member into T.
 
-    Returns (table, pieces) with table[(j, m)] = class count and pieces
-    the list of (shifted complex, representative) pairs, nearest shift
-    only.  Classes are only collected where the hom window certifies
-    degree zero; anything else is a setup error.
+    sources holds (j, m, U, iota) per shifted member U = X_j[m], with
+    iota the coaugmentation of U's coresolution when X_j is a stalk and
+    None otherwise.  Returns (table, pieces) with table[(j, m)] = class
+    count and pieces the (source, map) pairs to cone, nearest shift
+    only: a stalk's class map g: U -> T is extended along iota to the
+    coresolution, so that the cone is already a complex of injectives;
+    any other member hands over (U, g) unchanged.  Classes are only
+    collected where the hom window certifies degree zero; anything else
+    is a setup error.
     """
     btab = {}
     by_shift = {}
-    for (j, m, U) in sources:
+    for (j, m, U, iota) in sources:
         maps, hc = h0_chain_maps(U, T)
         if not hc.is_valid_degree(0):
             raise AlgebraError(
@@ -198,15 +211,19 @@ def _b_table(sources, T):
                 "increase the resolution depth")
         if maps:
             btab[(j, m)] = len(maps)
-            by_shift.setdefault(m, []).extend((U, g) for g in maps)
+            by_shift.setdefault(m, []).append((U, iota, maps))
     if not by_shift:
         return btab, []
-    nearest = max(by_shift)
-    return btab, by_shift[nearest]
+    pieces = []
+    for U, iota, maps in by_shift[max(by_shift)]:
+        if iota is None:
+            pieces.extend((U, g) for g in maps)
+        else:
+            pieces.extend((iota.target, g) for g in extend_along(iota, maps))
+    return btab, pieces
 
 
-def _iterate_object(objects, i, sources, budget, tau):
-    T = _clip(injective_form(objects[i], top=tau))
+def _iterate_object(T, sources, budget, tau):
     cones = 0
     rounds = 0
     b_tables = []
@@ -226,8 +243,7 @@ def _iterate_object(objects, i, sources, budget, tau):
             status = "budget_exceeded"
             break
         U, f = _assemble_evaluation(pieces, T)
-        C, _, _ = cone(f)
-        T = _clip(injective_form(C, top=tau))
+        T = _clip(injective_form(cone(f), top=tau))
         cones += len(pieces)
         rounds += 1
     return T, status, cones, rounds, b_tables
@@ -243,7 +259,7 @@ def _strip_above(X: Complex) -> Complex:
 def _exactness_candidates(T: Complex):
     """Trimmed versions of a cut complex that might be globally correct.
 
-    The cut edge of a re-coresolved complex can retain a stub that the
+    The cut edge of a complex cut at tau can retain a stub that the
     true object does not have.  Every support gap (and a trailing gap
     below the marker) marks a trim point; candidates are yielded
     largest first.  Adopting one requires the certificate to pass.
@@ -321,6 +337,12 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
     Returns {"runs": [ObjectRun], "verification": report, ...}.  A run
     whose final complex carries no cut marker, or whose trimmed
     candidate passes the full orthogonality check, is certified exact.
+
+    Every member is coresolved once, to top tau; the coresolutions are
+    local to the call.  A run starts from the minimized coresolution of
+    its member, and a shifted stalk X_j[m] is mapped into its
+    coresolution by derived.shift_coresolution, along which _b_table
+    extends its class maps.
     """
     if not objects:
         raise AlgebraError("empty object family")
@@ -337,13 +359,19 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
         depth = 2 * A.dim + 4
     maxd = max(X.max_deg() for X in objects)
     tau = maxd + window + depth
-    sources = [(j, m, objects[j].shift(m))
-               for j in range(len(objects))
-               for m in range(-window, 0)]
+    cores = [coresolve_complex(X, top=tau) for X in objects]
+    sources = []
+    for j, X in enumerate(objects):
+        for m in range(-window, 0):
+            U = X.shift(m)
+            iota = (shift_coresolution(cores[j], U, m, tau)
+                    if len(X.parts) == 1 else None)
+            sources.append((j, m, U, iota))
     runs = []
     for i in range(len(objects)):
+        T0 = minimize(cores[i].complex, verify=False).complex
         T, status, cones, rounds, b_tables = _iterate_object(
-            objects, i, sources, budget, tau)
+            T0, sources, budget, tau)
         certified = T.approx_above is None
         if not certified and status == "terminated":
             for cand in _exactness_candidates(T):

@@ -181,7 +181,7 @@ def test_criterion_6_randomized_invariant_suite():
         maps, _ = h0_chain_maps(X, Y)
         f = rng.choice(maps) if maps else \
             chain_map_from_component_dict(X, Y, {})
-        C = cone(f)[0]
+        C = cone(f)
         mC = minimize(C).complex
         Z = random_stalk_sum(A, n=1)
         t1 = derived_hom(C, Z, -2, 2)

@@ -1,5 +1,7 @@
 """Resolutions, coresolutions, derived hom tables, collection checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from tiltlab.derived import (
     generation_certificate,
     injective_form,
     resolve_complex,
+    shift_coresolution,
     simple_stalk_profile,
     validate_simple_minded,
 )
@@ -130,6 +133,87 @@ def test_projective_form_of_injective_stalk(A2):
     # I_1 = S_1 has projective resolution [P_2 -> P_1]
     Xp = resolve_complex(stalk_complex(A2, Summand("I", 0), 0)).complex
     assert Xp.parts == {-1: (Summand("P", 1),), 0: (Summand("P", 0),)}
+
+
+def cyclic_nakayama(field, n, r):
+    """kZ_n / rad^r: arrows x_i: i -> i + 1 mod n, every path of length
+    r zero.  Self-injective, of infinite global dimension."""
+    arrows = [(f"x{i}", i, (i + 1) % n) for i in range(n)]
+    rels = [[(1, [f"x{(i + k) % n}" for k in range(r)])] for i in range(n)]
+    return Algebra(field, Quiver(n, arrows), rels, nilpotency_bound=r)
+
+
+def linear_a(field, n):
+    return Algebra(field, Quiver(n, [(f"a{i}", i, i + 1)
+                                     for i in range(n - 1)]), [])
+
+
+STALK_ALGEBRAS = {
+    "kZ1/rad2": lambda: cyclic_nakayama(QQ, 1, 2),
+    "kZ2/rad2": lambda: cyclic_nakayama(PrimeField(5), 2, 2),
+    "kZ2/rad3": lambda: cyclic_nakayama(QQ, 2, 3),
+    "kZ3/rad2": lambda: cyclic_nakayama(PrimeField(7), 3, 2),
+    "A2": lambda: linear_a(QQ, 2),
+    "A3": lambda: linear_a(PrimeField(5), 3),
+}
+
+
+def random_stalk(A, rng):
+    """One or two indecomposables of random kinds in one degree."""
+    tags = tuple(Summand(rng.choice("SPI"), rng.randrange(A.quiver.n))
+                 for _ in range(rng.randint(1, 2)))
+    return Complex(A, {rng.randint(-1, 1): tags}, {}, validate=False)
+
+
+def unsigned(C, m):
+    """C with its differential times (-1)^m: undoes the sign shift(m)
+    puts on it."""
+    if m % 2 == 0:
+        return C
+    minus = C.algebra.field.of(-1)
+    return Complex(C.algebra, C.parts,
+                   {n: [[None if b is None else b.scale(minus) for b in row]
+                        for row in grid] for n, grid in C.blocks.items()},
+                   approx_above=C.approx_above, validate=False)
+
+
+def blocks_of(chain_map):
+    """The components out of the degrees where the source lives."""
+    return {n: chain_map.comp(n).blocks for n in chain_map.source.parts}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(STALK_ALGEBRAS)))
+def test_coresolution_commutes_with_shift_and_extends_by_prefix(seed, key):
+    A = STALK_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    X = random_stalk(A, rng)
+    m = rng.randint(-3, -1)
+    t = X.max_deg() - m + rng.randint(0, 4)
+    # coresolving X[m] to top t is coresolving X to top t + m, shifted
+    fresh = coresolve_complex(X.shift(m), top=t)
+    moved = coresolve_complex(X, top=t + m)
+    assert fresh.exact == moved.exact
+    assert unsigned(moved.complex.shift(m), m) == fresh.complex
+    assert blocks_of(fresh.aug) == {k - m: b
+                                    for k, b in blocks_of(moved.aug).items()}
+    # a coresolution to a lower top is a prefix of one to a higher top
+    h = rng.randint(1, 3)
+    low, high = coresolve_complex(X, top=t), coresolve_complex(X, top=t + h)
+    if low.exact:
+        assert high.exact and high.complex == low.complex
+    else:
+        assert low.complex.approx_above == t
+        assert high.complex.cut_above(t) == low.complex
+    assert blocks_of(high.aug) == blocks_of(low.aug)
+    # so X[m] into low's complex, cut and shifted, is X[m] into its
+    # coresolution to top t + 1
+    U = X.shift(m)
+    iota = shift_coresolution(low, U, m, t)
+    want = coresolve_complex(U, top=t + 1)
+    assert iota.source is U
+    assert unsigned(iota.target, m) == want.complex
+    assert blocks_of(iota) == blocks_of(want.aug)
 
 
 def test_coresolution_cap_marks_cut(DUAL):

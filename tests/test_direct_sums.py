@@ -159,10 +159,10 @@ def test_minimize_without_witnesses_reaches_the_same_complex(
     rng = random.Random(seed)
     X = random_complex(A, rng)
     Y = X if rng.random() < 0.3 else random_complex(A, rng)
-    C = cone(random_chain_map(X, Y, rng))[0]
+    C = cone(random_chain_map(X, Y, rng))
     if rng.random() < 0.5:
         Z = random_complex(A, rng)
-        C = cone(random_chain_map(Z, C, rng))[0]
+        C = cone(random_chain_map(Z, C, rng))
 
     fast = minimize(C, verify=False)
     assert (fast.to_min, fast.from_min, fast.homotopy) == (None, None, None)

@@ -1,17 +1,26 @@
 """Cone iteration, the Nakayama twist, endomorphisms, verdicts."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab import tilting
 from tiltlab.algebra import Algebra, AlgebraError, Quiver, hom_basis
 from tiltlab.complexes import (
+    ChainMap,
+    Complex,
     Summand,
     complex_iso_search,
+    cone,
     direct_sum_complexes,
+    extend_along,
+    h0_chain_maps,
     minimize,
     stalk_complex,
 )
-from tiltlab.derived import resolve_complex
+from tiltlab.derived import (all_tags, coresolve_complex, injective_form,
+                             resolve_complex, shift_coresolution)
 from tiltlab.linalg import QQ, PrimeField
 from tiltlab.reporting import algebra_presentation
 from tiltlab.tilting import (
@@ -25,6 +34,8 @@ from tiltlab.tilting import (
     nu_map,
     nu_stability,
 )
+
+from test_derived import STALK_ALGEBRAS, random_stalk
 
 
 @pytest.fixture
@@ -190,6 +201,99 @@ def test_shallow_window_stays_honest(A2):
     assert ver["status"] == "failed"
     assert ver["failures"] == [
         {"source": 1, "target": 0, "shift": 2, "dim": 1, "expected": 0}]
+
+
+def clip(T):
+    return T.cut_above(T.approx_above)
+
+
+def summands(T):
+    return {n: sorted(p) for n, p in T.parts.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(STALK_ALGEBRAS)))
+def test_lifted_cone_matches_the_recoresolved_cone(seed, key):
+    """Coning the extension of f: X[m] -> T along X[m]'s coresolution
+    gives, after minimizing, the T that coresolving the cone of f
+    gives: minimal complexes of injectives that are quasi-isomorphic
+    are isomorphic, up to the cut edge, which must agree too."""
+    A = STALK_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    objects = [random_stalk(A, rng) for _ in range(rng.randint(1, 3))]
+    window = 2
+    tau = max(X.max_deg() for X in objects) + window + 2 * A.dim + 4
+    cores = [coresolve_complex(X, top=tau) for X in objects]
+    T = clip(minimize(rng.choice(cores).complex, verify=False).complex)
+    f_ = A.field
+    for _ in range(3):
+        found = [(j, m, U, maps)
+                 for j, X in enumerate(objects) for m in range(-window, 0)
+                 for U in [X.shift(m)] for maps in [h0_chain_maps(U, T)[0]]
+                 if maps]
+        if not found:
+            break
+        j, m, U, maps = rng.choice(found)
+        f = ChainMap.zero(U, T)
+        for g in maps:
+            f = f.add(g.scale(f_.of(rng.randint(-2, 2))))
+        # the reference: cone f itself and coresolve the cone
+        want = clip(injective_form(cone(f), top=tau))
+
+        iota = shift_coresolution(cores[j], U, m, tau)
+        lifts = extend_along(iota, maps + [f])
+        for g, lift in zip(maps + [f], lifts):
+            assert lift.commutes()
+            for n in U.parts:
+                assert iota.comp(n).then(lift.comp(n)).blocks == \
+                    g.comp(n).blocks
+        C = cone(lifts[-1])
+        assert all_tags(C, "I")
+        got = clip(minimize(C, verify=False).complex)
+        assert summands(got) == summands(want)
+        assert got.homology_dims() == want.homology_dims()
+        assert got.approx_above == want.approx_above
+        T = want
+
+
+def test_extension_refuses_a_target_that_is_not_injective(A2):
+    # S_2 is not injective, so the identity of S_2 does not extend to
+    # its injective envelope I_2
+    X = S(A2, 1)
+    iota = coresolve_complex(X, top=3).aug
+    with pytest.raises(AlgebraError, match="no extension"):
+        extend_along(iota, [ChainMap.identity(X)])
+
+
+def two_term(A, w, v):
+    """P_w -> P_v in degrees -1, 0, by the one basis map."""
+    (h,) = hom_basis(A.projective(w), A.projective(v))
+    return Complex(A, {-1: (Summand("P", w),), 0: (Summand("P", v),)},
+                   {-1: [[h]]})
+
+
+def test_members_with_two_degrees_cone_without_the_lift(A3, NAK2):
+    """A member in two degrees has classes that are coned as they are
+    and the cone re-coresolved; the companions are those the
+    construction gave before stalks were lifted."""
+    runs = build_dual_objects([two_term(A3, 2, 1), S(A3, 2)],
+                              window=2)["runs"]
+    assert [(r.complex.describe(), r.complex.approx_above, r.status,
+             r.cones, r.rounds, r.certified_exact) for r in runs] == [
+        ("[0: I2] [1: I1]", None, "terminated", 0, 0, True),
+        ("[0: I3] [1: I1]", None, "terminated", 1, 1, True)]
+    assert runs[1].b_tables == [{(0, -1): 1}, {}]
+    # over kZ_2/rad^2 the rounds of the second companion cone classes
+    # of the two-degree member, then of the stalk, then of the first
+    runs = build_dual_objects([two_term(NAK2, 1, 0), S(NAK2, 0, deg=1)],
+                              window=2)["runs"]
+    T = runs[1].complex
+    assert (T.describe(), T.approx_above, runs[1].status, runs[1].cones,
+            runs[1].rounds, runs[1].certified_exact) == (
+        "[-1: I1] [0: I2] [15: I2]", 15, "terminated", 3, 3, False)
+    assert T.homology_dims() == {-1: (1, 0), 0: (1, 0), 15: (1, 1)}
+    assert runs[1].b_tables == [{(0, -1): 1, (1, -2): 1}, {(1, -2): 1},
+                                {(0, -2): 1}, {}]
 
 
 def test_budget_exhaustion_is_reported(A2):
