@@ -507,8 +507,9 @@ def cone(f: ChainMap):
 MinimizeResult = namedtuple("MinimizeResult", ["complex", "to_min", "from_min", "homotopy"])
 
 
-def _find_cancellable(X: Complex):
-    for n in sorted(X.blocks):
+def _find_cancellable(X: Complex, start):
+    """The first iso block (n, k, l) in degrees n >= start, if any."""
+    for n in sorted(m for m in X.blocks if m >= start):
         grid = X.blocks[n]
         for k, row in enumerate(grid):
             for l, blk in enumerate(row):
@@ -636,10 +637,15 @@ def minimize(X: Complex, verify=True) -> MinimizeResult:
         g_total = ChainMap.identity(X)
         f_total = ChainMap.identity(X)
         h_total = {}
+    start = min(X.blocks, default=0)
     while True:
-        found = _find_cancellable(cur)
+        found = _find_cancellable(cur, start)
         if found is None:
             break
+        # a cancellation in degree n rewrites only the grids n - 1, n and
+        # n + 1, and every grid below n had no iso block, so the scan
+        # resumes at n - 1 and finds what a scan from the lowest would
+        start = found[0] - 1
         nxt, phi_inv = _cancel_step(cur, *found)
         if verify:
             g, fm, h = _cancel_witnesses(cur, nxt, *found, phi_inv)

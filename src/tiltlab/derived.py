@@ -2,11 +2,14 @@
 
 Projective resolutions of complexes are built top-down: at each degree
 the next projective covers the pullback of "cycles seen so far", which
-keeps the result minimal.  Injective coresolutions are the dual run over
-the opposite algebra.  A run that terminates yields an honest
-quasi-isomorphic replacement; one that hits its length cap carries a cut
-marker, and every hom computed through it reports the degree window on
-which it can be trusted.
+keeps the result minimal.  Below the source each step reads only the
+last syzygy, so once a syzygy recurs the run is periodic, and the rest
+down to the cut is copied from one period above instead of computed (over
+kZ_n/rad^r every simple recurs this way).  Injective coresolutions are
+the dual run over the opposite algebra.  A run that terminates yields an
+honest quasi-isomorphic replacement; one that hits its length cap carries
+a cut marker, and every hom computed through it reports the degree window
+on which it can be trusted.
 """
 
 from collections import namedtuple
@@ -92,7 +95,10 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
 
     bottom caps how deep the construction may run.  If the run stops on
     its own the triple is exact everywhere; if it is cut, the complex
-    carries approx_below at the lowest computed degree.  A source that
+    carries approx_below at its lowest degree.  Two degrees or more below
+    the source, a syzygy (kernel with its arrow matrices) that was met
+    before makes the run periodic: computing stops there, and every
+    degree down to bottom is copied from one period above.  A source that
     is itself cut from above cannot be resolved (the construction starts
     at the top, where nothing is trustworthy).
     """
@@ -112,6 +118,7 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     offsets = {}
     phis = {}
     d_maps = {}
+    seen = {}  # syzygy below the source -> the degree it was first met
     cur_P = zero_module(A)
     cur_phi = ModuleMap.zero(cur_P, X.module(xhi + 1))
     cur_d = ModuleMap.zero(cur_P, zero_module(A))
@@ -138,6 +145,33 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
         phis[n] = map_slice(cw, P, origin, Xn, sum_offsets[0])
         d_maps[n] = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
         cur_P, cur_phi, cur_d = P, phis[n], d_maps[n]
+        if n <= xlo - 2:
+            key = (K.dims, tuple(K.mats[a].data
+                                 for a in range(len(A.quiver.arrows))))
+            if key in seen:
+                # The syzygy recurs p degrees below its first sight, so
+                # the run repeats with period p from here to the cut.
+                # Below xlo - 1, X is zero in degrees n and n + 1, so step
+                # n reads only K with its action: it covers K by
+                # c: P -> K, and d_n = c then the inclusion i of K.
+                # ker(c i) = ker(c) as i is injective; kernel_module reads
+                # its basis off the reduced echelon form of the transposed
+                # block, which is unique and depends only on the block's
+                # column space, and c i has the column space of c.  So the
+                # next syzygy, with its action and its inclusion into
+                # P_n = P_{n+p}, is the one p degrees above, and so is
+                # every degree from n - 1 down.  Degree n itself is
+                # computed: d_n lands in P_{n+1}, which P_{n+p+1} need not
+                # equal.
+                p = seen[key] - n
+                for m in range(n - 1, bottom - 1, -1):
+                    verts[m] = verts[m + p]
+                    offsets[m] = offsets[m + p]
+                    phis[m] = phis[m + p]
+                    d_maps[m] = d_maps[m + p]
+                n = bottom - 1
+                break
+            seen[key] = n
         n -= 1
 
     parts = {m: tuple(Summand("P", v) for v in vs)

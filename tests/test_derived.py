@@ -1,13 +1,36 @@
 """Resolutions, coresolutions, derived hom tables, collection checks."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab import derived
-from tiltlab.algebra import Algebra, AlgebraError, Quiver
-from tiltlab.complexes import Complex, Summand, minimize, stalk_complex
+from tiltlab.algebra import (
+    Algebra,
+    AlgebraError,
+    ModuleMap,
+    Quiver,
+    direct_sum_modules,
+    hom_basis,
+    kernel_module,
+    map_placement,
+    map_slice,
+    projective_cover,
+    summand_offsets,
+)
+from tiltlab.complexes import (
+    ChainMap,
+    Complex,
+    Summand,
+    minimize,
+    stalk_complex,
+    summand_sum,
+    tag_module,
+    zero_complex,
+    zero_module,
+)
 from tiltlab.derived import (
     class_matrix,
     coresolve_complex,
@@ -20,7 +43,7 @@ from tiltlab.derived import (
     simple_stalk_profile,
     validate_simple_minded,
 )
-from tiltlab.linalg import QQ, PrimeField, is_unimodular
+from tiltlab.linalg import QQ, Mat, PrimeField, is_unimodular
 
 
 @pytest.fixture
@@ -214,6 +237,221 @@ def test_coresolution_commutes_with_shift_and_extends_by_prefix(seed, key):
     assert iota.source is U
     assert unsigned(iota.target, m) == want.complex
     assert blocks_of(iota) == blocks_of(want.aug)
+
+
+# ---- periodic resolutions ----
+
+def nakayama_shift(k, r):
+    """Vertex shift of degree -k of the minimal projective resolution of
+    a simple over kZ_n/rad^r: Omega S_i = rad P_i has top S_{i+1}, and
+    Omega^2 S_i = soc P_{i+1} = S_{i+r}."""
+    return (k // 2) * r + k % 2
+
+
+@pytest.mark.parametrize("n, r", [(2, 3), (3, 3), (4, 2), (4, 3), (5, 2),
+                                  (3, 4)])
+def test_resolutions_of_simples_over_cyclic_nakayama_follow_the_closed_form(
+        n, r):
+    A = cyclic_nakayama(PrimeField(7), n, r)
+    # Omega^2 S_i = S_{i+r}, so the vertices repeat with period
+    # 2n / gcd(n, r); run three periods and a bit
+    depth = 3 * (2 * n // math.gcd(n, r)) + 1
+    for i in range(n):
+        res = resolve_complex(S(A, i), bottom=-depth, validate=True)
+        assert res.exact is False
+        assert res.complex.approx_below == -depth
+        assert res.complex.parts == {
+            -k: (Summand("P", (i + nakayama_shift(k, r)) % n),)
+            for k in range(depth + 1)}
+        cores = coresolve_complex(S(A, i), top=depth, validate=True)
+        assert cores.exact is False
+        assert cores.complex.approx_above == depth
+        assert cores.complex.parts == {
+            k: (Summand("I", (i - nakayama_shift(k, r)) % n),)
+            for k in range(depth + 1)}
+
+
+def reference_resolve(X, bottom=None, validate=False):
+    """resolve_complex as it was before it copied periods: every degree
+    down to the cut is computed."""
+    A = X.algebra
+    if X.is_zero():
+        Z = zero_complex(A)
+        return derived.Resolution(Z, ChainMap(Z, X, {}, check=False), True)
+    xhi, xlo = X.max_deg(), X.min_deg()
+    if bottom is None:
+        bottom = xlo - derived.default_depth(A, xhi - xlo)
+    origin = (0,) * A.quiver.n
+    verts, offsets, phis, d_maps = {}, {}, {}, {}
+    cur_P = zero_module(A)
+    cur_phi = ModuleMap.zero(cur_P, X.module(xhi + 1))
+    cur_d = ModuleMap.zero(cur_P, zero_module(A))
+    exact = False
+    n = xhi
+    while n >= bottom:
+        K, kinc = kernel_module(cur_d)
+        Xn = X.module(n)
+        Sum, sum_offsets = direct_sum_modules(A, [Xn, K])
+        t = map_placement(Sum, sum_offsets, X.module(n + 1), [origin], {
+            (0, 0): X.d_full(n),
+            (1, 0): kinc.then(cur_phi).scale(A.field.of(-1))})
+        W, winc = kernel_module(t)
+        if W.total == 0 and n <= xlo:
+            exact = True
+            break
+        vlist, P, c = projective_cover(W)
+        verts[n] = vlist
+        offsets[n], _ = summand_offsets(A, [A.projective(v) for v in vlist])
+        cw = c.then(winc)
+        phis[n] = map_slice(cw, P, origin, Xn, sum_offsets[0])
+        d_maps[n] = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
+        cur_P, cur_phi, cur_d = P, phis[n], d_maps[n]
+        n -= 1
+    parts = {m: tuple(Summand("P", v) for v in vs)
+             for m, vs in verts.items() if vs}
+    blocks = {}
+    for m in parts:
+        if m + 1 in parts:
+            blocks[m] = [[None if b.is_zero() else b for b in (
+                map_slice(d_maps[m], A.projective(u), offsets[m][k],
+                          A.projective(v), offsets[m + 1][l])
+                for l, v in enumerate(verts[m + 1]))]
+                for k, u in enumerate(verts[m])]
+    below = X.approx_below
+    if not exact:
+        below = n + 1 if below is None else max(below, n + 1)
+    P_cx = Complex(A, parts, blocks, approx_below=below, validate=validate)
+    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts},
+                   check=validate)
+    return derived.Resolution(P_cx, aug, exact)
+
+
+RESOLUTION_ALGEBRAS = {
+    # kZ_2/rad^3: rad P_0 and rad P_1 have the same dimension vector
+    "kZ2/rad3": lambda: cyclic_nakayama(QQ, 2, 3),
+    "kZ3/rad3": lambda: cyclic_nakayama(PrimeField(5), 3, 3),
+    "kZ4/rad2": lambda: cyclic_nakayama(PrimeField(7), 4, 2),
+    "kZ3/rad4": lambda: cyclic_nakayama(PrimeField(5), 3, 4),
+    "dual": lambda: cyclic_nakayama(QQ, 1, 2),
+    # no syzygy of A_n recurs: every resolution stops
+    "A3": lambda: linear_a(QQ, 3),
+    "A4": lambda: linear_a(PrimeField(5), 4),
+    "loop": lambda: loop_with_two_arrows_in(),
+}
+
+
+def loop_with_two_arrows_in():
+    """Arrows a, c: 0 -> 1 and a loop x at 1, with xx = cx = 0.  Omega S_0
+    = rad P_0 = aA + cA is P_1 + S_1, so S_0 resolves as P_0 <- P_1 + P_1
+    <- P_1 <- P_1 <- ..., and the syzygy S_1 recurs while the
+    projectives around it change."""
+    return Algebra(QQ, Quiver(2, [("a", 0, 1), ("c", 0, 1), ("x", 1, 1)]),
+                   [[(1, ["x", "x"])], [(1, ["c", "x"])]], nilpotency_bound=3)
+
+
+def _flat(g):
+    return [x for b in g.blocks for row in b.data for x in row]
+
+
+def combine(M, N, maps, coeffs):
+    acc = ModuleMap.zero(M, N)
+    for g, c in zip(maps, coeffs):
+        acc = acc.add(g.scale(c))
+    return acc
+
+
+def block_grid(A, d, src, tgt):
+    """The differential d between the sums of two tag tuples, as the block
+    grid Complex takes."""
+    src_off, tgt_off = summand_sum(A, src)[1], summand_sum(A, tgt)[1]
+    return [[None if b.is_zero() else b for b in (
+        map_slice(d, tag_module(A, t), src_off[k], tag_module(A, u), tgt_off[l])
+        for l, u in enumerate(tgt))] for k, t in enumerate(src)]
+
+
+def random_short_complex(A, rng):
+    """One to three adjacent degrees of one or two indecomposables each,
+    with a random differential such that d d = 0."""
+    f = A.field
+    lo = rng.randint(-1, 1)
+    parts = {lo + j: tuple(Summand(rng.choice("SPI"),
+                                   rng.randrange(A.quiver.n))
+                           for _ in range(rng.randint(1, 2)))
+             for j in range(rng.randint(1, 3))}
+    blocks, prev = {}, None
+    for m in sorted(parts)[:-1]:
+        M, N = summand_sum(A, parts[m])[0], summand_sum(A, parts[m + 1])[0]
+        basis = hom_basis(M, N)
+        if prev is not None and basis:
+            # the combinations c with prev then (sum c_j b_j) = 0
+            rows = Mat(f, [_flat(prev.then(b)) for b in basis],
+                       ncols=len(_flat(prev.then(basis[0]))))
+            ker = rows.transpose().kernel_basis()
+            basis = [combine(M, N, basis, [ker[j, c] for j in range(len(basis))])
+                     for c in range(ker.ncols)]
+        prev = combine(M, N, basis, [f.of(rng.randrange(-2, 3)) for _ in basis])
+        blocks[m] = block_grid(A, prev, parts[m], parts[m + 1])
+    return Complex(A, parts, blocks, validate=True)
+
+
+def assert_runs_match_the_reference(X, depth):
+    """resolve_complex and coresolve_complex against reference_resolve,
+    block by block, cut at depth degrees past X (None: the default)."""
+    bottom = None if depth is None else X.min_deg() - depth
+    got, want = resolve_complex(X, bottom=bottom), reference_resolve(X, bottom)
+    assert got.complex == want.complex
+    assert (got.exact, got.complex.approx_below) == (
+        want.exact, want.complex.approx_below)
+    assert blocks_of(got.aug) == blocks_of(want.aug)
+
+    top = None if depth is None else X.max_deg() + depth
+    got = coresolve_complex(X, top=top)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derived, "resolve_complex", reference_resolve)
+        want = coresolve_complex(X, top=top)
+    assert got.complex == want.complex
+    assert (got.exact, got.complex.approx_above) == (
+        want.exact, want.complex.approx_above)
+    assert blocks_of(got.aug) == blocks_of(want.aug)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(RESOLUTION_ALGEBRAS)))
+def test_periodic_runs_match_the_run_that_computes_every_degree(seed, key):
+    A = RESOLUTION_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    X = random_short_complex(A, rng)
+    assert_runs_match_the_reference(X, rng.choice([None, rng.randint(0, 14)]))
+
+
+def two_degree_complex(A, src, tgt):
+    """src in degree 0 and tgt in degree 1, d the sum of a hom basis."""
+    basis = hom_basis(summand_sum(A, src)[0], summand_sum(A, tgt)[0])
+    d = combine(basis[0].source, basis[0].target, basis,
+                [A.field.one()] * len(basis))
+    return Complex(A, {0: src, 1: tgt}, {0: block_grid(A, d, src, tgt)},
+                   validate=True)
+
+
+@pytest.mark.parametrize("case", ["same dims", "projectives change",
+                                  "cycles in the lowest degree"])
+def test_periodic_runs_match_where_a_copy_could_go_wrong(case):
+    if case == "same dims":
+        # rad P_0 and rad P_1 both have dims (1, 1): a key on dims alone
+        # sees a period of 2 where the true one is 4
+        X = S(cyclic_nakayama(QQ, 2, 3), 0)
+    elif case == "projectives change":
+        # S_1 recurs at degree -3, first met at -2, but d_{-3} lands in
+        # P_1 and d_{-2} in P_1 + P_1: the degree where the syzygy recurs
+        # must be computed, not copied
+        X = S(loop_with_two_arrows_in(), 0)
+    else:
+        # H^0 = soc P_1 is not zero, so the step below the source's
+        # lowest degree still reads X, and no key may be taken there
+        A = cyclic_nakayama(QQ, 2, 3)
+        X = two_degree_complex(A, (Summand("P", 1),),
+                               (Summand("S", 1), Summand("P", 0)))
+    assert_runs_match_the_reference(X, 12)
 
 
 def test_coresolution_cap_marks_cut(DUAL):

@@ -9,8 +9,10 @@ random chain maps between random bounded complexes.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiltlab import complexes
 from tiltlab.algebra import (Algebra, Module, ModuleMap, Quiver,
                              direct_sum_modules, map_placement, map_slice)
 from tiltlab.complexes import (ChainMap, Summand, cone, direct_sum_complexes,
@@ -169,3 +171,47 @@ def test_minimize_without_witnesses_reaches_the_same_complex(
     full = minimize(C)  # raises when a witness fails its check
     assert fast.complex == full.complex
     assert full.to_min.commutes() and full.from_min.commutes()
+
+
+def reference_minimize(X):
+    """minimize(X, verify=False) as it was before its scan resumed: after
+    each cancellation the search for an iso block restarts at the lowest
+    degree.  Returns the minimal complex and the (n, k, l) cancelled."""
+    steps = []
+    while True:
+        found = next(((n, k, l) for n in sorted(X.blocks)
+                      for k, row in enumerate(X.blocks[n])
+                      for l, b in enumerate(row)
+                      if b is not None and b.source.dims == b.target.dims
+                      and b.is_iso()), None)
+        if found is None:
+            return X, steps
+        steps.append(found)
+        X, _ = complexes._cancel_step(X, *found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_minimize_cancels_what_a_scan_from_the_lowest_degree_finds(
+        seed, field_key, algebra_key):
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    X = random_complex(A, rng)
+    C = cone(random_chain_map(X, random_complex(A, rng), rng))
+    if rng.random() < 0.5:
+        C = cone(random_chain_map(random_complex(A, rng), C, rng))
+    want, want_steps = reference_minimize(C)
+
+    steps = []
+    cancel = complexes._cancel_step
+
+    def recording(Y, n, k, l):
+        steps.append((n, k, l))
+        return cancel(Y, n, k, l)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_cancel_step", recording)
+        got = minimize(C, verify=False).complex
+    assert steps == want_steps
+    assert got == want
