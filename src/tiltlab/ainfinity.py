@@ -548,7 +548,7 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
         unit[pos] = f.one()
         idems.append(tuple(vec))
     algebra = DgAlgebra(f, dims, d, mult, tuple(unit), idems,
-                        check=True, nonpositive=True)
+                        nonpositive=True)
 
     complete, truncated = _word_completeness(
         X, letters, lw, r, degree_window, tensor_cap)

@@ -8,7 +8,11 @@ A direct sum is its sum module plus, for each summand, the offset where
 the summand starts at every vertex (Complex.offsets).  A summand block
 of a map is read with algebra.map_slice, and a map is assembled from
 blocks with algebra.map_placement; no inclusion or projection matrices
-are multiplied.
+are multiplied.  A differential is stored in the format map_placement
+reads: the dict {(k, l): block} of its nonzero summand blocks.  These
+dicts are shared between complexes (an even shift, the degrees a
+cancellation leaves alone, a copied period of a resolution), so nothing
+writes into one after the complex that holds it is built.
 
 The terms of every complex are sums drawn from the same few
 indecomposables, so the algebra keeps a job memo: one sum module per
@@ -26,6 +30,7 @@ Operations propagate the markers and re-cut so the convention holds.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .algebra import (
@@ -148,21 +153,22 @@ def _combine_below(*vals):
 
 
 class Complex:
-    """parts: {degree: tuple of Summand}; blocks: {degree: block matrix}.
+    """parts: {degree: tuple of Summand}; blocks: {degree: block dict}.
 
-    blocks[n][k][l] is the component from summand k of degree n to
-    summand l of degree n+1, stored as a ModuleMap or None for zero.
+    blocks[n][(k, l)] is the ModuleMap from summand k of degree n to
+    summand l of degree n+1; an absent key is a zero block.  A degree's
+    dict is kept only when it is nonempty and both its degrees have
+    summands.  The dicts are kept as given, not copied, and may be shared
+    with other complexes, so they are never written after construction.
     """
 
     def __init__(self, algebra, parts, blocks, approx_above=None,
                  approx_below=None, validate=True):
         self.algebra = algebra
         self.parts = {int(n): tuple(p) for n, p in parts.items() if p}
-        self.blocks = {}
-        for n, grid in blocks.items():
-            n = int(n)
-            if n in self.parts and (n + 1) in self.parts:
-                self.blocks[n] = tuple(tuple(row) for row in grid)
+        self.blocks = {int(n): grid for n, grid in blocks.items()
+                       if grid and int(n) in self.parts
+                       and int(n) + 1 in self.parts}
         self.approx_above = approx_above
         self.approx_below = approx_below
         self._sums = {}
@@ -206,20 +212,15 @@ class Complex:
         return got
 
     def block(self, n, k, l):
-        grid = self.blocks.get(n)
-        if grid is None:
-            return None
-        return grid[k][l]
+        """The (k, l) block of the degree-n differential; None for zero."""
+        return self.blocks.get(n, {}).get((k, l))
 
     def d_full(self, n):
         """Differential as one ModuleMap; zero map when a side is absent."""
         if n in self._dfull:
             return self._dfull[n]
-        grid = self.blocks.get(n, ())
-        placed = {(k, l): blk for k, row in enumerate(grid)
-                  for l, blk in enumerate(row) if blk is not None}
         acc = map_placement(self.module(n), self.offsets(n), self.module(n + 1),
-                            self.offsets(n + 1), placed)
+                            self.offsets(n + 1), self.blocks.get(n, {}))
         self._dfull[n] = acc
         return acc
 
@@ -233,20 +234,16 @@ class Complex:
         for n, grid in self.blocks.items():
             src_tags = self.parts[n]
             tgt_tags = self.parts[n + 1]
-            if len(grid) != len(src_tags):
-                raise AlgebraError("block grid row count mismatch")
-            for k, row in enumerate(grid):
-                if len(row) != len(tgt_tags):
-                    raise AlgebraError("block grid column count mismatch")
-                for l, blk in enumerate(row):
-                    if blk is None:
-                        continue
-                    sm = tag_module(self.algebra, src_tags[k])
-                    tm = tag_module(self.algebra, tgt_tags[l])
-                    if blk.source.dims != sm.dims or blk.target.dims != tm.dims:
-                        raise AlgebraError("block shape does not match its tags")
-                    if not blk.commutes():
-                        raise AlgebraError("differential block is not a module map")
+            for (k, l), blk in grid.items():
+                if not (0 <= k < len(src_tags) and 0 <= l < len(tgt_tags)):
+                    raise AlgebraError(
+                        f"block key {(k, l)} outside degree {n}")
+                sm = tag_module(self.algebra, src_tags[k])
+                tm = tag_module(self.algebra, tgt_tags[l])
+                if blk.source.dims != sm.dims or blk.target.dims != tm.dims:
+                    raise AlgebraError("block shape does not match its tags")
+                if not blk.commutes():
+                    raise AlgebraError("differential block is not a module map")
         for n in self.parts:
             if (n + 1) in self.parts and (n + 2) in self.parts:
                 comp = self.d_full(n).then(self.d_full(n + 1))
@@ -259,7 +256,7 @@ class Complex:
             isinstance(other, Complex)
             and other.algebra is self.algebra
             and other.parts == self.parts
-            and {n: g for n, g in other.blocks.items()} == self.blocks
+            and other.blocks == self.blocks
             and other.approx_above == self.approx_above
             and other.approx_below == self.approx_below
         )
@@ -278,13 +275,12 @@ class Complex:
         if m == 0:
             return self
         parts = {n - m: p for n, p in self.parts.items()}
-        sign = self.algebra.field.of((-1) ** (m % 2))
-        blocks = {}
-        for n, grid in self.blocks.items():
-            blocks[n - m] = tuple(
-                tuple(b.scale(sign) if (b is not None and m % 2) else b for b in row)
-                for row in grid
-            )
+        if m % 2:
+            minus_one = self.algebra.field.of(-1)
+            blocks = {n - m: {kl: b.scale(minus_one) for kl, b in grid.items()}
+                      for n, grid in self.blocks.items()}
+        else:
+            blocks = {n - m: grid for n, grid in self.blocks.items()}
         above = None if self.approx_above is None else self.approx_above - m
         below = None if self.approx_below is None else self.approx_below - m
         return Complex(self.algebra, parts, blocks, approx_above=above,
@@ -345,29 +341,15 @@ def direct_sum_complexes(complexes):
         raise AlgebraError("empty direct sum")
     algebra = complexes[0].algebra
     parts = {}
+    blocks = {}
     for X in complexes:
+        # each member's keys move past the summands of the members before it
+        for n, grid in X.blocks.items():
+            dk, dl = len(parts.get(n, ())), len(parts.get(n + 1, ()))
+            blocks.setdefault(n, {}).update(
+                ((k + dk, l + dl), b) for (k, l), b in grid.items())
         for n, p in X.parts.items():
             parts.setdefault(n, []).extend(p)
-    blocks = {}
-    degrees = sorted(parts)
-    for n in degrees:
-        if (n + 1) not in parts:
-            continue
-        grid = []
-        for X in complexes:
-            xp = X.parts.get(n, ())
-            xq = X.parts.get(n + 1, ())
-            for k in range(len(xp)):
-                row = []
-                for Y in complexes:
-                    yq = Y.parts.get(n + 1, ())
-                    if Y is X:
-                        row.extend(X.block(n, k, l) for l in range(len(xq)))
-                    else:
-                        row.extend([None] * len(yq))
-                grid.append(row)
-        if grid:
-            blocks[n] = grid
     above = _combine_approx(*[X.approx_above for X in complexes])
     below = _combine_below(*[X.approx_below for X in complexes])
     S = Complex(algebra, {n: tuple(p) for n, p in parts.items()},
@@ -476,27 +458,19 @@ def cone(f: ChainMap):
             parts[n] = p
     blocks = {}
     minus_one = algebra.field.of(-1)
-    for n in sorted(parts):
+    for n in parts:
         if (n + 1) not in parts:
             continue
-        xp = X.parts.get(n + 1, ())
-        yp = Y.parts.get(n, ())
-        xq = X.parts.get(n + 2, ())
-        yq = Y.parts.get(n + 1, ())
-        grid = []
-        for k in range(len(xp)):
-            row = []
-            for l in range(len(xq)):
-                b = X.block(n + 1, k, l)
-                row.append(None if b is None else b.scale(minus_one))
-            for l in range(len(yq)):
-                row.append(f.block(n + 1, k, l))
-            grid.append(row)
-        for k in range(len(yp)):
-            row = [None] * len(xq)
-            for l in range(len(yq)):
-                row.append(Y.block(n, k, l))
-            grid.append(row)
+        xp = len(X.parts.get(n + 1, ()))
+        xq = len(X.parts.get(n + 2, ()))
+        # -d_X, then f from the X rows to the Y columns (every block, zero
+        # ones too), then d_Y
+        grid = {kl: b.scale(minus_one)
+                for kl, b in X.blocks.get(n + 1, {}).items()}
+        grid.update(((k, xq + l), f.block(n + 1, k, l)) for k in range(xp)
+                    for l in range(len(Y.parts.get(n + 1, ()))))
+        grid.update(((xp + k, xq + l), b)
+                    for (k, l), b in Y.blocks.get(n, {}).items())
         blocks[n] = grid
     return Complex(algebra, parts, blocks, approx_above=above,
                    approx_below=below, validate=False)
@@ -511,12 +485,11 @@ def _find_cancellable(X: Complex, start):
     """The first iso block (n, k, l) in degrees n >= start, if any."""
     for n in sorted(m for m in X.blocks if m >= start):
         grid = X.blocks[n]
-        for k, row in enumerate(grid):
-            for l, blk in enumerate(row):
-                if blk is None:
-                    continue
-                if blk.source.dims == blk.target.dims and blk.is_iso():
-                    return n, k, l
+        # row by row: which block is cancelled first decides the result
+        for k, l in sorted(grid):
+            blk = grid[k, l]
+            if blk.source.dims == blk.target.dims and blk.is_iso():
+                return n, k, l
     return None
 
 
@@ -525,66 +498,52 @@ def _drop_index(parts, idx):
 
 
 def _cancel_step(X: Complex, n, k, l):
-    """Cancel summand k of degree n against summand l of degree n+1;
-    returns the smaller complex and the inverse of the cancelled block."""
+    """Cancel summand k of degree n against summand l of degree n+1.
+
+    Returns the smaller complex and phi_inv, a function that gives the
+    inverse of the cancelled block.  The inverse is computed on the first
+    call only, and the step itself calls it only for a Schur correction
+    (a block in column l and one in row k besides the cancelled one)."""
     algebra = X.algebra
-    f = algebra.field
-    phi = X.block(n, k, l)
-    phi_inv = phi.inverse()
+    phi_inv = functools.cache(X.blocks[n][k, l].inverse)
+    minus_one = algebra.field.of(-1)
 
     new_parts = dict(X.parts)
     new_parts[n] = _drop_index(X.parts[n], k)
     new_parts[n + 1] = _drop_index(X.parts[n + 1], l)
-    new_parts = {m: p for m, p in new_parts.items() if p}
 
-    def blk(m, a, b):
-        return X.block(m, a, b)
+    def drop(i, gone):
+        return i - (i > gone)
 
-    new_blocks = {}
-    for m in X.blocks:
-        src = X.parts[m]
-        tgt = X.parts[m + 1]
-        if m == n:
-            rows = []
-            for a in range(len(src)):
-                if a == k:
-                    continue
-                row = []
-                for b in range(len(tgt)):
-                    if b == l:
-                        continue
-                    delta = blk(m, a, b)
-                    gamma = blk(m, a, l)
-                    beta = blk(m, k, b)
-                    if gamma is not None and beta is not None:
-                        corr = gamma.then(phi_inv).then(beta)
-                        delta = corr.scale(f.of(-1)) if delta is None else delta.add(corr.scale(f.of(-1)))
-                    row.append(delta)
-                rows.append(row)
-            new_blocks[m] = rows
-        elif m == n - 1:
-            rows = []
-            for a in range(len(src)):
-                rows.append([blk(m, a, b) for b in range(len(tgt)) if b != k])
-            new_blocks[m] = rows
-        elif m == n + 1:
-            rows = []
-            for a in range(len(src)):
-                if a == l:
-                    continue
-                rows.append([blk(m, a, b) for b in range(len(tgt))])
-            new_blocks[m] = rows
-        else:
-            new_blocks[m] = [list(r) for r in X.blocks[m]]
-    # the constructor drops grids whose degrees lost all summands
+    grid = X.blocks[n]
+    new_blocks = dict(X.blocks)
+    new_blocks[n] = {(drop(a, k), drop(b, l)): blk
+                     for (a, b), blk in grid.items() if a != k and b != l}
+    column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
+    row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
+    for a, gamma in column:
+        for b, beta in row:
+            corr = gamma.then(phi_inv()).then(beta).scale(minus_one)
+            key = (drop(a, k), drop(b, l))
+            delta = new_blocks[n].get(key)
+            new_blocks[n][key] = corr if delta is None else delta.add(corr)
+    if n - 1 in X.blocks:
+        new_blocks[n - 1] = {(a, drop(b, k)): blk for (a, b), blk
+                             in X.blocks[n - 1].items() if b != k}
+    if n + 1 in X.blocks:
+        new_blocks[n + 1] = {(drop(a, l), b): blk for (a, b), blk
+                             in X.blocks[n + 1].items() if a != l}
+    # the constructor drops the dicts of degrees that lost all summands
     Y = Complex(algebra, new_parts, new_blocks, approx_above=X.approx_above,
                 approx_below=X.approx_below, validate=False)
     return Y, phi_inv
 
 
 def _cancel_witnesses(X: Complex, Y: Complex, n, k, l, phi_inv):
-    """g: X -> Y, fm: Y -> X and h: X -> X[-1] of one cancellation."""
+    """g: X -> Y, fm: Y -> X and h: X -> X[-1] of one cancellation;
+    phi_inv is the function _cancel_step returns."""
     minus_one = X.algebra.field.of(-1)
+    phi_inv = phi_inv()
     g_comps = {}
     f_comps = {}
     for m in X.parts:
@@ -683,60 +642,6 @@ def _verify_minimize(X, Y, g, fm, h):
             raise AlgebraError("minimize: homotopy witness fails")
 
 
-# ---- complexes of plain vector spaces ----
-
-class VectComplex:
-    """Cochain complex of finite-dimensional vector spaces over a field."""
-
-    def __init__(self, field, dims, diffs, check=True):
-        self.field = field
-        self.dims = {int(n): int(d) for n, d in dims.items() if d}
-        self.diffs = {}
-        for n, m in diffs.items():
-            n = int(n)
-            if self.dims.get(n, 0) and self.dims.get(n + 1, 0):
-                self.diffs[n] = m
-        if check:
-            self.validate()
-
-    def validate(self):
-        for n, m in self.diffs.items():
-            if (m.nrows, m.ncols) != (self.dims[n], self.dims[n + 1]):
-                raise AlgebraError(f"vect diff shape mismatch at {n}")
-            nxt = self.diffs.get(n + 1)
-            if nxt is not None and not m.mul(nxt).is_zero():
-                raise AlgebraError(f"vect d^2 != 0 at {n}")
-
-    def diff(self, n):
-        m = self.diffs.get(n)
-        if m is not None:
-            return m
-        return Mat.zeros(self.field, self.dims.get(n, 0), self.dims.get(n + 1, 0))
-
-    def cycles(self, n):
-        """Rows spanning ker(d^n)."""
-        d = self.diff(n)
-        if self.dims.get(n, 0) == 0:
-            return Mat.zeros(self.field, 0, 0)
-        if d.ncols == 0:
-            return Mat.identity(self.field, self.dims[n])
-        return d.left_kernel_basis()
-
-    def boundaries(self, n):
-        """Rows spanning im(d^{n-1}) inside degree n."""
-        d = self.diffs.get(n - 1)
-        if d is None:
-            return Mat.zeros(self.field, 0, self.dims.get(n, 0))
-        return d.row_space_basis()
-
-    def homology_dim(self, n):
-        return homology_dims({n: self.dims.get(n, 0)}, self.diffs).get(n, 0)
-
-    def homology(self, n):
-        """H^n as the subquotient of the cycles by the boundaries."""
-        return Subquotient(self.cycles(n), self.boundaries(n))
-
-
 # ---- hom complexes ----
 
 class HomComplex:
@@ -746,7 +651,10 @@ class HomComplex:
     differential sends f to (f then d_Y) - (-1)^n (d_X then f).  The
     (n, k) block of the basis, and the solver that gives coordinates on
     it, come from hom_block for the tag tuples of X^k and Y^{k+n}, so
-    hom complexes over one algebra share them.
+    hom complexes over one algebra share them.  On coordinates it is the
+    complex of vector spaces dims (degree -> dimension of the basis) and
+    diffs (degree n -> matrix to degree n + 1), checked for shape and
+    d^2 = 0 when built.
 
     degrees = (lo, hi) builds only the hom degrees lo..hi, so H^n can be
     read for lo < n < hi and bases and coordinates for lo <= n <= hi; a
@@ -778,8 +686,8 @@ class HomComplex:
                 entries.extend((k, h) for h in maps)
             if entries:
                 self.bases[n] = entries
-        dims = {n: len(e) for n, e in self.bases.items()}
-        diffs = {}
+        self.dims = {n: len(e) for n, e in self.bases.items()}
+        self.diffs = {}
         for n in self.bases:
             if (n + 1) not in self.bases:
                 continue
@@ -795,8 +703,13 @@ class HomComplex:
                     t2 = t2.scale(sign)
                     img[k - 1] = img[k - 1].add(t2) if (k - 1) in img else t2
                 rows.append(self.coords(n + 1, img))
-            diffs[n] = Mat(self.field, rows, ncols=dims.get(n + 1, 0))
-        self.vect = VectComplex(self.field, dims, diffs, check=True)
+            self.diffs[n] = Mat(self.field, rows, ncols=self.dims[n + 1])
+        for n, m in self.diffs.items():
+            if (m.nrows, m.ncols) != (self.dims[n], self.dims[n + 1]):
+                raise AlgebraError(f"hom complex: diff shape mismatch at {n}")
+            nxt = self.diffs.get(n + 1)
+            if nxt is not None and not m.mul(nxt).is_zero():
+                raise AlgebraError(f"hom complex: d^2 != 0 at {n}")
 
     def _require(self, lo, hi):
         """Refuse a read that needs hom degrees outside the built ones."""
@@ -872,13 +785,24 @@ class HomComplex:
 
     def h_dim(self, n):
         self._require(n - 1, n + 1)
-        return self.vect.homology_dim(n)
+        return homology_dims({n: self.dims.get(n, 0)}, self.diffs).get(n, 0)
+
+    def cycles(self, n):
+        """Rows spanning the degree-n coordinates of the cycles."""
+        self._require(n, n + 1)
+        d = self.diffs.get(n)
+        if d is None:
+            return Mat.identity(self.field, self.dims.get(n, 0))
+        return d.left_kernel_basis()
 
     def chain_classes(self, n=0):
         """Representative cycles at degree n as {k: ModuleMap} dicts,
         and H^n as a Subquotient of the degree-n coordinates."""
         self._require(n - 1, n + 1)
-        H = self.vect.homology(n)
+        d_in = self.diffs.get(n - 1)
+        boundaries = (Mat.zeros(self.field, 0, self.dims.get(n, 0))
+                      if d_in is None else d_in.row_space_basis())
+        H = Subquotient(self.cycles(n), boundaries)
         return [self.element(n, list(r)) for r in H.reps.data], H
 
 
@@ -890,10 +814,8 @@ def _flatten_map(m: ModuleMap):
     return out
 
 
-def chain_map_from_component_dict(X, Y, comps, shift=0):
-    """Wrap {k: ModuleMap X^k -> Y^{k+shift}} as a ChainMap X -> Y[shift]."""
-    if shift != 0:
-        Y = Y.shift(shift)
+def chain_map_from_component_dict(X, Y, comps):
+    """Wrap {k: ModuleMap X^k -> Y^k} as a ChainMap X -> Y."""
     return ChainMap(X, Y, comps, check=False)
 
 
@@ -920,7 +842,7 @@ def complex_iso_search(X: Complex, Y: Complex):
     if X.is_zero():
         return ChainMap.zero(X, Y)
     hc = HomComplex(X, Y, degrees=(-1, 1))
-    Z = hc.vect.cycles(0)
+    Z = hc.cycles(0)
     cands = [ChainMap(X, Y, hc.element(0, list(Z.data[i])), check=False)
              for i in range(Z.nrows)]
     for c in cands:

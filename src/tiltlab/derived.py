@@ -2,14 +2,16 @@
 
 Projective resolutions of complexes are built top-down: at each degree
 the next projective covers the pullback of "cycles seen so far", which
-keeps the result minimal.  Below the source each step reads only the
-last syzygy, so once a syzygy recurs the run is periodic, and the rest
-down to the cut is copied from one period above instead of computed (over
-kZ_n/rad^r every simple recurs this way).  Injective coresolutions are
-the dual run over the opposite algebra.  A run that terminates yields an
-honest quasi-isomorphic replacement; one that hits its length cap carries
-a cut marker, and every hom computed through it reports the degree window
-on which it can be trusted.
+keeps the result minimal.  Each step slices its differential into the
+block dict of complexes.Complex as soon as the degree is covered.  Below
+the source each step reads only the last syzygy, so once a syzygy recurs
+the run is periodic, and the rest down to the cut is copied from one
+period above instead of computed, block dicts included (over kZ_n/rad^r
+every simple recurs this way).  Injective coresolutions are the dual run
+over the opposite algebra, whose blocks are the transposed ones.  A run
+that terminates yields an honest quasi-isomorphic replacement; one that
+hits its length cap carries a cut marker, and every hom computed through
+it reports the degree window on which it can be trusted.
 """
 
 from collections import namedtuple
@@ -55,33 +57,18 @@ def dual_complex(X: Complex) -> Complex:
     """Vector-space dual, a complex over the opposite algebra.
 
     Degree n of the result is the dual of degree -n; projective summands
-    dualize to injectives and back, simples stay simples.  Cut markers
-    swap sides with negated degree.
+    dualize to injectives and back, simples stay simples, and the block
+    from summand k to summand l dualizes to the transposed block from l to
+    k.  Cut markers swap sides with negated degree.
     """
     op = X.algebra.op()
     parts = {}
     for n, p in X.parts.items():
         parts[-n] = tuple(Summand(_DUAL_KIND[t.kind], t.vertex) for t in p)
-    blocks = {}
-    for n, grid in X.blocks.items():
-        m = -n - 1
-        src_tags = parts[m]
-        tgt_tags = parts[m + 1]
-        new_grid = []
-        for k in range(len(src_tags)):
-            row = []
-            for l in range(len(tgt_tags)):
-                b = X.block(n, l, k)
-                if b is None:
-                    row.append(None)
-                else:
-                    Ms = tag_module(op, src_tags[k])
-                    Mt = tag_module(op, tgt_tags[l])
-                    row.append(ModuleMap(Ms, Mt,
-                                         [bb.transpose() for bb in b.blocks],
-                                         check=False))
-            new_grid.append(row)
-        blocks[m] = new_grid
+    blocks = {-n - 1: {(l, k): ModuleMap(
+        tag_module(op, parts[-n - 1][l]), tag_module(op, parts[-n][k]),
+        [bb.transpose() for bb in b.blocks], check=False)
+        for (k, l), b in grid.items()} for n, grid in X.blocks.items()}
     above = None if X.approx_below is None else -X.approx_below
     below = None if X.approx_above is None else -X.approx_above
     return Complex(op, parts, blocks, approx_above=above, approx_below=below,
@@ -98,9 +85,12 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     carries approx_below at its lowest degree.  Two degrees or more below
     the source, a syzygy (kernel with its arrow matrices) that was met
     before makes the run periodic: computing stops there, and every
-    degree down to bottom is copied from one period above.  A source that
-    is itself cut from above cannot be resolved (the construction starts
-    at the top, where nothing is trustworthy).
+    degree down to bottom is copied from one period above: its
+    projectives, its augmentation component and the block dict of its
+    differential, which the copies share.  Each computed degree slices
+    its differential into blocks as soon as it is covered.  A source
+    that is itself cut from above cannot be resolved (the construction
+    starts at the top, where nothing is trustworthy).
     """
     A = X.algebra
     if X.approx_above is not None:
@@ -115,10 +105,10 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     origin = (0,) * A.quiver.n  # offsets of a module that is one summand
 
     verts = {}
-    offsets = {}
     phis = {}
-    d_maps = {}
+    blocks = {}
     seen = {}  # syzygy below the source -> the degree it was first met
+    cur_verts, cur_offsets = [], []
     cur_P = zero_module(A)
     cur_phi = ModuleMap.zero(cur_P, X.module(xhi + 1))
     cur_d = ModuleMap.zero(cur_P, zero_module(A))
@@ -140,11 +130,18 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
             break
         vlist, P, c = projective_cover(W)
         verts[n] = vlist
-        offsets[n], _ = summand_offsets(A, [A.projective(v) for v in vlist])
+        offs, _ = summand_offsets(A, [A.projective(v) for v in vlist])
         cw = c.then(winc)
         phis[n] = map_slice(cw, P, origin, Xn, sum_offsets[0])
-        d_maps[n] = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
-        cur_P, cur_phi, cur_d = P, phis[n], d_maps[n]
+        d = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
+        # the nonzero blocks of d: P_n -> P_{n+1}, between indecomposables
+        sliced = (((k, l), map_slice(d, A.projective(u), offs[k],
+                                     A.projective(v), cur_offsets[l]))
+                  for k, u in enumerate(vlist)
+                  for l, v in enumerate(cur_verts))
+        blocks[n] = {kl: b for kl, b in sliced if not b.is_zero()}
+        cur_verts, cur_offsets = vlist, offs
+        cur_P, cur_phi, cur_d = P, phis[n], d
         if n <= xlo - 2:
             key = (K.dims, tuple(K.mats[a].data
                                  for a in range(len(A.quiver.arrows))))
@@ -162,13 +159,12 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
                 # P_n = P_{n+p}, is the one p degrees above, and so is
                 # every degree from n - 1 down.  Degree n itself is
                 # computed: d_n lands in P_{n+1}, which P_{n+p+1} need not
-                # equal.
+                # equal.  The copies share the block dicts of the period.
                 p = seen[key] - n
                 for m in range(n - 1, bottom - 1, -1):
                     verts[m] = verts[m + p]
-                    offsets[m] = offsets[m + p]
                     phis[m] = phis[m + p]
-                    d_maps[m] = d_maps[m + p]
+                    blocks[m] = blocks[m + p]
                 n = bottom - 1
                 break
             seen[key] = n
@@ -176,20 +172,6 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
 
     parts = {m: tuple(Summand("P", v) for v in vs)
              for m, vs in verts.items() if vs}
-    blocks = {}
-    for m in parts:
-        if (m + 1) not in parts:
-            continue
-        grid = []
-        for k, u in enumerate(verts[m]):
-            row = []
-            for l, v in enumerate(verts[m + 1]):
-                b = map_slice(d_maps[m], A.projective(u), offsets[m][k],
-                              A.projective(v), offsets[m + 1][l])
-                row.append(None if b.is_zero() else b)
-            grid.append(row)
-        blocks[m] = grid
-
     lowest = n + 1
     below = X.approx_below
     if not exact:

@@ -65,7 +65,7 @@ class DgAlgebra:
     algebra.sparse_structure).  unit and idempotents live in degree 0.
     """
 
-    def __init__(self, field, dims, d, mult, unit, idempotents, check=True,
+    def __init__(self, field, dims, d, mult, unit, idempotents,
                  nonpositive=True):
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
@@ -76,13 +76,11 @@ class DgAlgebra:
         # they set nonpositive=False and are truncated before any use
         # that needs the non-positive theory
         self.nonpositive = nonpositive
-        if check:
-            # before the table is checked, so that a table shaped for a
-            # positive part is reported as one
-            self._check_degrees()
+        # before the table is checked, so that a table shaped for a
+        # positive part is reported as one
+        self._check_degrees()
         self.mult = sparse_structure(mult, self.dims, DgError)
-        if check:
-            self.validate()
+        self.validate()
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
@@ -200,8 +198,7 @@ class DgModule:
     module basis element.
     """
 
-    def __init__(self, algebra: DgAlgebra, dims, d, action, check=True,
-                 right_tags=None):
+    def __init__(self, algebra: DgAlgebra, dims, d, action, right_tags=None):
         self.algebra = algebra
         self.field = algebra.field
         self.dims = {k: n for k, n in dims.items() if n}
@@ -209,8 +206,7 @@ class DgModule:
         self.action = action
         # right_tags[k][m] = idempotent index that fixes the basis element
         self.right_tags = right_tags
-        if check:
-            self.validate()
+        self.validate()
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
@@ -338,7 +334,7 @@ def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
             action[(k - shift, j)] = t
     rt = {k - shift: [tags[k][a][1] for a in pick[k]]
           for k in A.degrees() if pick[k]}
-    return DgModule(A, dims, d, action, check=True, right_tags=rt)
+    return DgModule(A, dims, d, action, right_tags=rt)
 
 
 StrictPerfect = namedtuple("StrictPerfect", ["algebra", "pieces", "delta"])
@@ -443,7 +439,7 @@ def materialize(sp: StrictPerfect) -> DgModule:
     rt = {k: [tag for M in frees for tag in M.right_tags.get(k, [])]
           for k in degs}
     rt = {k: v for k, v in rt.items() if v}
-    return DgModule(A, dims, d, action, check=True, right_tags=rt)
+    return DgModule(A, dims, d, action, right_tags=rt)
 
 
 # ---- truncation t-structure ----
@@ -493,8 +489,7 @@ def truncate(M: DgModule):
                     row.append(lo_coords[k + i](vec, "truncated action"))
                 t.append(row)
             lo_act[(k, i)] = t
-    lo = DgModule(A, lo_dims, lo_d, lo_act, check=True,
-                  right_tags=None)
+    lo = DgModule(A, lo_dims, lo_d, lo_act, right_tags=None)
 
     proj = {}
     hi_dims, hi_d, hi_act = {}, {}, {}
@@ -529,7 +524,7 @@ def truncate(M: DgModule):
                         Mat(f, [list(vec)]).mul(proj[k + i]).data[0]))
                 t.append(row)
             hi_act[(k, i)] = t
-    hi = DgModule(A, hi_dims, hi_d, hi_act, check=True, right_tags=None)
+    hi = DgModule(A, hi_dims, hi_d, hi_act, right_tags=None)
     return lo, hi, inc, proj
 
 
@@ -723,7 +718,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
             action[(m, j)] = t
     rt = {-k: [tags[k - sp.pieces[t][0]][a][0] for (t, a) in v]
           for k, v in ybasis.items()}
-    return DgModule(A, dims, d, action, check=True, right_tags=rt)
+    return DgModule(A, dims, d, action, right_tags=rt)
 
 
 # ---- endomorphism dg algebras of complexes over a path algebra ----
@@ -775,7 +770,7 @@ def endomorphism_dg_algebra(pieces):
             continue
         rows = []
         for (p, q), hc in blocks.items():
-            dm = hc.vect.diffs.get(m)
+            dm = hc.diffs.get(m)
             for a in range(len(hc.bases.get(m, ()))):
                 row = list(_zeros(f, dims[m + 1]))
                 if dm is not None:
@@ -808,8 +803,7 @@ def endomorphism_dg_algebra(pieces):
                                         for n in X.parts}):
             e[t] = unit[t] = c
         idems.append(tuple(e))
-    return DgAlgebra(f, dims, d, mult, tuple(unit), idems, check=True,
-                     nonpositive=False)
+    return DgAlgebra(f, dims, d, mult, tuple(unit), idems, nonpositive=False)
 
 
 def gamma_tilde(pieces):
@@ -874,4 +868,4 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
             mult[(i, j)] = block
     unit = coords(0, E.unit)
     idems = [coords(0, e) for e in E.idempotents]
-    return DgAlgebra(f, dims, d, mult, unit, idems, check=True)
+    return DgAlgebra(f, dims, d, mult, unit, idems)

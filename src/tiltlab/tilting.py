@@ -119,23 +119,13 @@ def nu_inv_map(g: ModuleMap, u, v) -> ModuleMap:
     return left_mult_map(A, lam, u, v)
 
 
-def _twist_complex(X: Complex, kind_in, kind_out, block_fn, validate):
+def _twist_complex(X: Complex, kind_out, block_fn, validate):
     parts = {n: tuple(Summand(kind_out, t.vertex) for t in p)
              for n, p in X.parts.items()}
-    blocks = {}
-    for n, grid in X.blocks.items():
-        src = X.parts[n]
-        tgt = X.parts[n + 1]
-        new_grid = []
-        for k, row in enumerate(grid):
-            new_row = []
-            for l, b in enumerate(row):
-                if b is None:
-                    new_row.append(None)
-                else:
-                    new_row.append(block_fn(b, src[k].vertex, tgt[l].vertex))
-            new_grid.append(new_row)
-        blocks[n] = new_grid
+    blocks = {n: {(k, l): block_fn(b, X.parts[n][k].vertex,
+                                   X.parts[n + 1][l].vertex)
+                  for (k, l), b in grid.items()}
+              for n, grid in X.blocks.items()}
     return Complex(X.algebra, parts, blocks, approx_above=X.approx_above,
                    approx_below=X.approx_below, validate=validate)
 
@@ -144,14 +134,14 @@ def nu_complex(X: Complex, validate=False) -> Complex:
     """Twist a complex of projectives into the matching injective complex."""
     if not all_tags(X, "P"):
         raise AlgebraError("the twist is defined on complexes of projectives")
-    return _twist_complex(X, "P", "I", nu_map, validate)
+    return _twist_complex(X, "I", nu_map, validate)
 
 
 def nu_inverse_complex(X: Complex, validate=False) -> Complex:
     """Untwist a complex of injectives into the matching projective complex."""
     if not all_tags(X, "I"):
         raise AlgebraError("the untwist is defined on complexes of injectives")
-    return _twist_complex(X, "I", "P", nu_inv_map, validate)
+    return _twist_complex(X, "P", nu_inv_map, validate)
 
 
 # ---- the iteration ----
@@ -250,10 +240,8 @@ def _iterate_object(T, sources, budget, tau):
 
 
 def _strip_above(X: Complex) -> Complex:
-    return Complex(X.algebra, dict(X.parts),
-                   {n: [list(r) for r in g] for n, g in X.blocks.items()},
-                   approx_above=None, approx_below=X.approx_below,
-                   validate=False)
+    return Complex(X.algebra, X.parts, X.blocks, approx_above=None,
+                   approx_below=X.approx_below, validate=False)
 
 
 def _exactness_candidates(T: Complex):

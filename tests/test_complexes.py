@@ -20,7 +20,7 @@ from tiltlab.complexes import (
     stalk_complex,
     tag_module,
 )
-from tiltlab.derived import resolve_complex
+from tiltlab.derived import dual_complex, resolve_complex
 from tiltlab.linalg import QQ, Mat, PrimeField, Subquotient
 from tiltlab.tilting import hom_to_element, left_mult_map
 
@@ -42,7 +42,7 @@ def proj_map_a(A):
 def res_s1(A):
     """[P_2 -> P_1] in degrees -1, 0: the projective resolution of S_1."""
     return Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)},
-                   {-1: [[proj_map_a(A)]]})
+                   {-1: {(0, 0): proj_map_a(A)}})
 
 
 def test_stalk_and_shift(A):
@@ -139,7 +139,7 @@ def test_minimize_partial(A):
     P0 = Summand("P", 0)
     P1 = Summand("P", 1)
     idm = ModuleMap.identity(A.projective(0))
-    X = Complex(A, {0: (P0, P1), 1: (P0,)}, {0: [[idm], [None]]})
+    X = Complex(A, {0: (P0, P1), 1: (P0,)}, {0: {(0, 0): idm}})
     res = minimize(X)
     assert res.complex.parts == {0: (P1,)}
     assert res.to_min.commutes() and res.from_min.commutes()
@@ -164,9 +164,9 @@ def test_minimize_gaussian_correction_term():
 
     P1, P2, P3 = (Summand("P", v) for v in range(3))
     X = Complex(A3, {-1: (P2, P3), 0: (P2, P1)},
-                {-1: [[left_mult_map(A3, elem("e2"), 1, 1),
-                       left_mult_map(A3, elem("a"), 1, 0)],
-                      [left_mult_map(A3, elem("b"), 2, 1), None]]})
+                {-1: {(0, 0): left_mult_map(A3, elem("e2"), 1, 1),
+                      (0, 1): left_mult_map(A3, elem("a"), 1, 0),
+                      (1, 0): left_mult_map(A3, elem("b"), 2, 1)}})
     res = minimize(X)
     Y = res.complex
     assert Y.parts == {-1: (P3,), 0: (P1,)}
@@ -217,7 +217,7 @@ def test_h0_chain_maps(A):
 def test_complex_iso_search(A):
     X = res_s1(A)
     Y = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)},
-                {-1: [[proj_map_a(A).scale(QQ.of(2))]]})
+                {-1: {(0, 0): proj_map_a(A).scale(QQ.of(2))}})
     iso = complex_iso_search(X, Y)
     assert iso is not None and iso.is_degreewise_iso() and iso.commutes()
 
@@ -237,6 +237,70 @@ def test_direct_sum_complexes(A):
     assert S.parts[-1] == (Summand("P", 1),)
     assert S.parts[0] == (Summand("P", 0), Summand("I", 0))
     assert S.homology_dims() == {0: (2, 0)}
+
+
+def _placed(A, rows, cols, blocks):
+    """The map between the direct sums of the modules in rows and in cols
+    whose (k, l) summand block is blocks[(k, l)]."""
+    S, s_off = direct_sum_modules(A, rows)
+    T, t_off = direct_sum_modules(A, cols)
+    return map_placement(S, s_off, T, t_off, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_block_dicts_give_the_whole_differentials_of_their_formulas(
+        seed, field_key, algebra_key):
+    """Cone, direct sum, shift and dual against formulas on whole
+    differentials, which read no block."""
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    minus_one = A.field.of(-1)
+    X = random_complex(A, rng)
+    Y = random_complex(A, rng)
+    # the cone's differential on X^{n+1} + Y^n is [[-d_X, f], [0, d_Y]]
+    f = random_chain_map(X, Y, rng)
+    C = cone(f)
+    for n in C.parts:
+        assert C.parts[n] == X.parts.get(n + 1, ()) + Y.parts.get(n, ())
+        if n + 1 in C.parts:
+            want = _placed(A, [X.module(n + 1), Y.module(n)],
+                           [X.module(n + 2), Y.module(n + 1)],
+                           {(0, 0): X.d_full(n + 1).scale(minus_one),
+                            (0, 1): f.comp(n + 1), (1, 1): Y.d_full(n)})
+            assert C.d_full(n).blocks == want.blocks
+    # a direct sum's differential is the block diagonal of its members'
+    members = [X, Y, C][:rng.randint(2, 3)]
+    S = direct_sum_complexes(members)
+    for n in S.parts:
+        assert S.parts[n] == sum((M.parts.get(n, ()) for M in members), ())
+        if n + 1 in S.parts:
+            want = _placed(A, [M.module(n) for M in members],
+                           [M.module(n + 1) for M in members],
+                           {(i, i): M.d_full(n) for i, M in enumerate(members)})
+            assert S.d_full(n).blocks == want.blocks
+    # X.shift(m) has (-1)^m d_X^{n+m} in degree n
+    for Z in (X, C):
+        lo, hi = Z.min_deg() - 1, Z.max_deg()
+        for m in range(-2, 3):
+            sign = A.field.of((-1) ** (m % 2))
+            for n in range(lo - m, hi - m + 1):
+                assert Z.shift(m).d_full(n).blocks == \
+                    Z.d_full(n + m).scale(sign).blocks
+        # the dual has the transposed d_Z^{-n-1} in degree n
+        D = dual_complex(Z)
+        for n in range(-hi - 1, -lo):
+            assert D.d_full(n).blocks == \
+                [b.transpose() for b in Z.d_full(-n - 1).blocks]
+
+
+def test_validate_rejects_a_block_key_outside_its_degree(A):
+    idm = ModuleMap.identity(A.projective(0))
+    P0 = Summand("P", 0)
+    for key in [(0, 1), (1, 0), (-1, 0)]:
+        with pytest.raises(AlgebraError, match="outside degree 0"):
+            Complex(A, {0: (P0,), 1: (P0,)}, {0: {key: idm}})
 
 
 def _homology_by_subquotient(X):
@@ -274,7 +338,8 @@ def test_homology_refuses_d_squared_nonzero(A):
     ident = ModuleMap.identity(A.projective(0))
     X = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),),
                     1: (Summand("P", 0),)},
-                {-1: [[proj_map_a(A)]], 0: [[ident]]}, validate=False)
+                {-1: {(0, 0): proj_map_a(A)}, 0: {(0, 0): ident}},
+                validate=False)
     with pytest.raises(AlgebraError, match="image not inside kernel"):
         X.homology_dims()
 
@@ -411,9 +476,9 @@ def test_memo_hom_complexes_match_fresh_hom_basis_calls(seed, field_key):
                     # the entry is the memo's map for its pair of tags
                     maps, _ = A3.hom_memo[(X.parts[k], Y.parts[k + n])]
                     assert any(h is m for m in maps)
-            assert sorted(hc.vect.diffs) == sorted(diffs)
+            assert sorted(hc.diffs) == sorted(diffs)
             for n, rows in diffs.items():
-                assert [list(r) for r in hc.vect.diffs[n].data] == rows
+                assert [list(r) for r in hc.diffs[n].data] == rows
             for n, entries in bases.items():
                 coeffs = [field.of(rng.randrange(-3, 4)) for _ in entries]
                 img = hc.element(n, coeffs)
@@ -433,7 +498,7 @@ def test_memo_hom_complexes_match_fresh_hom_basis_calls(seed, field_key):
     assert {n: [h.blocks for _, h in e] for n, e in hc.bases.items()} == \
         {n: [h.blocks for _, h in e] for n, e in bases.items()}
     assert {n: [list(r) for r in m.data]
-            for n, m in hc.vect.diffs.items()} == diffs
+            for n, m in hc.diffs.items()} == diffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,8 +522,8 @@ def test_hom_complex_built_in_some_degrees_matches_the_full_one(
         coeffs = [A.field.of(rng.randrange(-3, 4)) for _ in part.bases[n]]
         img = part.element(n, coeffs)
         assert part.coords(n, img) == full.coords(n, img) == coeffs
-    assert part.vect.diffs == {n: d for n, d in full.vect.diffs.items()
-                               if lo <= n < hi}
+    assert part.diffs == {n: d for n, d in full.diffs.items()
+                          if lo <= n < hi}
     for n in range(lo + 1, hi):
         assert part.h_dim(n) == full.h_dim(n)
         reps, H = part.chain_classes(n)

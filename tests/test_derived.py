@@ -18,7 +18,6 @@ from tiltlab.algebra import (
     map_placement,
     map_slice,
     projective_cover,
-    summand_offsets,
 )
 from tiltlab.complexes import (
     ChainMap,
@@ -195,8 +194,8 @@ def unsigned(C, m):
         return C
     minus = C.algebra.field.of(-1)
     return Complex(C.algebra, C.parts,
-                   {n: [[None if b is None else b.scale(minus) for b in row]
-                        for row in grid] for n, grid in C.blocks.items()},
+                   {n: {kl: b.scale(minus) for kl, b in grid.items()}
+                    for n, grid in C.blocks.items()},
                    approx_above=C.approx_above, validate=False)
 
 
@@ -282,7 +281,7 @@ def reference_resolve(X, bottom=None, validate=False):
     if bottom is None:
         bottom = xlo - derived.default_depth(A, xhi - xlo)
     origin = (0,) * A.quiver.n
-    verts, offsets, phis, d_maps = {}, {}, {}, {}
+    verts, phis, d_maps = {}, {}, {}
     cur_P = zero_module(A)
     cur_phi = ModuleMap.zero(cur_P, X.module(xhi + 1))
     cur_d = ModuleMap.zero(cur_P, zero_module(A))
@@ -301,7 +300,6 @@ def reference_resolve(X, bottom=None, validate=False):
             break
         vlist, P, c = projective_cover(W)
         verts[n] = vlist
-        offsets[n], _ = summand_offsets(A, [A.projective(v) for v in vlist])
         cw = c.then(winc)
         phis[n] = map_slice(cw, P, origin, Xn, sum_offsets[0])
         d_maps[n] = map_slice(cw, P, origin, K, sum_offsets[1]).then(kinc)
@@ -309,14 +307,8 @@ def reference_resolve(X, bottom=None, validate=False):
         n -= 1
     parts = {m: tuple(Summand("P", v) for v in vs)
              for m, vs in verts.items() if vs}
-    blocks = {}
-    for m in parts:
-        if m + 1 in parts:
-            blocks[m] = [[None if b.is_zero() else b for b in (
-                map_slice(d_maps[m], A.projective(u), offsets[m][k],
-                          A.projective(v), offsets[m + 1][l])
-                for l, v in enumerate(verts[m + 1]))]
-                for k, u in enumerate(verts[m])]
+    blocks = {m: block_dict(A, d_maps[m], parts[m], parts[m + 1])
+              for m in parts if m + 1 in parts}
     below = X.approx_below
     if not exact:
         below = n + 1 if below is None else max(below, n + 1)
@@ -360,13 +352,14 @@ def combine(M, N, maps, coeffs):
     return acc
 
 
-def block_grid(A, d, src, tgt):
-    """The differential d between the sums of two tag tuples, as the block
-    grid Complex takes."""
+def block_dict(A, d, src, tgt):
+    """The differential d between the sums of two tag tuples, as the dict
+    of nonzero blocks Complex takes."""
     src_off, tgt_off = summand_sum(A, src)[1], summand_sum(A, tgt)[1]
-    return [[None if b.is_zero() else b for b in (
-        map_slice(d, tag_module(A, t), src_off[k], tag_module(A, u), tgt_off[l])
-        for l, u in enumerate(tgt))] for k, t in enumerate(src)]
+    sliced = (((k, l), map_slice(d, tag_module(A, t), src_off[k],
+                                 tag_module(A, u), tgt_off[l]))
+              for k, t in enumerate(src) for l, u in enumerate(tgt))
+    return {kl: b for kl, b in sliced if not b.is_zero()}
 
 
 def random_short_complex(A, rng):
@@ -390,7 +383,7 @@ def random_short_complex(A, rng):
             basis = [combine(M, N, basis, [ker[j, c] for j in range(len(basis))])
                      for c in range(ker.ncols)]
         prev = combine(M, N, basis, [f.of(rng.randrange(-2, 3)) for _ in basis])
-        blocks[m] = block_grid(A, prev, parts[m], parts[m + 1])
+        blocks[m] = block_dict(A, prev, parts[m], parts[m + 1])
     return Complex(A, parts, blocks, validate=True)
 
 
@@ -429,7 +422,7 @@ def two_degree_complex(A, src, tgt):
     basis = hom_basis(summand_sum(A, src)[0], summand_sum(A, tgt)[0])
     d = combine(basis[0].source, basis[0].target, basis,
                 [A.field.one()] * len(basis))
-    return Complex(A, {0: src, 1: tgt}, {0: block_grid(A, d, src, tgt)},
+    return Complex(A, {0: src, 1: tgt}, {0: block_dict(A, d, src, tgt)},
                    validate=True)
 
 

@@ -180,10 +180,9 @@ def reference_minimize(X):
     steps = []
     while True:
         found = next(((n, k, l) for n in sorted(X.blocks)
-                      for k, row in enumerate(X.blocks[n])
-                      for l, b in enumerate(row)
-                      if b is not None and b.source.dims == b.target.dims
-                      and b.is_iso()), None)
+                      for (k, l), b in sorted(X.blocks[n].items())
+                      if b.source.dims == b.target.dims and b.is_iso()),
+                     None)
         if found is None:
             return X, steps
         steps.append(found)
@@ -215,3 +214,38 @@ def test_minimize_cancels_what_a_scan_from_the_lowest_degree_finds(
         got = minimize(C, verify=False).complex
     assert steps == want_steps
     assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from(sorted(ALGEBRAS)))
+def test_minimize_inverts_a_cancelled_block_only_where_it_is_read(
+        seed, field_key, algebra_key):
+    """Without witnesses a cancelled block is inverted only for a Schur
+    correction, when its column and its row each hold another block;
+    with them, once per cancellation."""
+    A = ALGEBRAS[algebra_key](FIELDS[field_key])
+    rng = random.Random(seed)
+    C = cone(random_chain_map(random_complex(A, rng),
+                              random_complex(A, rng), rng))
+    cancel, inverse = complexes._cancel_step, ModuleMap.inverse
+    for verify in (False, True):
+        cancelled, corrected, inversions = [], [], []
+
+        def recording(Y, n, k, l):
+            keys = Y.blocks[n]
+            cancelled.append((n, k, l))
+            if any(b == l and a != k for a, b in keys) and \
+                    any(a == k and b != l for a, b in keys):
+                corrected.append((n, k, l))
+            return cancel(Y, n, k, l)
+
+        def counting(m):
+            inversions.append(m)
+            return inverse(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "_cancel_step", recording)
+            mp.setattr(ModuleMap, "inverse", counting)
+            minimize(C, verify=verify)
+        assert len(inversions) == len(cancelled if verify else corrected)

@@ -17,7 +17,10 @@ A second scan, over src/tiltlab and tests, fails when a module imports
 a name that it never reads.  No linter runs on the repository, so this
 is the only guard against stale imports.  A third fails when a module
 of src/tiltlab imports a private (`_`-prefixed, not dunder) name from
-another module of the package.
+another module of the package.  A fourth fails when a parameter of a
+function, method or lambda in src/tiltlab is never read in its body
+(self and cls aside, and bodies that only raise NotImplementedError,
+the interface methods of linalg.Field).
 """
 
 import ast
@@ -132,3 +135,41 @@ def test_no_private_name_crosses_modules():
                 and not alias.name.endswith("__")]
     assert not crossing, "private names imported across modules: " + \
         ", ".join(crossing)
+
+
+def _only_raises_not_implemented(fn):
+    body = [stmt for stmt in fn.body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in {n.id for n in ast.walk(body[0])
+                                          if isinstance(n, ast.Name)})
+
+
+def _unread_parameters(tree):
+    """(name, line, parameter) of every parameter its function never reads."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.Lambda):
+            body = [fn.body]
+        elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _only_raises_not_implemented(fn):
+                continue
+            body = fn.body
+        else:
+            continue
+        a = fn.args
+        params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg] if p is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p not in read and p not in ("self", "cls"):
+                yield getattr(fn, "name", "<lambda>"), fn.lineno, p
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{name} (line {line}): {param}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, line, param in _unread_parameters(
+                  ast.parse(path.read_text()))]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -269,7 +269,7 @@ def two_term(A, w, v):
     """P_w -> P_v in degrees -1, 0, by the one basis map."""
     (h,) = hom_basis(A.projective(w), A.projective(v))
     return Complex(A, {-1: (Summand("P", w),), 0: (Summand("P", v),)},
-                   {-1: [[h]]})
+                   {-1: {(0, 0): h}})
 
 
 def test_members_with_two_degrees_cone_without_the_lift(A3, NAK2):
