@@ -463,12 +463,15 @@ def cone(f: ChainMap):
             continue
         xp = len(X.parts.get(n + 1, ()))
         xq = len(X.parts.get(n + 2, ()))
-        # -d_X, then f from the X rows to the Y columns (every block, zero
-        # ones too), then d_Y
+        # -d_X, then the nonzero blocks of f from the X rows to the Y
+        # columns, then d_Y
         grid = {kl: b.scale(minus_one)
                 for kl, b in X.blocks.get(n + 1, {}).items()}
-        grid.update(((k, xq + l), f.block(n + 1, k, l)) for k in range(xp)
-                    for l in range(len(Y.parts.get(n + 1, ()))))
+        for k in range(xp):
+            for l in range(len(Y.parts.get(n + 1, ()))):
+                blk = f.block(n + 1, k, l)
+                if not blk.is_zero():
+                    grid[k, xq + l] = blk
         grid.update(((xp + k, xq + l), b)
                     for (k, l), b in Y.blocks.get(n, {}).items())
         blocks[n] = grid

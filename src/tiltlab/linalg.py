@@ -1,7 +1,10 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-Scalars are plain python ints (reduced mod p) or fractions.Fraction; no
-floats appear anywhere.  Row reduction uses partial pivoting by first
+Scalars are plain python ints: residues in [0, p) over GF(p), and over
+the rationals every integral value, with fractions.Fraction only for a
+true non-integer.  No floats appear anywhere.  The matrix kernels
+compute with Python's operators and reduce each entry they produce once,
+through the field's norm.  Row reduction uses partial pivoting by first
 nonzero entry with lowest-index tie-breaking, so every derived basis is
 deterministic.
 """
@@ -36,6 +39,11 @@ class Field:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def norm(self, x):
+        """The field element of an operator result (a sum of products of
+        elements); the kernels call it once per entry they produce."""
         raise NotImplementedError
 
     def div(self, a, b):
@@ -131,6 +139,9 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
 
+    def norm(self, x):
+        return x % self.p
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -141,31 +152,40 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
-# Fractions are immutable, so every zero() and one() can share these.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _q(x):
+    """x as an int when it is integral, else the Fraction itself."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 class RationalField(Field):
-    """The rationals with exact Fraction arithmetic."""
+    """The rationals, exactly: an integral value is an int, any other a
+    Fraction.
+
+    An int and the equal Fraction agree in ==, hash, ordering and str,
+    so reports and memo keys do not see the representation.  Every
+    operation returns through _q, which is also norm, the one reduction
+    the kernels apply to each entry they produce.
+    """
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def of(self, x):
-        return Fraction(x)
+        return _q(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
@@ -173,7 +193,9 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _q(1 / Fraction(a))
+
+    norm = staticmethod(_q)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -274,17 +296,16 @@ class Mat:
 
     def add(self, other):
         self._check_same_shape(other)
-        f = self.field
-        return Mat(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ], ncols=self.ncols)
+        norm = self.field.norm
+        return Mat._trusted(self.field, tuple(
+            tuple([norm(a + b) for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.data, other.data)), self.ncols)
 
     def scale(self, c):
         f = self.field
-        c = f.of(c)
-        return Mat(f, [[f.mul(c, x) for x in row] for row in self.data],
-                   ncols=self.ncols)
+        c, norm = f.of(c), f.norm
+        return Mat._trusted(f, tuple(tuple([norm(c * x) for x in row])
+                                     for row in self.data), self.ncols)
 
     def mul(self, other):
         """Matrix product self @ other."""
@@ -295,18 +316,17 @@ class Mat:
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
         f = self.field
-        z = f.zero()
-        cols = list(zip(*other.data)) if other.nrows else [()] * other.ncols
+        norm = f.norm
         out = []
         for row in self.data:
-            out_row = []
-            for col in cols:
-                acc = z
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
+            # the rows of other that row's nonzero entries weight, summed
+            acc = None
+            for a, b in zip(row, other.data):
+                if a:
+                    acc = [a * y for y in b] if acc is None else \
+                        [x + a * y for x, y in zip(acc, b)]
+            out.append((f.zero(),) * other.ncols if acc is None
+                       else tuple(map(norm, acc)))
         return Mat._trusted(f, tuple(out), other.ncols)
 
     def transpose(self):
@@ -334,6 +354,7 @@ class Mat:
         the current column, so the result is deterministic.
         """
         f = self.field
+        norm = f.norm
         rows = [list(r) for r in self.data]
         pivots = []
         rank = 0
@@ -347,11 +368,11 @@ class Mat:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             inv = f.inv(rows[rank][col])
-            rows[rank] = [f.mul(inv, x) for x in rows[rank]]
+            prow = rows[rank] = [norm(inv * x) for x in rows[rank]]
             for r in range(self.nrows):
                 if r != rank and rows[r][col]:
                     c = rows[r][col]
-                    rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+                    rows[r] = [norm(x - c * y) for x, y in zip(rows[r], prow)]
             pivots.append(col)
             rank += 1
             if rank == self.nrows:
@@ -365,7 +386,7 @@ class Mat:
     def kernel_basis(self):
         """Columns spanning ker(self), i.e. self @ K = 0."""
         f = self.field
-        z, o = f.zero(), f.one()
+        z, o, norm = f.zero(), f.one(), f.norm
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivset]
@@ -374,7 +395,7 @@ class Mat:
             v = [z] * self.ncols
             v[j] = o
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][j])
+                v[pc] = norm(-R.data[r][j])
             cols.append(v)
         if not cols:
             return Mat._trusted(f, ((),) * self.ncols, 0)
@@ -493,30 +514,30 @@ class Echelon:
 
     def _reduce(self, vec):
         """(residual, comb) with vec = residual + sum of comb[g] * kept g."""
-        f = self.field
+        norm = self.field.norm
         vec = list(vec)
         comb = {}
         for pivot, row, expr in self.rows:
             c = vec[pivot]
             if not c:
                 continue
-            vec = [f.sub(x, f.mul(c, y)) if y else x for x, y in zip(vec, row)]
+            vec = [norm(x - c * y) if y else x for x, y in zip(vec, row)]
             for g, a in expr.items():
-                v = f.mul(c, a)
-                comb[g] = f.add(comb[g], v) if g in comb else v
-        return vec, comb
+                comb[g] = comb[g] + c * a if g in comb else c * a
+        return vec, {g: norm(v) for g, v in comb.items()}
 
     def add(self, vec):
         """Store vec when it is independent of the stored rows."""
         f = self.field
+        norm = f.norm
         res, comb = self._reduce(vec)
         lead = next((j for j, x in enumerate(res) if x), None)
         if lead is None:
             return False
         inv = f.inv(res[lead])
-        expr = {g: f.neg(f.mul(inv, a)) for g, a in comb.items()}
+        expr = {g: norm(-inv * a) for g, a in comb.items()}
         expr[len(self.rows)] = inv
-        self.rows.append((lead, [f.mul(inv, x) for x in res], expr))
+        self.rows.append((lead, [norm(inv * x) for x in res], expr))
         return True
 
     def extend(self, candidates):

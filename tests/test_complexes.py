@@ -125,6 +125,17 @@ def test_cone_triangle_composes_to_zero(A):
     assert h.then(C.d_full(-1)).blocks == f.then(inc).comp(0).blocks
 
 
+def test_cone_stores_no_zero_block(A):
+    # an absent key is a zero block, so the cone of the zero map is the
+    # sum of X[1] and Y with no differential at all
+    X = stalk_complex(A, Summand("P", 1), 0)
+    Y = stalk_complex(A, Summand("P", 0), 0)
+    C = cone(ChainMap(X, Y, {}))
+    assert C.support() == [-1, 0]
+    assert C.blocks == {}
+    assert C.homology_dims() == {-1: (0, 1), 0: (1, 1)}
+
+
 def test_minimize_kills_contractible(A):
     X = res_s1(A)
     idX = ChainMap.identity(X)

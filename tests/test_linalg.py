@@ -1,5 +1,6 @@
 """Field and matrix layer: frozen values plus rank/kernel properties."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.linalg import (
+    Echelon,
     Mat,
     PrimeField,
     QQ,
@@ -210,3 +212,240 @@ def test_kernel_results_are_well_formed(seed, nrows, ncols, k, field_key):
     assert (m.transpose().nrows, m.transpose().ncols) == (ncols, nrows)
     assert m.kernel_basis().nrows == ncols
     assert (consistent.nrows, consistent.ncols) == (ncols, k)
+
+
+# ---- kernel oracle: the matrix kernels against reference fields ----
+
+class _FractionQQ:
+    """The rationals with every value a Fraction, integral ones too."""
+
+    def of(self, x):
+        return Fraction(x)
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return 1 / a
+
+
+class _ReducingGF:
+    """GF(p) that reduces the result of every single operation."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def of(self, x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+
+def _ref_mul(F, A, B, k):
+    """A @ B for B with k columns."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(k):
+            acc = F.zero()
+            for t in range(len(B)):
+                acc = F.add(acc, F.mul(row[t], B[t][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _ref_rref(F, A, ncols):
+    """Gauss-Jordan; the reduced echelon form and its pivots are unique."""
+    rows = [list(r) for r in A]
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        hit = next((r for r in range(r0, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[r0], rows[hit] = rows[hit], rows[r0]
+        inv = F.inv(rows[r0][col])
+        rows[r0] = [F.mul(inv, x) for x in rows[r0]]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != r0 and c:
+                rows[r] = [F.sub(x, F.mul(c, y))
+                           for x, y in zip(rows[r], rows[r0])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _ref_kernel(F, A, ncols):
+    """One column per free column j: 1 at j, -R[r][j] at pivot r's column."""
+    R, pivots = _ref_rref(F, A, ncols)
+    cols = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F.zero()] * ncols
+        v[j] = F.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = F.sub(F.zero(), R[r][j])
+        cols.append(v)
+    return [list(r) for r in zip(*cols)] if cols else [[] for _ in range(ncols)]
+
+
+def _ref_solve(F, A, B, ncols, k):
+    """The solution of A x = B (ncols unknowns, k right-hand sides) with
+    every free variable zero; None when there is none."""
+    R, pivots = _ref_rref(F, [ra + rb for ra, rb in zip(A, B)], ncols + k)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = [[F.zero()] * k for _ in range(ncols)]
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][ncols:]
+    return x
+
+
+def _ref_charpoly(F, A):
+    """det(tI - A), lowest degree first, by the Leibniz expansion."""
+    n = len(A)
+    total = [F.zero()] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        sign = F.one()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = F.sub(F.zero(), sign)
+        term = [sign]
+        for i, j in enumerate(perm):
+            # the (i, j) entry of tI - A, as a polynomial in t
+            factor = [F.sub(F.zero(), A[i][j])] + ([F.one()] if i == j else [])
+            prod = [F.zero()] * (len(term) + len(factor) - 1)
+            for a, x in enumerate(term):
+                for b, y in enumerate(factor):
+                    prod[a + b] = F.add(prod[a + b], F.mul(x, y))
+            term = prod
+        total = [F.add(x, y) for x, y in
+                 itertools.zip_longest(total, term, fillvalue=F.zero())]
+    return total
+
+
+def _random_entries(rng, nrows, ncols):
+    """Mostly zeros and small integers, some proper fractions."""
+    def entry():
+        roll = rng.random()
+        if roll < 0.4:
+            return 0
+        if roll < 0.8:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-5, 5), rng.randint(2, 4))
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _scalars(field, values):
+    """The values, checked for the field's representation: over QQ an int
+    for every integral value and a Fraction for any other; over GF(p) an
+    int in [0, p)."""
+    values = list(values)
+    for x in values:
+        if field == QQ:
+            assert type(x) is int or (type(x) is Fraction
+                                      and x.denominator != 1), repr(x)
+        else:
+            assert type(x) is int and 0 <= x < field.p, repr(x)
+    return values
+
+
+def _entries(field, M):
+    return [_scalars(field, row) for row in M.data]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 3), st.sampled_from(["Q", 5, 7, 2**31 - 1]))
+def test_kernels_agree_with_reference_fields(seed, nrows, ncols, k, key):
+    rng = random.Random(seed)
+    field = QQ if key == "Q" else PrimeField(key)
+    F = _FractionQQ() if key == "Q" else _ReducingGF(key)
+
+    def pair(r, c):
+        raw = _random_entries(rng, r, c)
+        return (Mat(field, [[field.of(x) for x in row] for row in raw],
+                    ncols=c),
+                [[F.of(x) for x in row] for row in raw])
+
+    A, a = pair(nrows, ncols)
+    B, b = pair(ncols, k)
+    C, c = pair(nrows, ncols)
+    assert _entries(field, A.mul(B)) == _ref_mul(F, a, b, k)
+    assert _entries(field, A.add(C)) == [[F.add(x, y) for x, y in zip(r, s)]
+                                         for r, s in zip(a, c)]
+    scale = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    assert _entries(field, A.scale(scale)) == \
+        [[F.mul(F.of(scale), x) for x in r] for r in a]
+
+    R, pivots = A.rref()
+    ref_R, ref_pivots = _ref_rref(F, a, ncols)
+    assert _entries(field, R) == ref_R and list(pivots) == ref_pivots
+    assert _entries(field, A.kernel_basis()) == _ref_kernel(F, a, ncols)
+
+    rhs, ref_rhs = pair(nrows, k)
+    x = A.solve(rhs)
+    ref_x = _ref_solve(F, a, ref_rhs, ncols, k)
+    assert (x is None) == (ref_x is None)
+    if x is not None:
+        assert _entries(field, x) == ref_x
+
+    S, s = pair(nrows, nrows)
+    eye = [[F.one() if i == j else F.zero() for j in range(nrows)]
+           for i in range(nrows)]
+    ref_inv = _ref_solve(F, s, eye, nrows, nrows)
+    if ref_inv is None:
+        with pytest.raises(ValueError, match="singular"):
+            S.inverse()
+    else:
+        assert _entries(field, S.inverse()) == ref_inv
+    assert _scalars(field, S.charpoly()) == _ref_charpoly(F, s)
+
+    # coordinates over the rows Echelon keeps: unique, as those rows are
+    # independent; A's own rows lie in their span
+    ech = Echelon(A)
+    kept = [row for i, row in enumerate(a)
+            if len(_ref_rref(F, a[:i + 1], ncols)[1])
+            > len(_ref_rref(F, a[:i], ncols)[1])]
+    cols = [list(col) for col in zip(*kept)] if kept else \
+        [[] for _ in range(ncols)]
+    for vec, ref_vec in ((A, a), (C, c), pair(1, ncols)):
+        for row, ref_row in zip(vec.data, ref_vec):
+            comb = ech.coords(row)
+            ref = _ref_solve(F, cols, [[y] for y in ref_row], len(kept), 1)
+            assert (comb is None) == (ref is None)
+            if comb is not None:
+                _scalars(field, comb.values())
+                assert set(comb) <= set(range(len(kept)))
+                assert [comb.get(g, 0) for g in range(len(kept))] == \
+                    [r[0] for r in ref]

@@ -20,7 +20,10 @@ of src/tiltlab imports a private (`_`-prefixed, not dunder) name from
 another module of the package.  A fourth fails when a parameter of a
 function, method or lambda in src/tiltlab is never read in its body
 (self and cls aside, and bodies that only raise NotImplementedError,
-the interface methods of linalg.Field).
+the interface methods of linalg.Field).  A fifth fails when a module of
+src/tiltlab other than linalg imports fractions or names Fraction: the
+scalar representation is linalg's alone, and every other module computes
+through the field's operations.
 """
 
 import ast
@@ -173,3 +176,25 @@ def test_every_parameter_is_read():
               for name, line, param in _unread_parameters(
                   ast.parse(path.read_text()))]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _names_fractions(tree):
+    """True when the module imports fractions or reads the name Fraction."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and \
+                any(a.name.split(".")[0] == "fractions" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+        if (isinstance(node, ast.Name) and node.id == "Fraction") or \
+                (isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+            return True
+    return False
+
+
+def test_only_linalg_knows_fractions():
+    naming = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "linalg"
+              and _names_fractions(ast.parse(path.read_text()))]
+    assert not naming, "modules besides linalg that use fractions: " + \
+        ", ".join(naming)
