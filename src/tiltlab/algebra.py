@@ -1,9 +1,14 @@
 """Path algebras with relations, their modules, and structural tests.
 
 Everything here is a right module described as a quiver representation:
-a dimension per vertex and one matrix per arrow, acting on row vectors.
+a dimension per vertex and a matrix per arrow, acting on row vectors.
 Composition of paths reads left to right, so the path "ab" means a then
 b, and arrows carry elements of e_source * Lambda * e_target.
+
+Modules and module maps are stored on their support (arrow_support,
+vertex_support), which follows from the dimension vectors alone: the
+empty matrices are not stored, and zero ones on the support are.  Only
+this module reads the stored dicts; others use ModuleMap.block.
 
 The quotient is taken by the relation ideal together with all paths of
 length >= nilpotency_bound.  For acyclic quivers the default bound is
@@ -353,26 +358,15 @@ class Algebra:
         by_vertex = [[i for i in idx if self.basis_target(i) == t]
                      for t in range(self.quiver.n)]
         dims = tuple(len(b) for b in by_vertex)
-        pos = {}
-        for t, blist in enumerate(by_vertex):
-            for r, i in enumerate(blist):
-                pos[i] = (t, r)
-        f = self.field
         mats = {}
-        for a, (lab, s, t) in enumerate(self.quiver.arrows):
-            elem = self.arrow_elem(lab)
-            rows = []
-            for i in by_vertex[s]:
-                img = self.mult(self._unit_coord(i), elem)
-                row = [f.zero()] * dims[t]
-                for k, c in enumerate(img):
-                    if c:
-                        tt, rr = pos[k]
-                        if tt != t:
-                            raise AlgebraError("projective action left its grade")
-                        row[rr] = c
-                rows.append(row)
-            mats[a] = Mat(f, rows) if rows else Mat.zeros(f, 0, dims[t])
+        for a, s, t in arrow_support(self.quiver, dims):
+            # b_i a lies in e_v A e_t: the relations are split by their
+            # ends, so the reduction keeps every path's ends
+            elem = self.arrow_elem(self.quiver.label(a))
+            mats[a] = Mat(self.field, [
+                [img[k] for k in by_vertex[t]]
+                for img in (self.mult(self._unit_coord(i), elem)
+                            for i in by_vertex[s])])
         M = Module(self, dims, mats)
         M._proj_basis = by_vertex
         return M
@@ -386,9 +380,9 @@ class Algebra:
     def simple(self, v):
         if v not in self._simple:
             dims = tuple(1 if u == v else 0 for u in range(self.quiver.n))
-            f = self.field
-            mats = {a: Mat.zeros(f, dims[s], dims[t])
-                    for a, (_, s, t) in enumerate(self.quiver.arrows)}
+            # only the loops at v act, by zero
+            mats = {a: Mat.zeros(self.field, 1, 1)
+                    for a, _, _ in arrow_support(self.quiver, dims)}
             self._simple[v] = Module(self, dims, mats)
         return self._simple[v]
 
@@ -397,30 +391,38 @@ class Algebra:
             self._inj[v] = dual_module(self.op().projective(v), self)
         return self._inj[v]
 
-class Module:
-    """Right module: dims per vertex, one matrix per arrow, row action."""
 
-    def __init__(self, algebra: Algebra, dims, arrow_mats, check=False):
+def arrow_support(quiver, dims):
+    """(a, s, t) for each arrow a: s -> t whose two ends have nonzero
+    dimension in dims, in ascending order: the arrows a module stores."""
+    return [(a, s, t) for a, (_, s, t) in enumerate(quiver.arrows)
+            if dims[s] and dims[t]]
+
+
+def vertex_support(dims, other):
+    """The vertices where both dimension vectors are nonzero, in
+    ascending order: the vertices a map between such modules stores."""
+    return [v for v in range(len(dims)) if dims[v] and other[v]]
+
+
+class Module:
+    """Right module: dims per vertex, and mats = {a: matrix of arrow a},
+    kept as given, over exactly the arrows of arrow_support in ascending
+    order, acting on row vectors."""
+
+    def __init__(self, algebra: Algebra, dims, mats):
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != algebra.quiver.n:
             raise AlgebraError("dimension vector length mismatch")
-        self.mats = dict(arrow_mats)
-        for a, (_, s, t) in enumerate(algebra.quiver.arrows):
-            m = self.mats.get(a)
-            if m is None:
-                m = Mat.zeros(algebra.field, self.dims[s], self.dims[t])
-                self.mats[a] = m
-            if (m.nrows, m.ncols) != (self.dims[s], self.dims[t]):
-                raise AlgebraError("arrow matrix shape mismatch")
-        self.offsets = []
-        off = 0
-        for d in self.dims:
-            self.offsets.append(off)
-            off += d
-        self.total = off
-        if check:
-            self.validate()
+        if [(a, (m.nrows, m.ncols)) for a, m in mats.items()] != \
+                [(a, (self.dims[s], self.dims[t])) for a, s, t
+                 in arrow_support(algebra.quiver, self.dims)]:
+            raise AlgebraError("arrow matrices must be given, in order and "
+                               "of matching shapes, on the arrows of "
+                               "arrow_support")
+        self.mats = mats
+        self.total = sum(self.dims)
 
     def __eq__(self, other):
         return (
@@ -430,71 +432,88 @@ class Module:
             and other.mats == self.mats
         )
 
+    def __hash__(self):
+        # equal modules list their arrows in the same order
+        return hash((self.dims, tuple(self.mats.items())))
+
     def __repr__(self):
         return f"Module(dims={self.dims})"
 
-    def is_zero(self):
-        return self.total == 0
-
     def path_action(self, src, arrs):
-        """Matrix of the path action, block from src to its target."""
+        """Matrix of the action of the path from src along arrs, whose
+        ends must have nonzero dimension.  A path that meets a vertex of
+        dimension zero acts by zero."""
         f = self.algebra.field
         m = Mat.identity(f, self.dims[src])
         for a in arrs:
-            m = m.mul(self.mats[a])
+            step = self.mats.get(a)
+            if step is None:
+                end = self.algebra.quiver.target(arrs[-1])
+                return Mat.zeros(f, self.dims[src], self.dims[end])
+            m = m.mul(step)
         return m
 
     def validate(self):
-        """Action factors through the algebra: checked on basis pairs."""
+        """Action factors through the algebra: each pair of composable
+        basis paths acts as its reduced product.  Pairs with an end of
+        dimension zero act by empty matrices and are skipped."""
         A = self.algebra
         for i in range(A.dim):
             pi = A.paths[A.basis[i]]
             for j in range(A.dim):
                 pj = A.paths[A.basis[j]]
-                if A.path_target(pi) != pj[0]:
+                src, tgt = pi[0], A.path_target(pj)
+                if A.path_target(pi) != pj[0] or \
+                        not (self.dims[src] and self.dims[tgt]):
                     continue
-                left = self.path_action(pi[0], pi[1]).mul(self.path_action(pj[0], pj[1]))
-                prod = A.mult(A._unit_coord(i), A._unit_coord(j))
-                right = self._partial_act(pi[0], A.path_target(pj), prod)
-                if left != right:
+                # the product lies in e_src A e_tgt, as the basis is graded
+                prod = Mat.zeros(A.field, self.dims[src], self.dims[tgt])
+                for k, c in enumerate(A.mult(A._unit_coord(i),
+                                             A._unit_coord(j))):
+                    if c:
+                        prod = prod.add(self.path_action(
+                            *A.paths[A.basis[k]]).scale(c))
+                if self.path_action(src, pi[1] + pj[1]) != prod:
                     raise AlgebraError(
                         f"module does not satisfy the relations at basis pair "
                         f"({A.basis_name(i)}, {A.basis_name(j)})"
                     )
         return True
 
-    def _partial_act(self, src, tgt, elem):
-        A = self.algebra
-        f = A.field
-        acc = Mat.zeros(f, self.dims[src], self.dims[tgt])
-        for k, c in enumerate(elem):
-            if not c:
-                continue
-            ps, parrs = A.paths[A.basis[k]]
-            if ps != src or A.path_target(A.paths[A.basis[k]]) != tgt:
-                continue
-            acc = acc.add(self.path_action(ps, parrs).scale(c))
-        return acc
-
 
 class ModuleMap:
-    """Vertex-blockwise linear map; f(x) = x @ F with F assembled from blocks."""
+    """Vertex-blockwise linear map: x -> x @ blocks[v] at vertex v.
 
-    def __init__(self, source: Module, target: Module, blocks, check=True):
+    blocks = {v: matrix}, kept as given, over exactly the vertices of
+    vertex_support of the two modules, in ascending order.  commutes()
+    tells whether it is a module map."""
+
+    def __init__(self, source: Module, target: Module, blocks):
         self.source = source
         self.target = target
-        self.blocks = list(blocks)
-        for v, b in enumerate(self.blocks):
-            if (b.nrows, b.ncols) != (source.dims[v], target.dims[v]):
+        self.blocks = blocks
+        sd, td = source.dims, target.dims
+        if list(blocks) != vertex_support(sd, td):
+            raise AlgebraError("module map blocks must be given, in order, "
+                               "on the vertices of vertex_support")
+        for v, b in blocks.items():
+            if b.nrows != sd[v] or b.ncols != td[v]:
                 raise AlgebraError("module map block shape mismatch")
-        if check and not self.commutes():
-            raise AlgebraError("not a module map: arrow actions do not commute")
+
+    def block(self, v):
+        """The block at vertex v, or None where it is empty."""
+        return self.blocks.get(v)
 
     def commutes(self):
-        A = self.source.algebra
-        for a, (_, s, t) in enumerate(A.quiver.arrows):
-            lhs = self.source.mats[a].mul(self.blocks[t])
-            rhs = self.blocks[s].mul(self.target.mats[a])
+        M, N = self.source, self.target
+        for a, (_, s, t) in enumerate(M.algebra.quiver.arrows):
+            # (x a) F_t = (x F_s) a in Hom(M_s, N_t); a side is zero when
+            # the module it passes through is zero
+            if not (M.dims[s] and N.dims[t]):
+                continue
+            zero = Mat.zeros(M.algebra.field, M.dims[s], N.dims[t])
+            lhs = M.mats[a].mul(self.blocks[t]) if M.dims[t] else zero
+            rhs = self.blocks[s].mul(N.mats[a]) if N.dims[s] else zero
             if lhs != rhs:
                 return False
         return True
@@ -502,17 +521,22 @@ class ModuleMap:
     def then(self, other):
         if other.source is not self.target and other.source != self.target:
             raise AlgebraError("composition mismatch")
-        return ModuleMap(self.source, other.target,
-                         [a.mul(b) for a, b in zip(self.blocks, other.blocks)],
-                         check=False)
+        M, N = self.source, other.target
+        f = M.algebra.field
+        # a vertex where the middle module is zero gives a zero block
+        return ModuleMap(M, N, {
+            v: self.blocks[v].mul(other.blocks[v]) if v in self.blocks
+            else Mat.zeros(f, M.dims[v], N.dims[v])
+            for v in vertex_support(M.dims, N.dims)})
 
     def add(self, other):
         return ModuleMap(self.source, self.target,
-                         [a.add(b) for a, b in zip(self.blocks, other.blocks)], check=False)
+                         {v: b.add(other.blocks[v])
+                          for v, b in self.blocks.items()})
 
     def scale(self, c):
         return ModuleMap(self.source, self.target,
-                         [b.scale(c) for b in self.blocks], check=False)
+                         {v: b.scale(c) for v, b in self.blocks.items()})
 
     def __eq__(self, other):
         return (
@@ -523,27 +547,29 @@ class ModuleMap:
         )
 
     def is_iso(self):
-        return all(b.is_invertible() for b in self.blocks)
+        return self.source.dims == self.target.dims and \
+            all(b.is_invertible() for b in self.blocks.values())
 
     def is_zero(self):
-        return all(b.is_zero() for b in self.blocks)
+        return all(b.is_zero() for b in self.blocks.values())
 
     def inverse(self):
         return ModuleMap(self.target, self.source,
-                         [b.inverse() for b in self.blocks], check=False)
+                         {v: b.inverse() for v, b in self.blocks.items()})
 
     @classmethod
     def zero(cls, source, target):
         f = source.algebra.field
         return cls(source, target,
-                   [Mat.zeros(f, source.dims[v], target.dims[v])
-                    for v in range(source.algebra.quiver.n)], check=False)
+                   {v: Mat.zeros(f, source.dims[v], target.dims[v])
+                    for v in vertex_support(source.dims, target.dims)})
 
     @classmethod
     def identity(cls, module):
         f = module.algebra.field
         return cls(module, module,
-                   [Mat.identity(f, d) for d in module.dims], check=False)
+                   {v: Mat.identity(f, d) for v, d in enumerate(module.dims)
+                    if d})
 
 
 def hom_basis(M: Module, N: Module):
@@ -551,47 +577,41 @@ def hom_basis(M: Module, N: Module):
     A = M.algebra
     f = A.field
     z = f.zero()
-    n = A.quiver.n
-    offs = []
+    support = vertex_support(M.dims, N.dims)
+    offs = {}
     total = 0
-    for v in range(n):
-        offs.append(total)
+    for v in support:
+        offs[v] = total
         total += M.dims[v] * N.dims[v]
     if total == 0:
         return []
-
-    def uidx(v, p, q):
-        return offs[v] + p * N.dims[v] + q
-
     rows = []
     for a, (_, s, t) in enumerate(A.quiver.arrows):
-        AM, AN = M.mats[a], N.mats[a]
+        # sum_k AM[p][k] F_t[k][q] - sum_l F_s[p][l] AN[l][q] = 0, with
+        # F_v[i][j] at offs[v] + i * N.dims[v] + j; a sum whose arrow
+        # matrix is not stored is empty, and the two meet only on a loop
+        AM, AN = M.mats.get(a), N.mats.get(a)
         for p in range(M.dims[s]):
             for q in range(N.dims[t]):
                 row = [z] * total
-                # sum_k AM[p][k] F_t[k][q] - sum_l F_s[p][l] AN[l][q] = 0
-                for k in range(M.dims[t]):
-                    if AM[p, k]:
-                        row[uidx(t, k, q)] = f.add(row[uidx(t, k, q)], AM[p, k])
-                for l in range(N.dims[s]):
-                    if AN[l, q]:
-                        row[uidx(s, p, l)] = f.sub(row[uidx(s, p, l)], AN[l, q])
+                if AM is not None:
+                    for k, x in enumerate(AM.data[p]):
+                        row[offs[t] + k * N.dims[t] + q] = x
+                if AN is not None:
+                    for l, y in enumerate(AN.data):
+                        j = offs[s] + p * N.dims[s] + l
+                        row[j] = f.sub(row[j], y[q])
                 if any(row):
                     rows.append(row)
-    if rows:
-        K = Mat(f, rows).kernel_basis()
-        vecs = [tuple(K[i, j] for i in range(total)) for j in range(K.ncols)]
-    else:
-        eye = Mat.identity(f, total)
-        vecs = [tuple(eye[i, j] for i in range(total)) for j in range(total)]
+    K = Mat(f, rows, ncols=total).kernel_basis()
     out = []
-    for vec in vecs:
-        blocks = []
-        for v in range(n):
-            rows_v = [[vec[uidx(v, p, q)] for q in range(N.dims[v])]
-                      for p in range(M.dims[v])]
-            blocks.append(Mat(f, rows_v) if rows_v else Mat.zeros(f, 0, N.dims[v]))
-        out.append(ModuleMap(M, N, blocks, check=False))
+    for vec in zip(*K.data):
+        blocks = {}
+        for v in support:
+            w = N.dims[v]
+            blocks[v] = Mat._trusted(f, tuple(
+                vec[o:o + w] for o in range(offs[v], offs[v] + M.dims[v] * w, w)), w)
+        out.append(ModuleMap(M, N, blocks))
     return out
 
 
@@ -614,12 +634,12 @@ def direct_sum_modules(algebra, mods):
         return mods[0], [(0,) * algebra.quiver.n]
     offsets, dims = summand_offsets(algebra, mods)
     mats = {}
-    for a, (_, s, t) in enumerate(algebra.quiver.arrows):
+    for a, s, t in arrow_support(algebra.quiver, dims):
         # block diagonal assembly
         big = [[f.zero()] * dims[t] for _ in range(dims[s])]
         for m, off in zip(mods, offsets):
             ro, co = off[s], off[t]
-            for r, row in enumerate(m.mats[a].data):
+            for r, row in enumerate(m.mats[a].data if a in m.mats else ()):
                 big[ro + r][co:co + len(row)] = row
         mats[a] = Mat._trusted(f, tuple(map(tuple, big)), dims[t])
     return Module(algebra, dims, mats), offsets
@@ -629,12 +649,12 @@ def map_slice(F: ModuleMap, source: Module, rows, target: Module, cols):
     """The summand block of F from source, which starts at rows[v] in
     F.source, to target, which starts at cols[v] in F.target."""
     f = source.algebra.field
-    blocks = []
-    for v, b in enumerate(F.blocks):
+    blocks = {}
+    for v in vertex_support(source.dims, target.dims):
         r, c, w = rows[v], cols[v], target.dims[v]
-        blocks.append(Mat._trusted(
-            f, tuple(row[c:c + w] for row in b.data[r:r + source.dims[v]]), w))
-    return ModuleMap(source, target, blocks, check=False)
+        blocks[v] = Mat._trusted(f, tuple(
+            row[c:c + w] for row in F.blocks[v].data[r:r + source.dims[v]]), w)
+    return ModuleMap(source, target, blocks)
 
 
 def map_placement(source: Module, rows, target: Module, cols, blocks):
@@ -643,15 +663,15 @@ def map_placement(source: Module, rows, target: Module, cols, blocks):
     outside the given blocks."""
     f = source.algebra.field
     z = f.zero()
-    out = []
-    for v in range(source.algebra.quiver.n):
+    out = {}
+    for v in vertex_support(source.dims, target.dims):
         full = [[z] * target.dims[v] for _ in range(source.dims[v])]
         for (k, l), b in blocks.items():
             r, c = rows[k][v], cols[l][v]
-            for i, row in enumerate(b.blocks[v].data):
+            for i, row in enumerate(b.blocks[v].data if v in b.blocks else ()):
                 full[r + i][c:c + len(row)] = row
-        out.append(Mat._trusted(f, tuple(map(tuple, full)), target.dims[v]))
-    return ModuleMap(source, target, out, check=False)
+        out[v] = Mat._trusted(f, tuple(map(tuple, full)), target.dims[v])
+    return ModuleMap(source, target, out)
 
 
 def dual_module(M: Module, target_algebra: Algebra):
@@ -665,8 +685,16 @@ def dual_module(M: Module, target_algebra: Algebra):
         ss, tt = src_alg.quiver.source(a_src), src_alg.quiver.target(a_src)
         if (ss, tt) != (t, s):
             raise AlgebraError("dual: arrow orientation mismatch")
-        mats[a] = M.mats[a_src].transpose()
+        if a_src in M.mats:
+            mats[a] = M.mats[a_src].transpose()
     return Module(target_algebra, M.dims, mats)
+
+
+def dual_map(F: ModuleMap, source: Module, target: Module):
+    """K-dual of F: M -> N, the map source -> target between the dual
+    modules D(N) -> D(M) over the opposite algebra: blockwise transpose."""
+    return ModuleMap(source, target,
+                     {v: b.transpose() for v, b in F.blocks.items()})
 
 
 # ---- submodules and kernels ----
@@ -674,43 +702,47 @@ def dual_module(M: Module, target_algebra: Algebra):
 def sub_module(M: Module, span_rows):
     """Submodule spanned per vertex by the given row matrices.
 
-    span_rows: list per vertex of Mat (k_v x M.dims[v]); rows must span a
-    subspace closed under the arrow action.  Returns (S, inclusion).
+    span_rows: {v: Mat (k_v x M.dims[v])}, the span zero at a vertex
+    left out; the rows must span a subspace closed under the arrow
+    action.  Returns (S, inclusion).
     """
     A = M.algebra
     f = A.field
-    basis, pivots = [], []
-    for rows in span_rows:
+    basis, pivots = {}, {}
+    for v, rows in sorted(span_rows.items()):
         R, piv = rows.rref()
-        basis.append(Mat._trusted(f, R.data[:len(piv)], rows.ncols))
-        pivots.append(piv)
-    dims = tuple(b.nrows for b in basis)
+        if piv:
+            basis[v] = Mat._trusted(f, R.data[:len(piv)], rows.ncols)
+            pivots[v] = piv
+    dims = tuple(len(pivots.get(v, ())) for v in range(A.quiver.n))
     mats = {}
-    for a, (_, s, t) in enumerate(A.quiver.arrows):
-        if dims[s] == 0:
-            mats[a] = Mat.zeros(f, 0, dims[t])
+    for a, m in M.mats.items():
+        s, t = A.quiver.source(a), A.quiver.target(a)
+        if s not in basis:
             continue
-        img = basis[s].mul(M.mats[a])
-        # basis[t] is in reduced echelon form, so a vector of its span
-        # has its coordinates at the pivot columns
-        sol = Mat._trusted(f, tuple(tuple(row[p] for p in pivots[t])
-                                    for row in img.data), dims[t])
-        if sol.mul(basis[t]) != img:
+        img = basis[s].mul(m)
+        if t not in basis:
+            closed = img.is_zero()
+        else:
+            # basis[t] is in reduced echelon form, so a vector of its
+            # span has its coordinates at the pivot columns
+            mats[a] = Mat._trusted(f, tuple(tuple(row[p] for p in pivots[t])
+                                            for row in img.data), dims[t])
+            closed = mats[a].mul(basis[t]) == img
+        if not closed:
             raise AlgebraError("sub_module: span not closed under action")
-        mats[a] = sol
     S = Module(A, dims, mats)
-    inc = ModuleMap(S, M, basis, check=False)
-    return S, inc
+    return S, ModuleMap(S, M, basis)
 
 
 def kernel_module(f: ModuleMap):
     """Kernel with induced action; returns (K, inclusion)."""
-    A = f.source.algebra
-    span = []
-    for v in range(A.quiver.n):
-        k = f.blocks[v].transpose().kernel_basis().transpose()
-        span.append(k if k.nrows else Mat.zeros(A.field, 0, f.source.dims[v]))
-    return sub_module(f.source, span)
+    field = f.source.algebra.field
+    # at a vertex where the target is zero the kernel is everything
+    return sub_module(f.source, {
+        v: f.blocks[v].left_kernel_basis() if v in f.blocks
+        else Mat.identity(field, d)
+        for v, d in enumerate(f.source.dims) if d})
 
 
 # ---- covers, tops, iso tests ----
@@ -718,55 +750,53 @@ def kernel_module(f: ModuleMap):
 def top_data(M: Module):
     """Per vertex: coset representatives of M_v / (sum of incoming arrow images)."""
     A = M.algebra
-    f = A.field
     out = []
-    for v in range(A.quiver.n):
-        rows = []
-        for a, (_, s, t) in enumerate(A.quiver.arrows):
-            if t == v and M.dims[s]:
-                rows.extend(list(r) for r in M.mats[a].data)
-        if rows:
-            R, pivots = Mat(f, rows).rref()
-            pivset = set(pivots)
-        else:
-            pivset = set()
-        reps = [j for j in range(M.dims[v]) if j not in pivset]
-        out.append(reps)
+    for v, d in enumerate(M.dims):
+        rows = [r for a, m in M.mats.items() if A.quiver.target(a) == v
+                for r in m.data]
+        pivots = set(Mat(A.field, rows).rref()[1]) if rows else ()
+        out.append([j for j in range(d) if j not in pivots])
     return out
 
 
-def projective_cover(M: Module):
-    """Returns (vertices, P, cover map) with P the sum of A.projective(v)."""
+def generator_map(M: Module, gens):
+    """The map P -> M, for gens = [(v, row of M at v), ...], with P the
+    sum of A.projective(v) over gens, in order, that sends the generator
+    of each summand to its row."""
     A = M.algebra
     f = A.field
-    tops = top_data(M)
-    verts = []
-    gens = []
-    for v in range(A.quiver.n):
-        for j in tops[v]:
-            verts.append(v)
-            e = [f.zero()] * M.dims[v]
-            e[j] = f.one()
-            gens.append((v, tuple(e)))
-    P, offsets = direct_sum_modules(A, [A.projective(v) for v in verts])
-    # map each projective summand by acting on its generator; paths from
-    # the generator's vertex share prefixes, so each prefix acts once
-    summand_maps = {}
-    for k, (v, gvec) in enumerate(gens):
-        Pv = A.projective(v)
-        acts = {(): Mat(f, [gvec])}
+    z = f.zero()
+    P, _ = direct_sum_modules(A, [A.projective(v) for v, _ in gens])
+    # block t stacks the summands' rows at t, in order
+    rows = {t: [] for t in vertex_support(P.dims, M.dims)}
+    for v, gen in gens:
+        # acts[p]: gen times the path p from v, or None (zero) once p
+        # meets a vertex where M is zero; paths share prefixes, so each
+        # prefix acts once
+        acts = {(): Mat(f, [gen])}
 
         def act(arrs):
             if arrs not in acts:
-                acts[arrs] = act(arrs[:-1]).mul(M.mats[arrs[-1]])
+                head, step = act(arrs[:-1]), M.mats.get(arrs[-1])
+                acts[arrs] = None if head is None or step is None \
+                    else head.mul(step)
             return acts[arrs]
 
-        bl = [Mat(f, [act(A.paths[A.basis[i]][1]).data[0]
-                      for i in Pv._proj_basis[t]], ncols=M.dims[t])
-              for t in range(A.quiver.n)]
-        summand_maps[(k, 0)] = ModuleMap(Pv, M, bl, check=False)
-    cover = map_placement(P, offsets, M, [(0,) * A.quiver.n], summand_maps)
-    return verts, P, cover
+        for t, out in rows.items():
+            for i in A.projective(v)._proj_basis[t]:
+                g = act(A.paths[A.basis[i]][1])
+                out.append((z,) * M.dims[t] if g is None else g.data[0])
+    return ModuleMap(P, M, {t: Mat(f, r) for t, r in rows.items()})
+
+
+def projective_cover(M: Module):
+    """Returns (vertices, P, cover map) with P the sum of A.projective(v),
+    one per coset representative of top_data, which its generator hits."""
+    f = M.algebra.field
+    gens = [(v, [f.one() if c == j else f.zero() for c in range(M.dims[v])])
+            for v, reps in enumerate(top_data(M)) for j in reps]
+    cover = generator_map(M, gens)
+    return [v for v, _ in gens], cover.source, cover
 
 
 def indec_iso(M: Module, N: Module):

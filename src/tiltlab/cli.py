@@ -73,7 +73,7 @@ def build_parser():
 
 def _load_job(args):
     path = Path(args.job)
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     overrides = {k: getattr(args, k)
                  for k in ("window", "budget", "length", "arity_cap",
                            "policy")}
@@ -108,7 +108,8 @@ def main(argv=None):
         if args.out and args.command in ("corpus", "dg-reduce"):
             Path(args.out).write_text(text)
         return code
-    except (JobError, EmptyCorpus, json.JSONDecodeError, OSError) as e:
+    except (JobError, EmptyCorpus, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as e:
         print(f"tiltlab: {e}", file=sys.stderr)
         return EXIT_BADINPUT
     except Exception as e:

@@ -309,15 +309,16 @@ class Complex:
         """{n: dimension vector of H^n} over the support, from the ranks
         of the differential's vertex blocks (untrustworthy outside
         (approx_below, approx_above))."""
-        d = {n: self.d_full(n).blocks for n in self.blocks}
+        d = {n: self.d_full(n) for n in self.blocks}
         for n in d:
-            if n + 1 in d and not all(a.mul(b).is_zero()
-                                      for a, b in zip(d[n], d[n + 1])):
+            if n + 1 in d and not d[n].then(d[n + 1]).is_zero():
                 raise AlgebraError("homology: image not inside kernel")
         degrees = self.support()
+        # an empty vertex block has rank 0, as an absent degree has
         per_vertex = [
             homology_dims({n: self.dims_at(n)[v] for n in degrees},
-                          {n: blocks[v] for n, blocks in d.items()})
+                          {n: b for n, dn in d.items()
+                           if (b := dn.block(v)) is not None})
             for v in range(self.algebra.quiver.n)]
         out = {}
         for n in degrees:
@@ -410,12 +411,7 @@ class ChainMap:
 
     def is_degreewise_iso(self):
         degrees = set(self.source.parts) | set(self.target.parts)
-        for n in degrees:
-            if self.source.dims_at(n) != self.target.dims_at(n):
-                return False
-            if not self.comp(n).is_iso():
-                return False
-        return True
+        return all(self.comp(n).is_iso() for n in degrees)
 
     @classmethod
     def zero(cls, source, target):
@@ -491,7 +487,7 @@ def _find_cancellable(X: Complex, start):
         # row by row: which block is cancelled first decides the result
         for k, l in sorted(grid):
             blk = grid[k, l]
-            if blk.source.dims == blk.target.dims and blk.is_iso():
+            if blk.is_iso():
                 return n, k, l
     return None
 
@@ -811,9 +807,11 @@ class HomComplex:
 
 def _flatten_map(m: ModuleMap):
     out = []
-    for b in m.blocks:
-        for row in b.data:
-            out.extend(row)
+    for v in range(m.source.algebra.quiver.n):
+        b = m.block(v)
+        if b is not None:
+            for row in b.data:
+                out.extend(row)
     return out
 
 

@@ -21,6 +21,7 @@ from .algebra import (
     AlgebraError,
     ModuleMap,
     direct_sum_modules,
+    dual_map,
     kernel_module,
     map_placement,
     map_slice,
@@ -65,9 +66,8 @@ def dual_complex(X: Complex) -> Complex:
     parts = {}
     for n, p in X.parts.items():
         parts[-n] = tuple(Summand(_DUAL_KIND[t.kind], t.vertex) for t in p)
-    blocks = {-n - 1: {(l, k): ModuleMap(
-        tag_module(op, parts[-n - 1][l]), tag_module(op, parts[-n][k]),
-        [bb.transpose() for bb in b.blocks], check=False)
+    blocks = {-n - 1: {(l, k): dual_map(
+        b, tag_module(op, parts[-n - 1][l]), tag_module(op, parts[-n][k]))
         for (k, l), b in grid.items()} for n, grid in X.blocks.items()}
     above = None if X.approx_below is None else -X.approx_below
     below = None if X.approx_above is None else -X.approx_above
@@ -143,9 +143,7 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
         cur_verts, cur_offsets = vlist, offs
         cur_P, cur_phi, cur_d = P, phis[n], d
         if n <= xlo - 2:
-            key = (K.dims, tuple(K.mats[a].data
-                                 for a in range(len(A.quiver.arrows))))
-            if key in seen:
+            if K in seen:
                 # The syzygy recurs p degrees below its first sight, so
                 # the run repeats with period p from here to the cut.
                 # Below xlo - 1, X is zero in degrees n and n + 1, so step
@@ -160,14 +158,14 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
                 # every degree from n - 1 down.  Degree n itself is
                 # computed: d_n lands in P_{n+1}, which P_{n+p+1} need not
                 # equal.  The copies share the block dicts of the period.
-                p = seen[key] - n
+                p = seen[K] - n
                 for m in range(n - 1, bottom - 1, -1):
                     verts[m] = verts[m + p]
                     phis[m] = phis[m + p]
                     blocks[m] = blocks[m + p]
                 n = bottom - 1
                 break
-            seen[key] = n
+            seen[K] = n
         n -= 1
 
     parts = {m: tuple(Summand("P", v) for v in vs)
@@ -190,10 +188,8 @@ def coresolve_complex(X: Complex, top=None, validate=False) -> Resolution:
     res = resolve_complex(DX, bottom=None if top is None else -top,
                           validate=validate)
     I = dual_complex(res.complex)
-    comps = {}
-    for m, phi in res.aug.comps.items():
-        blocks = [b.transpose() for b in phi.blocks]
-        comps[-m] = ModuleMap(X.module(-m), I.module(-m), blocks, check=False)
+    comps = {-m: dual_map(phi, X.module(-m), I.module(-m))
+             for m, phi in res.aug.comps.items()}
     aug = ChainMap(X, I, comps, check=validate)
     return Resolution(I, aug, res.exact)
 

@@ -735,10 +735,10 @@ def dg_reduce_report(job):
 def _corpus_one(path, expected_dir):
     name = path.name[:-len(".json")]
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
         job = parse_job(data, name=name)
         text = render_report(run_pipeline(job, upto="ainf"))
-    except (JobError, json.JSONDecodeError) as e:
+    except (JobError, json.JSONDecodeError, UnicodeDecodeError) as e:
         return name, f"ERROR ({e})", False
     exp = expected_dir / (name + ".txt")
     if not exp.is_file():

@@ -27,10 +27,9 @@ so it is exact on the nose, not up to homotopy.
 
 from collections import namedtuple
 
-from .linalg import Mat
 from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
-                      ModuleMap, is_self_injective, map_placement,
-                      summand_offsets)
+                      ModuleMap, dual_map, generator_map, is_self_injective,
+                      map_placement, summand_offsets)
 from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
                         Summand, complex_iso_search, cone,
                         direct_sum_complexes, extend_along, h0_chain_maps,
@@ -41,16 +40,6 @@ from .derived import (all_tags, coresolve_complex, derived_hom,
 
 # ---- maps between projectives as algebra elements ----
 
-def _gen_position(A, u):
-    """Row of the trivial path inside the vertex-u block of P_u."""
-    P = A.projective(u)
-    for r, i in enumerate(P._proj_basis[u]):
-        _, arrs = A.paths[A.basis[i]]
-        if not arrs:
-            return r
-    raise AlgebraError("projective module lost its generator")
-
-
 def hom_to_element(f: ModuleMap, u, v):
     """The element of e_v A e_u acting as f, for a module map P_u -> P_v.
 
@@ -58,38 +47,25 @@ def hom_to_element(f: ModuleMap, u, v):
     image of the generator, so reading off that image is a bijection.
     """
     A = f.source.algebra
-    r0 = _gen_position(A, u)
     Pv = A.projective(v)
     z = A.field.zero()
     vec = [z] * A.dim
-    blk = f.blocks[u]
+    # e_u, trivial paths coming first, is P_u's first path at u; f has no
+    # block at u only when P_v is zero there, and then the loop is empty
+    blk = f.block(u)
     for c, i in enumerate(Pv._proj_basis[u]):
-        vec[i] = blk[r0, c]
+        vec[i] = blk[0, c]
     return tuple(vec)
 
 
 def left_mult_map(A, lam, u, v):
-    """x -> lam * x as a module map P_u -> P_v, for lam in e_v A e_u."""
-    Pu, Pv = A.projective(u), A.projective(v)
-    f = A.field
-    z = f.zero()
-    blocks = []
-    for t in range(A.quiver.n):
-        allowed = {j: r for r, j in enumerate(Pv._proj_basis[t])}
-        rows = []
-        for i in Pu._proj_basis[t]:
-            img = A.mult(lam, A._unit_coord(i))
-            row = [z] * Pv.dims[t]
-            for j, c in enumerate(img):
-                if not c:
-                    continue
-                if j not in allowed:
-                    raise AlgebraError("left multiplication left its grade")
-                row[allowed[j]] = c
-            rows.append(row)
-        blocks.append(Mat(f, rows, ncols=Pv.dims[t]) if rows
-                      else Mat.zeros(f, 0, Pv.dims[t]))
-    return ModuleMap(Pu, Pv, blocks, check=False)
+    """x -> lam * x as a module map P_u -> P_v, for lam in e_v A e_u: the
+    map that sends the generator of P_u to lam, which lies in the block
+    of P_v at u."""
+    corner = A.projective(v)._proj_basis[u]
+    if any(c for i, c in enumerate(lam) if i not in corner):
+        raise AlgebraError("left multiplication needs an element of e_v A e_u")
+    return generator_map(A.projective(v), [(u, [lam[i] for i in corner])])
 
 
 def nu_map(f: ModuleMap, u, v) -> ModuleMap:
@@ -104,16 +80,14 @@ def nu_map(f: ModuleMap, u, v) -> ModuleMap:
     lam = hom_to_element(f, u, v)
     mu = A.to_op(lam)
     ghat = left_mult_map(op, mu, v, u)
-    return ModuleMap(A.injective(u), A.injective(v),
-                     [b.transpose() for b in ghat.blocks], check=False)
+    return dual_map(ghat, A.injective(u), A.injective(v))
 
 
 def nu_inv_map(g: ModuleMap, u, v) -> ModuleMap:
     """Inverse twist of a map I_u -> I_v, as a map P_u -> P_v."""
     A = g.source.algebra
     op = A.op()
-    ghat = ModuleMap(op.projective(v), op.projective(u),
-                     [b.transpose() for b in g.blocks], check=False)
+    ghat = dual_map(g, op.projective(v), op.projective(u))
     mu = hom_to_element(ghat, v, u)
     lam = op.to_op(mu)
     return left_mult_map(A, lam, u, v)

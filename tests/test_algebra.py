@@ -10,6 +10,7 @@ from tiltlab.algebra import (
     AlgebraError,
     FiniteAlgebra,
     Module,
+    ModuleMap,
     Quiver,
     direct_sum_modules,
     dual_module,
@@ -17,6 +18,8 @@ from tiltlab.algebra import (
     indec_iso,
     is_self_injective,
     kernel_module,
+    map_placement,
+    map_slice,
     nakayama_permutation,
     projective_cover,
     sub_module,
@@ -24,6 +27,8 @@ from tiltlab.algebra import (
 )
 from tiltlab.linalg import Mat, PrimeField, QQ
 from tiltlab.reporting import algebra_presentation, parse_job
+
+from test_direct_sums import dense_arrow, dense_blocks, from_dense
 
 
 def a2(field=QQ):
@@ -101,7 +106,7 @@ def test_a2_hom_dimensions():
 def test_module_validate_rejects_bad_action():
     A = dual_numbers()
     with pytest.raises(AlgebraError):
-        Module(A, (1,), {0: Mat.from_rows(QQ, [[1]])}, check=True)
+        Module(A, (1,), {0: Mat.from_rows(QQ, [[1]])}).validate()
 
 
 def test_projective_cover_of_simple():
@@ -109,10 +114,10 @@ def test_projective_cover_of_simple():
     verts, P, cover = projective_cover(A.simple(0))
     assert verts == [0]
     assert P.dims == (1, 1)
-    # surjective on every vertex block
-    for v in range(2):
-        want = A.simple(0).dims[v]
-        assert cover.blocks[v].rank() == want
+    # surjective at vertex 1; S_1 is zero at vertex 2, where the cover
+    # has no block
+    assert cover.block(0).rank() == 1
+    assert cover.block(1) is None
     assert cover.commutes()
 
 
@@ -261,23 +266,22 @@ def test_cyclic_requires_bound():
 # ---- sub_module against a solve per arrow ----
 
 def sub_module_by_solve(M, span_rows):
-    """sub_module as one transpose-and-solve per arrow: (dims, arrow
-    matrices, inclusion blocks), or None where the span is not closed."""
+    """sub_module as one transpose-and-solve per arrow, on the dense
+    matrices of every arrow and vertex: (dims, arrow matrices, inclusion
+    blocks) with the empty ones left out, or None where the span is not
+    closed."""
     A = M.algebra
-    f = A.field
     basis = [rows.row_space_basis() for rows in span_rows]
     dims = tuple(b.nrows for b in basis)
     mats = {}
     for a, (_, s, t) in enumerate(A.quiver.arrows):
-        if dims[s] == 0:
-            mats[a] = Mat.zeros(f, 0, dims[t])
-            continue
-        img = basis[s].mul(M.mats[a])
+        img = basis[s].mul(dense_arrow(M, a))
         sol = basis[t].transpose().solve(img.transpose())
         if sol is None:
             return None
         mats[a] = sol.transpose()
-    return dims, mats, basis
+    return (dims, {a: m for a, m in mats.items() if m.nrows and m.ncols},
+            {v: b for v, b in enumerate(basis) if b.nrows})
 
 
 def closed_span(M, spans):
@@ -290,7 +294,7 @@ def closed_span(M, spans):
         for a, (_, s, t) in enumerate(M.algebra.quiver.arrows):
             if not spans[s].nrows:
                 continue
-            img = spans[s].mul(M.mats[a])
+            img = spans[s].mul(dense_arrow(M, a))
             both = Mat(M.algebra.field, spans[t].data + img.data,
                        ncols=M.dims[t])
             if both.rank() > spans[t].rank():
@@ -304,7 +308,8 @@ def closed_span(M, spans):
 def test_sub_module_matches_a_solve_per_arrow(seed, field_key):
     rng = random.Random(seed)
     field = QQ if field_key == "Q" else PrimeField(field_key)
-    A = rng.choice([a2, a4_cubic, nakayama_two, dual_numbers])(field)
+    A = rng.choice([a2, a4_cubic, nakayama_two, dual_numbers,
+                    *ISOLATED.values()])(field)
     n = A.quiver.n
     kinds = (A.projective, A.injective, A.simple)
     M, _ = direct_sum_modules(A, [rng.choice(kinds)(rng.randrange(n))
@@ -316,17 +321,206 @@ def test_sub_module_matches_a_solve_per_arrow(seed, field_key):
     if rng.random() < 0.5:
         spans = closed_span(M, spans)
     want = sub_module_by_solve(M, spans)
+    # a vertex left out of the dict spans zero
+    given = {v: rows for v, rows in enumerate(spans)
+             if rows.nrows or rng.random() < 0.5}
     if want is None:
         with pytest.raises(AlgebraError, match="not closed"):
-            sub_module(M, spans)
+            sub_module(M, given)
         return
-    S, inc = sub_module(M, spans)
+    S, inc = sub_module(M, given)
     dims, mats, basis = want
     assert S.dims == dims
-    assert all(S.mats[a] == mats[a] for a in range(len(A.quiver.arrows)))
+    assert S.mats == mats
     assert inc.blocks == basis
     S.validate()
     assert inc.commutes()
+
+
+# ---- the support format ----
+
+# Algebras with an isolated vertex: most of their modules have arrows
+# with an end of dimension zero, and most maps between them vertices
+# where one side is zero.
+ISOLATED = {
+    "A2+pt": lambda f: Algebra(f, Quiver(3, [("a", 0, 1)]), []),
+    "kronecker+pt": lambda f: Algebra(
+        f, Quiver(3, [("a", 0, 1), ("b", 0, 1)]), []),
+    "dual+pt": lambda f: Algebra(f, Quiver(2, [("x", 0, 0)]),
+                                 [[(1, ["x", "x"])]], nilpotency_bound=2),
+    "A3/ab+pt": lambda f: Algebra(
+        f, Quiver(4, [("a", 0, 1), ("b", 1, 2)]), [[(1, ["a", "b"])]]),
+}
+
+
+def test_constructors_take_exactly_the_support():
+    # 1 -a-> 2 -b-> 3: P_2 is zero at vertex 1, so a has an end of
+    # dimension zero on it and b has none
+    A = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
+    one = Mat.from_rows(QQ, [[1]])
+    P, S = A.projective(1), A.simple(1)
+    assert P.dims == (0, 1, 1) and S.dims == (0, 1, 0)
+    for mats in ({0: Mat.zeros(QQ, 0, 1), 1: one},  # a key outside
+                 {}):                               # a key missing
+        with pytest.raises(AlgebraError):
+            Module(A, P.dims, mats)
+    assert Module(A, P.dims, {1: one}) == P
+    for src, tgt, blocks in [
+            (S, P, {0: Mat.zeros(QQ, 0, 0), 1: one}),  # a key outside
+            (S, P, {}),                                # a key missing
+            (S, P, {1: Mat.zeros(QQ, 1, 2)}),          # a wrong shape
+            (P, P, {2: one, 1: one})]:                 # out of order
+        with pytest.raises(AlgebraError):
+            ModuleMap(src, tgt, blocks)
+    assert ModuleMap(P, P, {1: one, 2: one}) == ModuleMap.identity(P)
+
+
+@pytest.mark.parametrize("key", sorted(ISOLATED))
+def test_no_stored_matrix_is_empty(key):
+    A = ISOLATED[key](QQ)
+    mods = [get(v) for get in (A.projective, A.simple, A.injective)
+            for v in range(A.quiver.n)]
+    kernels = [kernel_module(h) for M in mods for N in mods
+               for h in hom_basis(M, N)]
+    modules = mods + [direct_sum_modules(A, mods)[0]] + \
+        [K for K, _ in kernels]
+    assert all(m.nrows and m.ncols for M in modules for m in M.mats.values())
+    assert all(b.nrows and b.ncols
+               for _, inc in kernels for b in inc.blocks.values())
+
+
+def _flat(F):
+    return [x for b in dense_blocks(F) for row in b.data for x in row]
+
+
+def dense_hom_basis(M, N):
+    """hom_basis on dense blocks at every vertex: the kernel of the map
+    F -> (a F_t - F_s a) over all arrows a: s -> t, with the blocks F_v
+    flattened row by row in vertex order; each basis map as one list."""
+    A = M.algebra
+    f = A.field
+    shapes = [(M.dims[v], N.dims[v]) for v in range(A.quiver.n)]
+    total = sum(r * c for r, c in shapes)
+    width = sum(M.dims[s] * N.dims[t] for _, s, t in A.quiver.arrows)
+    images = []
+    for u in range(total):
+        unit = [f.one() if i == u else f.zero() for i in range(total)]
+        blocks, at = [], 0
+        for r, c in shapes:
+            blocks.append(Mat(f, [unit[at + i * c:at + (i + 1) * c]
+                                  for i in range(r)], ncols=c))
+            at += r * c
+        img = []
+        for a, (_, s, t) in enumerate(A.quiver.arrows):
+            eq = dense_arrow(M, a).mul(blocks[t]).add(
+                blocks[s].mul(dense_arrow(N, a)).scale(-1))
+            img.extend(x for row in eq.data for x in row)
+        images.append(img)
+    # the rows are the images of the unit maps, so the homs are the rows
+    # of the left kernel
+    kernel = Mat(f, images, ncols=width).left_kernel_basis()
+    return [list(row) for row in kernel.data]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["Q", 5]),
+       st.sampled_from(sorted(ISOLATED)))
+def test_support_format_matches_dense_blocks(seed, field_key, key):
+    """Maps on the support against the same operations on dense blocks
+    at every vertex, the empty ones included."""
+    rng = random.Random(seed)
+    field = QQ if field_key == "Q" else PrimeField(field_key)
+    A = ISOLATED[key](field)
+    n = A.quiver.n
+
+    def summands():
+        return [rng.choice((A.projective, A.injective, A.simple))(
+            rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+
+    def linear_map(M, N):
+        return from_dense(M, N, [
+            Mat(field, [[field.of(rng.randrange(-2, 3))
+                         for _ in range(N.dims[v])]
+                        for _ in range(M.dims[v])], ncols=N.dims[v])
+            for v in range(n)])
+
+    def rebased(M):
+        """M in a random basis at each vertex, so that a loop need not
+        act by a matrix with a zero diagonal."""
+        g = []
+        for d in M.dims:
+            while True:
+                b = Mat(field, [[field.of(rng.randrange(-2, 3))
+                                 for _ in range(d)] for _ in range(d)],
+                        ncols=d)
+                if b.is_invertible():
+                    break
+            g.append(b)
+        q = A.quiver
+        return Module(A, M.dims, {
+            a: g[q.source(a)].mul(m).mul(g[q.target(a)].inverse())
+            for a, m in M.mats.items()})
+
+    L_mods, M_mods, N_mods = summands(), summands(), summands()
+    L = direct_sum_modules(A, L_mods)[0]
+    M, m_off = direct_sum_modules(A, M_mods)
+    N, n_off = direct_sum_modules(A, N_mods)
+    M = rebased(M) if rng.random() < 0.5 else M
+    N = rebased(N) if rng.random() < 0.5 else N
+
+    F, F2, G = linear_map(L, M), linear_map(L, M), linear_map(M, N)
+    c = field.of(rng.randrange(-3, 4))
+    dF = dense_blocks(F)
+    assert dense_blocks(F.then(G)) == \
+        [a.mul(b) for a, b in zip(dF, dense_blocks(G))]
+    assert dense_blocks(F.add(F2)) == \
+        [a.add(b) for a, b in zip(dF, dense_blocks(F2))]
+    assert dense_blocks(F.scale(c)) == [b.scale(c) for b in dF]
+
+    basis = hom_basis(M, N)
+    assert [_flat(h) for h in basis] == dense_hom_basis(M, N)
+    H = ModuleMap.zero(M, N)
+    for h in basis:
+        H = H.add(h.scale(field.of(rng.randrange(-2, 3))))
+    E = ModuleMap.identity(M)
+    for h in hom_basis(M, M):
+        E = E.add(h.scale(field.of(rng.randrange(-2, 3))))
+    for X in (F, G, H, E):
+        dX = dense_blocks(X)
+        assert X.is_iso() == all(b.is_invertible() for b in dX)
+        if X.is_iso():
+            assert dense_blocks(X.inverse()) == [b.inverse() for b in dX]
+
+    K, inc = kernel_module(H)
+    assert dense_blocks(inc) == [b.left_kernel_basis().row_space_basis()
+                                 for b in dense_blocks(H)]
+    dims, mats, _ = sub_module_by_solve(M, dense_blocks(inc))
+    assert K.dims == dims and K.mats == mats
+    K.validate()
+    assert inc.commutes()
+
+    F = linear_map(M, N)
+    for k, src in enumerate(M_mods):
+        for l, tgt in enumerate(N_mods):
+            want = [Mat(field, [row[n_off[l][v]:n_off[l][v] + tgt.dims[v]]
+                                for row in b.data[m_off[k][v]:
+                                                  m_off[k][v] + src.dims[v]]],
+                        ncols=tgt.dims[v])
+                    for v, b in enumerate(dense_blocks(F))]
+            got = map_slice(F, src, m_off[k], tgt, n_off[l])
+            assert dense_blocks(got) == want
+    pieces = {(k, l): linear_map(src, tgt)
+              for k, src in enumerate(M_mods)
+              for l, tgt in enumerate(N_mods) if rng.random() < 0.6}
+    want = []
+    for v in range(n):
+        full = [[field.zero()] * N.dims[v] for _ in range(M.dims[v])]
+        for (k, l), b in pieces.items():
+            for i, row in enumerate(dense_blocks(b)[v].data):
+                for j, x in enumerate(row):
+                    full[m_off[k][v] + i][n_off[l][v] + j] = x
+        want.append(Mat(field, full, ncols=N.dims[v]))
+    assert dense_blocks(map_placement(M, m_off, N, n_off, pieces)) == want
 
 
 # ---- structure constants of the path algebra, by brute force ----

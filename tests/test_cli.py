@@ -197,6 +197,14 @@ def test_inexact_coefficient_is_a_usage_error(tmp_path, capsys):
     assert "coefficient 0.5" in err
 
 
+def test_non_utf8_job_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code == 4
+    assert "internal error" not in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, ["tilt", str(tmp_path / "absent.json")])
     assert code == 4
@@ -250,6 +258,19 @@ def test_corpus_detects_tampering(tmp_path, capsys):
     code, out, _ = run(capsys, ["corpus", str(work)])
     assert code == 2
     assert "a2_simples: MISMATCH at line" in out
+    assert "result: MISMATCH" in out
+
+
+def test_corpus_reports_a_non_utf8_job_and_runs_the_rest(tmp_path, capsys):
+    work = tmp_path / "corpus"
+    shutil.copytree(default_corpus_dir(), work)
+    (work / "bin.json").write_bytes(b"\xff\xfe\x00bad")
+    code, out, _ = run(capsys, ["corpus", str(work)])
+    assert code == 2
+    assert "bin: ERROR (" in out
+    for name in ("a2_simples", "a2_apr", "a2_negative",
+                 "dual_numbers", "nakayama2", "a4_cubic"):
+        assert f"{name}: OK" in out
     assert "result: MISMATCH" in out
 
 

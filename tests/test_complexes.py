@@ -24,7 +24,8 @@ from tiltlab.derived import dual_complex, resolve_complex
 from tiltlab.linalg import QQ, Mat, PrimeField, Subquotient
 from tiltlab.tilting import hom_to_element, left_mult_map
 
-from test_direct_sums import ALGEBRAS, FIELDS, random_chain_map, random_complex
+from test_direct_sums import (ALGEBRAS, FIELDS, dense_blocks, from_dense,
+                              random_chain_map, random_complex)
 
 
 @pytest.fixture
@@ -302,8 +303,8 @@ def test_block_dicts_give_the_whole_differentials_of_their_formulas(
         # the dual has the transposed d_Z^{-n-1} in degree n
         D = dual_complex(Z)
         for n in range(-hi - 1, -lo):
-            assert D.d_full(n).blocks == \
-                [b.transpose() for b in Z.d_full(-n - 1).blocks]
+            assert dense_blocks(D.d_full(n)) == \
+                [b.transpose() for b in dense_blocks(Z.d_full(-n - 1))]
 
 
 def test_validate_rejects_a_block_key_outside_its_degree(A):
@@ -322,7 +323,8 @@ def _homology_by_subquotient(X):
     for n in X.support():
         dims = []
         for v in range(X.algebra.quiver.n):
-            d_in, d_out = X.d_full(n - 1).blocks[v], X.d_full(n).blocks[v]
+            d_in = dense_blocks(X.d_full(n - 1))[v]
+            d_out = dense_blocks(X.d_full(n))[v]
             ker = d_out.left_kernel_basis() if d_out.ncols else \
                 Mat.identity(f, d_out.nrows)
             dims.append(Subquotient(ker, d_in).dim)
@@ -361,7 +363,7 @@ def test_describe(A):
 
 
 def _flat(m):
-    return [x for b in m.blocks for row in b.data for x in row]
+    return [x for b in dense_blocks(m) for row in b.data for x in row]
 
 
 def _coords_by_solve(f, entries, img):
@@ -419,7 +421,7 @@ def test_hom_coords_match_a_solve_per_block(seed, field_key):
                                for _ in range(tgt.dims[v])]
                               for _ in range(src.dims[v])], ncols=tgt.dims[v])
                   for v in range(3)]
-        img = {k: ModuleMap(src, tgt, blocks, check=False)}
+        img = {k: from_dense(src, tgt, blocks)}
         want = _coords_by_solve(field, hc.bases.get(n, []), img)
         if want is None:
             with pytest.raises(AlgebraError):

@@ -44,6 +44,8 @@ from tiltlab.derived import (
 )
 from tiltlab.linalg import QQ, Mat, PrimeField, is_unimodular
 
+from test_direct_sums import dense_blocks
+
 
 @pytest.fixture
 def A2():
@@ -342,7 +344,7 @@ def loop_with_two_arrows_in():
 
 
 def _flat(g):
-    return [x for b in g.blocks for row in b.data for x in row]
+    return [x for b in dense_blocks(g) for row in b.data for x in row]
 
 
 def combine(M, N, maps, coeffs):

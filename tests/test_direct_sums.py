@@ -34,7 +34,34 @@ ALGEBRAS = {
     "nak2": lambda f: Algebra(
         f, Quiver(2, [("a", 0, 1), ("b", 1, 0)]),
         [[(1, ["a", "b"])], [(1, ["b", "a"])]], nilpotency_bound=2),
+    # an isolated vertex: every map has vertices where one side is zero
+    "A2+pt": lambda f: Algebra(f, Quiver(3, [("a", 0, 1)]), []),
 }
+
+
+def dense_arrow(M, a):
+    """The matrix of arrow a on M, empty where the support format leaves
+    it out."""
+    s, t = M.algebra.quiver.source(a), M.algebra.quiver.target(a)
+    m = M.mats.get(a)
+    return Mat.zeros(M.algebra.field, M.dims[s], M.dims[t]) if m is None \
+        else m
+
+
+def dense_blocks(F):
+    """The blocks of a module map at every vertex, with the empty ones
+    that the support format leaves out."""
+    f = F.source.algebra.field
+    return [Mat.zeros(f, F.source.dims[v], F.target.dims[v])
+            if F.block(v) is None else F.block(v)
+            for v in range(F.source.algebra.quiver.n)]
+
+
+def from_dense(source, target, blocks):
+    """The module map with blocks[v] at every vertex v; the empty blocks
+    are left out, as the support format asks."""
+    return ModuleMap(source, target, {v: b for v, b in enumerate(blocks)
+                                      if b.nrows and b.ncols})
 
 
 def reference_sum(algebra, mods):
@@ -51,14 +78,15 @@ def reference_sum(algebra, mods):
         big = [[f.zero()] * dims[t] for _ in range(dims[s])]
         ro = co = 0
         for m in mods:
-            blk = m.mats[a]
+            blk = dense_arrow(m, a)
             for r in range(blk.nrows):
                 for c in range(blk.ncols):
                     big[ro + r][co + c] = blk[r, c]
             ro += m.dims[s]
             co += m.dims[t]
         mats[a] = Mat(f, big, ncols=dims[t])
-    total = Module(algebra, dims, mats)
+    total = Module(algebra, dims, {a: m for a, m in mats.items()
+                                   if m.nrows and m.ncols})
     maps = []
     offs = [0] * n
     for m in mods:
@@ -67,9 +95,8 @@ def reference_sum(algebra, mods):
             rows = [[f.one() if c == offs[v] + r else f.zero()
                      for c in range(dims[v])] for r in range(m.dims[v])]
             inc_blocks.append(Mat(f, rows, ncols=dims[v]))
-        maps.append((ModuleMap(m, total, inc_blocks, check=False),
-                     ModuleMap(total, m, [b.transpose() for b in inc_blocks],
-                               check=False)))
+        maps.append((from_dense(m, total, inc_blocks),
+                     from_dense(total, m, [b.transpose() for b in inc_blocks])))
         offs = [o + d for o, d in zip(offs, m.dims)]
     return total, maps
 
@@ -83,10 +110,10 @@ def random_linear_map(source, target, rng):
     """Vertexwise random matrices; not a module map in general, so every
     entry of a block tells where it was read from."""
     f = source.algebra.field
-    return ModuleMap(source, target, [
+    return from_dense(source, target, [
         Mat(f, [[f.of(rng.randrange(-3, 4)) for _ in range(target.dims[v])]
                 for _ in range(source.dims[v])], ncols=target.dims[v])
-        for v in range(source.algebra.quiver.n)], check=False)
+        for v in range(source.algebra.quiver.n)])
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,7 +23,9 @@ function, method or lambda in src/tiltlab is never read in its body
 the interface methods of linalg.Field).  A fifth fails when a module of
 src/tiltlab other than linalg imports fractions or names Fraction: the
 scalar representation is linalg's alone, and every other module computes
-through the field's operations.
+through the field's operations.  A sixth fails when a module of
+src/tiltlab other than algebra names the attribute `mats`: how a module
+stores its arrow matrices (on its support only) is algebra's alone.
 """
 
 import ast
@@ -197,4 +199,13 @@ def test_only_linalg_knows_fractions():
               if path.stem != "linalg"
               and _names_fractions(ast.parse(path.read_text()))]
     assert not naming, "modules besides linalg that use fractions: " + \
+        ", ".join(naming)
+
+
+def test_only_algebra_reads_arrow_matrices():
+    naming = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "algebra"
+              and any(isinstance(n, ast.Attribute) and n.attr == "mats"
+                      for n in ast.walk(ast.parse(path.read_text())))]
+    assert not naming, "modules besides algebra that read Module.mats: " + \
         ", ".join(naming)
