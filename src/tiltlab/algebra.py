@@ -24,7 +24,7 @@ code that produces an algebra builds it directly.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .linalg import Echelon, Field, Mat
 
@@ -399,10 +399,11 @@ def arrow_support(quiver, dims):
             if dims[s] and dims[t]]
 
 
+@lru_cache(maxsize=1 << 12)
 def vertex_support(dims, other):
-    """The vertices where both dimension vectors are nonzero, in
-    ascending order: the vertices a map between such modules stores."""
-    return [v for v in range(len(dims)) if dims[v] and other[v]]
+    """The vertices where both dimension tuples are nonzero, as an
+    ascending tuple: the vertices a map between such modules stores."""
+    return tuple(v for v in range(len(dims)) if dims[v] and other[v])
 
 
 class Module:
@@ -493,7 +494,7 @@ class ModuleMap:
         self.target = target
         self.blocks = blocks
         sd, td = source.dims, target.dims
-        if list(blocks) != vertex_support(sd, td):
+        if tuple(blocks) != vertex_support(sd, td):
             raise AlgebraError("module map blocks must be given, in order, "
                                "on the vertices of vertex_support")
         for v, b in blocks.items():
@@ -986,7 +987,9 @@ class FiniteAlgebra:
 
     products is the degree-zero block {(0, 0): {(a, b): ((k, c), ...)}}
     of the sparse format (see sparse_structure); the unit fixes the
-    dimension.
+    dimension.  The basis need not be adapted to the idempotents: the
+    Peirce corners are read through the matrix of x -> e_i x e_j, built
+    once per pair (i, j) from sparse products.
     """
 
     def __init__(self, field, products, unit, idempotents):
@@ -996,6 +999,7 @@ class FiniteAlgebra:
         self.products = sparse_structure(products, {0: self.dim},
                                          AlgebraError)
         self.idempotents = [tuple(e) for e in idempotents]
+        self._corners = {}
         self._peirce = {}
         self.verify_structure()
 
@@ -1029,11 +1033,25 @@ class FiniteAlgebra:
         if tuple(acc) != self.unit:
             raise AlgebraError("idempotents do not sum to the unit")
 
+    def _corner_map(self, i, j):
+        """The matrix of x -> e_i x e_j, whose row k holds e_i b_k e_j."""
+        if (i, j) not in self._corners:
+            f, one = self.field, self.field.one()
+            ei, ej = ([(a, c) for a, c in enumerate(e) if c]
+                      for e in (self.idempotents[i], self.idempotents[j]))
+            rows = []
+            for k in range(self.dim):
+                left = sparse_product(f, self.products, 0, ei, 0, ((k, one),))
+                row = sparse_product(f, self.products, 0, left.items(), 0, ej)
+                rows.append([row.get(t, f.zero()) for t in range(self.dim)])
+            self._corners[(i, j)] = Mat(f, rows, ncols=self.dim)
+        return self._corners[(i, j)]
+
     def corner_rows(self, i, j, rows):
-        """Row basis of the span of e_i x e_j over the rows x of a Mat."""
-        ei, ej = self.idempotents[i], self.idempotents[j]
-        out = [list(self.mult(self.mult(ei, tuple(x)), ej)) for x in rows.data]
-        return Mat(self.field, out, ncols=self.dim).row_space_basis()
+        """Row basis of the span of e_i x e_j over the rows x of a Mat: the
+        row space of rows times the matrix of x -> e_i x e_j.  It is the
+        reduced echelon form, which depends only on the span."""
+        return rows.mul(self._corner_map(i, j)).row_space_basis()
 
     def peirce_basis(self, i, j):
         """Row basis of e_i A e_j inside the whole space, built once."""

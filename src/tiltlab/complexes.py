@@ -796,10 +796,13 @@ class HomComplex:
 
     def chain_classes(self, n=0):
         """Representative cycles at degree n as {k: ModuleMap} dicts,
-        and H^n as a Subquotient of the degree-n coordinates."""
+        and H^n as a Subquotient of the degree-n coordinates; no
+        representatives and None for H when degree n is empty."""
         self._require(n - 1, n + 1)
+        if n not in self.bases:
+            return [], None
         d_in = self.diffs.get(n - 1)
-        boundaries = (Mat.zeros(self.field, 0, self.dims.get(n, 0))
+        boundaries = (Mat.zeros(self.field, 0, self.dims[n])
                       if d_in is None else d_in.row_space_basis())
         H = Subquotient(self.cycles(n), boundaries)
         return [self.element(n, list(r)) for r in H.reps.data], H

@@ -191,9 +191,12 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
+        # a unit pivot is the common case, and it is its own inverse
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return _q(1 / Fraction(a))
+        return _q(Fraction(1, a))
 
     norm = staticmethod(_q)
 

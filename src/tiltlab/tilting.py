@@ -32,8 +32,7 @@ from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
                       map_placement, summand_offsets)
 from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
                         Summand, complex_iso_search, cone,
-                        direct_sum_complexes, extend_along, h0_chain_maps,
-                        minimize)
+                        direct_sum_complexes, extend_along, minimize)
 from .derived import (all_tags, coresolve_complex, derived_hom,
                       injective_form, shift_coresolution)
 
@@ -155,27 +154,38 @@ def _assemble_evaluation(pieces, T: Complex):
 def _b_table(sources, T):
     """Homotopy classes of maps from each shifted member into T.
 
-    sources holds (j, m, U, iota) per shifted member U = X_j[m], with
-    iota the coaugmentation of U's coresolution when X_j is a stalk and
-    None otherwise.  Returns (table, pieces) with table[(j, m)] = class
+    sources holds (j, X_j, shifted) per member, with shifted the
+    (m, U, iota) of each shifted member U = X_j[m], iota the
+    coaugmentation of U's coresolution when X_j is a stalk and None
+    otherwise.  Returns (table, pieces) with table[(j, m)] = class
     count and pieces the (source, map) pairs to cone, nearest shift
     only: a stalk's class map g: U -> T is extended along iota to the
     coresolution, so that the cone is already a complex of injectives;
     any other member hands over (U, g) unchanged.  Classes are only
     collected where the hom window certifies degree zero; anything else
     is a setup error.
+
+    Hom^0(X_j[m], T) is Hom^(-m)(X_j, T) entry for entry, with degree k
+    of X_j at k - m in X_j[m], and with the same differential: the
+    shift's sign (-1)^m on d is the hom differential's (-1)^(-m).  So
+    one hom complex per member serves every shift and window check.
     """
     btab = {}
     by_shift = {}
-    for (j, m, U, iota) in sources:
-        maps, hc = h0_chain_maps(U, T)
-        if not hc.is_valid_degree(0):
-            raise AlgebraError(
-                "hom window too shallow for the requested shift; "
-                "increase the resolution depth")
-        if maps:
-            btab[(j, m)] = len(maps)
-            by_shift.setdefault(m, []).append((U, iota, maps))
+    for j, X, shifted in sources:
+        hom = [-m for m, _, _ in shifted]
+        hc = HomComplex(X, T, degrees=(min(hom) - 1, max(hom) + 1))
+        for m, U, iota in shifted:
+            if not hc.is_valid_degree(-m):
+                raise AlgebraError(
+                    "hom window too shallow for the requested shift; "
+                    "increase the resolution depth")
+            reps, _ = hc.chain_classes(-m)
+            if reps:
+                maps = [ChainMap(U, T, {k - m: c for k, c in rep.items()},
+                                 check=False) for rep in reps]
+                btab[(j, m)] = len(maps)
+                by_shift.setdefault(m, []).append((U, iota, maps))
     if not by_shift:
         return btab, []
     pieces = []
@@ -324,11 +334,14 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
     cores = [coresolve_complex(X, top=tau) for X in objects]
     sources = []
     for j, X in enumerate(objects):
+        shifted = []
         for m in range(-window, 0):
             U = X.shift(m)
             iota = (shift_coresolution(cores[j], U, m, tau)
                     if len(X.parts) == 1 else None)
-            sources.append((j, m, U, iota))
+            shifted.append((m, U, iota))
+        if shifted:
+            sources.append((j, X, shifted))
     runs = []
     for i in range(len(objects)):
         T0 = minimize(cores[i].complex, verify=False).complex
@@ -387,6 +400,11 @@ def h0_endomorphism_algebra(runs, hc):
     the j-th companion to the i-th.  Returns (algebra, info) where info
     carries the class count and the per-companion idempotent
     coordinates.
+
+    A product is formed only when a target companion of the first factor
+    is a source companion of the second, read off T = (+) T_i from the
+    nonzero entries of each class; any other is zero block by block.
+    Nothing assumes the class basis adapted to the idempotents.
     """
     T = hc.X
     A = T.algebra
@@ -398,15 +416,31 @@ def h0_endomorphism_algebra(runs, hc):
     dim = len(reps)
 
     def coords_of(comps):
-        out = H.coords(hc.coords(0, comps))
+        # only a zero T has an empty degree 0, with no classes and no H
+        out = H.coords(hc.coords(0, comps)) if H is not None else ()
         if out is None:
             raise AlgebraError("composite of cycles failed to be a cycle")
         return out
+
+    pieces = {n: [S.module(n) for S in summands] for n in T.parts}
+    offsets = {n: summand_offsets(A, mods)[0] for n, mods in pieces.items()}
+    # owner[(n, v)][p]: the companion that position p of T^n at v lies in
+    owner = {(n, v): [i for i, M in enumerate(mods) for _ in range(M.dims[v])]
+             for n, mods in pieces.items() for v in range(A.quiver.n)}
+    # each class's (source, target) companion pairs with a nonzero entry
+    support = [{(owner[(n, v)][r], owner[(n, v)][c])
+                for n, m in rep.items() for v, b in m.blocks.items()
+                for r, row in enumerate(b.data) for c, x in enumerate(row) if x}
+               for rep in reps]
+    sources = [{i for i, _ in pairs} for pairs in support]
+    targets = [{j for _, j in pairs} for pairs in support]
 
     maps = [ChainMap(T, T, rep, check=False) for rep in reps]
     block = {}
     for a in range(dim):
         for b in range(dim):
+            if targets[b].isdisjoint(sources[a]):
+                continue
             prod = coords_of(maps[b].then(maps[a]).comps)
             coords = tuple((k, c) for k, c in enumerate(prod) if c)
             if coords:
@@ -414,8 +448,6 @@ def h0_endomorphism_algebra(runs, hc):
     unit = coords_of({n: ModuleMap.identity(T.module(n)) for n in T.parts})
 
     # companion i's idempotent is the identity on its block of T
-    pieces = {n: [S.module(n) for S in summands] for n in T.parts}
-    offsets = {n: summand_offsets(A, mods)[0] for n, mods in pieces.items()}
     idems = []
     for i in range(len(summands)):
         comps = {n: map_placement(T.module(n), offsets[n], T.module(n), offsets[n],

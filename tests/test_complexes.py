@@ -543,7 +543,11 @@ def test_hom_complex_built_in_some_degrees_matches_the_full_one(
         want, H_full = full.chain_classes(n)
         assert [{k: m.blocks for k, m in r.items()} for r in reps] == \
             [{k: m.blocks for k, m in r.items()} for r in want]
-        assert H.reps == H_full.reps
+        if n in part.bases:
+            assert H.reps == H_full.reps
+        else:
+            # an empty degree has no classes and builds no subquotient
+            assert reps == [] and H is None and H_full is None
     # every read that needs a degree outside lo..hi refuses
     with pytest.raises(AlgebraError, match="not built"):
         part.h_dim(lo)
