@@ -42,7 +42,8 @@ was cut.
 
 from collections import namedtuple
 
-from .algebra import peirce_tags, sparse_product, sparse_structure
+from .algebra import (check_idempotents, check_unit, peirce_tags,
+                      sparse_product, sparse_structure)
 from .dg import DgAlgebra, endomorphism_dg_algebra
 from .derived import resolve_complex
 from .linalg import Echelon, Mat, independent_rows
@@ -198,24 +199,13 @@ class AInfAlgebra:
                 out_deg = sum(d for d, _ in key) + 2 - n
                 if any(self.tags[out_deg][k] != corner for k, _ in val):
                     raise AInfError("operation leaves its corner")
-        # idempotents: orthogonal, and their sum is a strict unit
+        # the unit is the sum of the idempotents, so they are checked first
         m2 = self.ops.get(2, {})
-        one = f.one()
-        idems = [tuple((a, c) for a, c in enumerate(e) if c)
-                 for e in self.idempotents]
-        for i, e in enumerate(idems):
-            for j, e2 in enumerate(idems):
-                want = dict(e) if i == j else {}
-                if sparse_product(f, m2, 0, e, 0, e2) != want:
-                    raise AInfError("idempotents are not orthogonal")
-        unit = self.unit
-        for k in self.degrees():
-            for a in range(self.dim_at(k)):
-                x = ((a, one),)
-                if sparse_product(f, m2, 0, unit, k, x) != {a: one} or \
-                        sparse_product(f, m2, k, x, 0, unit) != {a: one}:
-                    raise AInfError("the unit is not strictly unital")
         n0 = self.dim_at(0)
+        coords = dict(self.unit)
+        unit = [coords.get(a, f.zero()) for a in range(n0)]
+        check_idempotents(f, m2, self.idempotents, unit, AInfError)
+        check_unit(f, m2, self.dims, unit, AInfError)
         span = Echelon(Mat(f, self.idempotents, ncols=n0))
         idem_span = {a for a, row in enumerate(Mat.identity(f, n0).data)
                      if span.coords(row) is not None}

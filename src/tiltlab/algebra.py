@@ -843,7 +843,7 @@ def is_self_injective(A: Algebra):
 
 # ---- sparse structure constants (shared with dg algebras) ----
 
-def sparse_structure(structure, dims, error):
+def sparse_structure(structure, dims, error, acting=None):
     """The one structure-constant format, checked and returned.
 
     structure[degs][idx] = ((k, c), ...) lists the nonzero coordinates c,
@@ -851,13 +851,17 @@ def sparse_structure(structure, dims, error):
     operation on the idx[t]-th basis element of degree degs[t]; dims maps
     degrees to dimensions.  A product has degs = (i, j) and lands in
     degree i + j; the n-ary operations of an A-infinity algebra, of degree
-    2 - n, use the same table.  Only nonzero values appear, and the code
-    that produces an algebra builds this table directly.  Raises `error`
-    for an index outside dims, a coordinate outside the target degree or
-    listed twice, or a zero coefficient.
+    2 - n, use the same table.  A right module action is a product table
+    too: its first argument and its output live in the module, whose dims
+    are given, and its other arguments in the algebra, whose dims are
+    acting (by default dims).  Only nonzero values appear, and the code
+    that produces an algebra or a module builds this table directly.
+    Raises `error` for an index outside the dimensions, a coordinate
+    outside the target degree or listed twice, or a zero coefficient.
     """
+    acting = dims if acting is None else acting
     for degs, block in structure.items():
-        ns = [dims.get(d, 0) for d in degs]
+        ns = [dims.get(degs[0], 0)] + [acting.get(d, 0) for d in degs[1:]]
         out = sum(degs) + 2 - len(degs)
         w = dims.get(out, 0)
         for idx, coords in block.items():
@@ -938,37 +942,49 @@ def peirce_tags(field, structure, dims, idempotents, error):
     return tags
 
 
-def is_associative(field, structure):
-    """Whether (xy)z = x(yz) on every triple of basis elements."""
-    one = field.one()
-
-    def mul(i, x, j, y):
-        return sparse_product(field, structure, i, x, j, y)
-
-    # right[(i, a)]: the basis elements z with a z != 0; left[(j, b)]:
-    # the basis elements x with x b != 0
+def _partners(structure):
+    """(right, left): right[(i, a)] holds the (j, b) with a * b != 0, and
+    left[(j, b)] the (i, a), for the basis elements of a product table."""
     right, left = {}, {}
     for (i, j), block in structure.items():
         for a, b in block:
             right.setdefault((i, a), set()).add((j, b))
             left.setdefault((j, b), set()).add((i, a))
-    # Only triples with xy != 0 or yz != 0 are visited; on any other
-    # triple both sides are products with a zero factor.  For xy != 0,
-    # z is skipped when yz = 0 and z is no right partner of a coordinate
-    # of xy: then (xy)z = 0 and x(yz) = 0.
+    return right, left
+
+
+def is_associative(field, structure, inner=None):
+    """Whether (xa)b = x(ab) on every triple of basis elements.
+
+    structure multiplies x by a, xa by b and x by ab; inner multiplies a
+    by b and defaults to structure.  An algebra passes its own table, and
+    a right module passes its action with its algebra's table as inner.
+    """
+    one = field.one()
+    inner = structure if inner is None else inner
+
+    def mul(i, x, j, y):
+        return sparse_product(field, structure, i, x, j, y)
+
+    right, left = _partners(structure)
+    inner_right = right if inner is structure else _partners(inner)[0]
+    # Only triples with xa != 0 or ab != 0 are visited; on any other
+    # triple both sides are products with a zero factor.  For xa != 0,
+    # b is skipped when ab = 0 and b is no right partner of a coordinate
+    # of xa: then (xa)b = 0 and x(ab) = 0.
     for (i, j), block in structure.items():
         for (a, b), ab in block.items():
-            zs = set(right.get((j, b), ()))
+            zs = set(inner_right.get((j, b), ()))
             for d, _ in ab:
                 zs |= right.get((i + j, d), set())
             for k, c in zs:
-                bc = structure.get((j, k), {}).get((b, c), ())
+                bc = inner.get((j, k), {}).get((b, c), ())
                 if mul(i + j, ab, k, ((c, one),)) != \
                         mul(i, ((a, one),), j + k, bc):
                     return False
-    # The triples left have xy = 0, so (xy)z = 0 and x(yz) must vanish;
-    # it does unless x is a left partner of a coordinate of yz.
-    for (j, k), block in structure.items():
+    # The triples left have xa = 0, so (xa)b = 0 and x(ab) must vanish;
+    # it does unless x is a left partner of a coordinate of ab.
+    for (j, k), block in inner.items():
         for (b, c), bc in block.items():
             xs = set()
             for d, _ in bc:
@@ -978,6 +994,98 @@ def is_associative(field, structure):
                         mul(i, ((a, one),), j + k, bc):
                     return False
     return True
+
+
+def satisfies_leibniz(field, structure, left_d, right_d):
+    """Whether d(xy) = d(x) y + (-1)^i x d(y) on every basis pair, x of
+    degree i.
+
+    structure multiplies x by y; left_d[i] is the matrix of the
+    differential from degree i to i + 1 on the space of x, which holds
+    the products too, and right_d the one on the space of y.  An algebra
+    passes its own differential twice, and a right module its own and
+    then its algebra's.  Only the basis pairs with xy != 0, with cy != 0
+    for some c in the support of d(x), or with xc != 0 for some c in the
+    support of d(y) are visited.  On any other pair every term is zero,
+    so this accepts and rejects exactly what the check over all basis
+    pairs does.
+    """
+    f = field
+    one = f.one()
+
+    def support(d):
+        """d of each basis element, by its nonzero coordinates."""
+        return {(k, a): tuple((t, c) for t, c in enumerate(row) if c)
+                for k, m in d.items() for a, row in enumerate(m.data)}
+
+    dl = support(left_d)
+    dr = dl if right_d is left_d else support(right_d)
+
+    def mul(i, x, j, y):
+        return sparse_product(f, structure, i, x, j, y)
+
+    def diff(i, x):
+        out = {}
+        for a, ca in x:
+            for t, c in dl.get((i, a), ()):
+                v = f.mul(ca, c)
+                out[t] = f.add(out[t], v) if t in out else v
+        return {t: c for t, c in out.items() if c}
+
+    right, left = _partners(structure)
+    pairs = {(x, y) for x, ys in right.items() for y in ys}
+    for (i, a), dx in dl.items():
+        for c, _ in dx:
+            pairs.update(((i, a), y) for y in right.get((i + 1, c), ()))
+    for (j, b), dy in dr.items():
+        for c, _ in dy:
+            pairs.update((x, (j, b)) for x in left.get((j + 1, c), ()))
+    for (i, a), (j, b) in pairs:
+        lhs = diff(i + j, structure.get((i, j), {}).get((a, b), ()))
+        rhs = mul(i + 1, dl.get((i, a), ()), j, ((b, one),))
+        for t, c in mul(i, ((a, one),), j + 1, dr.get((j, b), ())).items():
+            v = c if i % 2 == 0 else f.neg(c)
+            rhs[t] = f.add(rhs[t], v) if t in rhs else v
+        if lhs != {t: c for t, c in rhs.items() if c}:
+            return False
+    return True
+
+
+def check_unit(field, structure, dims, unit, error, left=True):
+    """Raise `error` unless x * unit = x, and unit * x = x when left, for
+    every basis element x of dims, by degree; unit is a degree-zero
+    vector.  A right module passes its action and left=False."""
+    one = field.one()
+    u = [(a, c) for a, c in enumerate(unit) if c]
+    for k in sorted(dims):
+        for a in range(dims[k]):
+            x, fixed = ((a, one),), {a: one}
+            if left and sparse_product(field, structure, 0, u, k, x) != fixed:
+                raise error("unit fails on the left")
+            if sparse_product(field, structure, k, x, 0, u) != fixed:
+                raise error("unit fails on the right")
+
+
+def check_idempotents(field, structure, idempotents, unit, error):
+    """Raise `error` unless the degree-zero vectors in idempotents are
+    idempotent, pairwise orthogonal, and sum to unit: first e * e = e for
+    each e, then e * e' = 0 for each pair in order, then the sum."""
+    sparse = [[(a, c) for a, c in enumerate(e) if c] for e in idempotents]
+    for s, e in enumerate(sparse):
+        if sparse_product(field, structure, 0, e, 0, e) != dict(e):
+            raise error("idempotents are not orthogonal idempotents: "
+                        f"number {s} is not idempotent")
+    for s, e in enumerate(sparse):
+        for t, e2 in enumerate(sparse):
+            if s != t and sparse_product(field, structure, 0, e, 0, e2):
+                raise error("idempotents are not orthogonal")
+    acc = {}
+    for e in sparse:
+        for a, c in e:
+            acc[a] = field.add(acc[a], c) if a in acc else c
+    if {a: c for a, c in acc.items() if c} != \
+            {a: c for a, c in enumerate(unit) if c}:
+        raise error("idempotents do not sum to the unit")
 
 
 # ---- abstract finite-dimensional algebras (for endomorphism rings) ----
@@ -1006,32 +1114,13 @@ class FiniteAlgebra:
     def mult(self, x, y):
         return dense_product(self.field, self.products, 0, x, 0, y, self.dim)
 
-    def basis_elem(self, i):
-        z = self.field.zero()
-        v = [z] * self.dim
-        v[i] = self.field.one()
-        return tuple(v)
-
     def verify_structure(self):
         f = self.field
-        d = self.dim
-        for i in range(d):
-            bi = self.basis_elem(i)
-            if self.mult(self.unit, bi) != bi or self.mult(bi, self.unit) != bi:
-                raise AlgebraError("unit fails on basis element")
+        check_unit(f, self.products, {0: self.dim}, self.unit, AlgebraError)
         if not is_associative(f, self.products):
             raise AlgebraError("associativity fails on basis triple")
-        acc = [f.zero()] * d
-        for e in self.idempotents:
-            if self.mult(e, e) != tuple(e):
-                raise AlgebraError("idempotent is not idempotent")
-            acc = [f.add(a, b) for a, b in zip(acc, e)]
-        for s, e in enumerate(self.idempotents):
-            for t, e2 in enumerate(self.idempotents):
-                if s != t and any(self.mult(e, e2)):
-                    raise AlgebraError("idempotents not orthogonal")
-        if tuple(acc) != self.unit:
-            raise AlgebraError("idempotents do not sum to the unit")
+        check_idempotents(f, self.products, self.idempotents, self.unit,
+                          AlgebraError)
 
     def _corner_map(self, i, j):
         """The matrix of x -> e_i x e_j, whose row k holds e_i b_k e_j."""
@@ -1056,8 +1145,7 @@ class FiniteAlgebra:
     def peirce_basis(self, i, j):
         """Row basis of e_i A e_j inside the whole space, built once."""
         if (i, j) not in self._peirce:
-            self._peirce[(i, j)] = self.corner_rows(
-                i, j, Mat.identity(self.field, self.dim))
+            self._peirce[(i, j)] = self._corner_map(i, j).row_space_basis()
         return self._peirce[(i, j)]
 
     def cartan_matrix(self):
@@ -1127,23 +1215,35 @@ class FiniteAlgebra:
         f = self.field
         if J.nrows != self.dim - len(self.idempotents):
             raise AlgebraError("radical has wrong codimension")
-        # two-sided ideal
+        one = f.one()
+
+        def mul(x, y):
+            return sparse_product(f, self.products, 0, x, 0, y)
+
+        def dense(prod):
+            return [prod.get(k, f.zero()) for k in range(self.dim)]
+
+        def rows(m):
+            return [[(k, c) for k, c in enumerate(x) if c] for x in m.data]
+
+        # two-sided ideal, on the sparse rows of J; a zero product is in it
         ideal = Echelon(J)
-        for x in J.data:
+        rad = rows(J)
+        for x in rad:
             for k in range(self.dim):
-                b = self.basis_elem(k)
-                for y in (self.mult(x, b), self.mult(b, x)):
-                    if ideal.coords(y) is None:
+                b = ((k, one),)
+                for y in (mul(x, b), mul(b, x)):
+                    if y and ideal.coords(dense(y)) is None:
                         raise AlgebraError("radical candidate is not an ideal")
-        # nilpotent
+        # nilpotent; a row space does not see zero rows
         powers = [J]
         for _ in range(self.dim + 1):
             cur = powers[-1]
             if cur.nrows == 0:
                 return powers
-            nxt_rows = [list(self.mult(tuple(x), tuple(y)))
-                        for x in cur.data for y in J.data]
-            powers.append(Mat(f, nxt_rows).row_space_basis())
+            prods = (mul(x, y) for x in rows(cur) for y in rad)
+            nxt_rows = [dense(p) for p in prods if p]
+            powers.append(Mat(f, nxt_rows, ncols=self.dim).row_space_basis())
         raise AlgebraError("radical candidate is not nilpotent")
 
 

@@ -444,16 +444,15 @@ def validate_simple_minded(objects, cone_budget=48):
             wj = windows[j]
             if wj is None:
                 continue
+            # one hom complex for the negative shifts and shift zero
             floor = wj[0] - wi[1]
-            if floor <= -1:
-                tab = derived_hom(Xi, Xj, floor, -1)
-                for m in range(floor, 0):
-                    d = tab.dim(m)
-                    if d:
-                        fail1.append({"source": i, "target": j,
-                                      "shift": m, "dim": d})
-            tab0 = derived_hom(Xi, Xj, 0, 0)
-            d0 = tab0.dim(0)
+            tab = derived_hom(Xi, Xj, min(floor, 0), 0)
+            for m in range(floor, 0):
+                d = tab.dim(m)
+                if d:
+                    fail1.append({"source": i, "target": j,
+                                  "shift": m, "dim": d})
+            d0 = tab.dim(0)
             want = 1 if i == j else 0
             if d0 != want:
                 fail2.append({"source": i, "target": j, "dim": d0,

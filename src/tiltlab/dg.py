@@ -5,12 +5,15 @@ validated on construction: differentials square to zero, the Leibniz
 rule and associativity are checked on every basis pair and triple where
 a product, or a product with a differential, is nonzero (on the others
 both sides vanish), units and idempotent decompositions are verified.
-Structure constants come in the one sparse format that algebra defines
-(algebra.sparse_structure), nonzero products only, and every producer
-here builds that table directly.  Degrees
-follow the cochain convention (differentials raise degree by one);
-elements of a fixed degree are row vectors in the chosen basis of that
-degree.
+These checks are algebra's, written once for algebras and modules
+alike.  Structure constants come in the one sparse format that algebra
+defines (algebra.sparse_structure), nonzero products only, and every
+producer here builds that table directly.  A right dg module's action
+is such a table too, with module basis elements as first arguments and
+outputs and algebra basis elements as second arguments, and every
+reader multiplies through algebra.sparse_product.  Degrees follow the
+cochain convention (differentials raise degree by one); elements of a
+fixed degree are row vectors in the chosen basis of that degree.
 
 The toolkit covers strictly perfect modules, with the standard
 truncation t-structure and the Nakayama functor on them.  A bounded
@@ -21,8 +24,9 @@ algebra of a dual family comes from.
 
 from collections import namedtuple
 
-from .algebra import (ModuleMap, dense_product, is_associative,
-                      peirce_tags, sparse_product, sparse_structure)
+from .algebra import (ModuleMap, check_idempotents, check_unit,
+                      is_associative, peirce_tags, satisfies_leibniz,
+                      sparse_product, sparse_structure)
 from .complexes import HomComplex
 from .linalg import Mat, Subquotient, homology_dims
 
@@ -40,6 +44,19 @@ def _unit_vec(f, n, k):
     return tuple(f.one() if i == k else z for i in range(n))
 
 
+def _sparse(vec):
+    """The nonzero coordinates of a vector, as (index, coefficient) pairs."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def _dense(f, n, coords):
+    """The vector of length n with the coordinates {index: coefficient}."""
+    out = [f.zero()] * n
+    for k, c in coords.items():
+        out[k] = c
+    return tuple(out)
+
+
 def _span_coords(rows: Mat):
     """Coordinates over independent rows: coords(vec, what) solves through
     one echelon form held for every query and raises outside the span."""
@@ -51,6 +68,14 @@ def _span_coords(rows: Mat):
             raise DgError(f"{what} is not in the expected span")
         return out
     return coords
+
+
+def _check_differential(d, dims, what):
+    for k, m in d.items():
+        if (m.nrows, m.ncols) != (dims.get(k, 0), dims.get(k + 1, 0)):
+            raise DgError(f"{what} shape mismatch")
+        if k + 1 in d and not m.mul(d[k + 1]).is_zero():
+            raise DgError(f"{what} does not square to zero")
 
 
 # ---- dg algebras ----
@@ -88,10 +113,6 @@ class DgAlgebra:
     def degrees(self):
         return sorted(self.dims)
 
-    def elem_mult(self, i, x, j, y):
-        return dense_product(self.field, self.mult, i, x, j, y,
-                             self.dim_at(i + j))
-
     def elem_d(self, i, x):
         if i not in self.d:
             return _zeros(self.field, self.dim_at(i + 1))
@@ -106,71 +127,15 @@ class DgAlgebra:
     def validate(self):
         f = self.field
         self._check_degrees()
-        for k, m in self.d.items():
-            if (m.nrows, m.ncols) != (self.dim_at(k), self.dim_at(k + 1)):
-                raise DgError("differential shape mismatch")
-            if k + 1 in self.d and not m.mul(self.d[k + 1]).is_zero():
-                raise DgError("differential does not square to zero")
-        one = f.one()
-        basis = [(k, a) for k in self.degrees() for a in range(self.dims[k])]
-        # d of each basis element, by its nonzero coordinates
-        dbasis = {(k, a): tuple((t, c) for t, c in enumerate(row) if c)
-                  for k, m in self.d.items() for a, row in enumerate(m.data)}
-
-        def mul(i, x, j, y):
-            return sparse_product(f, self.mult, i, x, j, y)
-
-        def diff(i, x):
-            out = {}
-            for a, ca in x:
-                for t, c in dbasis.get((i, a), ()):
-                    v = f.mul(ca, c)
-                    out[t] = f.add(out[t], v) if t in out else v
-            return {t: c for t, c in out.items() if c}
-
-        # Leibniz rule d(ab) = d(a) b + (-1)^i a d(b) on the basis pairs
-        # with ab != 0, with cb != 0 for some c in the support of d(a), or
-        # with ac != 0 for some c in the support of d(b).  On any other
-        # pair every term is zero, so this accepts and rejects exactly
-        # what the check over all basis pairs does.
-        right, left = {}, {}  # x -> the y with xy != 0, and y -> the x
-        for (i, j), block in self.mult.items():
-            for a, b in block:
-                right.setdefault((i, a), []).append((j, b))
-                left.setdefault((j, b), []).append((i, a))
-        pairs = {(x, y) for x, ys in right.items() for y in ys}
-        for (i, a), dx in dbasis.items():
-            for c, _ in dx:
-                pairs.update(((i, a), y) for y in right.get((i + 1, c), ()))
-                pairs.update((y, (i, a)) for y in left.get((i + 1, c), ()))
-        for (i, a), (j, b) in pairs:
-            lhs = diff(i + j, self.mult.get((i, j), {}).get((a, b), ()))
-            rhs = mul(i + 1, dbasis.get((i, a), ()), j, ((b, one),))
-            for t, c in mul(i, ((a, one),), j + 1,
-                            dbasis.get((j, b), ())).items():
-                v = c if i % 2 == 0 else f.neg(c)
-                rhs[t] = f.add(rhs[t], v) if t in rhs else v
-            if lhs != {t: c for t, c in rhs.items() if c}:
-                raise DgError("Leibniz rule fails")
+        _check_differential(self.d, self.dims, "differential")
+        if not satisfies_leibniz(f, self.mult, self.d, self.d):
+            raise DgError("Leibniz rule fails")
         if not is_associative(f, self.mult):
             raise DgError("multiplication is not associative")
-        if self.elem_d(0, self.unit) != _zeros(f, self.dim_at(1)):
+        if any(self.elem_d(0, self.unit)):
             raise DgError("the unit must be a cycle")
-        unit = [(a, c) for a, c in enumerate(self.unit) if c]
-        for i, a in basis:
-            if mul(0, unit, i, ((a, one),)) != {a: one}:
-                raise DgError("unit fails on the left")
-            if mul(i, ((a, one),), 0, unit) != {a: one}:
-                raise DgError("unit fails on the right")
-        acc = list(_zeros(f, self.dim_at(0)))
-        for s, e in enumerate(self.idempotents):
-            for t, e2 in enumerate(self.idempotents):
-                want = e if s == t else _zeros(f, self.dim_at(0))
-                if self.elem_mult(0, e, 0, e2) != tuple(want):
-                    raise DgError("idempotents are not orthogonal")
-            acc = [f.add(p, q) for p, q in zip(acc, e)]
-        if tuple(acc) != self.unit:
-            raise DgError("idempotents do not sum to the unit")
+        check_unit(f, self.mult, self.dims, self.unit, DgError)
+        check_idempotents(f, self.mult, self.idempotents, self.unit, DgError)
 
     def cohomology_dims(self):
         return homology_dims(self.dims, self.d)
@@ -193,19 +158,20 @@ def dg_from_path_algebra(A) -> DgAlgebra:
 class DgModule:
     """Bounded right dg module over a DgAlgebra, basis chosen per degree.
 
-    action[(k, i)][m][a]: coordinates, in degree k+i, of the action of
-    the a-th degree-i algebra basis element on the m-th degree-k
-    module basis element.
+    action[(k, i)][(m, a)] = ((t, c), ...) lists the nonzero coordinates,
+    in degree k+i of the module, of the m-th degree-k module basis
+    element times the a-th degree-i algebra basis element: the sparse
+    format of algebra.sparse_structure, with the module's dims for the
+    first argument and the output and the algebra's for the second.
     """
 
-    def __init__(self, algebra: DgAlgebra, dims, d, action, right_tags=None):
+    def __init__(self, algebra: DgAlgebra, dims, d, action):
         self.algebra = algebra
         self.field = algebra.field
         self.dims = {k: n for k, n in dims.items() if n}
         self.d = {k: m for k, m in d.items() if not m.is_zero()}
-        self.action = action
-        # right_tags[k][m] = idempotent index that fixes the basis element
-        self.right_tags = right_tags
+        self.action = sparse_structure(action, self.dims, DgError,
+                                       acting=algebra.dims)
         self.validate()
 
     def dim_at(self, k):
@@ -213,26 +179,6 @@ class DgModule:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def act_basis(self, k, m, i, a):
-        t = self.action.get((k, i))
-        if t is None:
-            return _zeros(self.field, self.dim_at(k + i))
-        return tuple(t[m][a])
-
-    def elem_act(self, k, x, i, y):
-        f = self.field
-        out = list(_zeros(f, self.dim_at(k + i)))
-        for m, cm in enumerate(x):
-            if not cm:
-                continue
-            for a, ca in enumerate(y):
-                if not ca:
-                    continue
-                img = self.act_basis(k, m, i, a)
-                for t, c in enumerate(img):
-                    out[t] = f.add(out[t], f.mul(f.mul(cm, ca), c))
-        return tuple(out)
 
     def elem_d(self, k, x):
         if k not in self.d:
@@ -242,43 +188,14 @@ class DgModule:
     def validate(self):
         f = self.field
         A = self.algebra
-        for k, m in self.d.items():
-            if (m.nrows, m.ncols) != (self.dim_at(k), self.dim_at(k + 1)):
-                raise DgError("module differential shape mismatch")
-            if k + 1 in self.d and not m.mul(self.d[k + 1]).is_zero():
-                raise DgError("module differential does not square to zero")
-        for k in self.degrees():
-            for m in range(self.dim_at(k)):
-                xm = _unit_vec(f, self.dim_at(k), m)
-                if self.elem_act(k, xm, 0, A.unit) != xm:
-                    raise DgError("unit does not act as the identity")
-                dxm = self.elem_d(k, xm)
-                for i in A.degrees():
-                    for a in range(A.dim_at(i)):
-                        ya = _unit_vec(f, A.dim_at(i), a)
-                        # Leibniz: d(x a) = d(x) a + (-1)^k x d(a)
-                        lhs = self.elem_d(k + i, self.act_basis(k, m, i, a))
-                        t1 = self.elem_act(k + 1, dxm, i, ya)
-                        t2 = self.elem_act(k, xm, i + 1,
-                                           A.elem_d(i, ya))
-                        sgn = f.one() if k % 2 == 0 else f.neg(f.one())
-                        rhs = tuple(f.add(p, f.mul(sgn, q))
-                                    for p, q in zip(t1, t2))
-                        if lhs != rhs:
-                            raise DgError("module Leibniz rule fails")
-                        # associativity: (x a) b = x (a b)
-                        xa = self.act_basis(k, m, i, a)
-                        for j in A.degrees():
-                            if self.dim_at(k + i + j) == 0:
-                                continue
-                            for b in range(A.dim_at(j)):
-                                zb = _unit_vec(f, A.dim_at(j), b)
-                                l = self.elem_act(k + i, xa, j, zb)
-                                r = self.elem_act(
-                                    k, xm, i + j, A.elem_mult(i, ya, j, zb))
-                                if l != r:
-                                    raise DgError(
-                                        "module action is not associative")
+        _check_differential(self.d, self.dims, "module differential")
+        check_unit(f, self.action, self.dims, A.unit, DgError, left=False)
+        # d(x a) = d(x) a + (-1)^k x d(a) for x of degree k
+        if not satisfies_leibniz(f, self.action, self.d, A.d):
+            raise DgError("module Leibniz rule fails")
+        # (x a) b = x (a b)
+        if not is_associative(f, self.action, A.mult):
+            raise DgError("module action is not associative")
 
     def cohomology_dims(self):
         return homology_dims(self.dims, self.d)
@@ -298,43 +215,32 @@ def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
     sgn = f.one() if shift % 2 == 0 else f.neg(f.one())
     d = {}
     for k in A.degrees():
-        if not pick[k] or A.dim_at(k + 1) == 0:
+        if not pick[k] or k not in A.d:
             continue
         rows = []
         for a in pick[k]:
-            img = A.elem_d(k, _unit_vec(f, A.dim_at(k), a))
             row = [f.zero()] * len(pick.get(k + 1, []))
-            for b, c in enumerate(img):
+            for b, c in enumerate(A.d[k].data[a]):
                 if not c:
                     continue
                 if b not in pos.get(k + 1, {}):
                     raise DgError("differential left the idempotent slice")
                 row[pos[k + 1][b]] = f.mul(sgn, c)
             rows.append(row)
-        if rows and len(pick.get(k + 1, [])):
+        if pick.get(k + 1):
             d[k - shift] = Mat(f, rows, ncols=len(pick[k + 1]))
     action = {}
-    for k in A.degrees():
-        if not pick[k]:
-            continue
-        for j in A.degrees():
-            if not pick.get(k + j):
+    for (k, j), block in A.mult.items():
+        out = {}
+        for (a, b), prod in block.items():
+            if a not in pos.get(k, {}):
                 continue
-            t = []
-            for a in pick[k]:
-                row = []
-                for b in range(A.dim_at(j)):
-                    vec = [f.zero()] * len(pick[k + j])
-                    for c, coef in A.mult.get((k, j), {}).get((a, b), ()):
-                        if c not in pos[k + j]:
-                            raise DgError("action left the idempotent slice")
-                        vec[pos[k + j][c]] = coef
-                    row.append(tuple(vec))
-                t.append(row)
-            action[(k - shift, j)] = t
-    rt = {k - shift: [tags[k][a][1] for a in pick[k]]
-          for k in A.degrees() if pick[k]}
-    return DgModule(A, dims, d, action, right_tags=rt)
+            if any(c not in pos[k + j] for c, _ in prod):
+                raise DgError("action left the idempotent slice")
+            out[(pos[k][a], b)] = tuple((pos[k + j][c], v) for c, v in prod)
+        if out:
+            action[(k - shift, j)] = out
+    return DgModule(A, dims, d, action)
 
 
 StrictPerfect = namedtuple("StrictPerfect", ["algebra", "pieces", "delta"])
@@ -379,6 +285,7 @@ def materialize(sp: StrictPerfect) -> DgModule:
     """The underlying dg module of a strictly perfect presentation."""
     A = sp.algebra
     f = A.field
+    one = f.one()
     frees = [free_dg_module(A, i, s) for s, i in sp.pieces]
     degs = sorted({k for M in frees for k in M.degrees()})
     dims = {k: sum(M.dim_at(k) for M in frees) for k in degs}
@@ -408,41 +315,53 @@ def materialize(sp: StrictPerfect) -> DgModule:
                       if l == iu]
             pos_u = {a: c for c, a in enumerate(pick_u)}
             for r, a in enumerate(pick_t):
-                img = A.elem_mult(deg, x, k + st,
-                                  _unit_vec(f, A.dim_at(k + st), a))
-                for b, coef in enumerate(img):
-                    if not coef:
-                        continue
+                img = sparse_product(f, A.mult, deg, _sparse(x),
+                                     k + st, ((a, one),))
+                for b, coef in img.items():
                     if b not in pos_u:
                         raise DgError("connecting map left its slice")
-                    rows[offs[k][t] + r][offs[k + 1][u] + pos_u[b]] = \
-                        f.add(rows[offs[k][t] + r][offs[k + 1][u] + pos_u[b]],
-                              coef)
+                    row = rows[offs[k][t] + r]
+                    c = offs[k + 1][u] + pos_u[b]
+                    row[c] = f.add(row[c], coef)
         d[k] = Mat(f, rows, ncols=dims[k + 1])
+    # the action is block diagonal over the pieces
     action = {}
-    for k in degs:
-        for j in A.degrees():
-            if dims.get(k + j, 0) == 0:
-                continue
-            t_rows = []
-            for t, M in enumerate(frees):
-                for r in range(M.dim_at(k)):
-                    row = []
-                    for b in range(A.dim_at(j)):
-                        img = M.act_basis(k, r, j, b)
-                        vec = [f.zero()] * dims[k + j]
-                        for c, coef in enumerate(img):
-                            vec[offs[k + j][t] + c] = coef
-                        row.append(tuple(vec))
-                    t_rows.append(row)
-            action[(k, j)] = t_rows
-    rt = {k: [tag for M in frees for tag in M.right_tags.get(k, [])]
-          for k in degs}
-    rt = {k: v for k, v in rt.items() if v}
-    return DgModule(A, dims, d, action, right_tags=rt)
+    for t, M in enumerate(frees):
+        for (k, j), block in M.action.items():
+            out = action.setdefault((k, j), {})
+            for (r, b), img in block.items():
+                out[(offs[k][t] + r, b)] = tuple(
+                    (offs[k + j][t] + c, v) for c, v in img)
+    return DgModule(A, dims, d, action)
 
 
 # ---- truncation t-structure ----
+
+def _subquotient_action(M: DgModule, reps, coords):
+    """The action table of a subquotient of M: reps[k] holds the
+    representatives in M^k of its degree-k basis, and coords(k, vec) the
+    coordinates of a vector of M^k in that basis."""
+    f = M.field
+    one = f.one()
+    A = M.algebra
+    action = {}
+    for k, rows in reps.items():
+        for i in A.degrees():
+            if k + i not in reps:
+                continue
+            block = {}
+            for m, row in enumerate(rows.data):
+                x = _sparse(row)
+                for a in range(A.dim_at(i)):
+                    prod = sparse_product(f, M.action, k, x, i, ((a, one),))
+                    img = _sparse(coords(k + i, _dense(
+                        f, M.dim_at(k + i), prod))) if prod else ()
+                    if img:
+                        block[(m, a)] = img
+            if block:
+                action[(k, i)] = block
+    return action
+
 
 def truncate(M: DgModule):
     """(tau_{<=0} M, tau_{>=1} M, inclusion mats, projection mats).
@@ -462,7 +381,7 @@ def truncate(M: DgModule):
         img = Mat(f, list(d0.data), ncols=d0.ncols).row_space_basis()
 
     inc = {}
-    lo_dims, lo_d, lo_act = {}, {}, {}
+    lo_dims, lo_d = {}, {}
     for k in M.degrees():
         if k < 0:
             lo_dims[k] = M.dim_at(k)
@@ -477,22 +396,11 @@ def truncate(M: DgModule):
             rows = [lo_coords[k + 1](r, "truncated differential")
                     for r in big.data]
             lo_d[k] = Mat(f, [list(r) for r in rows], ncols=lo_dims[k + 1])
-        for i in A.degrees():
-            if k + i not in lo_dims:
-                continue
-            t = []
-            for m in range(lo_dims[k]):
-                row = []
-                for a in range(A.dim_at(i)):
-                    vec = M.elem_act(k, tuple(inc[k].data[m]), i,
-                                     _unit_vec(f, A.dim_at(i), a))
-                    row.append(lo_coords[k + i](vec, "truncated action"))
-                t.append(row)
-            lo_act[(k, i)] = t
-    lo = DgModule(A, lo_dims, lo_d, lo_act, right_tags=None)
+    lo = DgModule(A, lo_dims, lo_d, _subquotient_action(
+        M, inc, lambda k, vec: lo_coords[k](vec, "truncated action")))
 
     proj = {}
-    hi_dims, hi_d, hi_act = {}, {}, {}
+    hi_dims, hi_d = {}, {}
     quo = Subquotient(Mat.identity(f, M.dim_at(1)), img) \
         if M.dim_at(1) else None
     for k in M.degrees():
@@ -509,22 +417,9 @@ def truncate(M: DgModule):
            for k in hi_dims}
     for k in hi_dims:
         if k + 1 in hi_dims and k in M.d:
-            big = rep[k].mul(M.d[k]).mul(proj[k + 1])
-            hi_d[k] = big
-        for i in A.degrees():
-            if k + i not in hi_dims:
-                continue
-            t = []
-            for m in range(hi_dims[k]):
-                row = []
-                for a in range(A.dim_at(i)):
-                    vec = M.elem_act(k, tuple(rep[k].data[m]), i,
-                                     _unit_vec(f, A.dim_at(i), a))
-                    row.append(tuple(
-                        Mat(f, [list(vec)]).mul(proj[k + i]).data[0]))
-                t.append(row)
-            hi_act[(k, i)] = t
-    hi = DgModule(A, hi_dims, hi_d, hi_act, right_tags=None)
+            hi_d[k] = rep[k].mul(M.d[k]).mul(proj[k + 1])
+    hi = DgModule(A, hi_dims, hi_d, _subquotient_action(
+        M, rep, lambda k, vec: Mat(f, [list(vec)]).mul(proj[k]).data[0]))
     return lo, hi, inc, proj
 
 
@@ -535,17 +430,15 @@ basis labels (piece index, slice position) per degree."""
 
 
 def _right_slice_rows(N: DgModule, k, i):
-    """Rows spanning (N^k) e_i, the fixed space of the right action."""
+    """Rows spanning (N^k) e_i, the fixed space of the right action: the
+    row space of x e_i over the basis elements x of N^k."""
     f = N.field
     n = N.dim_at(k)
     if n == 0:
         return Mat.zeros(f, 0, 0)
-    if N.right_tags is not None:
-        rows = [list(_unit_vec(f, n, m))
-                for m, t in enumerate(N.right_tags[k]) if t == i]
-        return Mat(f, rows, ncols=n)
-    e = N.algebra.idempotents[i]
-    rows = [list(N.elem_act(k, _unit_vec(f, n, m), 0, e))
+    e = _sparse(N.algebra.idempotents[i])
+    rows = [list(_dense(f, n, sparse_product(f, N.action, k,
+                                             ((m, f.one()),), 0, e)))
             for m in range(n)]
     return Mat(f, rows, ncols=n).row_space_basis()
 
@@ -602,12 +495,15 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
             for (p, u), x in sp.delta.items():
                 if u != t:
                     continue
-                w = N.elem_act(k - s_t, v, _delta_degree(sp.pieces, p, u), x)
-                if not any(w):
+                deg = _delta_degree(sp.pieces, p, u)
+                w = sparse_product(f, N.action, k - s_t, _sparse(v), deg,
+                                   _sparse(x))
+                if not w:
                     continue
                 if (p, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
-                cr = slice_coords[(p, k + 1)](w, "hom value")
+                cr = slice_coords[(p, k + 1)](
+                    _dense(f, N.dim_at(k - s_t + deg), w), "hom value")
                 for c, coef in enumerate(cr):
                     out[p][c] = f.sub(out[p][c], f.mul(sgn, coef))
             row = []
@@ -617,9 +513,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
         m = Mat(f, rows, ncols=dims[k + 1])
         if not m.is_zero():
             d[k] = m
-    for k in d:
-        if k + 1 in d and not d[k].mul(d[k + 1]).is_zero():
-            raise DgError("hom complex differential does not square to zero")
+    _check_differential(d, dims, "hom complex differential")
     return HomData(f, dims, d, basis)
 
 
@@ -634,12 +528,15 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
     """The dual of Hom_A(M, A), as a validated right dg module.
 
     Hom_A(M, A) is a left module; its graded dual carries the right
-    action (psi . a)(y) = (-1)^{|a|} psi(a y) on matched degrees, and
-    the differential (d psi)(y) = -(-1)^{|psi|} psi(d y).  On a free
-    summand e_i A this produces the dual of A e_i.
+    action (psi . a)(y) = psi(a y) on matched degrees, and the
+    differential (d psi)(y) = -(-1)^{|psi|} psi(d y).  With this
+    differential a sign (-1)^{|a|} in the action would break the Leibniz
+    rule wherever d(a) != 0.  On a free summand e_i A this produces the
+    dual of A e_i.
     """
     A = sp.algebra
     f = A.field
+    one = f.one()
     tags = A.peirce_tags()
     ybasis = {}
     for k in range(min(A.degrees()) + min(s for s, _ in sp.pieces),
@@ -668,30 +565,14 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
             for (p, u), x in sp.delta.items():
                 if u != t:
                     continue
-                prod = A.elem_mult(
-                    k - s_t, _unit_vec(f, A.dim_at(k - s_t), a),
-                    _delta_degree(sp.pieces, p, u), x)
-                for b, coef in enumerate(prod):
-                    if not coef:
-                        continue
+                prod = sparse_product(f, A.mult, k - s_t, ((a, one),),
+                                      _delta_degree(sp.pieces, p, u),
+                                      _sparse(x))
+                for b, coef in prod.items():
                     c = ypos[k + 1][(p, b)]
                     out[c] = f.sub(out[c], f.mul(sgn, coef))
             rows.append(out)
         return Mat(f, rows, ncols=len(ybasis.get(k + 1, [])))
-
-    def y_lmult(j, xvec, k):
-        """Matrix of y -> x.y on Y, from degree k to k+j."""
-        rows = []
-        for (t, a) in ybasis[k]:
-            s_t, _ = sp.pieces[t]
-            out = [f.zero()] * len(ybasis.get(k + j, []))
-            prod = A.elem_mult(j, xvec, k - s_t,
-                               _unit_vec(f, A.dim_at(k - s_t), a))
-            for b, coef in enumerate(prod):
-                if coef:
-                    out[ypos[k + j][(t, b)]] = coef
-            rows.append(out)
-        return Mat(f, rows, ncols=len(ybasis.get(k + j, [])))
 
     dims = {-k: len(v) for k, v in ybasis.items()}
     d = {}
@@ -701,24 +582,28 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
         base = y_d(-m - 1).transpose()
         sgn = f.one() if m % 2 == 0 else f.neg(f.one())
         d[m] = base.scale(f.neg(sgn))
+    # psi in degree m times a in degree j is the functional
+    # y -> psi(a y) in degree m + j, on the y of degree -m - j; the c-th
+    # such y, times a, has coordinate coef at the b-th element of degree
+    # -m, which makes coordinate c of psi_b . a equal to coef
     action = {}
     for m in dims:
         for j in A.degrees():
-            if dims.get(m + j, 0) == 0:
+            k = -m - j
+            if k not in ybasis:
                 continue
-            sgn = f.one() if j % 2 == 0 else f.neg(f.one())
-            t = []
-            for b in range(dims[m]):
-                row = []
+            block = {}
+            for c, (t, a2) in enumerate(ybasis[k]):
+                s_t = sp.pieces[t][0]
                 for a in range(A.dim_at(j)):
-                    lm = y_lmult(j, _unit_vec(f, A.dim_at(j), a), -m - j)
-                    col = [f.mul(sgn, lm[c, b]) for c in range(lm.nrows)]
-                    row.append(tuple(col))
-                t.append(row)
-            action[(m, j)] = t
-    rt = {-k: [tags[k - sp.pieces[t][0]][a][0] for (t, a) in v]
-          for k, v in ybasis.items()}
-    return DgModule(A, dims, d, action, right_tags=rt)
+                    prod = sparse_product(f, A.mult, j, ((a, one),),
+                                          k - s_t, ((a2, one),))
+                    for b2, coef in prod.items():
+                        b = ypos[-m][(t, b2)]
+                        block.setdefault((b, a), []).append((c, coef))
+            if block:
+                action[(m, j)] = {key: tuple(v) for key, v in block.items()}
+    return DgModule(A, dims, d, action)
 
 
 # ---- endomorphism dg algebras of complexes over a path algebra ----
@@ -837,35 +722,36 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
     if ker.nrows:
         dims[0] = ker.nrows
     ker_coords = _span_coords(ker)
+    one = f.one()
 
-    def coords(k, vec):
-        return ker_coords(vec, "degree-zero cycle") if k == 0 else tuple(vec)
-
-    def rep(k, a):
+    def coords(k, prod):
+        """The nonzero coordinates, in ascending order, of a nonzero
+        {index: coefficient} vector of E^k in the basis of degree k."""
         if k == 0:
-            return tuple(ker.data[a])
-        return _unit_vec(f, E.dim_at(k), a)
+            return _sparse(ker_coords(_dense(f, E.dim_at(0), prod),
+                                      "degree-zero cycle"))
+        return tuple(sorted(prod.items()))
 
     d = {}
-    for k in E.d:
-        if k >= 0 or dims.get(k + 1, 0) == 0:
-            continue
-        rows = [list(coords(k + 1, E.elem_d(k, rep(k, a))))
-                for a in range(dims[k])]
-        d[k] = Mat(f, rows, ncols=dims[k + 1])
+    for k, m in E.d.items():
+        if k < 0 and dims.get(k + 1):
+            rows = [ker_coords(r, "degree-zero cycle") if k + 1 == 0 else r
+                    for r in m.data]
+            d[k] = Mat(f, [list(r) for r in rows], ncols=dims[k + 1])
+    basis = {k: [_sparse(r) for r in ker.data] if k == 0
+             else [((a, one),) for a in range(n)] for k, n in dims.items()}
     mult = {}
     for i in dims:
         for j in dims:
-            if dims.get(i + j, 0) == 0:
+            if i + j not in dims:
                 continue
             block = {}
-            for a in range(dims[i]):
-                for b in range(dims[j]):
-                    prod = coords(i + j, E.elem_mult(i, rep(i, a), j, rep(j, b)))
-                    prod = tuple((k, c) for k, c in enumerate(prod) if c)
+            for a, x in enumerate(basis[i]):
+                for b, y in enumerate(basis[j]):
+                    prod = sparse_product(f, E.mult, i, x, j, y)
                     if prod:
-                        block[(a, b)] = prod
+                        block[(a, b)] = coords(i + j, prod)
             mult[(i, j)] = block
-    unit = coords(0, E.unit)
-    idems = [coords(0, e) for e in E.idempotents]
+    unit = ker_coords(E.unit, "degree-zero cycle")
+    idems = [ker_coords(e, "degree-zero cycle") for e in E.idempotents]
     return DgAlgebra(f, dims, d, mult, unit, idems)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from tiltlab.algebra import Algebra, Quiver
+from tiltlab.algebra import Algebra, Quiver, sparse_product
 from tiltlab.complexes import Summand, minimize, stalk_complex
 from tiltlab.derived import resolve_complex
 from tiltlab.dg import (
@@ -27,9 +27,12 @@ from tiltlab.dg import (
     materialize,
     strict_perfect,
     truncate,
+    truncate_algebra,
 )
 from tiltlab.linalg import Mat, QQ
 from tiltlab.tilting import check_tilting, hom_to_element, nu_inverse_complex
+
+from test_structure_constants import ref_d, ref_product, ref_unit_vec
 
 A2 = Algebra(QQ, Quiver(2, [("a", 0, 1)]), [])
 A3 = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [])
@@ -146,7 +149,11 @@ def test_path_algebra_embeds_in_degree_zero():
 def test_free_module_shapes():
     M = free_dg_module(D2, 0)
     assert M.dims == {0: 2}
-    assert M.right_tags == {0: [0, 1]}
+    # e_1 A = span(e1, a): e1 is fixed by e1 on the right, a by e2
+    for m, i in enumerate([0, 1]):
+        e = [(b, c) for b, c in enumerate(D2.idempotents[i]) if c]
+        assert sparse_product(QQ, M.action, 0, [(m, q(1))], 0, e) == \
+            {m: q(1)}
     Ms = free_dg_module(D2, 1, shift=2)
     assert Ms.dims == {-2: 1}
 
@@ -238,9 +245,8 @@ def test_truncate_inclusion_is_a_chain_map():
 def a2_simples():
     # the simple at vertex i: e_i acts by one, every other basis
     # element by zero
-    return [DgModule(D2, {0: 1}, {}, {(0, 0): [[
-        (q(1),) if b == bindex(A2, f"e{i + 1}") else (q(0),)
-        for b in range(A2.dim)]]}, right_tags={0: [i]}) for i in range(2)]
+    return [DgModule(D2, {0: 1}, {}, {(0, 0): {
+        (0, bindex(A2, f"e{i + 1}")): ((0, q(1)),)}}) for i in range(2)]
 
 
 def test_hom_complex_recovers_ext_groups():
@@ -297,6 +303,20 @@ def test_nakayama_adjunction_dimension_match():
             {-k: n for k, n in bwd.dims.items() if n}
         assert hom_cohomology(sp, N) == \
             {-k: n for k, n in hom_cohomology(spn, nu).items()}
+
+
+def test_nakayama_over_an_algebra_with_a_differential():
+    # the truncated endomorphism dg algebra of the resolution of S_1 and
+    # P_2 has d != 0 on its degree -1 part; the dual must still satisfy
+    # the Leibniz rule, and Hom(M, N) and Hom(N, nu M) stay dual
+    G = module_algebra()
+    frees = [strict_perfect(G, p) for p in
+             ([(0, 0)], [(0, 1)], [(0, 0), (1, 1)], [(-1, 1), (0, 0)])]
+    for sp in frees:
+        nu = dg_nakayama(sp)
+        for spn in frees:
+            assert hom_cohomology(sp, materialize(spn)) == \
+                {-k: n for k, n in hom_cohomology(spn, nu).items()}
 
 
 # ---- endomorphism dg algebras and their hearts ----
@@ -389,3 +409,171 @@ def test_random_instances_stay_consistent():
         spn = strict_perfect(D, [(0, 0)])
         bwd = hom_cohomology(spn, nu)
         assert fwd == {-k: n for k, n in bwd.items()}
+
+
+# ---- module checks against the dense triple loop ----
+
+def dense_table(M):
+    """M's action as the dense table action[(k, i)][m][a] = coordinate
+    vector in degree k + i, over every pair of degrees with a target."""
+    A, f = M.algebra, M.field
+    out = {}
+    for k in M.degrees():
+        for i in A.degrees():
+            if M.dim_at(k + i):
+                block = M.action.get((k, i), {})
+                out[(k, i)] = [[ref_dense(f, M.dim_at(k + i),
+                                          block.get((m, a), ()))
+                                for a in range(A.dim_at(i))]
+                               for m in range(M.dim_at(k))]
+    return out
+
+
+def ref_dense(f, n, coords):
+    vec = [f.zero()] * n
+    for k, c in coords:
+        vec[k] = c
+    return tuple(vec)
+
+
+def ref_module_failure(A, dims, d, action):
+    """The first law a module breaks, by dense loops over every basis
+    element x: the unit on x, then for every algebra basis element a the
+    Leibniz rule on (x, a) and associativity on (x, a, b) for every b.
+    The brute-force reference for DgModule's pruned checks.  d holds row
+    lists and action is a dense table; returns "square", "unit",
+    "Leibniz", "associative" or None."""
+    f = A.field
+    adims = A.dims
+    mult = {ij: [[ref_dense(f, adims[ij[0] + ij[1]], block.get((a, b), ()))
+                  for b in range(adims[ij[1]])] for a in range(adims[ij[0]])]
+            for ij, block in A.mult.items()}
+    ad = {k: m.data for k, m in A.d.items()}
+    for k in d:
+        for m in range(dims[k]):
+            x = ref_unit_vec(f, dims[k], m)
+            if any(ref_d(f, d, dims, k + 1, ref_d(f, d, dims, k, x))):
+                return "square"
+    sgn = {0: f.one(), 1: f.neg(f.one())}
+    for k in sorted(dims):
+        for m in range(dims[k]):
+            xm = ref_unit_vec(f, dims[k], m)
+            if ref_product(f, action, dims, k, xm, 0, A.unit) != xm:
+                return "unit"
+            dxm = ref_d(f, d, dims, k, xm)
+            for i in sorted(adims):
+                for a in range(adims[i]):
+                    ya = ref_unit_vec(f, adims[i], a)
+                    xa = ref_product(f, action, dims, k, xm, i, ya)
+                    # d(x a) = d(x) a + (-1)^k x d(a)
+                    t1 = ref_product(f, action, dims, k + 1, dxm, i, ya)
+                    t2 = ref_product(f, action, dims, k, xm, i + 1,
+                                     ref_d(f, ad, adims, i, ya))
+                    if ref_d(f, d, dims, k + i, xa) != tuple(
+                            f.add(p, f.mul(sgn[k % 2], q))
+                            for p, q in zip(t1, t2)):
+                        return "Leibniz"
+                    # (x a) b = x (a b)
+                    for j in sorted(adims):
+                        if not dims.get(k + i + j):
+                            continue
+                        for b in range(adims[j]):
+                            zb = ref_unit_vec(f, adims[j], b)
+                            ab = ref_product(f, mult, adims, i, ya, j, zb)
+                            if ref_product(f, action, dims, k + i, xa, j, zb) \
+                                    != ref_product(f, action, dims, k, xm,
+                                                   i + j, ab):
+                                return "associative"
+    return None
+
+
+def simples(D):
+    """The simple modules of a path algebra, in degree zero: e_i acts by
+    one and every other basis element by zero."""
+    tags = D.peirce_tags()[0]
+    return [DgModule(D, {0: 1}, {}, {(0, 0): {
+        (0, a): ((0, q(1)),) for a, (l, r) in enumerate(tags)
+        if l == r == i}}) for i in range(len(D.idempotents))]
+
+
+def modules_over(D, perfect):
+    """Free modules in three shifts, the given strictly perfect ones, their
+    dg Nakayama duals and both halves of their truncations."""
+    out = [free_dg_module(D, i, s) for i in range(len(D.idempotents))
+           for s in (-1, 0, 1)]
+    for sp in perfect:
+        M = materialize(sp)
+        out += [M, dg_nakayama(sp), *truncate(M)[:2]]
+    return [M for M in out if M.dims]
+
+
+def module_algebra():
+    """The truncated endomorphism dg algebra of the resolution of S_1 and
+    P_2: a degree -1 part whose differential is nonzero."""
+    G = truncate_algebra(endomorphism_dg_algebra(
+        [resolve_complex(S(A2, 0)).complex, P(A2, 1)]))
+    assert G.dims.get(-1) and G.d
+    return G
+
+
+def module_cases():
+    x = unit_coords(A2, "a")
+    G = module_algebra()
+    return [
+        (D2, simples(D2) + modules_over(D2, [
+            res_perfect(D2, S(A2, 0)),
+            strict_perfect(D2, [(1, 1), (0, 0)], {(0, 1): x})])),
+        (D3, simples(D3) + modules_over(D3, [
+            res_perfect(D3, S(A3, 0)), res_perfect(D3, S(A3, 1))])),
+        (G, modules_over(G, [strict_perfect(G, [(0, 0), (1, 1)]),
+                             strict_perfect(G, [(-1, 1), (0, 0)])])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["D2", "D3", "truncated"])
+def test_module_checks_match_the_dense_reference(case):
+    """Change one coordinate of the action or the differential of a valid
+    module; DgModule must accept exactly what the dense loops accept."""
+    D, modules = module_cases()[case]
+    f = D.field
+    rng = random.Random(case)
+    seen = set()
+    for M in modules:
+        dims, action = M.dims, dense_table(M)
+        d = {k: [list(r) for r in m.data] for k, m in M.d.items()}
+        assert ref_module_failure(D, dims, d, action) is None
+        spots = [("act", key, m, a, c) for key, t in action.items()
+                 for m, row in enumerate(t) for a, v in enumerate(row)
+                 for c in range(len(v))]
+        spots += [("d", k, r, c, None) for k in dims if dims.get(k + 1)
+                  for r in range(dims[k]) for c in range(dims[k + 1])]
+        for spot in rng.sample(spots, min(len(spots), 25)):
+            kind, key, r, c, t = spot
+            bad_a = {k: [list(row) for row in v] for k, v in action.items()}
+            bad_d = {k: [list(row) for row in v] for k, v in d.items()}
+            if kind == "act":
+                vec = list(bad_a[key][r][c])
+                vec[t] = rng.choice([f.of(v) for v in (0, 1, 2, -1)
+                                     if f.of(v) != vec[t]])
+                bad_a[key][r][c] = tuple(vec)
+            else:
+                row = bad_d.setdefault(key, [[f.zero()] * dims[key + 1]
+                                             for _ in range(dims[key])])[r]
+                row[c] = rng.choice([f.of(v) for v in (0, 1, 2, -1)
+                                     if f.of(v) != row[c]])
+            want = ref_module_failure(D, dims, bad_d, bad_a)
+            seen.add(want)
+            table = {key: {(m, a): tuple((k, v) for k, v in enumerate(vec)
+                                         if v)
+                           for m, row in enumerate(block)
+                           for a, vec in enumerate(row) if any(vec)}
+                     for key, block in bad_a.items()}
+            mats = {k: Mat(f, rows, ncols=dims[k + 1])
+                    for k, rows in bad_d.items()}
+            if want is None:
+                DgModule(D, dims, mats, table)
+            else:
+                with pytest.raises(DgError):
+                    DgModule(D, dims, mats, table)
+    # each law is broken somewhere, and some changes break none
+    assert seen >= {None, "unit", "Leibniz", "associative"}

@@ -26,6 +26,10 @@ scalar representation is linalg's alone, and every other module computes
 through the field's operations.  A sixth fails when a module of
 src/tiltlab other than algebra names the attribute `mats`: how a module
 stores its arrow matrices (on its support only) is algebra's alone.
+A seventh fails when a module other than algebra names dense_product,
+or when a method of a class outside algebra reads a unit or idempotents
+and multiplies: the unit and idempotent checks are algebra's
+check_unit and check_idempotents, which every class calls.
 """
 
 import ast
@@ -209,3 +213,34 @@ def test_only_algebra_reads_arrow_matrices():
                       for n in ast.walk(ast.parse(path.read_text())))]
     assert not naming, "modules besides algebra that read Module.mats: " + \
         ", ".join(naming)
+
+
+PRODUCTS = {"sparse_product", "dense_product", "mult", "elem_mult",
+            "elem_act"}
+
+
+def _multiplies_unit(fn):
+    """True when fn reads an attribute unit or idempotents and calls a
+    product: the shape of a unit or idempotent check written in place."""
+    reads = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    calls = {getattr(n.func, "attr", getattr(n.func, "id", None))
+             for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    return bool(reads & {"unit", "idempotents"}) and bool(calls & PRODUCTS)
+
+
+def test_only_algebra_checks_units_and_multiplies_densely():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "algebra":
+            continue
+        tree = ast.parse(path.read_text())
+        if any((isinstance(n, ast.Name) and n.id == "dense_product")
+               or (isinstance(n, ast.Attribute) and n.attr == "dense_product")
+               or (isinstance(n, ast.alias) and n.name == "dense_product")
+               for n in ast.walk(tree)):
+            found.append(f"{path.stem}: dense_product")
+        found += [f"{path.stem}.{cls.name}.{fn.name}: checks a unit"
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  and _multiplies_unit(fn)]
+    assert not found, "outside algebra: " + ", ".join(found)

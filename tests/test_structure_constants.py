@@ -2,17 +2,20 @@
 
 DgAlgebra.validate and FiniteAlgebra.verify_structure visit only the
 basis tuples where a product, or a product with a differential, is
-nonzero.  The fixed tables below put the only failure on a tuple that
-just one branch of that support reaches; the property test compares
-both constructors with a brute-force reference that checks every basis
-pair and triple.  The tables here are dense, mult[(i, j)][a][b], and
-reach the constructors through `sparse`.
+nonzero, through the checks algebra shares between them.  The fixed
+tables below put the only failure on a tuple that just one branch of
+that support reaches; the property test compares both constructors with
+a brute-force reference that checks every basis pair and triple.  The
+tables here are dense, mult[(i, j)][a][b], and reach the constructors
+through `sparse`.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tiltlab.algebra import AlgebraError, FiniteAlgebra
+from tiltlab.algebra import Algebra, AlgebraError, FiniteAlgebra, Quiver
 from tiltlab.dg import DgAlgebra, DgError
 from tiltlab.linalg import Mat, PrimeField, QQ
 
@@ -344,3 +347,65 @@ def test_support_restricted_checks_match_brute_force(case):
     else:
         with pytest.raises(AlgebraError, match=MESSAGES[want]):
             FiniteAlgebra(f, sparse({(0, 0): table}), unit, idems)
+
+
+# ---- the shared unit and idempotent checks against the reference ----
+
+def dense(f, block, n):
+    """A degree-zero sparse table as the dense table[a][b]."""
+    return [[tuple(dict(block.get((a, b), ())).get(k, f.zero())
+                   for k in range(n)) for b in range(n)] for a in range(n)]
+
+
+def unital_cases():
+    """(field, dense table, unit, idempotents) of valid algebras: path
+    algebras, the Kronecker algebra, dual numbers over GF(5), and the 2x2
+    upper triangular matrices in a basis not adapted to e11, e22."""
+    a2 = Algebra(QQ, Quiver(2, [("a", 0, 1)]), [])
+    a3 = Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 2, 1)]), [])
+    kron = Algebra(GF5, Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [])
+    dual = Algebra(GF5, Quiver(1, [("x", 0, 0)]), [[(1, ["x", "x"])]],
+                   nilpotency_bound=2)
+    out = [(A.field, dense(A.field, A.products[(0, 0)], A.dim), A.one(),
+            [A.idempotent(v) for v in range(A.quiver.n)])
+           for A in (a2, a3, kron, dual)]
+    u, e1, a = vec(QQ, 1, 0, 0), vec(QQ, 0, 1, 0), vec(QQ, 0, 0, 1)
+    z = vec(QQ, 0, 0, 0)
+    out.append((QQ, [[u, e1, a], [e1, e1, a], [a, z, z]], u,
+                [e1, vec(QQ, 1, -1, 0)]))
+    return out
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_unit_checks_match_the_reference_loops(case):
+    """Change a coordinate of the unit or of an idempotent, drop an
+    idempotent or merge two; FiniteAlgebra and DgAlgebra must report
+    the failure their reference loops find first, or accept."""
+    f, table, unit, idems = unital_cases()[case]
+    n = len(unit)
+    rng = random.Random(case)
+    variants = [(unit, idems), (unit, idems[1:]),
+                (unit, [tuple(map(f.add, idems[0], idems[-1]))]
+                 + idems[1:-1])]
+    for _ in range(30):
+        u, es = list(unit), [list(e) for e in idems]
+        target = rng.choice([u] + es)
+        k = rng.randrange(n)
+        target[k] = f.add(target[k], f.of(rng.choice([1, 2, -1])))
+        variants.append((tuple(u), [tuple(e) for e in es]))
+    seen = set()
+    for u, es in variants:
+        want = ref_finite_failure(f, table, u, es)
+        seen.add(want)
+        if want is None:
+            FiniteAlgebra(f, sparse({(0, 0): table}), u, es)
+        else:
+            with pytest.raises(AlgebraError, match=MESSAGES[want]):
+                FiniteAlgebra(f, sparse({(0, 0): table}), u, es)
+        want = ref_dg_failure(f, {0: n}, {}, {(0, 0): table}, u, es)
+        if want is None:
+            DgAlgebra(f, {0: n}, {}, sparse({(0, 0): table}), u, es)
+        else:
+            with pytest.raises(DgError, match=MESSAGES[want]):
+                DgAlgebra(f, {0: n}, {}, sparse({(0, 0): table}), u, es)
+    assert seen >= {None, "unit", "idempotent is not", "sum"}
