@@ -537,8 +537,7 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
         vec[pos] = f.one()
         unit[pos] = f.one()
         idems.append(tuple(vec))
-    algebra = DgAlgebra(f, dims, d, mult, tuple(unit), idems,
-                        nonpositive=True)
+    algebra = DgAlgebra(f, dims, d, mult, tuple(unit), idems)
 
     complete, truncated = _word_completeness(
         X, letters, lw, r, degree_window, tensor_cap)

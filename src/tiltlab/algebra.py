@@ -739,11 +739,12 @@ def sub_module(M: Module, span_rows):
 def kernel_module(f: ModuleMap):
     """Kernel with induced action; returns (K, inclusion)."""
     field = f.source.algebra.field
-    # at a vertex where the target is zero the kernel is everything
-    return sub_module(f.source, {
-        v: f.blocks[v].left_kernel_basis() if v in f.blocks
-        else Mat.identity(field, d)
-        for v, d in enumerate(f.source.dims) if d})
+    # where the block is zero the kernel is everything; where it is
+    # injective the kernel is zero, and the vertex is left out
+    spans = {v: f.blocks[v].left_kernel_basis() if v in f.blocks
+             else Mat.identity(field, d)
+             for v, d in enumerate(f.source.dims) if d}
+    return sub_module(f.source, {v: K for v, K in spans.items() if K.nrows})
 
 
 # ---- covers, tops, iso tests ----

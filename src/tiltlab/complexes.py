@@ -20,6 +20,10 @@ tag tuple (summand_sum) and one hom basis with its coordinate solver
 per pair of tag tuples (hom_block).  reporting.run_pipeline empties it
 when a job ends.
 
+Constructing a Complex or a ChainMap never checks it: Complex.validate
+(block keys, block shapes, module maps, d^2 = 0) and ChainMap.commutes
+are the checks, and a caller that needs one calls it.
+
 A complex may carry approx_above = t, meaning: the stored complex is the
 brutal truncation to degrees <= t of an object that truly continues
 higher (a cut coresolution).  Stored components are genuine; what is
@@ -70,16 +74,16 @@ def summand_sum(algebra: Algebra, tags):
 
 def hom_block(algebra: Algebra, src, tgt):
     """(hom_basis of the sums of two tag tuples, Echelon of the flattened
-    basis maps), shared per pair of tag tuples through the algebra's job
-    memo.  The basis maps are independent, so the Echelon keeps each one
-    under its own index."""
+    basis maps, or None when the basis is empty), shared per pair of tag
+    tuples through the algebra's job memo.  The basis maps are
+    independent, so the Echelon keeps each one under its own index."""
     key = (src, tgt)
     got = algebra.hom_memo.get(key)
     if got is None:
         maps = hom_basis(summand_sum(algebra, src)[0],
                          summand_sum(algebra, tgt)[0])
         got = algebra.hom_memo[key] = (maps, Echelon(Mat(
-            algebra.field, [_flatten_map(h) for h in maps])))
+            algebra.field, [_flatten_map(h) for h in maps])) if maps else None)
     return got
 
 
@@ -135,7 +139,7 @@ def extend_along(iota, maps):
                     acc = h.scale(x) if acc is None else acc.add(h.scale(x))
             if acc is not None:
                 c[k] = acc
-    return [ChainMap(I, T, c, check=False) for c in comps]
+    return [ChainMap(I, T, c) for c in comps]
 
 
 def zero_module(algebra: Algebra) -> Module:
@@ -160,10 +164,11 @@ class Complex:
     dict is kept only when it is nonempty and both its degrees have
     summands.  The dicts are kept as given, not copied, and may be shared
     with other complexes, so they are never written after construction.
+    Construction does not check the blocks; validate() does.
     """
 
     def __init__(self, algebra, parts, blocks, approx_above=None,
-                 approx_below=None, validate=True):
+                 approx_below=None):
         self.algebra = algebra
         self.parts = {int(n): tuple(p) for n, p in parts.items() if p}
         self.blocks = {int(n): grid for n, grid in blocks.items()
@@ -173,8 +178,6 @@ class Complex:
         self.approx_below = approx_below
         self._sums = {}
         self._dfull = {}
-        if validate:
-            self.validate()
 
     # ---- structure access ----
 
@@ -284,7 +287,7 @@ class Complex:
         above = None if self.approx_above is None else self.approx_above - m
         below = None if self.approx_below is None else self.approx_below - m
         return Complex(self.algebra, parts, blocks, approx_above=above,
-                       approx_below=below, validate=False)
+                       approx_below=below)
 
     def cut_above(self, t):
         """Drop degrees above t and record the cut."""
@@ -294,7 +297,7 @@ class Complex:
         blocks = {n: g for n, g in self.blocks.items() if n + 1 <= t}
         above = _combine_approx(self.approx_above, t)
         return Complex(self.algebra, parts, blocks, approx_above=above,
-                       approx_below=self.approx_below, validate=False)
+                       approx_below=self.approx_below)
 
     def cut_below(self, b):
         if b is None:
@@ -303,7 +306,7 @@ class Complex:
         blocks = {n: g for n, g in self.blocks.items() if n >= b}
         below = _combine_below(self.approx_below, b)
         return Complex(self.algebra, parts, blocks, approx_above=self.approx_above,
-                       approx_below=below, validate=False)
+                       approx_below=below)
 
     def homology_dims(self):
         """{n: dimension vector of H^n} over the support, from the ranks
@@ -329,12 +332,11 @@ class Complex:
 
 
 def stalk_complex(algebra, tag, degree=0, approx_above=None):
-    return Complex(algebra, {degree: (tag,)}, {}, approx_above=approx_above,
-                   validate=False)
+    return Complex(algebra, {degree: (tag,)}, {}, approx_above=approx_above)
 
 
 def zero_complex(algebra):
-    return Complex(algebra, {}, {}, validate=False)
+    return Complex(algebra, {}, {})
 
 
 def direct_sum_complexes(complexes):
@@ -354,19 +356,19 @@ def direct_sum_complexes(complexes):
     above = _combine_approx(*[X.approx_above for X in complexes])
     below = _combine_below(*[X.approx_below for X in complexes])
     S = Complex(algebra, {n: tuple(p) for n, p in parts.items()},
-                blocks, approx_above=above, approx_below=below, validate=False)
+                blocks, approx_above=above, approx_below=below)
     return S.cut_above(above).cut_below(below)
 
 
 class ChainMap:
-    """Degreewise module maps commuting with the differentials."""
+    """Degreewise module maps commuting with the differentials: comps is
+    {degree: ModuleMap}, an absent degree a zero component.  Construction
+    does not check that they commute; commutes() does."""
 
-    def __init__(self, source: Complex, target: Complex, comps, check=True):
+    def __init__(self, source: Complex, target: Complex, comps):
         self.source = source
         self.target = target
         self.comps = {int(n): c for n, c in comps.items()}
-        if check and not self.commutes():
-            raise AlgebraError("not a chain map")
 
     def comp(self, n):
         c = self.comps.get(n)
@@ -394,17 +396,16 @@ class ChainMap:
             raise AlgebraError("chain map composition mismatch")
         degrees = set(self.comps) | set(other.comps)
         comps = {n: self.comp(n).then(other.comp(n)) for n in degrees}
-        return ChainMap(self.source, other.target, comps, check=False)
+        return ChainMap(self.source, other.target, comps)
 
     def add(self, other):
         degrees = set(self.comps) | set(other.comps)
         return ChainMap(self.source, self.target,
-                        {n: self.comp(n).add(other.comp(n)) for n in degrees},
-                        check=False)
+                        {n: self.comp(n).add(other.comp(n)) for n in degrees})
 
     def scale(self, c):
         return ChainMap(self.source, self.target,
-                        {n: m.scale(c) for n, m in self.comps.items()}, check=False)
+                        {n: m.scale(c) for n, m in self.comps.items()})
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps.values())
@@ -415,12 +416,11 @@ class ChainMap:
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, {}, check=False)
+        return cls(source, target, {})
 
     @classmethod
     def identity(cls, X):
-        return cls(X, X, {n: ModuleMap.identity(X.module(n)) for n in X.parts},
-                   check=False)
+        return cls(X, X, {n: ModuleMap.identity(X.module(n)) for n in X.parts})
 
 
 def cone(f: ChainMap):
@@ -472,7 +472,7 @@ def cone(f: ChainMap):
                     for (k, l), b in Y.blocks.get(n, {}).items())
         blocks[n] = grid
     return Complex(algebra, parts, blocks, approx_above=above,
-                   approx_below=below, validate=False)
+                   approx_below=below)
 
 
 # ---- minimization ----
@@ -534,7 +534,7 @@ def _cancel_step(X: Complex, n, k, l):
                              in X.blocks[n + 1].items() if a != l}
     # the constructor drops the dicts of degrees that lost all summands
     Y = Complex(algebra, new_parts, new_blocks, approx_above=X.approx_above,
-                approx_below=X.approx_below, validate=False)
+                approx_below=X.approx_below)
     return Y, phi_inv
 
 
@@ -577,8 +577,8 @@ def _cancel_witnesses(X: Complex, Y: Complex, n, k, l, phi_inv):
         f_comps[m] = map_placement(Ym, Y.offsets(m), Xm, X.offsets(m), f_blocks)
     h_comps = {n + 1: map_placement(X.module(n + 1), X.offsets(n + 1), X.module(n),
                                     X.offsets(n), {(l, k): phi_inv})}
-    g = ChainMap(X, Y, g_comps, check=False)
-    fmap = ChainMap(Y, X, f_comps, check=False)
+    g = ChainMap(X, Y, g_comps)
+    fmap = ChainMap(Y, X, f_comps)
     return g, fmap, h_comps
 
 
@@ -729,7 +729,8 @@ class HomComplex:
             if solver is None:
                 raise AlgebraError("hom complex: image outside basis support")
             first, ech = solver
-            comb = ech.coords(_flatten_map(m))
+            # no map is in the span of an empty basis
+            comb = None if ech is None else ech.coords(_flatten_map(m))
             if comb is None:
                 raise AlgebraError("hom complex: map not in hom basis span")
             for r, c in comb.items():
@@ -820,7 +821,7 @@ def _flatten_map(m: ModuleMap):
 
 def chain_map_from_component_dict(X, Y, comps):
     """Wrap {k: ModuleMap X^k -> Y^k} as a ChainMap X -> Y."""
-    return ChainMap(X, Y, comps, check=False)
+    return ChainMap(X, Y, comps)
 
 
 def h0_chain_maps(X: Complex, Y: Complex):
@@ -828,10 +829,7 @@ def h0_chain_maps(X: Complex, Y: Complex):
     (built in degrees -1..1)."""
     hc = HomComplex(X, Y, degrees=(-1, 1))
     classes, _ = hc.chain_classes(0)
-    out = []
-    for cls in classes:
-        out.append(ChainMap(X, Y, cls, check=False))
-    return out, hc
+    return [ChainMap(X, Y, cls) for cls in classes], hc
 
 
 ISO_SEARCH_TRIES = 200
@@ -847,7 +845,7 @@ def complex_iso_search(X: Complex, Y: Complex):
         return ChainMap.zero(X, Y)
     hc = HomComplex(X, Y, degrees=(-1, 1))
     Z = hc.cycles(0)
-    cands = [ChainMap(X, Y, hc.element(0, list(Z.data[i])), check=False)
+    cands = [ChainMap(X, Y, hc.element(0, list(Z.data[i])))
              for i in range(Z.nrows)]
     for c in cands:
         if c.is_degreewise_iso():

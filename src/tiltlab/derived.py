@@ -71,8 +71,7 @@ def dual_complex(X: Complex) -> Complex:
         for (k, l), b in grid.items()} for n, grid in X.blocks.items()}
     above = None if X.approx_below is None else -X.approx_below
     below = None if X.approx_above is None else -X.approx_above
-    return Complex(op, parts, blocks, approx_above=above, approx_below=below,
-                   validate=False)
+    return Complex(op, parts, blocks, approx_above=above, approx_below=below)
 
 
 # ---- projective resolution of a bounded complex ----
@@ -90,14 +89,16 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     differential, which the copies share.  Each computed degree slices
     its differential into blocks as soon as it is covered.  A source
     that is itself cut from above cannot be resolved (the construction
-    starts at the top, where nothing is trustworthy).
+    starts at the top, where nothing is trustworthy).  With validate the
+    result is checked once built, by Complex.validate and by
+    ChainMap.commutes on the augmentation ("not a chain map").
     """
     A = X.algebra
     if X.approx_above is not None:
         raise AlgebraError("cannot resolve a complex that is cut from above")
     if X.is_zero():
         Z = zero_complex(A)
-        return Resolution(Z, ChainMap(Z, X, {}, check=False), True)
+        return Resolution(Z, ChainMap(Z, X, {}), True)
     xhi, xlo = X.max_deg(), X.min_deg()
     if bottom is None:
         bottom = xlo - default_depth(A, xhi - xlo)
@@ -174,23 +175,25 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     below = X.approx_below
     if not exact:
         below = lowest if below is None else max(below, lowest)
-    P_cx = Complex(A, parts, blocks, approx_below=below, validate=validate)
-    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts},
-                   check=validate)
+    P_cx = Complex(A, parts, blocks, approx_below=below)
+    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts})
+    if validate:
+        P_cx.validate()
+        if not aug.commutes():
+            raise AlgebraError("not a chain map")
     return Resolution(P_cx, aug, exact)
 
 
-def coresolve_complex(X: Complex, top=None, validate=False) -> Resolution:
+def coresolve_complex(X: Complex, top=None) -> Resolution:
     """Complex of injectives under X, by resolving the dual and dualizing back."""
     if X.approx_below is not None:
         raise AlgebraError("cannot coresolve a complex that is cut from below")
     DX = dual_complex(X)
-    res = resolve_complex(DX, bottom=None if top is None else -top,
-                          validate=validate)
+    res = resolve_complex(DX, bottom=None if top is None else -top)
     I = dual_complex(res.complex)
     comps = {-m: dual_map(phi, X.module(-m), I.module(-m))
              for m, phi in res.aug.comps.items()}
-    aug = ChainMap(X, I, comps, check=validate)
+    aug = ChainMap(X, I, comps)
     return Resolution(I, aug, res.exact)
 
 
@@ -209,7 +212,7 @@ def shift_coresolution(res, U, m, top):
     if not (res.exact and I.max_deg() <= top + m):
         I = I.cut_above(top + 1 + m)
     return ChainMap(U, I.shift(m),
-                    {k - m: c for k, c in res.aug.comps.items()}, check=False)
+                    {k - m: c for k, c in res.aug.comps.items()})
 
 
 def all_tags(X: Complex, kind):

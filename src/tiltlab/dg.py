@@ -16,10 +16,13 @@ cochain convention (differentials raise degree by one); elements of a
 fixed degree are row vectors in the chosen basis of that degree.
 
 The toolkit covers strictly perfect modules, with the standard
-truncation t-structure and the Nakayama functor on them.  A bounded
-complex of modules over a path algebra can be packaged into its
-endomorphism dg algebra, which is where the truncated endomorphism
-algebra of a dual family comes from.
+truncation t-structure and the Nakayama functor on them; strict_perfect
+builds a presentation's module once, from its pieces' left-tag slices,
+and keeps it.  A bounded complex of modules over a path algebra can be
+packaged into its endomorphism dg algebra, which is where the truncated
+endomorphism algebra of a dual family comes from; before truncation it
+may have a positive part (DgAlgebra.nonpositive), which the non-positive
+theory refuses.
 """
 
 from collections import namedtuple
@@ -81,31 +84,30 @@ def _check_differential(d, dims, what):
 # ---- dg algebras ----
 
 class DgAlgebra:
-    """Finite-dimensional non-positive dg algebra with chosen basis.
+    """Finite-dimensional dg algebra with chosen basis.
 
-    dims: {degree <= 0: dimension}; d[i]: matrix of the differential
-    from degree i to i+1.  mult[(i, j)][(a, b)] = ((k, c), ...) lists
+    dims: {degree: dimension}; d[i]: matrix of the differential from
+    degree i to i+1.  mult[(i, j)][(a, b)] = ((k, c), ...) lists
     the nonzero coordinates, inside degree i+j, of each nonzero product
     of the a-th degree-i and b-th degree-j basis elements (see
     algebra.sparse_structure).  unit and idempotents live in degree 0.
     """
 
-    def __init__(self, field, dims, d, mult, unit, idempotents,
-                 nonpositive=True):
+    def __init__(self, field, dims, d, mult, unit, idempotents):
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
         self.d = {k: m for k, m in d.items() if not m.is_zero()}
         self.unit = tuple(unit)
         self.idempotents = [tuple(e) for e in idempotents]
-        # endomorphism dg algebras of complexes carry positive parts;
-        # they set nonpositive=False and are truncated before any use
-        # that needs the non-positive theory
-        self.nonpositive = nonpositive
-        # before the table is checked, so that a table shaped for a
-        # positive part is reported as one
-        self._check_degrees()
         self.mult = sparse_structure(mult, self.dims, DgError)
         self.validate()
+
+    @property
+    def nonpositive(self):
+        """No degree is positive.  Endomorphism dg algebras of complexes
+        usually have a positive part, and are truncated (truncate_algebra)
+        before any use that needs the non-positive theory."""
+        return all(k <= 0 for k in self.dims)
 
     def dim_at(self, k):
         return self.dims.get(k, 0)
@@ -118,15 +120,10 @@ class DgAlgebra:
             return _zeros(self.field, self.dim_at(i + 1))
         return tuple(Mat(self.field, [list(x)]).mul(self.d[i]).data[0])
 
-    def _check_degrees(self):
-        if self.nonpositive and any(k > 0 for k in self.dims):
-            raise DgError("a non-positive dg algebra has no positive part")
-        if self.dim_at(0) == 0:
-            raise DgError("the degree-zero part must contain the unit")
-
     def validate(self):
         f = self.field
-        self._check_degrees()
+        if self.dim_at(0) == 0:
+            raise DgError("the degree-zero part must contain the unit")
         _check_differential(self.d, self.dims, "differential")
         if not satisfies_leibniz(f, self.mult, self.d, self.d):
             raise DgError("Leibniz rule fails")
@@ -203,47 +200,8 @@ class DgModule:
 
 # ---- free summands and strictly perfect modules ----
 
-def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
-    """The summand e_i A of the regular module, shifted: degree k holds
-    (e_i A)^(k + shift), and the differential is scaled by (-1)^shift."""
-    f = A.field
-    tags = A.peirce_tags()
-    pick = {k: [a for a, (l, _) in enumerate(tags[k]) if l == i]
-            for k in A.degrees()}
-    dims = {k - shift: len(pick[k]) for k in A.degrees() if pick[k]}
-    pos = {k: {a: r for r, a in enumerate(pick[k])} for k in A.degrees()}
-    sgn = f.one() if shift % 2 == 0 else f.neg(f.one())
-    d = {}
-    for k in A.degrees():
-        if not pick[k] or k not in A.d:
-            continue
-        rows = []
-        for a in pick[k]:
-            row = [f.zero()] * len(pick.get(k + 1, []))
-            for b, c in enumerate(A.d[k].data[a]):
-                if not c:
-                    continue
-                if b not in pos.get(k + 1, {}):
-                    raise DgError("differential left the idempotent slice")
-                row[pos[k + 1][b]] = f.mul(sgn, c)
-            rows.append(row)
-        if pick.get(k + 1):
-            d[k - shift] = Mat(f, rows, ncols=len(pick[k + 1]))
-    action = {}
-    for (k, j), block in A.mult.items():
-        out = {}
-        for (a, b), prod in block.items():
-            if a not in pos.get(k, {}):
-                continue
-            if any(c not in pos[k + j] for c, _ in prod):
-                raise DgError("action left the idempotent slice")
-            out[(pos[k][a], b)] = tuple((pos[k + j][c], v) for c, v in prod)
-        if out:
-            action[(k - shift, j)] = out
-    return DgModule(A, dims, d, action)
-
-
-StrictPerfect = namedtuple("StrictPerfect", ["algebra", "pieces", "delta"])
+StrictPerfect = namedtuple("StrictPerfect",
+                           ["algebra", "pieces", "delta", "module"])
 StrictPerfect.__doc__ = """Iterated extension of shifted free summands.
 
 pieces: tuple of (shift, idempotent index).  delta[(t, u)] (t < u only)
@@ -251,6 +209,8 @@ is an algebra element of degree 1 - shift_t + shift_u, in e_{i_u} A
 e_{i_t}, acting by left multiplication as the connecting component of
 the differential from piece t to piece u.  This presentation is the
 perfection certificate; operations that need one take this type.
+module is the underlying dg module, built and validated once by
+strict_perfect.
 """
 
 
@@ -258,81 +218,107 @@ def _delta_degree(pieces, t, u):
     return 1 - pieces[t][0] + pieces[u][0]
 
 
+def _perfect_module(A: DgAlgebra, tags, pieces, delta) -> DgModule:
+    """The dg module of the pieces (shift, i) glued by delta, as a
+    StrictPerfect describes them; tags are A's Peirce tags.
+
+    Piece t = (s, i) holds, in module degree m, the slice of A^(m + s)
+    whose left tag is i, which is (e_i A)^(m + s).  The differential is
+    the internal one of each piece, signed by (-1)^s, plus left
+    multiplication by delta[(t, u)] from piece t into piece u; the
+    action is block diagonal over the pieces.  The module is validated
+    once, by DgModule.
+    """
+    f = A.field
+    one = f.one()
+    # pos[t][k]: the basis elements of A^k in piece t's slice, each with
+    # its position inside the slice
+    pos = [{k: {a: r for r, a in enumerate(
+        a for a, (l, _) in enumerate(row) if l == i)}
+        for k, row in tags.items()} for _, i in pieces]
+    dims, offs = {}, {}
+    for t, (s, _) in enumerate(pieces):
+        for k, p in pos[t].items():
+            if p:
+                offs[(k - s, t)] = dims.get(k - s, 0)
+                dims[k - s] = offs[(k - s, t)] + len(p)
+    rows = {m: [[f.zero()] * dims[m + 1] for _ in range(n)]
+            for m, n in dims.items() if m + 1 in dims}
+
+    def put(m, t, r, u, b, coef, what):
+        """Add coef at row r of piece t in degree m, column b of A's
+        basis inside piece u's slice in degree m + 1."""
+        c = pos[u].get(m + 1 + pieces[u][0], {}).get(b)
+        if c is None:
+            raise DgError(f"{what} left its slice")
+        row = rows[m][offs[(m, t)] + r]
+        c += offs[(m + 1, u)]
+        row[c] = f.add(row[c], coef)
+
+    for t, (s, _) in enumerate(pieces):
+        sgn = one if s % 2 == 0 else f.neg(one)
+        for k, p in pos[t].items():
+            for a, r in (p.items() if k in A.d else ()):
+                for b, c in enumerate(A.d[k].data[a]):
+                    if c:
+                        put(k - s, t, r, t, b, f.mul(sgn, c), "differential")
+    for (t, u), x in delta.items():
+        deg = _delta_degree(pieces, t, u)
+        s = pieces[t][0]
+        for k, p in pos[t].items():
+            for a, r in p.items():
+                img = sparse_product(f, A.mult, deg, _sparse(x), k,
+                                     ((a, one),))
+                for b, coef in img.items():
+                    put(k - s, t, r, u, b, coef, "connecting map")
+    d = {m: Mat(f, r, ncols=dims[m + 1]) for m, r in rows.items()}
+    action = {}
+    for (k, j), block in A.mult.items():
+        for t, (s, _) in enumerate(pieces):
+            src, tgt = pos[t].get(k, {}), pos[t].get(k + j, {})
+            for (a, b), prod in block.items():
+                if a not in src:
+                    continue
+                if any(c not in tgt for c, _ in prod):
+                    raise DgError("action left its slice")
+                out = action.setdefault((k - s, j), {})
+                out[(offs[(k - s, t)] + src[a], b)] = tuple(
+                    (offs[(k + j - s, t)] + tgt[c], v) for c, v in prod)
+    return DgModule(A, dims, d, action)
+
+
+def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
+    """The summand e_i A of the regular module, shifted: degree k holds
+    (e_i A)^(k + shift), and the differential is scaled by (-1)^shift."""
+    return _perfect_module(A, A.peirce_tags(), ((shift, i),), {})
+
+
 def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
-    """Validated constructor: checks triangularity, degrees and tags."""
+    """Validated constructor: checks triangularity, degrees and tags, then
+    builds the module, which checks d^2 = 0 and all module laws."""
     if not A.nonpositive:
         raise DgError("strictly perfect modules need a non-positive algebra")
     pieces = tuple((int(s), int(i)) for s, i in pieces)
     delta = dict(delta or {})
     tags = A.peirce_tags()
-    sp = StrictPerfect(A, pieces, delta)
     for (t, u), x in delta.items():
         if not (0 <= t < u < len(pieces)):
             raise DgError("connecting entries must be strictly upper "
                           "triangular")
-        deg = _delta_degree(sp.pieces, t, u)
+        deg = _delta_degree(pieces, t, u)
         if A.dim_at(deg) != len(x):
             raise DgError("connecting entry has the wrong degree")
         iu, it = pieces[u][1], pieces[t][1]
         for a, c in enumerate(x):
             if c and tags[deg][a] != (iu, it):
                 raise DgError("connecting entry outside its corner")
-    materialize(sp)  # d^2 = 0 and all module laws, checked once
-    return sp
+    return StrictPerfect(A, pieces, delta,
+                         _perfect_module(A, tags, pieces, delta))
 
 
 def materialize(sp: StrictPerfect) -> DgModule:
     """The underlying dg module of a strictly perfect presentation."""
-    A = sp.algebra
-    f = A.field
-    one = f.one()
-    frees = [free_dg_module(A, i, s) for s, i in sp.pieces]
-    degs = sorted({k for M in frees for k in M.degrees()})
-    dims = {k: sum(M.dim_at(k) for M in frees) for k in degs}
-    offs = {k: [sum(M.dim_at(k) for M in frees[:t])
-                for t in range(len(frees))] for k in degs}
-    tags = A.peirce_tags()
-    d = {}
-    for k in degs:
-        if dims.get(k + 1, 0) == 0 or dims[k] == 0:
-            continue
-        rows = [[f.zero()] * dims[k + 1] for _ in range(dims[k])]
-        for t, M in enumerate(frees):
-            # internal differential of the shifted free summand
-            if k in M.d:
-                for r in range(M.dim_at(k)):
-                    for c in range(M.dim_at(k + 1)):
-                        rows[offs[k][t] + r][offs[k + 1][t] + c] = \
-                            M.d[k][r, c]
-        for (t, u), x in sp.delta.items():
-            deg = _delta_degree(sp.pieces, t, u)
-            st, it_ = sp.pieces[t]
-            su, iu = sp.pieces[u]
-            # left multiplication by x: piece t degree k -> piece u, k+1
-            pick_t = [a for a, (l, _) in enumerate(tags.get(k + st, []))
-                      if l == it_]
-            pick_u = [a for a, (l, _) in enumerate(tags.get(k + 1 + su, []))
-                      if l == iu]
-            pos_u = {a: c for c, a in enumerate(pick_u)}
-            for r, a in enumerate(pick_t):
-                img = sparse_product(f, A.mult, deg, _sparse(x),
-                                     k + st, ((a, one),))
-                for b, coef in img.items():
-                    if b not in pos_u:
-                        raise DgError("connecting map left its slice")
-                    row = rows[offs[k][t] + r]
-                    c = offs[k + 1][u] + pos_u[b]
-                    row[c] = f.add(row[c], coef)
-        d[k] = Mat(f, rows, ncols=dims[k + 1])
-    # the action is block diagonal over the pieces
-    action = {}
-    for t, M in enumerate(frees):
-        for (k, j), block in M.action.items():
-            out = action.setdefault((k, j), {})
-            for (r, b), img in block.items():
-                out[(offs[k][t] + r, b)] = tuple(
-                    (offs[k + j][t] + c, v) for c, v in img)
-    return DgModule(A, dims, d, action)
+    return sp.module
 
 
 # ---- truncation t-structure ----
@@ -453,16 +439,16 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
     """
     A = sp.algebra
     f = A.field
-    slices = {}
-    degs = set()
-    for t, (s, i) in enumerate(sp.pieces):
-        for kN in N.degrees():
-            k = kN + s
-            slc = _right_slice_rows(N, kN, i)
-            if slc.nrows:
-                slices[(t, k)] = slc
-                degs.add(k)
-    slice_coords = {key: _span_coords(slc) for key, slc in slices.items()}
+    # (N^kN) e_i and its solver, once per (kN, i); piece t = (s, i)
+    # reads its degree-k values in the one of (k - s, i)
+    spans = {(kN, i): (slc, _span_coords(slc))
+             for i in {i for _, i in sp.pieces} for kN in N.degrees()
+             if (slc := _right_slice_rows(N, kN, i)).nrows}
+    at = {(t, kN + s): spans[(kN, i)] for t, (s, i) in enumerate(sp.pieces)
+          for kN in N.degrees() if (kN, i) in spans}
+    slices = {key: slc for key, (slc, _) in at.items()}
+    slice_coords = {key: coords for key, (_, coords) in at.items()}
+    degs = {k for _, k in slices}
     dims, basis = {}, {}
     for k in sorted(degs):
         labels = []
@@ -688,7 +674,7 @@ def endomorphism_dg_algebra(pieces):
                                         for n in X.parts}):
             e[t] = unit[t] = c
         idems.append(tuple(e))
-    return DgAlgebra(f, dims, d, mult, tuple(unit), idems, nonpositive=False)
+    return DgAlgebra(f, dims, d, mult, tuple(unit), idems)
 
 
 def gamma_tilde(pieces):
@@ -699,6 +685,14 @@ def gamma_tilde(pieces):
     cohomology in positive degrees, because then the truncation loses
     information and the construction upstream must be revisited.
     """
+    E, h = endomorphism_cohomology(pieces)
+    return truncate_algebra(E), h
+
+
+def endomorphism_cohomology(pieces):
+    """(endomorphism dg algebra of the pieces, its cohomology dims), the
+    untruncated side of gamma_tilde.  Raises when there is cohomology in
+    a positive degree, as gamma_tilde does."""
     E = endomorphism_dg_algebra(pieces)
     h = E.cohomology_dims()
     bad = sorted(m for m in h if m > 0)
@@ -706,7 +700,7 @@ def gamma_tilde(pieces):
         raise DgError(
             f"endomorphism algebra has cohomology in positive degree "
             f"(witness degree {bad[0]})")
-    return truncate_algebra(E), h
+    return E, h
 
 
 def truncate_algebra(E: DgAlgebra) -> DgAlgebra:

@@ -92,7 +92,7 @@ def nu_inv_map(g: ModuleMap, u, v) -> ModuleMap:
     return left_mult_map(A, lam, u, v)
 
 
-def _twist_complex(X: Complex, kind_out, block_fn, validate):
+def _twist_complex(X: Complex, kind_out, block_fn):
     parts = {n: tuple(Summand(kind_out, t.vertex) for t in p)
              for n, p in X.parts.items()}
     blocks = {n: {(k, l): block_fn(b, X.parts[n][k].vertex,
@@ -100,21 +100,21 @@ def _twist_complex(X: Complex, kind_out, block_fn, validate):
                   for (k, l), b in grid.items()}
               for n, grid in X.blocks.items()}
     return Complex(X.algebra, parts, blocks, approx_above=X.approx_above,
-                   approx_below=X.approx_below, validate=validate)
+                   approx_below=X.approx_below)
 
 
-def nu_complex(X: Complex, validate=False) -> Complex:
+def nu_complex(X: Complex) -> Complex:
     """Twist a complex of projectives into the matching injective complex."""
     if not all_tags(X, "P"):
         raise AlgebraError("the twist is defined on complexes of projectives")
-    return _twist_complex(X, "I", nu_map, validate)
+    return _twist_complex(X, "I", nu_map)
 
 
-def nu_inverse_complex(X: Complex, validate=False) -> Complex:
+def nu_inverse_complex(X: Complex) -> Complex:
     """Untwist a complex of injectives into the matching projective complex."""
     if not all_tags(X, "I"):
         raise AlgebraError("the untwist is defined on complexes of injectives")
-    return _twist_complex(X, "P", nu_inv_map, validate)
+    return _twist_complex(X, "P", nu_inv_map)
 
 
 # ---- the iteration ----
@@ -148,7 +148,7 @@ def _assemble_evaluation(pieces, T: Complex):
         offsets, _ = summand_offsets(A, [Ui.module(n) for Ui, _ in pieces])
         comps[n] = map_placement(U.module(n), offsets, T.module(n), [origin],
                                  {(i, 0): gi.comp(n) for i, (_, gi) in enumerate(pieces)})
-    return U, ChainMap(U, T, comps, check=False)
+    return U, ChainMap(U, T, comps)
 
 
 def _b_table(sources, T):
@@ -182,8 +182,8 @@ def _b_table(sources, T):
                     "increase the resolution depth")
             reps, _ = hc.chain_classes(-m)
             if reps:
-                maps = [ChainMap(U, T, {k - m: c for k, c in rep.items()},
-                                 check=False) for rep in reps]
+                maps = [ChainMap(U, T, {k - m: c for k, c in rep.items()})
+                        for rep in reps]
                 btab[(j, m)] = len(maps)
                 by_shift.setdefault(m, []).append((U, iota, maps))
     if not by_shift:
@@ -225,7 +225,7 @@ def _iterate_object(T, sources, budget, tau):
 
 def _strip_above(X: Complex) -> Complex:
     return Complex(X.algebra, X.parts, X.blocks, approx_above=None,
-                   approx_below=X.approx_below, validate=False)
+                   approx_below=X.approx_below)
 
 
 def _exactness_candidates(T: Complex):
@@ -435,7 +435,7 @@ def h0_endomorphism_algebra(runs, hc):
     sources = [{i for i, _ in pairs} for pairs in support]
     targets = [{j for _, j in pairs} for pairs in support]
 
-    maps = [ChainMap(T, T, rep, check=False) for rep in reps]
+    maps = [ChainMap(T, T, rep) for rep in reps]
     block = {}
     for a in range(dim):
         for b in range(dim):

@@ -42,8 +42,10 @@ def proj_map_a(A):
 
 def res_s1(A):
     """[P_2 -> P_1] in degrees -1, 0: the projective resolution of S_1."""
-    return Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)},
-                   {-1: {(0, 0): proj_map_a(A)}})
+    X = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)},
+                {-1: {(0, 0): proj_map_a(A)}})
+    X.validate()
+    return X
 
 
 def test_stalk_and_shift(A):
@@ -86,14 +88,14 @@ def triangle_maps(f, C):
         tgt = SX.module(n)
         proj_comps[n] = map_placement(C.module(n), [origin], tgt, [origin],
                                       {(0, 0): ModuleMap.identity(tgt)})
-    return (ChainMap(Y, C, inc_comps, check=False),
-            ChainMap(C, SX, proj_comps, check=False))
+    return ChainMap(Y, C, inc_comps), ChainMap(C, SX, proj_comps)
 
 
 def test_cone_of_projective_map(A):
     X = stalk_complex(A, Summand("P", 1), 0)
     Y = stalk_complex(A, Summand("P", 0), 0)
     f = ChainMap(X, Y, {0: proj_map_a(A)})
+    assert f.commutes()
     C = cone(f)
     inc, proj = triangle_maps(f, C)
     assert C.support() == [-1, 0]
@@ -105,6 +107,7 @@ def test_cone_triangle_composes_to_zero(A):
     X = stalk_complex(A, Summand("P", 1), 0)
     Y = stalk_complex(A, Summand("P", 0), 0)
     f = ChainMap(X, Y, {0: proj_map_a(A)})
+    assert f.commutes()
     C = cone(f)
     inc, proj = triangle_maps(f, C)
     assert f.then(inc).then(proj).is_zero()
@@ -131,7 +134,9 @@ def test_cone_stores_no_zero_block(A):
     # sum of X[1] and Y with no differential at all
     X = stalk_complex(A, Summand("P", 1), 0)
     Y = stalk_complex(A, Summand("P", 0), 0)
-    C = cone(ChainMap(X, Y, {}))
+    f = ChainMap(X, Y, {})
+    assert f.commutes()
+    C = cone(f)
     assert C.support() == [-1, 0]
     assert C.blocks == {}
     assert C.homology_dims() == {-1: (0, 1), 0: (1, 1)}
@@ -152,6 +157,7 @@ def test_minimize_partial(A):
     P1 = Summand("P", 1)
     idm = ModuleMap.identity(A.projective(0))
     X = Complex(A, {0: (P0, P1), 1: (P0,)}, {0: {(0, 0): idm}})
+    X.validate()
     res = minimize(X)
     assert res.complex.parts == {0: (P1,)}
     assert res.to_min.commutes() and res.from_min.commutes()
@@ -179,6 +185,7 @@ def test_minimize_gaussian_correction_term():
                 {-1: {(0, 0): left_mult_map(A3, elem("e2"), 1, 1),
                       (0, 1): left_mult_map(A3, elem("a"), 1, 0),
                       (1, 0): left_mult_map(A3, elem("b"), 2, 1)}})
+    X.validate()
     res = minimize(X)
     Y = res.complex
     assert Y.parts == {-1: (P3,), 0: (P1,)}
@@ -189,11 +196,11 @@ def test_minimize_gaussian_correction_term():
 def test_cone_approx_above(A):
     X = stalk_complex(A, Summand("P", 1), 0, approx_above=5)
     Y = stalk_complex(A, Summand("P", 0), 0, approx_above=2)
-    f = ChainMap(X, Y, {0: proj_map_a(A)}, check=False)
+    f = ChainMap(X, Y, {0: proj_map_a(A)})
     C = cone(f)
     assert C.approx_above == 2
     Y2 = stalk_complex(A, Summand("P", 0), 0)
-    f2 = ChainMap(X, Y2, {0: proj_map_a(A)}, check=False)
+    f2 = ChainMap(X, Y2, {0: proj_map_a(A)})
     C2 = cone(f2)
     assert C2.approx_above == 4
 
@@ -212,7 +219,7 @@ def test_hom_complex_ext(A):
 
 def test_hom_complex_valid_hi(A):
     X = stalk_complex(A, Summand("P", 0), 0)
-    Y = Complex(A, {0: (Summand("P", 0),)}, {}, approx_above=5, validate=False)
+    Y = Complex(A, {0: (Summand("P", 0),)}, {}, approx_above=5)
     hc = HomComplex(X, Y)
     assert hc.valid_range()[1] == 4
     hc2 = HomComplex(X, stalk_complex(A, Summand("P", 0), 0))
@@ -230,6 +237,7 @@ def test_complex_iso_search(A):
     X = res_s1(A)
     Y = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)},
                 {-1: {(0, 0): proj_map_a(A).scale(QQ.of(2))}})
+    Y.validate()
     iso = complex_iso_search(X, Y)
     assert iso is not None and iso.is_degreewise_iso() and iso.commutes()
 
@@ -238,6 +246,7 @@ def test_not_iso_to_split_sum(A):
     X = res_s1(A)
     # same degreewise parts, zero differential: not homotopy equivalent
     Y = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),)}, {})
+    Y.validate()
     assert complex_iso_search(X, Y) is None
 
 
@@ -312,7 +321,7 @@ def test_validate_rejects_a_block_key_outside_its_degree(A):
     P0 = Summand("P", 0)
     for key in [(0, 1), (1, 0), (-1, 0)]:
         with pytest.raises(AlgebraError, match="outside degree 0"):
-            Complex(A, {0: (P0,), 1: (P0,)}, {0: {key: idm}})
+            Complex(A, {0: (P0,), 1: (P0,)}, {0: {key: idm}}).validate()
 
 
 def _homology_by_subquotient(X):
@@ -351,8 +360,7 @@ def test_homology_refuses_d_squared_nonzero(A):
     ident = ModuleMap.identity(A.projective(0))
     X = Complex(A, {-1: (Summand("P", 1),), 0: (Summand("P", 0),),
                     1: (Summand("P", 0),)},
-                {-1: {(0, 0): proj_map_a(A)}, 0: {(0, 0): ident}},
-                validate=False)
+                {-1: {(0, 0): proj_map_a(A)}, 0: {(0, 0): ident}})
     with pytest.raises(AlgebraError, match="image not inside kernel"):
         X.homology_dims()
 

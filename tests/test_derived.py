@@ -98,6 +98,7 @@ def test_resolution_of_projective_is_itself(A2):
 
 def test_resolution_of_two_term_complex(A2):
     X = Complex(A2, {-1: (Summand("S", 1),), 0: (Summand("S", 0),)}, {})
+    X.validate()
     res = resolve_complex(X, validate=True)
     assert res.exact
     assert res.complex.homology_dims() == {-1: (0, 1), 0: (1, 0)}
@@ -135,7 +136,8 @@ def test_dual_complex_round_trip(A2):
 
 
 def test_injective_coresolution_of_simple(A2):
-    res = coresolve_complex(S(A2, 1), validate=True)
+    res = coresolve_complex(S(A2, 1))
+    res.complex.validate()
     assert res.exact
     assert res.complex.parts == {
         0: (Summand("I", 1),), 1: (Summand("I", 0),)}
@@ -186,7 +188,7 @@ def random_stalk(A, rng):
     """One or two indecomposables of random kinds in one degree."""
     tags = tuple(Summand(rng.choice("SPI"), rng.randrange(A.quiver.n))
                  for _ in range(rng.randint(1, 2)))
-    return Complex(A, {rng.randint(-1, 1): tags}, {}, validate=False)
+    return Complex(A, {rng.randint(-1, 1): tags}, {})
 
 
 def unsigned(C, m):
@@ -198,7 +200,7 @@ def unsigned(C, m):
     return Complex(C.algebra, C.parts,
                    {n: {kl: b.scale(minus) for kl, b in grid.items()}
                     for n, grid in C.blocks.items()},
-                   approx_above=C.approx_above, validate=False)
+                   approx_above=C.approx_above)
 
 
 def blocks_of(chain_map):
@@ -264,7 +266,9 @@ def test_resolutions_of_simples_over_cyclic_nakayama_follow_the_closed_form(
         assert res.complex.parts == {
             -k: (Summand("P", (i + nakayama_shift(k, r)) % n),)
             for k in range(depth + 1)}
-        cores = coresolve_complex(S(A, i), top=depth, validate=True)
+        cores = coresolve_complex(S(A, i), top=depth)
+        cores.complex.validate()
+        assert cores.aug.commutes()
         assert cores.exact is False
         assert cores.complex.approx_above == depth
         assert cores.complex.parts == {
@@ -272,13 +276,13 @@ def test_resolutions_of_simples_over_cyclic_nakayama_follow_the_closed_form(
             for k in range(depth + 1)}
 
 
-def reference_resolve(X, bottom=None, validate=False):
+def reference_resolve(X, bottom=None):
     """resolve_complex as it was before it copied periods: every degree
     down to the cut is computed."""
     A = X.algebra
     if X.is_zero():
         Z = zero_complex(A)
-        return derived.Resolution(Z, ChainMap(Z, X, {}, check=False), True)
+        return derived.Resolution(Z, ChainMap(Z, X, {}), True)
     xhi, xlo = X.max_deg(), X.min_deg()
     if bottom is None:
         bottom = xlo - derived.default_depth(A, xhi - xlo)
@@ -314,9 +318,8 @@ def reference_resolve(X, bottom=None, validate=False):
     below = X.approx_below
     if not exact:
         below = n + 1 if below is None else max(below, n + 1)
-    P_cx = Complex(A, parts, blocks, approx_below=below, validate=validate)
-    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts},
-                   check=validate)
+    P_cx = Complex(A, parts, blocks, approx_below=below)
+    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts})
     return derived.Resolution(P_cx, aug, exact)
 
 
@@ -386,7 +389,9 @@ def random_short_complex(A, rng):
                      for c in range(ker.ncols)]
         prev = combine(M, N, basis, [f.of(rng.randrange(-2, 3)) for _ in basis])
         blocks[m] = block_dict(A, prev, parts[m], parts[m + 1])
-    return Complex(A, parts, blocks, validate=True)
+    X = Complex(A, parts, blocks)
+    X.validate()
+    return X
 
 
 def assert_runs_match_the_reference(X, depth):
@@ -424,8 +429,9 @@ def two_degree_complex(A, src, tgt):
     basis = hom_basis(summand_sum(A, src)[0], summand_sum(A, tgt)[0])
     d = combine(basis[0].source, basis[0].target, basis,
                 [A.field.one()] * len(basis))
-    return Complex(A, {0: src, 1: tgt}, {0: block_dict(A, d, src, tgt)},
-                   validate=True)
+    X = Complex(A, {0: src, 1: tgt}, {0: block_dict(A, d, src, tgt)})
+    X.validate()
+    return X
 
 
 @pytest.mark.parametrize("case", ["same dims", "projectives change",

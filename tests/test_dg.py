@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from tiltlab import dg
 from tiltlab.algebra import Algebra, Quiver, sparse_product
 from tiltlab.complexes import Summand, minimize, stalk_complex
 from tiltlab.derived import resolve_complex
@@ -126,9 +127,17 @@ def test_validate_rejects_leibniz_violation():
 
 
 def test_validate_rejects_positive_degrees_by_default():
+    # a dg algebra may have a positive part, and says so; the
+    # non-positive theory, strictly perfect modules, refuses it
+    # k[x]/(x^2) with x in degree one
+    one = ((0, q(1)),)
+    A = DgAlgebra(QQ, {0: 1, 1: 1}, {}, {(0, 0): {(0, 0): one},
+                                         (0, 1): {(0, 0): one},
+                                         (1, 0): {(0, 0): one}},
+                  unit=(q(1),), idempotents=[(q(1),)])
+    assert not A.nonpositive and D2.nonpositive
     with pytest.raises(DgError, match="positive"):
-        DgAlgebra(QQ, {0: 1, 1: 1}, {}, {(0, 0): {(0, 0): ((0, q(1)),)}},
-                  unit=(q(1), q(0)), idempotents=[(q(1), q(0))])
+        strict_perfect(A, [(0, 0)])
 
 
 def test_validate_rejects_non_orthogonal_idempotents():
@@ -577,3 +586,173 @@ def test_module_checks_match_the_dense_reference(case):
                     DgModule(D, dims, mats, table)
     # each law is broken somewhere, and some changes break none
     assert seen >= {None, "unit", "Leibniz", "associative"}
+
+
+# ---- the module builder against the per-piece construction ----
+
+def ref_free_module(A, i, shift):
+    """e_i A shifted by shift, built on its own: the construction
+    free_dg_module used before strictly perfect modules had one builder."""
+    f = A.field
+    tags = A.peirce_tags()
+    pick = {k: [a for a, (l, _) in enumerate(tags[k]) if l == i]
+            for k in A.degrees()}
+    dims = {k - shift: len(pick[k]) for k in A.degrees() if pick[k]}
+    pos = {k: {a: r for r, a in enumerate(pick[k])} for k in A.degrees()}
+    sgn = f.one() if shift % 2 == 0 else f.neg(f.one())
+    d = {}
+    for k in A.degrees():
+        if not pick[k] or k not in A.d:
+            continue
+        rows = []
+        for a in pick[k]:
+            row = [f.zero()] * len(pick.get(k + 1, []))
+            for b, c in enumerate(A.d[k].data[a]):
+                if c:
+                    row[pos[k + 1][b]] = f.mul(sgn, c)
+            rows.append(row)
+        if pick.get(k + 1):
+            d[k - shift] = Mat(f, rows, ncols=len(pick[k + 1]))
+    action = {}
+    for (k, j), block in A.mult.items():
+        out = {}
+        for (a, b), prod in block.items():
+            if a in pos.get(k, {}):
+                out[(pos[k][a], b)] = tuple((pos[k + j][c], v)
+                                            for c, v in prod)
+        if out:
+            action[(k - shift, j)] = out
+    return DgModule(A, dims, d, action)
+
+
+def ref_perfect_module(A, pieces, delta):
+    """The module of a strictly perfect presentation as the sum of
+    ref_free_module's pieces, with the connecting maps added entry by
+    entry: the construction materialize used before."""
+    f = A.field
+    one = f.one()
+    frees = [ref_free_module(A, i, s) for s, i in pieces]
+    degs = sorted({k for M in frees for k in M.degrees()})
+    dims = {k: sum(M.dim_at(k) for M in frees) for k in degs}
+    offs = {k: [sum(M.dim_at(k) for M in frees[:t])
+                for t in range(len(frees))] for k in degs}
+    tags = A.peirce_tags()
+    d = {}
+    for k in degs:
+        if dims.get(k + 1, 0) == 0:
+            continue
+        rows = [[f.zero()] * dims[k + 1] for _ in range(dims[k])]
+        for t, M in enumerate(frees):
+            if k in M.d:
+                for r in range(M.dim_at(k)):
+                    for c in range(M.dim_at(k + 1)):
+                        rows[offs[k][t] + r][offs[k + 1][t] + c] = \
+                            M.d[k][r, c]
+        for (t, u), x in delta.items():
+            deg = 1 - pieces[t][0] + pieces[u][0]
+            st, it_ = pieces[t]
+            su, iu = pieces[u]
+            pick_t = [a for a, (l, _) in enumerate(tags.get(k + st, []))
+                      if l == it_]
+            pick_u = [a for a, (l, _) in enumerate(tags.get(k + 1 + su, []))
+                      if l == iu]
+            pos_u = {a: c for c, a in enumerate(pick_u)}
+            for r, a in enumerate(pick_t):
+                img = sparse_product(
+                    f, A.mult, deg, [(b, c) for b, c in enumerate(x) if c],
+                    k + st, ((a, one),))
+                for b, coef in img.items():
+                    row = rows[offs[k][t] + r]
+                    c = offs[k + 1][u] + pos_u[b]
+                    row[c] = f.add(row[c], coef)
+        d[k] = Mat(f, rows, ncols=dims[k + 1])
+    action = {}
+    for t, M in enumerate(frees):
+        for (k, j), block in M.action.items():
+            out = action.setdefault((k, j), {})
+            for (r, b), img in block.items():
+                out[(offs[k][t] + r, b)] = tuple(
+                    (offs[k + j][t] + c, v) for c, v in img)
+    return DgModule(A, dims, d, action)
+
+
+def random_presentation(rng, D):
+    """Pieces in shifts -1..1 and connecting entries, each with random
+    coefficients on the basis of its corner and degree; the entries need
+    not compose to zero."""
+    tags = D.peirce_tags()
+    pieces = [(rng.randint(-1, 1), rng.randrange(len(D.idempotents)))
+              for _ in range(rng.randint(1, 4))]
+    delta = {}
+    for u in range(len(pieces)):
+        for t in range(u):
+            deg = 1 - pieces[t][0] + pieces[u][0]
+            corner = (pieces[u][1], pieces[t][1])
+            x = [q(rng.choice([0, 1, -1, 2])) if tag == corner else q(0)
+                 for tag in tags.get(deg, [])]
+            if any(x):
+                delta[(t, u)] = tuple(x)
+    return pieces, delta
+
+
+@pytest.mark.parametrize("case", range(3), ids=["D2", "D3", "truncated"])
+def test_perfect_module_builder_matches_the_per_piece_construction(case):
+    """The one builder gives the dims, differentials and action table of
+    the free summands summed and glued by hand, and accepts exactly the
+    presentations whose entries compose to zero."""
+    D = [D2, D3, module_algebra()][case]
+    rng = random.Random(case)
+    for i in range(len(D.idempotents)):
+        for s in (-1, 0, 1, 2):
+            got, want = free_dg_module(D, i, s), ref_free_module(D, i, s)
+            assert (got.dims, got.d, got.action) == \
+                (want.dims, want.d, want.action)
+    outcomes = set()
+    for _ in range(40):
+        pieces, delta = random_presentation(rng, D)
+        try:
+            want = ref_perfect_module(D, pieces, delta)
+        except DgError:
+            with pytest.raises(DgError):
+                strict_perfect(D, pieces, delta)
+            outcomes.add("rejected")
+            continue
+        got = materialize(strict_perfect(D, pieces, delta))
+        assert (got.dims, got.d, got.action) == \
+            (want.dims, want.d, want.action)
+        outcomes.add("glued" if delta else "free")
+    assert outcomes >= {"glued", "free"}
+
+
+def test_a_strictly_perfect_module_is_validated_once(monkeypatch):
+    checked = []
+    validate = DgModule.validate
+    monkeypatch.setattr(DgModule, "validate",
+                        lambda M: checked.append(M) or validate(M))
+    M = materialize(strict_perfect(D2, [(1, 1), (0, 0)]))
+    assert checked == [M]
+
+
+def test_hom_slices_are_computed_once_per_degree_and_idempotent(monkeypatch):
+    """Pieces that share an idempotent share the slices (N^k) e_i; the
+    hom dims are sum over the pieces (s, i) of dim (N^{k-s}) e_i."""
+    sp = strict_perfect(D2, [(0, 0), (0, 0), (1, 1), (0, 1)])
+    N = sp.module
+    seen = []
+    slice_rows = dg._right_slice_rows
+    monkeypatch.setattr(dg, "_right_slice_rows",
+                        lambda N, k, i: seen.append((k, i))
+                        or slice_rows(N, k, i))
+    h = hom_perfect_module(sp, N)
+    assert sorted(seen) == [(-1, 0), (-1, 1), (0, 0), (0, 1)]
+    # N's basis in degree m: per piece (s', i') with s' = -m, the paths
+    # starting at i'; the right idempotent e_i fixes those ending at i
+    tags = D2.peirce_tags()[0]
+    right = {(m, i): sum(1 for s2, i2 in sp.pieces if s2 == -m
+                         for l, r in tags if l == i2 and r == i)
+             for m in N.degrees() for i in range(2)}
+    want = {}
+    for s, i in sp.pieces:
+        for m in N.degrees():
+            want[m + s] = want.get(m + s, 0) + right[(m, i)]
+    assert h.dims == {k: n for k, n in want.items() if n}

@@ -29,7 +29,9 @@ stores its arrow matrices (on its support only) is algebra's alone.
 A seventh fails when a module other than algebra names dense_product,
 or when a method of a class outside algebra reads a unit or idempotents
 and multiplies: the unit and idempotent checks are algebra's
-check_unit and check_idempotents, which every class calls.
+check_unit and check_idempotents, which every class calls.  An eighth
+fails when an entry of bench/tracer.py's BOUNDARIES names no function,
+method or class that the package defines.
 """
 
 import ast
@@ -45,6 +47,9 @@ KEPT = {
     "tilting.nu_complex": "the Nakayama functor on complexes; the twist "
                           "round trip checks nu_inverse against it",
     "linalg.Mat.from_rows": "the constructor tests use for outside data",
+    "dg.free_dg_module": "the free summand e_i A, shifted, over any dg "
+                         "algebra; strict_perfect refuses one with a "
+                         "positive part",
 }
 
 
@@ -108,6 +113,17 @@ def test_every_definition_has_a_user():
                 orphans.append(qual)
     assert set(KEPT) <= defined, "a kept helper no longer exists"
     assert not orphans, "definitions only tests reach: " + ", ".join(orphans)
+
+
+def test_every_tracer_boundary_is_a_definition():
+    """bench/tracer.py wraps each boundary by name, so a renamed or
+    removed definition must fail here and not only in a traced run."""
+    defined = {qual for path in PACKAGE.glob("*.py")
+               for qual, _, _ in _definitions(path.stem,
+                                              ast.parse(path.read_text()))}
+    missing = sorted(_tracer_boundaries() - defined)
+    assert not missing, "tracer boundaries the package does not define: " + \
+        ", ".join(missing)
 
 
 def _unread_imports(tree):

@@ -46,7 +46,7 @@ def all_products(hc):
     """The degree-zero block of the class table, from every product."""
     T = hc.X
     reps, H = hc.chain_classes(0)
-    maps = [ChainMap(T, T, rep, check=False) for rep in reps]
+    maps = [ChainMap(T, T, rep) for rep in reps]
     block = {}
     for a, fa in enumerate(maps):
         for b, fb in enumerate(maps):
@@ -97,7 +97,7 @@ def test_class_table_matches_all_products_on_the_corpus(path):
 
 def exact(X):
     """X without its cut markers: the stored complex, as a complex."""
-    return Complex(X.algebra, X.parts, X.blocks, validate=False)
+    return Complex(X.algebra, X.parts, X.blocks)
 
 
 @settings(max_examples=40, deadline=None)

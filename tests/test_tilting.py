@@ -104,11 +104,14 @@ def test_twist_of_projective_map(A2):
 
 def test_twist_complex_roundtrip(A2):
     X = resolve_complex(S(A2, 0), validate=True).complex
-    N = nu_complex(X, validate=True)
+    N = nu_complex(X)
+    N.validate()
     assert sorted(N.parts) == [-1, 0]
     assert all(t.kind == "I" for p in N.parts.values() for t in p)
     assert not N.block(-1, 0, 0).is_zero()
-    assert nu_inverse_complex(N, validate=True) == X
+    Y = nu_inverse_complex(N)
+    Y.validate()
+    assert Y == X
 
 
 def test_twist_is_functorial(A3):
@@ -268,8 +271,10 @@ def test_extension_refuses_a_target_that_is_not_injective(A2):
 def two_term(A, w, v):
     """P_w -> P_v in degrees -1, 0, by the one basis map."""
     (h,) = hom_basis(A.projective(w), A.projective(v))
-    return Complex(A, {-1: (Summand("P", w),), 0: (Summand("P", v),)},
-                   {-1: {(0, 0): h}})
+    X = Complex(A, {-1: (Summand("P", w),), 0: (Summand("P", v),)},
+                {-1: {(0, 0): h}})
+    X.validate()
+    return X
 
 
 def test_members_with_two_degrees_cone_without_the_lift(A3, NAK2):
