@@ -287,12 +287,6 @@ def _perfect_module(A: DgAlgebra, tags, pieces, delta) -> DgModule:
     return DgModule(A, dims, d, action)
 
 
-def free_dg_module(A: DgAlgebra, i: int, shift: int = 0) -> DgModule:
-    """The summand e_i A of the regular module, shifted: degree k holds
-    (e_i A)^(k + shift), and the differential is scaled by (-1)^shift."""
-    return _perfect_module(A, A.peirce_tags(), ((shift, i),), {})
-
-
 def strict_perfect(A: DgAlgebra, pieces, delta=None) -> StrictPerfect:
     """Validated constructor: checks triangularity, degrees and tags, then
     builds the module, which checks d^2 = 0 and all module laws."""
@@ -439,16 +433,22 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
     """
     A = sp.algebra
     f = A.field
-    # (N^kN) e_i and its solver, once per (kN, i); piece t = (s, i)
-    # reads its degree-k values in the one of (k - s, i)
-    spans = {(kN, i): (slc, _span_coords(slc))
-             for i in {i for _, i in sp.pieces} for kN in N.degrees()
-             if (slc := _right_slice_rows(N, kN, i)).nrows}
-    at = {(t, kN + s): spans[(kN, i)] for t, (s, i) in enumerate(sp.pieces)
-          for kN in N.degrees() if (kN, i) in spans}
-    slices = {key: slc for key, (slc, _) in at.items()}
-    slice_coords = {key: coords for key, (_, coords) in at.items()}
-    degs = {k for _, k in slices}
+    slices, slice_coords = {}, {}
+    degs = set()
+    # (N^kN) e_i and its solver depend on (kN, i) only, so pieces with
+    # the same idempotent share them
+    spans = {}
+    for t, (s, i) in enumerate(sp.pieces):
+        for kN in N.degrees():
+            if (kN, i) not in spans:
+                slc = _right_slice_rows(N, kN, i)
+                spans[(kN, i)] = (slc, _span_coords(slc) if slc.nrows
+                                  else None)
+            slc, coords = spans[(kN, i)]
+            if slc.nrows:
+                slices[(t, kN + s)] = slc
+                slice_coords[(t, kN + s)] = coords
+                degs.add(kN + s)
     dims, basis = {}, {}
     for k in sorted(degs):
         labels = []
@@ -685,14 +685,6 @@ def gamma_tilde(pieces):
     cohomology in positive degrees, because then the truncation loses
     information and the construction upstream must be revisited.
     """
-    E, h = endomorphism_cohomology(pieces)
-    return truncate_algebra(E), h
-
-
-def endomorphism_cohomology(pieces):
-    """(endomorphism dg algebra of the pieces, its cohomology dims), the
-    untruncated side of gamma_tilde.  Raises when there is cohomology in
-    a positive degree, as gamma_tilde does."""
     E = endomorphism_dg_algebra(pieces)
     h = E.cohomology_dims()
     bad = sorted(m for m in h if m > 0)
@@ -700,7 +692,7 @@ def endomorphism_cohomology(pieces):
         raise DgError(
             f"endomorphism algebra has cohomology in positive degree "
             f"(witness degree {bad[0]})")
-    return E, h
+    return truncate_algebra(E), h
 
 
 def truncate_algebra(E: DgAlgebra) -> DgAlgebra:

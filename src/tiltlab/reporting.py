@@ -37,7 +37,7 @@ from .algebra import Algebra, AlgebraError, Quiver
 from .ainfinity import (AInfError, collection_ext_model, dual_bar_dg)
 from .complexes import Summand, minimize, stalk_complex
 from .derived import resolve_complex, validate_simple_minded
-from .dg import (DgError, endomorphism_cohomology, endomorphism_dg_algebra,
+from .dg import (DgError, endomorphism_dg_algebra, gamma_tilde,
                  truncate_algebra)
 from .linalg import Echelon, Mat, field_from_spec, independent_rows
 from .tilting import check_tilting, nu_inverse_complex
@@ -532,9 +532,7 @@ def _ainf_stage(job, res, gate):
     try:
         pieces = [minimize(nu_inverse_complex(r.complex)).complex
                   for r in res["runs"]]
-        # the cohomology is all the cross-check compares, so the
-        # truncated algebra is not built
-        _, gh = endomorphism_cohomology(pieces)
+        _, gh = gamma_tilde(pieces)
     except (AlgebraError, DgError) as e:
         out["crosscheck"] = "FAIL"
         out["crosscheck_note"] = f"endomorphism side failed: {e}"

@@ -21,7 +21,6 @@ from tiltlab.dg import (
     dg_from_path_algebra,
     dg_nakayama,
     endomorphism_dg_algebra,
-    free_dg_module,
     gamma_tilde,
     hom_cohomology,
     hom_perfect_module,
@@ -156,14 +155,14 @@ def test_path_algebra_embeds_in_degree_zero():
 # ---- free modules and strictly perfect presentations ----
 
 def test_free_module_shapes():
-    M = free_dg_module(D2, 0)
+    M = strict_perfect(D2, [(0, 0)]).module
     assert M.dims == {0: 2}
     # e_1 A = span(e1, a): e1 is fixed by e1 on the right, a by e2
     for m, i in enumerate([0, 1]):
         e = [(b, c) for b, c in enumerate(D2.idempotents[i]) if c]
         assert sparse_product(QQ, M.action, 0, [(m, q(1))], 0, e) == \
             {m: q(1)}
-    Ms = free_dg_module(D2, 1, shift=2)
+    Ms = strict_perfect(D2, [(2, 1)]).module
     assert Ms.dims == {-2: 1}
 
 
@@ -508,8 +507,8 @@ def simples(D):
 def modules_over(D, perfect):
     """Free modules in three shifts, the given strictly perfect ones, their
     dg Nakayama duals and both halves of their truncations."""
-    out = [free_dg_module(D, i, s) for i in range(len(D.idempotents))
-           for s in (-1, 0, 1)]
+    out = [strict_perfect(D, [(s, i)]).module
+           for i in range(len(D.idempotents)) for s in (-1, 0, 1)]
     for sp in perfect:
         M = materialize(sp)
         out += [M, dg_nakayama(sp), *truncate(M)[:2]]
@@ -591,8 +590,8 @@ def test_module_checks_match_the_dense_reference(case):
 # ---- the module builder against the per-piece construction ----
 
 def ref_free_module(A, i, shift):
-    """e_i A shifted by shift, built on its own: the construction
-    free_dg_module used before strictly perfect modules had one builder."""
+    """e_i A shifted by shift, built on its own: how a lone free summand
+    was built before strictly perfect modules had one builder."""
     f = A.field
     tags = A.peirce_tags()
     pick = {k: [a for a, (l, _) in enumerate(tags[k]) if l == i]
@@ -704,7 +703,8 @@ def test_perfect_module_builder_matches_the_per_piece_construction(case):
     rng = random.Random(case)
     for i in range(len(D.idempotents)):
         for s in (-1, 0, 1, 2):
-            got, want = free_dg_module(D, i, s), ref_free_module(D, i, s)
+            got = strict_perfect(D, [(s, i)]).module
+            want = ref_free_module(D, i, s)
             assert (got.dims, got.d, got.action) == \
                 (want.dims, want.d, want.action)
     outcomes = set()

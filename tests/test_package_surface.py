@@ -47,9 +47,6 @@ KEPT = {
     "tilting.nu_complex": "the Nakayama functor on complexes; the twist "
                           "round trip checks nu_inverse against it",
     "linalg.Mat.from_rows": "the constructor tests use for outside data",
-    "dg.free_dg_module": "the free summand e_i A, shifted, over any dg "
-                         "algebra; strict_perfect refuses one with a "
-                         "positive part",
 }
 
 
