@@ -13,8 +13,8 @@ this module reads the stored dicts; others use ModuleMap.block.
 The quotient is taken by the relation ideal together with all paths of
 length >= nilpotency_bound.  For acyclic quivers the default bound is
 one more than the longest path, which changes nothing; for quivers with
-cycles the bound is part of the input and we certify (when cheap) that
-raising it would not change the algebra.
+cycles the bound is part of the input, and bound_certified, computed
+when first read, tells whether raising it would change the algebra.
 
 This module defines the one structure-constant format (see
 sparse_structure): nonzero products by their nonzero coordinates.  The
@@ -33,10 +33,6 @@ PATH_CAP = 200_000
 
 class AlgebraError(ValueError):
     pass
-
-
-class LocalStructureError(AlgebraError):
-    """A piece assumed local with split residue field turned out not to be."""
 
 
 class Quiver:
@@ -70,38 +66,25 @@ class Quiver:
         return self.longest_path_length() is not None
 
     def longest_path_length(self):
-        """Length of the longest path, or None when a cycle exists."""
-        adj = [[] for _ in range(self.n)]
+        """Length of the longest path, or None when a cycle exists.
+
+        Kahn's order: a vertex is taken once every arrow into it has been
+        read, and its depth is final by then; a cycle leaves vertices
+        that are never taken."""
+        indeg = [0] * self.n
+        out = [[] for _ in range(self.n)]
         for _, s, t in self.arrows:
-            adj[s].append(t)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * self.n
+            out[s].append(t)
+            indeg[t] += 1
         depth = [0] * self.n
-        cyclic = False
-
-        def visit(v):
-            nonlocal cyclic
-            color[v] = GRAY
-            best = 0
-            for w in adj[v]:
-                if color[w] == GRAY:
-                    cyclic = True
-                    return 0
-                if color[w] == WHITE:
-                    visit(w)
-                if cyclic:
-                    return 0
-                best = max(best, 1 + depth[w])
-            depth[v] = best
-            color[v] = BLACK
-            return best
-
-        for v in range(self.n):
-            if color[v] == WHITE:
-                visit(v)
-            if cyclic:
-                return None
-        return max(depth) if self.n else 0
+        order = [v for v in range(self.n) if not indeg[v]]
+        for v in order:  # grows while it is read
+            for w in out[v]:
+                depth[w] = max(depth[w], depth[v] + 1)
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        return max(depth) if len(order) == self.n else None
 
     def reversed(self):
         return Quiver(self.n, [(lab, t, s) for lab, s, t in self.arrows])
@@ -114,8 +97,7 @@ class Algebra:
     have length >= 2 so the ideal is admissible.
     """
 
-    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency_bound=None,
-                 certify_bound=True):
+    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency_bound=None):
         self.field = field
         self.quiver = quiver
         self.relations_raw = [
@@ -154,9 +136,6 @@ class Algebra:
         # target tags) -> (hom basis, Echelon of its flattened maps)
         self.sum_memo = {}
         self.hom_memo = {}
-        self.bound_certified = None
-        if certify_bound:
-            self.bound_certified = self._certify_bound()
 
     # ---- construction internals ----
 
@@ -237,11 +216,13 @@ class Algebra:
                 vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
         return tuple(vec[k] for k in self.basis)
 
-    def _certify_bound(self):
-        """True when raising the bound by one leaves the dimension fixed."""
+    @cached_property
+    def bound_certified(self):
+        """True when raising the bound by one leaves the dimension fixed,
+        None when the algebra at the raised bound is too large to build."""
         try:
             bigger = Algebra(self.field, self.quiver, self.relations_raw,
-                             nilpotency_bound=self.bound + 1, certify_bound=False)
+                             nilpotency_bound=self.bound + 1)
         except AlgebraError:
             return None
         return bigger.dim == self.dim
@@ -326,7 +307,7 @@ class Algebra:
             for rel in self.relations_raw:
                 rels.append([(c, list(reversed(labs))) for c, labs in rel])
             opp = Algebra(self.field, self.quiver.reversed(), rels,
-                          nilpotency_bound=self.bound, certify_bound=False)
+                          nilpotency_bound=self.bound)
             opp._op = self
             self._op = opp
         return self._op
@@ -1099,6 +1080,14 @@ class FiniteAlgebra:
     dimension.  The basis need not be adapted to the idempotents: the
     Peirce corners are read through the matrix of x -> e_i x e_j, built
     once per pair (i, j) from sparse products.
+
+    The radical (radical_rows, radical_powers) assumes a basic algebra
+    over a split field: each corner e_i A e_i local, with residue field
+    the ground field.  A corner element b is then lambda e_i + n with n
+    nilpotent, and lambda is read without eigenvalues: over QQ, lambda =
+    tr(x -> bx on A) / dim e_i A; over GF(p), b^q = lambda e_i for q =
+    p^s >= dim e_i A e_i.  _verify_radical certifies the candidate, and
+    an algebra that breaks the assumption fails it.
     """
 
     def __init__(self, field, products, unit, idempotents):
@@ -1153,57 +1142,78 @@ class FiniteAlgebra:
         n = len(self.idempotents)
         return [[self.peirce_basis(i, j).nrows for j in range(n)] for i in range(n)]
 
-    def left_mult_matrix_on(self, x, space_rows):
-        """Matrix of y -> x*y on the span of space_rows, in those coordinates."""
+    @cached_property
+    def _trace(self):
+        """tau_a = tr(x -> b_a x), the coefficient of b_k in b_a b_k summed
+        over k, read once off the sparse table."""
         f = self.field
-        imgs = [self.mult(x, tuple(r)) for r in space_rows.data]
-        sol = space_rows.transpose().solve(Mat(f, imgs).transpose())
-        if sol is None:
-            raise AlgebraError("left multiplication leaves the subspace")
-        return sol.transpose()
+        tau = [f.zero()] * self.dim
+        for (a, k), prod in self.products[(0, 0)].items():
+            for t, c in prod:
+                if t == k:
+                    tau[a] = f.add(tau[a], c)
+        return tau
 
-    def local_residue_functional(self, i):
-        """Scalars lambda(b) for b in a basis of e_i A e_i, with b - lambda split off.
+    def _residues(self, i):
+        """The residue lambda(b) of each row b of the basis of e_i A e_i:
+        the scalar with b - lambda e_i nilpotent.
 
-        Requires the corner to be local with residue field equal to the
-        ground field; raises LocalStructureError otherwise.
+        On a local corner with residue field the ground field, b =
+        lambda e_i + n with n nilpotent and e_i n = n e_i = n.  Over QQ,
+        left multiplication on A is L_b = lambda L_{e_i} + L_n, where
+        L_{e_i} projects onto e_i A and L_n is nilpotent, so lambda(b) =
+        tr L_b / dim e_i A.  Over GF(p) the binomial terms vanish and
+        lambda^p = lambda, so b^q = lambda e_i + n^q = lambda e_i for q =
+        p^s >= dim e_i A e_i, read where e_i is nonzero.  On any other
+        corner the scalars mean nothing, and _verify_radical rejects the
+        candidate built from them.
         """
         f = self.field
         corner = self.peirce_basis(i, i)
-        d = corner.nrows
-        eye = Mat.identity(f, d)
-        lambdas = []
-        for r in range(d):
-            L = self.left_mult_matrix_on(tuple(corner.data[r]), corner)
-            lam = _split_eigenvalue(f, L.charpoly(), d)
-            if lam is None:
-                raise LocalStructureError("corner residue is not split over the field")
-            # verify b - lam*e_i is nilpotent on the corner, where e_i
-            # acts as the identity: L_{b - lam e_i} = L_b - lam
-            if any(L.add(eye.scale(f.neg(lam))).charpoly()[:-1]):
-                raise LocalStructureError("corner element is not scalar plus nilpotent")
-            lambdas.append(lam)
-        return corner, lambdas
+        p = getattr(f, "p", None)
+        if p is None:
+            width = f.of(sum(self.peirce_basis(i, j).nrows
+                             for j in range(len(self.idempotents))))
+            return [f.div(f.norm(sum(c * t for c, t in zip(b, self._trace))),
+                          width) for b in corner.data]
+        q = p
+        while q < corner.nrows:
+            q *= p
+
+        def sparse(x):
+            return {k: c for k, c in enumerate(x) if c}
+
+        def mul(x, y):
+            return sparse_product(f, self.products, 0, x.items(), 0, y.items())
+
+        e = self.idempotents[i]
+        t = next(k for k, c in enumerate(e) if c)
+        out = []
+        for b in corner.data:
+            power, x, s = sparse(e), sparse(b), q  # b^q by repeated squaring
+            while s:
+                if s & 1:
+                    power = mul(power, x)
+                s >>= 1
+                if s:
+                    x = mul(x, x)
+            out.append(f.div(power.get(t, f.zero()), e[t]))
+        return out
 
     def radical_rows(self):
         """Row basis of the radical candidate J: the Peirce blocks off the
-        diagonal and the kernel of each corner's residue functional.
-        radical_powers verifies it."""
+        diagonal and, on each corner e_i A e_i, the b - lambda(b) e_i for b
+        in its basis, lambda(b) the residue of _residues (tr L_b / dim e_i A
+        over QQ, b^q = lambda e_i over GF(p)).  radical_powers verifies
+        it."""
         f = self.field
         n = len(self.idempotents)
-        rows = []
+        rows = [list(r) for i in range(n) for j in range(n) if i != j
+                for r in self.peirce_basis(i, j).data]
         for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rows.extend(list(r) for r in self.peirce_basis(i, j).data)
-        for i in range(n):
-            corner, lambdas = self.local_residue_functional(i)
-            # kernel of the residue functional on the corner
-            for r in range(corner.nrows):
-                b = list(corner.data[r])
-                lam = lambdas[r]
-                shifted = [f.sub(x, f.mul(lam, e)) for x, e in zip(b, self.idempotents[i])]
-                rows.append(shifted)
+            corner, e = self.peirce_basis(i, i), self.idempotents[i]
+            for b, lam in zip(corner.data, self._residues(i)):
+                rows.append([f.sub(x, f.mul(lam, y)) for x, y in zip(b, e)])
         return Mat(f, rows).row_space_basis() if rows else Mat.zeros(f, 0, self.dim)
 
     def radical_powers(self):
@@ -1247,21 +1257,3 @@ class FiniteAlgebra:
             powers.append(Mat(f, nxt_rows, ncols=self.dim).row_space_basis())
         raise AlgebraError("radical candidate is not nilpotent")
 
-
-def _split_eigenvalue(field, charpoly_coeffs, d):
-    """The unique lambda with charpoly (t - lambda)^d, if the shape allows one."""
-    f = field
-    if d == 0:
-        return None
-    p = getattr(f, "p", None)
-    if p is None:
-        # c_{d-1} = -d * lambda
-        return f.div(f.neg(charpoly_coeffs[d - 1]), f.of(d))
-    a, m = 0, d
-    while m % p == 0:
-        m //= p
-        a += 1
-    idx = (p ** a) * (m - 1)
-    c = charpoly_coeffs[idx]
-    # c = -m * lambda^{p^a} and Frobenius fixes the prime field
-    return f.div(f.neg(c), f.of(m))

@@ -386,23 +386,29 @@ class Mat:
         _, pivots = self.rref()
         return len(pivots)
 
-    def kernel_basis(self):
-        """Columns spanning ker(self), i.e. self @ K = 0."""
+    def _null_vectors(self):
+        """Vectors v with self @ v = 0, one per free column of the reduced
+        echelon form, as tuples: a basis of the kernel."""
         f = self.field
         z, o, norm = f.zero(), f.one(), f.norm
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        cols = []
-        for j in free:
+        vecs = []
+        for j in range(self.ncols):
+            if j in pivset:
+                continue
             v = [z] * self.ncols
             v[j] = o
             for r, pc in enumerate(pivots):
                 v[pc] = norm(-R.data[r][j])
-            cols.append(v)
-        if not cols:
-            return Mat._trusted(f, ((),) * self.ncols, 0)
-        return Mat._trusted(f, tuple(zip(*cols)), len(cols))
+            vecs.append(tuple(v))
+        return tuple(vecs)
+
+    def kernel_basis(self):
+        """Columns spanning ker(self), i.e. self @ K = 0."""
+        vecs = self._null_vectors()
+        return Mat._trusted(self.field, tuple(zip(*vecs)) if vecs
+                            else ((),) * self.ncols, len(vecs))
 
     def solve(self, b):
         """Solve self @ x = b for a column-stacked b; None if inconsistent."""
@@ -431,8 +437,9 @@ class Mat:
         return Mat._trusted(self.field, R.data[:len(pivots)], self.ncols)
 
     def left_kernel_basis(self):
-        """Rows v with v @ self = 0."""
-        return self.transpose().kernel_basis().transpose()
+        """Rows v with v @ self = 0: the null vectors of the transpose."""
+        return Mat._trusted(self.field, self.transpose()._null_vectors(),
+                            self.nrows)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -444,61 +451,6 @@ class Mat:
         if x is None:
             raise ValueError("matrix is singular")
         return x
-
-    def charpoly(self):
-        """Coefficients [c_0, ..., c_n] of det(tI - self), division free.
-
-        Uses the Berkowitz algorithm so it works verbatim over GF(p).
-        """
-        f = self.field
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("characteristic polynomial of non-square matrix")
-        if n == 0:
-            return [f.one()]
-        z, o = f.zero(), f.one()
-
-        def mat_vec(M, v):
-            out = []
-            for row in M:
-                acc = z
-                for a, b in zip(row, v):
-                    acc = f.add(acc, f.mul(a, b))
-                out.append(acc)
-            return out
-
-        A = [list(r) for r in self.data]
-        # vectors[i] holds the charpoly of the leading i x i block, lowest degree last
-        poly = [o]
-        for k in range(1, n + 1):
-            a = A[k - 1][k - 1]
-            if k == 1:
-                # t - a
-                poly = [o, f.neg(a)]
-                continue
-            R = [A[k - 1][j] for j in range(k - 1)]
-            C = [[A[i][k - 1]] for i in range(k - 1)]
-            Ak = [row[: k - 1] for row in A[: k - 1]]
-            # Toeplitz column: [1, -a, -R C, -R Ak C, -R Ak^2 C, ...]
-            col = [o, f.neg(a)]
-            v = [c[0] for c in C]
-            for _ in range(k - 1):
-                acc = z
-                for x, y in zip(R, v):
-                    acc = f.add(acc, f.mul(x, y))
-                col.append(f.neg(acc))
-                v = mat_vec(Ak, v)
-            col = col[: k + 1]
-            new = [z] * (k + 1)
-            for i, c in enumerate(col):
-                if not c:
-                    continue
-                for j, p in enumerate(poly):
-                    if i + j <= k:
-                        new[i + j] = f.add(new[i + j], f.mul(c, p))
-            poly = new
-        # poly is highest-degree-first; return lowest-first
-        return list(reversed(poly))
 
 
 class Echelon:

@@ -39,7 +39,7 @@ from .complexes import Summand, minimize, stalk_complex
 from .derived import resolve_complex, validate_simple_minded
 from .dg import (DgError, endomorphism_dg_algebra, gamma_tilde,
                  truncate_algebra)
-from .linalg import Echelon, Mat, field_from_spec, independent_rows
+from .linalg import Mat, field_from_spec, independent_rows
 from .tilting import check_tilting, nu_inverse_complex
 
 STAGES = ("validate", "rickard", "tilt", "gamma", "ainf")
@@ -265,10 +265,13 @@ def _poly_text(field, vec, names):
 def algebra_presentation(G):
     """Quiver and admissible relations presenting a basic algebra.
 
-    Arrows lift a basis of rad/rad^2 corner by corner; relation
-    generators span the kernel of path evaluation, truncated at the
-    radical's nilpotency index (every path of that length already
-    evaluates to zero, so nothing beyond it carries information).
+    Arrows lift a basis of rad/rad^2 corner by corner.  Path evaluation
+    is truncated at the radical's nilpotency index (every path of that
+    length already evaluates to zero, so nothing beyond it carries
+    information), and the relations are the kernel vectors, corner by
+    corner, that lie outside the kernel's arrow multiples on both sides
+    and the relations kept before them: a minimal generating set of the
+    ideal.
     """
     f = G.field
     r = len(G.idempotents)
@@ -306,29 +309,8 @@ def algebra_presentation(G):
 
     values = [evaluate(p) for p in paths]
 
-    consequences = Echelon(Mat.zeros(f, 0, len(paths)))
-
-    def absorb(vec):
-        """Close the consequence space under arrows once vec has joined it."""
-        stack = [vec]
-        while stack:
-            v = stack.pop()
-            for k in range(len(arrows)):
-                for side in ("L", "R"):
-                    w = [f.zero()] * len(paths)
-                    hit = False
-                    for n, c in enumerate(v):
-                        if not c:
-                            continue
-                        p = paths[n]
-                        q = (k,) + p if side == "L" else p + (k,)
-                        if q in pos:
-                            w[pos[q]] = f.add(w[pos[q]], c)
-                            hit = True
-                    if hit and consequences.add(w):
-                        stack.append(w)
-
-    gens = []
+    # the evaluation kernel, corner by corner
+    kernel = []
     for i in range(r):
         for j in range(r):
             idxs = [n for n, p in enumerate(paths)
@@ -340,14 +322,31 @@ def algebra_presentation(G):
                 vec = [f.zero()] * len(paths)
                 for t, c in zip(idxs, krow):
                     vec[t] = c
-                if consequences.add(vec):
-                    lead = next(c for c in krow if c)
-                    inv = f.inv(lead)
-                    gens.append(tuple(f.mul(inv, c) for c in vec))
-                    absorb(gens[-1])
+                kernel.append(vec)
+
+    # its arrow multiples on both sides; paths beyond L drop out, as
+    # they lie in the ideal those multiples generate
+    multiples = []
+    for v in kernel:
+        for k in range(len(arrows)):
+            for side in ("L", "R"):
+                w = [f.zero()] * len(paths)
+                for n, c in enumerate(v):
+                    q = (k,) + paths[n] if side == "L" else paths[n] + (k,)
+                    if c and q in pos:
+                        w[pos[q]] = f.add(w[pos[q]], c)
+                if any(w):
+                    multiples.append(w)
+
+    # a minimal relation is a kernel vector outside the multiples and
+    # the relations kept before it
+    gens = []
+    for vec in independent_rows(Mat(f, multiples, ncols=len(paths)), kernel):
+        inv = f.inv(next(c for c in vec if c))
+        gens.append(tuple(f.mul(inv, c) for c in vec))
 
     # sanity: evaluation is onto, so its kernel fixes the dimension
-    if r + len(arrows) + len(paths) - len(consequences.rows) != G.dim:
+    if r + len(arrows) + len(paths) - len(kernel) != G.dim:
         raise AlgebraError("presentation bookkeeping lost dimensions")
 
     names = ["*".join(arrows[k][0] for k in p) for p in paths]

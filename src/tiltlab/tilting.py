@@ -27,9 +27,9 @@ so it is exact on the nose, not up to homotopy.
 
 from collections import namedtuple
 
-from .algebra import (AlgebraError, FiniteAlgebra, LocalStructureError,
-                      ModuleMap, dual_map, generator_map, is_self_injective,
-                      map_placement, summand_offsets)
+from .algebra import (AlgebraError, FiniteAlgebra, ModuleMap, dual_map,
+                      generator_map, is_self_injective, map_placement,
+                      summand_offsets)
 from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
                         Summand, complex_iso_search, cone,
                         direct_sum_complexes, extend_along, minimize)
@@ -529,7 +529,7 @@ def check_tilting(objects, window=4, budget=64, depth=None):
     gamma_error = None
     try:
         gamma, gamma_info = h0_endomorphism_algebra(runs, hc)
-    except (AlgebraError, LocalStructureError) as e:
+    except AlgebraError as e:
         gamma_error = str(e)
 
     neg = sorted(m for m in end_dims if m < 0)

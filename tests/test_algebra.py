@@ -227,6 +227,100 @@ def test_finite_algebra_radical_gf2():
     assert tuple(J.data[0]) == x
 
 
+def as_finite(A):
+    return FiniteAlgebra(A.field, A.products, A.one(),
+                         [A.idempotent(v) for v in range(A.quiver.n)])
+
+
+A4 = Quiver(4, [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)])
+Z3 = Quiver(3, [("a", 0, 1), ("b", 1, 2), ("c", 2, 0)])
+SQUARE = Quiver(4, [("a", 0, 1), ("b", 0, 2), ("c", 1, 3), ("d", 2, 3)])
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("quiver, relations, bound", [
+    (A4, ["b*c"], None),
+    (A4, ["a*b", "b*c"], None),
+    (Z3, ["a*b", "b*c", "c*a"], 2),
+    (Z3, ["a*b*c", "b*c*a", "c*a*b"], 3),
+    (SQUARE, ["a*c + b*d"], None),
+], ids=["A4/bc", "A4/ab,bc", "Z3/rad2", "Z3/rad3", "square"])
+def test_presentation_gives_back_minimal_relations(f, quiver, relations,
+                                                   bound):
+    # a*(b*c) is a consequence of b*c, so A4/(bc) presents with b*c alone
+    rels = [[(1, term.split("*")) for term in rel.split(" + ")]
+            for rel in relations]
+    G = as_finite(Algebra(f, quiver, rels, nilpotency_bound=bound))
+    pres = algebra_presentation(G)
+    assert pres["arrows"] == [(lab, s + 1, t + 1)
+                              for lab, s, t in quiver.arrows]
+    assert pres["relations"] == relations
+
+
+def quadratic(f, square):
+    """k[x]/(x^2 - square) on the basis (1, x) with the one idempotent 1;
+    square holds the coordinates of x^2."""
+    one = f.one()
+    table = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
+    if any(square):
+        table[(1, 1)] = tuple((k, f.of(c)) for k, c in enumerate(square) if c)
+    return FiniteAlgebra(f, {(0, 0): table}, (one, f.zero()),
+                         [(one, f.zero())])
+
+
+@pytest.mark.parametrize("f, irreducible", [
+    (QQ, (-1, 0)), (PrimeField(2), (1, 1)), (PrimeField(3), (-1, 0))],
+    ids=["Q", "GF2", "GF3"])
+def test_a_corner_that_is_not_split_local_fails_the_radical_check(
+        f, irreducible):
+    assert quadratic(f, (0, 0)).radical_rows() == Mat(f, [[0, 1]])
+    # x^2 = x gives k x k, whose corner is not local; an irreducible
+    # x^2 - c0 - c1 x gives a field larger than k
+    for square in ((0, 1), irreducible):
+        with pytest.raises(AlgebraError, match="radical candidate"):
+            quadratic(f, square).radical_powers()
+
+
+def test_a_residue_over_gf2_reads_a_power_beyond_p():
+    # k[x]/x^3 over GF(2) on the basis (1 + x^2, x, 1): x^2 = b0 + b2 is
+    # nonzero where the unit is, so x^2 would give x the residue 1; the
+    # corner has dimension 3, and x^4 = 0 gives 0
+    f = PrimeField(2)
+    table = {(0, 0): ((2, 1),), (0, 1): ((1, 1),), (0, 2): ((0, 1),),
+             (1, 0): ((1, 1),), (1, 1): ((0, 1), (2, 1)), (1, 2): ((1, 1),),
+             (2, 0): ((0, 1),), (2, 1): ((1, 1),), (2, 2): ((2, 1),)}
+    G = FiniteAlgebra(f, {(0, 0): table}, (0, 0, 1), [(0, 0, 1)])
+    assert G.radical_rows() == Mat(f, [[1, 0, 1], [0, 1, 0]])
+    assert [J.nrows for J in G.radical_powers()] == [2, 1, 0]
+
+
+def test_longest_path_is_found_without_recursion():
+    chain = Quiver(1500, [(f"x{v}", v, v + 1) for v in range(1499)])
+    assert chain.longest_path_length() == 1499
+    assert SQUARE.longest_path_length() == 2
+    assert Quiver(4, [("a", 0, 1), ("b", 1, 2), ("c", 2, 3),
+                      ("d", 0, 3)]).longest_path_length() == 3
+    assert Z3.longest_path_length() is None
+    assert Quiver(2, [("a", 0, 1), ("x", 1, 1)]).longest_path_length() is None
+    assert Quiver(1, []).longest_path_length() == 0
+
+
+def test_the_bound_is_certified_only_when_read(monkeypatch):
+    built = []
+    init = Algebra.__init__
+
+    def counting(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Algebra, "__init__", counting)
+    A = nakayama_two()
+    assert len(built) == 1
+    assert A.bound_certified and len(built) == 2
+    assert A.bound_certified and len(built) == 2
+
+
 def test_finite_algebra_rejects_garbage():
     # group algebra of Z/2, but the claimed idempotent squares to the unit
     one = QQ.of(1)
@@ -617,7 +711,7 @@ def path_algebras(draw):
                               for _, arrs in terms])
     A = Algebra(f, Quiver(n, [("abc"[k], s, t)
                               for k, (s, t) in enumerate(arrows)]),
-                relations, nilpotency_bound=bound, certify_bound=False)
+                relations, nilpotency_bound=bound)
     return A, arrows, relations, draw(st.randoms(use_true_random=False))
 
 

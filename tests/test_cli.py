@@ -221,6 +221,20 @@ def test_unbounded_cycle_is_a_usage_error(tmp_path, capsys):
     assert "nilpotency_bound" in err
 
 
+def test_a_long_chain_hits_the_path_cap_not_the_recursion_limit(
+        tmp_path, capsys):
+    n = 1200
+    job = {"field": "rational",
+           "quiver": {"vertices": n, "arrows": [
+               {"from": v, "to": v + 1, "label": f"x{v}"} for v in range(1, n)]},
+           "relations": [{"terms": [{"coeff": 1, "path": [f"x{v}", f"x{v + 1}"]}]}
+                         for v in range(1, n - 1)],
+           "objects": "simples"}
+    code, _, err = run(capsys, ["validate", write_job(tmp_path, job)])
+    assert code == 4
+    assert "path count exceeds cap" in err
+
+
 def test_bad_flag_is_a_usage_error(tmp_path, capsys):
     code, _, _ = run(capsys, ["tilt", write_job(tmp_path, A2_SIMPLES),
                               "--no-such-flag"])

@@ -37,7 +37,7 @@ from test_direct_sums import (ALGEBRAS, FIELDS, random_chain_map,
 
 CORPUS = sorted((Path(__file__).resolve().parents[1] / "src" / "tiltlab"
                  / "corpus").glob("*.json"))
-GF5 = PrimeField(5)
+GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
 
 # ---- the class product table ----
@@ -158,12 +158,14 @@ def test_class_products_are_formed_once_per_composable_pair(monkeypatch):
 
 def incidence_algebra(f, rng):
     """(algebra, Cartan matrix, radical rows): the incidence algebra of a
-    random poset on 1-3 points tensored with k[x]/x^r, r = 1 or 2, in a
+    random poset on 1-3 points (1-2 when r > 2, which keeps the dimension
+    at most 15) tensored with k[x]/x^r, r = 1 to 5, in a
     basis b'_k = sum_l P[k][l] b_l for a random invertible P.  The old
     basis is (i, j, s) for i <= j and s < r, with (i, j, s) (j, k, t) =
     (i, k, s + t) and zero otherwise; its radical is spanned by the
     (i, j, s) with i != j or s > 0."""
-    n, r = rng.randint(1, 3), rng.randint(1, 2)
+    r = rng.randint(1, 5)
+    n = rng.randint(1, 3 if r <= 2 else 2)
     less = {(i, j) for i in range(n) for j in range(i + 1, n)
             if rng.random() < 0.6}
     for _ in range(n):  # transitive closure
@@ -237,7 +239,7 @@ def upper_triangular(f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31), st.sampled_from([QQ, GF5]))
+@given(st.integers(0, 2**31), st.sampled_from([QQ, GF2, GF3, GF5]))
 def test_corners_match_the_double_product_reference(seed, f):
     rng = random.Random(seed)
     G, cartan, radical = incidence_algebra(f, rng)
