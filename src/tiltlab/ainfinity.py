@@ -45,7 +45,7 @@ from collections import namedtuple
 from .algebra import (check_idempotents, check_unit, peirce_tags,
                       sparse_product, sparse_structure)
 from .dg import DgAlgebra, endomorphism_dg_algebra
-from .derived import resolve_complex
+from .derived import member_resolution
 from .linalg import Echelon, Mat, independent_rows
 
 
@@ -394,14 +394,15 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
 def collection_ext_model(objects, arity_cap=4):
     """Minimal model of the endomorphism dg algebra of resolutions.
 
-    Each object is replaced by its projective form; the resolutions
-    must terminate, otherwise the endomorphism algebra would only see
-    a truncation and the transferred operations would be wrong in high
-    degrees.
+    Each object is replaced by its projective form, from
+    derived.member_resolution, which shares a stalk's resolution with
+    every job on the algebra.  The resolutions must terminate, otherwise
+    the endomorphism algebra would only see a truncation and the
+    transferred operations would be wrong in high degrees.
     """
     forms = []
     for X in objects:
-        r = resolve_complex(X)
+        r = member_resolution(X, "P")
         if not r.exact:
             raise AInfError(
                 "a resolution did not terminate; the endomorphism "

@@ -131,11 +131,15 @@ class Algebra:
         self._proj = {}
         self._inj = {}
         self._simple = {}
-        # the job memo, filled by complexes and emptied by clear_memo:
-        # tag tuple -> (direct sum module, offsets), and (source tags,
-        # target tags) -> (hom basis, Echelon of its flattened maps)
+        # the memo, which lives as long as the algebra and serves every
+        # job on it: tag tuple -> (direct sum module, offsets) and
+        # (source tags, target tags) -> (hom basis, Echelon of its
+        # flattened maps), filled by complexes; and (side, terms, cut
+        # markers, limit) -> Resolution of a complex with no
+        # differential, filled by derived.member_resolution
         self.sum_memo = {}
         self.hom_memo = {}
+        self.resolution_memo = {}
 
     # ---- construction internals ----
 
@@ -291,13 +295,6 @@ class Algebra:
         if not arrs:
             return f"e{src + 1}"
         return "*".join(self.quiver.label(a) for a in arrs)
-
-    def clear_memo(self):
-        """Empty the job memo, here and on the opposite algebra."""
-        for alg in (self, self._op):
-            if alg is not None:
-                alg.sum_memo.clear()
-                alg.hom_memo.clear()
 
     # ---- opposite and duality ----
 
@@ -721,11 +718,16 @@ def kernel_module(f: ModuleMap):
     """Kernel with induced action; returns (K, inclusion)."""
     field = f.source.algebra.field
     # where the block is zero the kernel is everything; where it is
-    # injective the kernel is zero, and the vertex is left out
-    spans = {v: f.blocks[v].left_kernel_basis() if v in f.blocks
-             else Mat.identity(field, d)
-             for v, d in enumerate(f.source.dims) if d}
-    return sub_module(f.source, {v: K for v, K in spans.items() if K.nrows})
+    # injective the kernel is zero, and the vertex is left out before
+    # any matrix is made
+    spans = {}
+    for v, d in enumerate(f.source.dims):
+        if v not in f.blocks:
+            if d:
+                spans[v] = Mat.identity(field, d)
+        elif vecs := f.blocks[v].transpose()._null_vectors():
+            spans[v] = Mat._trusted(field, vecs, d)
+    return sub_module(f.source, spans)
 
 
 # ---- covers, tops, iso tests ----

@@ -15,10 +15,10 @@ cancellation leaves alone, a copied period of a resolution), so nothing
 writes into one after the complex that holds it is built.
 
 The terms of every complex are sums drawn from the same few
-indecomposables, so the algebra keeps a job memo: one sum module per
-tag tuple (summand_sum) and one hom basis with its coordinate solver
-per pair of tag tuples (hom_block).  reporting.run_pipeline empties it
-when a job ends.
+indecomposables, so the algebra keeps a memo: one sum module per tag
+tuple (summand_sum) and one hom basis with its coordinate solver per
+pair of tag tuples (hom_block).  It lives as long as the algebra, so
+every job on the algebra reads what earlier ones built.
 
 Constructing a Complex or a ChainMap never checks it: Complex.validate
 (block keys, block shapes, module maps, d^2 = 0) and ChainMap.commutes
@@ -64,7 +64,7 @@ def tag_module(algebra: Algebra, tag: Summand) -> Module:
 
 def summand_sum(algebra: Algebra, tags):
     """(sum module, offsets) of the tagged summands, shared per tag tuple
-    through the algebra's job memo."""
+    through the algebra's memo."""
     got = algebra.sum_memo.get(tags)
     if got is None:
         got = algebra.sum_memo[tags] = direct_sum_modules(
@@ -75,7 +75,7 @@ def summand_sum(algebra: Algebra, tags):
 def hom_block(algebra: Algebra, src, tgt):
     """(hom_basis of the sums of two tag tuples, Echelon of the flattened
     basis maps, or None when the basis is empty), shared per pair of tag
-    tuples through the algebra's job memo.  The basis maps are
+    tuples through the algebra's memo.  The basis maps are
     independent, so the Echelon keeps each one under its own index."""
     key = (src, tgt)
     got = algebra.hom_memo.get(key)
@@ -198,9 +198,9 @@ class Complex:
 
     def module(self, n):
         """The sum module of degree n.  It is summand_sum's module for the
-        degree's tag tuple, so complexes over one algebra share it; each
-        complex keeps the one it first read, so its maps stay composable
-        after the job memo is emptied."""
+        degree's tag tuple, so complexes over one algebra share it, and
+        so do their maps; each complex keeps the one it first read, so
+        its maps stay composable even if the memo were emptied."""
         return self._sum(n)[0]
 
     def offsets(self, n):

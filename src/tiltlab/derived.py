@@ -60,15 +60,23 @@ def dual_complex(X: Complex) -> Complex:
     Degree n of the result is the dual of degree -n; projective summands
     dualize to injectives and back, simples stay simples, and the block
     from summand k to summand l dualizes to the transposed block from l to
-    k.  Cut markers swap sides with negated degree.
+    k.  Cut markers swap sides with negated degree.  A block dict that
+    several degrees share (the copied period of a resolution) is
+    dualized once, and its dual is shared the same way.
     """
     op = X.algebra.op()
     parts = {}
     for n, p in X.parts.items():
         parts[-n] = tuple(Summand(_DUAL_KIND[t.kind], t.vertex) for t in p)
-    blocks = {-n - 1: {(l, k): dual_map(
-        b, tag_module(op, parts[-n - 1][l]), tag_module(op, parts[-n][k]))
-        for (k, l), b in grid.items()} for n, grid in X.blocks.items()}
+    duals = {}
+    blocks = {}
+    for n, grid in X.blocks.items():
+        key = (id(grid), X.parts[n], X.parts[n + 1])
+        if key not in duals:
+            duals[key] = {(l, k): dual_map(
+                b, tag_module(op, parts[-n - 1][l]),
+                tag_module(op, parts[-n][k])) for (k, l), b in grid.items()}
+        blocks[-n - 1] = duals[key]
     above = None if X.approx_below is None else -X.approx_below
     below = None if X.approx_above is None else -X.approx_above
     return Complex(op, parts, blocks, approx_above=above, approx_below=below)
@@ -176,7 +184,10 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     if not exact:
         below = lowest if below is None else max(below, lowest)
     P_cx = Complex(A, parts, blocks, approx_below=below)
-    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items() if m in parts})
+    # below X the augmentation lands in zero modules; no such component
+    # is kept
+    aug = ChainMap(P_cx, X, {m: f for m, f in phis.items()
+                             if m in parts and f.blocks})
     if validate:
         P_cx.validate()
         if not aug.commutes():
@@ -195,6 +206,38 @@ def coresolve_complex(X: Complex, top=None) -> Resolution:
              for m, phi in res.aug.comps.items()}
     aug = ChainMap(X, I, comps)
     return Resolution(I, aug, res.exact)
+
+
+def member_resolution(X: Complex, side, limit=None) -> Resolution:
+    """resolve_complex(X, bottom=limit) for side "P" and
+    coresolve_complex(X, top=limit) for side "I", kept in the algebra's
+    resolution memo when X has no differential.
+
+    Such a complex (every member a job builds is a stalk) is fixed by its
+    terms and cut markers, so those, with the side and the limit, key the
+    memo, degrees and all: an entry is the very resolution the call would
+    build, and it serves every later member with that key, in this job
+    or another on the algebra.  Each call gets its own Complex over the
+    entry's terms and blocks, so the differentials a caller assembles
+    (Complex.d_full) go with the caller and the memo keeps only the
+    resolution, and its own augmentation, which maps from or to X
+    itself; its components read the algebra's sum modules, as X does.
+    """
+    build = resolve_complex if side == "P" else coresolve_complex
+    if X.blocks:
+        return build(X, limit)
+    key = (side, tuple(sorted(X.parts.items())), X.approx_above,
+           X.approx_below, limit)
+    memo = X.algebra.resolution_memo
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = build(X, limit)
+    R = res.complex
+    R = Complex(R.algebra, R.parts, R.blocks, approx_above=R.approx_above,
+                approx_below=R.approx_below)
+    aug = (ChainMap(R, X, res.aug.comps) if side == "P"
+           else ChainMap(X, R, res.aug.comps))
+    return Resolution(R, aug, res.exact)
 
 
 def shift_coresolution(res, U, m, top):
@@ -418,7 +461,9 @@ def validate_simple_minded(objects, cone_budget=48):
     to the deepest bottom any target needs (the lowest target degree
     minus two), and that resolution is the source of every hom out of
     it: a deeper cut agrees with a shallower one in every degree the
-    shallower one computes.
+    shallower one computes.  The resolution comes from
+    member_resolution, so a stalk resolved to the same bottom before,
+    in this job or another on the algebra, is not resolved again.
     """
     A = objects[0].algebra
     mins = [minimize(X, verify=False).complex for X in objects]
@@ -442,7 +487,7 @@ def validate_simple_minded(objects, cone_budget=48):
             # below will fail it
             continue
         if not all_tags(Xi, "P"):
-            Xi = resolve_complex(Xi, bottom=bottom).complex
+            Xi = member_resolution(Xi, "P", bottom).complex
         for j, Xj in enumerate(mins):
             wj = windows[j]
             if wj is None:

@@ -22,6 +22,13 @@ Cyclic quivers need a nilpotency bound; when the relations force one,
 it is found by growing the truncation level until the dimension
 stabilizes and certifies.
 
+Jobs on one algebra share it: parse_job builds one Algebra per parsed
+spec (field, vertex count, arrows in file order with their labels,
+relations with their coefficients as field elements, and any explicit
+nilpotency bound), and hands it to every job with that spec for as long
+as some job holds it.  Its memo (summand sums, hom bases, the members'
+resolutions) lives as long as the algebra and serves every job on it.
+
 Reports are plain text with a fixed field order and exact numbers, so
 a report is byte-reproducible and can be stored as an expectation
 file.  Wall-clock timings are kept out of the text (they live in the
@@ -29,6 +36,7 @@ JSON dump) for that reason.
 """
 
 import json
+import weakref
 from pathlib import Path
 from time import perf_counter
 
@@ -130,7 +138,24 @@ def _parse_relations(data, field, labels):
     return rels
 
 
+# parsed spec -> its Algebra, while some job holds it
+_ALGEBRAS = weakref.WeakValueDictionary()
+
+
 def _build_algebra(field, quiver, relations, bound):
+    """The one Algebra of this spec, built (and for a cyclic quiver
+    without a bound, its bound searched) only when no live job holds it."""
+    key = (field, quiver.n, tuple(quiver.arrows),
+           tuple(tuple((field.parse(c), tuple(path)) for c, path in rel)
+                 for rel in relations),
+           bound)
+    A = _ALGEBRAS.get(key)
+    if A is None:
+        A = _ALGEBRAS[key] = _new_algebra(field, quiver, relations, bound)
+    return A
+
+
+def _new_algebra(field, quiver, relations, bound):
     if bound is not None:
         return Algebra(field, quiver, relations, nilpotency_bound=bound)
     if quiver.is_acyclic():
@@ -175,7 +200,11 @@ def _parse_objects(data, A):
 
 
 def parse_job(data, name="job", overrides=None):
-    """Validate raw job data and build the live objects."""
+    """Validate raw job data and build the live objects.
+
+    The algebra is the one every live job with the same spec holds (see
+    _build_algebra); the objects and parameters are the job's own.
+    """
     _require(isinstance(data, dict), "job must be a JSON object")
     known = {"name", "field", "quiver", "relations", "nilpotency_bound",
              "objects", "window", "budget", "length", "arity_cap",
@@ -391,17 +420,11 @@ def run_pipeline(job, upto="ainf"):
     """Run the stages through `upto` and return a report dict.
 
     The report is JSON-clean (no live objects) and carries the exit
-    status the caller should use.  The job memo of the algebra (and of
-    its opposite), which the stages fill with shared summand sums and
-    hom bases, is emptied on every way out, so it never outlives the job.
+    status the caller should use.  The stages fill the memo of the
+    algebra (and of its opposite) with summand sums, hom bases and the
+    members' resolutions; it is kept for the next job on the algebra
+    and goes with the algebra once no job holds it.
     """
-    try:
-        return _run_stages(job, upto)
-    finally:
-        job["algebra"].clear_memo()
-
-
-def _run_stages(job, upto):
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     report = {

@@ -33,8 +33,8 @@ from .algebra import (AlgebraError, FiniteAlgebra, ModuleMap, dual_map,
 from .complexes import (ISO_SEARCH_TRIES, ChainMap, Complex, HomComplex,
                         Summand, complex_iso_search, cone,
                         direct_sum_complexes, extend_along, minimize)
-from .derived import (all_tags, coresolve_complex, derived_hom,
-                      injective_form, shift_coresolution)
+from .derived import (all_tags, derived_hom, injective_form,
+                      member_resolution, shift_coresolution)
 
 
 # ---- maps between projectives as algebra elements ----
@@ -310,11 +310,13 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
     whose final complex carries no cut marker, or whose trimmed
     candidate passes the full orthogonality check, is certified exact.
 
-    Every member is coresolved once, to top tau; the coresolutions are
-    local to the call.  A run starts from the minimized coresolution of
-    its member, and a shifted stalk X_j[m] is mapped into its
-    coresolution by derived.shift_coresolution, along which _b_table
-    extends its class maps.
+    Every member is coresolved once, to top tau, by
+    derived.member_resolution, which keeps a stalk's coresolution for
+    every later job on the algebra with the same stalk and tau.  A run
+    starts from the minimized coresolution of its member, and a shifted
+    stalk X_j[m] is mapped into its coresolution by
+    derived.shift_coresolution, along which _b_table extends its class
+    maps.
     """
     if not objects:
         raise AlgebraError("empty object family")
@@ -331,7 +333,7 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
         depth = 2 * A.dim + 4
     maxd = max(X.max_deg() for X in objects)
     tau = maxd + window + depth
-    cores = [coresolve_complex(X, top=tau) for X in objects]
+    cores = [member_resolution(X, "I", tau) for X in objects]
     sources = []
     for j, X in enumerate(objects):
         shifted = []

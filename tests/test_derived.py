@@ -37,6 +37,7 @@ from tiltlab.derived import (
     dual_complex,
     generation_certificate,
     injective_form,
+    member_resolution,
     resolve_complex,
     shift_coresolution,
     simple_stalk_profile,
@@ -240,6 +241,31 @@ def test_coresolution_commutes_with_shift_and_extends_by_prefix(seed, key):
     assert iota.source is U
     assert unsigned(iota.target, m) == want.complex
     assert blocks_of(iota) == blocks_of(want.aug)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(STALK_ALGEBRAS)))
+def test_member_resolutions_are_the_resolutions_of_the_members(seed, key):
+    A = STALK_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    # one tag tuple meets the memo at other degrees, sides and limits
+    for _ in range(6):
+        X = random_stalk(A, rng)
+        side = rng.choice("PI")
+        build = resolve_complex if side == "P" else coresolve_complex
+        limit = rng.choice([None, X.min_deg() - rng.randint(0, 4)
+                            if side == "P"
+                            else X.max_deg() + rng.randint(0, 4)])
+        want = build(X, limit)
+        for _ in range(2):  # built, then read from the memo
+            got = member_resolution(X, side, limit)
+            assert got.exact == want.exact
+            assert got.complex == want.complex
+            assert got.aug.comps == want.aug.comps
+            assert (got.aug.target if side == "P" else got.aug.source) is X
+            assert (got.aug.source if side == "P" else got.aug.target) \
+                is got.complex
+    assert A.resolution_memo
 
 
 # ---- periodic resolutions ----

@@ -1,8 +1,11 @@
 """Job parsing and report assembly."""
 
+import gc
+import weakref
+
 import pytest
 
-from tiltlab import reporting
+from tiltlab import complexes, derived, reporting
 from tiltlab.reporting import (JobError, parse_job, render_report,
                                run_pipeline)
 
@@ -202,38 +205,107 @@ def test_render_is_pure_text_with_stable_sections():
     assert render_report(rep) == text
 
 
-def _memo_sizes(A):
-    return [len(m) for alg in (A, A.op())
-            for m in (alg.sum_memo, alg.hom_memo)]
+SQUARE_DATA = {
+    "field": {"prime": 5},
+    "quiver": {"vertices": 4,
+               "arrows": [{"from": 1, "to": 2, "label": "a"},
+                          {"from": 2, "to": 4, "label": "b"},
+                          {"from": 1, "to": 3, "label": "c"},
+                          {"from": 3, "to": 4, "label": "d"}]},
+    "relations": [{"terms": [{"coeff": 1, "path": ["a", "b"]},
+                             {"coeff": -1, "path": ["c", "d"]}]}],
+}
+
+
+def _square(field=None, arrows=None, coeff=-1, **extra):
+    """The commutative square over GF(5), with one part of it changed."""
+    quiver = dict(SQUARE_DATA["quiver"])
+    if arrows is not None:
+        quiver["arrows"] = arrows
+    relation = {"terms": [{"coeff": 1, "path": ["a", "b"]},
+                          {"coeff": coeff, "path": ["c", "d"]}]}
+    return {**SQUARE_DATA, "field": field or SQUARE_DATA["field"],
+            "quiver": quiver, "relations": [relation], **extra}
+
+
+def test_the_spec_keys_the_shared_algebra():
+    base = parse_job(_square())["algebra"]
+    # the same spec, with coefficients that the field reads as the same
+    for same in (_square(), _square(coeff="-1"), _square(coeff=4),
+                 _square(coeff="-3/3")):
+        assert parse_job(same)["algebra"] is base
+    arrows = SQUARE_DATA["quiver"]["arrows"]
+    for other in (_square(field={"prime": 7}),
+                  _square(arrows=arrows[2:] + arrows[:2]),
+                  _square(coeff=2),
+                  _square(nilpotency_bound=3)):
+        A = parse_job(other)["algebra"]
+        assert A is not base
+        assert parse_job(other)["algebra"] is A
+    # the explicit bound is the one the acyclic quiver implies, so only
+    # the key tells the two algebras apart
+    assert parse_job(_square(nilpotency_bound=3))["algebra"].dim == base.dim
+
+
+def _counting(monkeypatch, module, name, counts, watched):
+    """Count the calls of module.name whose first argument is watched
+    (any call when watched is None)."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if watched is None or id(args[0]) in watched:
+            counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("case", ["full", "axioms fail", "exception"])
-def test_the_job_memo_ends_with_the_job(monkeypatch, case):
+def test_jobs_on_one_spec_share_its_algebra_and_memo(monkeypatch, case):
     objects = "simples" if case != "axioms fail" else \
         [{"module": "S", "vertex": 1}, {"module": "S", "vertex": 1}]
-    job = parse_job({**A2_DATA, "objects": objects})
-    A = job["algebra"]
-    seen = []
-    validate = reporting.validate_simple_minded
+    data = {**A2_DATA, "objects": objects}
+    gc.collect()  # frees the algebras of earlier tests' jobs
+    jobs = [parse_job(data), parse_job(data)]
+    A = jobs[0]["algebra"]
+    assert jobs[1]["algebra"] is A
+    assert jobs[0]["objects"][0] is not jobs[1]["objects"][0]
 
-    def recording_validate(*args, **kwargs):
-        out = validate(*args, **kwargs)
-        seen.append(_memo_sizes(A))
-        return out
-
-    def failing_check(*args, **kwargs):
-        raise RuntimeError("stage failed")
-
-    monkeypatch.setattr(reporting, "validate_simple_minded",
-                        recording_validate)
+    counts, watched = {}, set()
+    _counting(monkeypatch, complexes, "hom_basis", counts, None)
+    for name in ("resolve_complex", "coresolve_complex"):
+        _counting(monkeypatch, derived, name, counts, watched)
     if case == "exception":
+        def failing_check(*args, **kwargs):
+            raise RuntimeError("stage failed")
         monkeypatch.setattr(reporting, "check_tilting", failing_check)
-        with pytest.raises(RuntimeError, match="stage failed"):
-            run_pipeline(job)
-    else:
-        rep = run_pipeline(job)
-        assert (rep.get("stopped") == "the collection axioms failed") == \
+
+    texts, made = [], []
+    for job in jobs:
+        watched.clear()
+        watched.update(id(X) for X in job["objects"])
+        counts.clear()
+        if case == "exception":
+            with pytest.raises(RuntimeError, match="stage failed"):
+                run_pipeline(job)
+        else:
+            texts.append(render_report(run_pipeline(job)))
+        made.append(dict(counts))
+    # the first job filled the memo; the second builds no hom basis and
+    # resolves no member, and reports the same
+    assert made[0]["hom_basis"] and made[0]["resolve_complex"]
+    if case == "full":
+        assert made[0]["coresolve_complex"]
+    assert made[1] == {}
+    if case != "exception":
+        assert texts[0] == texts[1]
+        assert ("stopped: the collection axioms failed" in texts[0]) == \
             (case == "axioms fail")
-    # the memo was in use during the run, and is empty after it
-    assert seen and seen[0][0] and seen[0][1]
-    assert _memo_sizes(A) == [0, 0, 0, 0]
+    # the algebra goes with the last job that holds it; its memo's
+    # entries (and its opposite, once built) point back at it, so only
+    # the cyclic collector frees it
+    gone = weakref.ref(A)
+    del A, jobs, job
+    gc.collect()
+    assert gone() is None
+    assert not reporting._ALGEBRAS
