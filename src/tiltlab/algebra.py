@@ -582,9 +582,8 @@ def hom_basis(M: Module, N: Module):
                         row[j] = f.sub(row[j], y[q])
                 if any(row):
                     rows.append(row)
-    K = Mat(f, rows, ncols=total).kernel_basis()
     out = []
-    for vec in zip(*K.data):
+    for vec in Mat(f, rows, ncols=total)._null_vectors():
         blocks = {}
         for v in support:
             w = N.dims[v]

@@ -103,43 +103,88 @@ def extend_along(iota, maps):
     exact there; T^k is injective, so the right side extends.  A
     failure therefore means a caller broke these conditions, and it
     raises.
+
+    Above s, step k reads only its state: the tags of I and T in
+    degrees k - 1 and k, the degree-(k - 1) block dicts of d_I and d_T,
+    and every map's component e^{k-1}.  The tags fix the hom_block
+    basis and the modules, the blocks fix d_I and d_T, and the solve
+    and the sum of basis maps are deterministic, so one state always
+    gives the same e^k.  Each distinct state is therefore solved once
+    per call and a repeat copies the e^k it gave (the same ModuleMap
+    objects), as resolve_complex copies a recurring syzygy's period.
+    States are compared by value (the rows of every vertex block), so a
+    period of I or T repeats even where its block dicts are not shared.
+    Over kZ_n/rad^r a coresolution repeats with a short period, and most
+    of the degrees up to the cut repeat a state.
     """
     X, I = iota.source, iota.target
     T = maps[0].target
     A = I.algebra
-    f = A.field
     (s,) = X.parts
     comps = [{} for _ in maps]
+    solved = {}  # state of a degree above s -> the e^k it gave
     for k in range(s, I.max_deg() + 1):
-        basis, _ = hom_block(A, I.parts.get(k, ()), T.parts.get(k, ()))
         if k == s:
-            pre = iota.comp(s)
-            rhs = [g.comp(s) for g in maps]
+            es = _extension_step(A, k, I, T, iota.comp(s),
+                                 [g.comp(s) for g in maps])
         else:
-            pre = I.d_full(k - 1)
-            d_T = T.d_full(k - 1)
-            rhs = [c[k - 1].then(d_T) if k - 1 in c
-                   else ModuleMap.zero(pre.source, d_T.target) for c in comps]
-        cols = [_flatten_map(r) for r in rhs]
-        if not basis:
-            if any(x for col in cols for x in col):
-                raise AlgebraError(f"no extension along the coaugmentation "
-                                   f"in degree {k}")
-            continue
-        M = Mat(f, [_flatten_map(pre.then(h)) for h in basis])
-        sol = M.transpose().solve(Mat(f, list(zip(*cols)), ncols=len(cols)))
-        if sol is None:
+            state = (I.parts.get(k - 1, ()), I.parts.get(k, ()),
+                     T.parts.get(k - 1, ()), T.parts.get(k, ()),
+                     _grid_value(I.blocks.get(k - 1, {})),
+                     _grid_value(T.blocks.get(k - 1, {})),
+                     tuple(_map_value(c[k - 1]) if k - 1 in c else None
+                           for c in comps))
+            es = solved.get(state)
+            if es is None:
+                pre = I.d_full(k - 1)
+                d_T = T.d_full(k - 1)
+                rhs = [c[k - 1].then(d_T) if k - 1 in c
+                       else ModuleMap.zero(pre.source, d_T.target)
+                       for c in comps]
+                es = solved[state] = _extension_step(A, k, I, T, pre, rhs)
+        for c, e in zip(comps, es):
+            if e is not None:
+                c[k] = e
+    return [ChainMap(I, T, c) for c in comps]
+
+
+def _extension_step(A, k, I, T, pre, rhs):
+    """The maps e: I^k -> T^k with pre then e = r, one per r in rhs, as
+    combinations of the hom_block basis; None for a zero map."""
+    f = A.field
+    basis, _ = hom_block(A, I.parts.get(k, ()), T.parts.get(k, ()))
+    cols = [_flatten_map(r) for r in rhs]
+    if not basis:
+        if any(x for col in cols for x in col):
             raise AlgebraError(f"no extension along the coaugmentation "
                                f"in degree {k}")
-        for i, c in enumerate(comps):
-            acc = None
-            for b, h in enumerate(basis):
-                x = sol[b, i]
-                if x:
-                    acc = h.scale(x) if acc is None else acc.add(h.scale(x))
-            if acc is not None:
-                c[k] = acc
-    return [ChainMap(I, T, c) for c in comps]
+        return [None] * len(rhs)
+    M = Mat(f, [_flatten_map(pre.then(h)) for h in basis])
+    sol = M.transpose().solve(Mat(f, list(zip(*cols)), ncols=len(cols)))
+    if sol is None:
+        raise AlgebraError(f"no extension along the coaugmentation "
+                           f"in degree {k}")
+    es = []
+    for i in range(len(rhs)):
+        acc = None
+        for b, h in enumerate(basis):
+            x = sol[b, i]
+            if x:
+                acc = h.scale(x) if acc is None else acc.add(h.scale(x))
+        es.append(acc)
+    return es
+
+
+def _map_value(m: ModuleMap):
+    """A module map by value: the rows of its vertex blocks.  Maps
+    between the same two modules have the same vertices, so the rows
+    fix the map."""
+    return tuple(b.data for b in m.blocks.values())
+
+
+def _grid_value(grid):
+    """A block dict by value."""
+    return tuple(sorted((kl, _map_value(b)) for kl, b in grid.items()))
 
 
 def zero_module(algebra: Algebra) -> Module:

@@ -62,12 +62,17 @@ def dual_complex(X: Complex) -> Complex:
     from summand k to summand l dualizes to the transposed block from l to
     k.  Cut markers swap sides with negated degree.  A block dict that
     several degrees share (the copied period of a resolution) is
-    dualized once, and its dual is shared the same way.
+    dualized once, and its dual is shared the same way; so is the dual
+    of each distinct tag tuple.
     """
     op = X.algebra.op()
     parts = {}
+    dual_tags = {}
     for n, p in X.parts.items():
-        parts[-n] = tuple(Summand(_DUAL_KIND[t.kind], t.vertex) for t in p)
+        if p not in dual_tags:
+            dual_tags[p] = tuple(Summand(_DUAL_KIND[t.kind], t.vertex)
+                                 for t in p)
+        parts[-n] = dual_tags[p]
     duals = {}
     blocks = {}
     for n, grid in X.blocks.items():
@@ -214,30 +219,48 @@ def member_resolution(X: Complex, side, limit=None) -> Resolution:
     resolution memo when X has no differential.
 
     Such a complex (every member a job builds is a stalk) is fixed by its
-    terms and cut markers, so those, with the side and the limit, key the
-    memo, degrees and all: an entry is the very resolution the call would
-    build, and it serves every later member with that key, in this job
-    or another on the algebra.  Each call gets its own Complex over the
-    entry's terms and blocks, so the differentials a caller assembles
-    (Complex.d_full) go with the caller and the memo keeps only the
-    resolution, and its own augmentation, which maps from or to X
-    itself; its components read the algebra's sum modules, as X does.
+    terms and cut markers.  Both builders are translation invariant on
+    it: every step reads degrees only relative to X's (the default
+    limit too), and with no differential there is no sign to move.  So
+    the memo is keyed by the side and by the terms, markers and limit
+    taken relative to X's lowest degree, and an entry serves X at any
+    degree: it is re-indexed by the distance between the two, its
+    degrees, cut markers and augmentation moved and nothing else, not
+    signed as Complex.shift would sign an odd shift.  The result is the
+    very resolution the call would build, for every later member with
+    that key, in this job or another on the algebra.  Each call gets its
+    own Complex over the entry's terms and blocks, so the differentials
+    a caller assembles (Complex.d_full) go with the caller and the memo
+    keeps only the resolution, and its own augmentation, which maps from
+    or to X itself; its components read the algebra's sum modules, as X
+    does.
     """
     build = resolve_complex if side == "P" else coresolve_complex
     if X.blocks:
         return build(X, limit)
-    key = (side, tuple(sorted(X.parts.items())), X.approx_above,
-           X.approx_below, limit)
+    low = X.min_deg()
+    key = (side, tuple((n - low, p) for n, p in sorted(X.parts.items())),
+           _moved(X.approx_above, -low), _moved(X.approx_below, -low),
+           _moved(limit, -low))
     memo = X.algebra.resolution_memo
-    res = memo.get(key)
-    if res is None:
-        res = memo[key] = build(X, limit)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = (low, build(X, limit))
+    at, res = got
+    step = low - at
     R = res.complex
-    R = Complex(R.algebra, R.parts, R.blocks, approx_above=R.approx_above,
-                approx_below=R.approx_below)
-    aug = (ChainMap(R, X, res.aug.comps) if side == "P"
-           else ChainMap(X, R, res.aug.comps))
+    R = Complex(R.algebra, {n + step: p for n, p in R.parts.items()},
+                {n + step: grid for n, grid in R.blocks.items()},
+                approx_above=_moved(R.approx_above, step),
+                approx_below=_moved(R.approx_below, step))
+    comps = {n + step: c for n, c in res.aug.comps.items()}
+    aug = ChainMap(R, X, comps) if side == "P" else ChainMap(X, R, comps)
     return Resolution(R, aug, res.exact)
+
+
+def _moved(n, step):
+    """A degree or cut marker moved by step; None stays None."""
+    return None if n is None else n + step
 
 
 def shift_coresolution(res, U, m, top):

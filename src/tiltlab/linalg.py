@@ -404,12 +404,6 @@ class Mat:
             vecs.append(tuple(v))
         return tuple(vecs)
 
-    def kernel_basis(self):
-        """Columns spanning ker(self), i.e. self @ K = 0."""
-        vecs = self._null_vectors()
-        return Mat._trusted(self.field, tuple(zip(*vecs)) if vecs
-                            else ((),) * self.ncols, len(vecs))
-
     def solve(self, b):
         """Solve self @ x = b for a column-stacked b; None if inconsistent."""
         if b.nrows != self.nrows:

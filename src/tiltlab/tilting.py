@@ -25,6 +25,7 @@ by extracting the algebra element behind each map between projectives,
 so it is exact on the nose, not up to homotopy.
 """
 
+import functools
 from collections import namedtuple
 
 from .algebra import (AlgebraError, FiniteAlgebra, ModuleMap, dual_map,
@@ -139,7 +140,14 @@ def _fingerprint(T: Complex, btab):
 
 
 def _assemble_evaluation(pieces, T: Complex):
-    """One chain map (direct sum of the sources) -> T from several maps."""
+    """One chain map (direct sum of the sources) -> T from several maps.
+
+    A single piece is returned as it is: the direct sum of one complex,
+    placed at the origin offsets, is that complex, and the placed map
+    is that map.  Over a self-injective algebra every round usually
+    cones one class."""
+    if len(pieces) == 1:
+        return pieces[0]
     A = T.algebra
     U = direct_sum_complexes([p[0] for p in pieces])
     origin = (0,) * A.quiver.n
@@ -155,15 +163,16 @@ def _b_table(sources, T):
     """Homotopy classes of maps from each shifted member into T.
 
     sources holds (j, X_j, shifted) per member, with shifted the
-    (m, U, iota) of each shifted member U = X_j[m], iota the
-    coaugmentation of U's coresolution when X_j is a stalk and None
-    otherwise.  Returns (table, pieces) with table[(j, m)] = class
-    count and pieces the (source, map) pairs to cone, nearest shift
-    only: a stalk's class map g: U -> T is extended along iota to the
-    coresolution, so that the cone is already a complex of injectives;
-    any other member hands over (U, g) unchanged.  Classes are only
-    collected where the hom window certifies degree zero; anything else
-    is a setup error.
+    (m, U, iota) of each shifted member U = X_j[m]; iota is None when
+    X_j is not a stalk, and otherwise a function of no arguments that
+    returns the coaugmentation of U's coresolution.  Returns (table,
+    pieces) with table[(j, m)] = class count and pieces the (source,
+    map) pairs to cone, nearest shift only: a stalk's class map g: U ->
+    T is extended along iota() to the coresolution, so that the cone is
+    already a complex of injectives; any other member hands over (U, g)
+    unchanged.  iota is called only for the shift that is coned.
+    Classes are only collected where the hom window certifies degree
+    zero; anything else is a setup error.
 
     Hom^0(X_j[m], T) is Hom^(-m)(X_j, T) entry for entry, with degree k
     of X_j at k - m in X_j[m], and with the same differential: the
@@ -193,7 +202,8 @@ def _b_table(sources, T):
         if iota is None:
             pieces.extend((U, g) for g in maps)
         else:
-            pieces.extend((iota.target, g) for g in extend_along(iota, maps))
+            coaug = iota()
+            pieces.extend((coaug.target, g) for g in extend_along(coaug, maps))
     return btab, pieces
 
 
@@ -316,7 +326,9 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
     starts from the minimized coresolution of its member, and a shifted
     stalk X_j[m] is mapped into its coresolution by
     derived.shift_coresolution, along which _b_table extends its class
-    maps.
+    maps.  That coaugmentation is built the first time a round cones a
+    class out of X_j[m] and kept for every later round of every run in
+    the call; a shift that no round cones is never built.
     """
     if not objects:
         raise AlgebraError("empty object family")
@@ -339,8 +351,9 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
         shifted = []
         for m in range(-window, 0):
             U = X.shift(m)
-            iota = (shift_coresolution(cores[j], U, m, tau)
-                    if len(X.parts) == 1 else None)
+            iota = (functools.cache(functools.partial(
+                shift_coresolution, cores[j], U, m, tau))
+                if len(X.parts) == 1 else None)
             shifted.append((m, U, iota))
         if shifted:
             sources.append((j, X, shifted))

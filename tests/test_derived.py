@@ -410,9 +410,8 @@ def random_short_complex(A, rng):
             # the combinations c with prev then (sum c_j b_j) = 0
             rows = Mat(f, [_flat(prev.then(b)) for b in basis],
                        ncols=len(_flat(prev.then(basis[0]))))
-            ker = rows.transpose().kernel_basis()
-            basis = [combine(M, N, basis, [ker[j, c] for j in range(len(basis))])
-                     for c in range(ker.ncols)]
+            basis = [combine(M, N, basis, vec)
+                     for vec in rows.transpose()._null_vectors()]
         prev = combine(M, N, basis, [f.of(rng.randrange(-2, 3)) for _ in basis])
         blocks[m] = block_dict(A, prev, parts[m], parts[m + 1])
     X = Complex(A, parts, blocks)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab import tilting
-from tiltlab.algebra import Algebra, AlgebraError, Quiver, hom_basis
+from tiltlab.algebra import (Algebra, AlgebraError, ModuleMap, Quiver,
+                             hom_basis)
 from tiltlab.complexes import (
     ChainMap,
     Complex,
@@ -21,7 +22,7 @@ from tiltlab.complexes import (
 )
 from tiltlab.derived import (all_tags, coresolve_complex, injective_form,
                              resolve_complex, shift_coresolution)
-from tiltlab.linalg import QQ, PrimeField
+from tiltlab.linalg import QQ, Mat, PrimeField
 from tiltlab.reporting import algebra_presentation
 from tiltlab.tilting import (
     build_dual_objects,
@@ -35,7 +36,8 @@ from tiltlab.tilting import (
     nu_stability,
 )
 
-from test_derived import STALK_ALGEBRAS, random_stalk
+from test_derived import (STALK_ALGEBRAS, _flat, combine, cyclic_nakayama,
+                          random_stalk)
 
 
 @pytest.fixture
@@ -266,6 +268,109 @@ def test_extension_refuses_a_target_that_is_not_injective(A2):
     iota = coresolve_complex(X, top=3).aug
     with pytest.raises(AlgebraError, match="no extension"):
         extend_along(iota, [ChainMap.identity(X)])
+
+
+NAKAYAMA_ALGEBRAS = {
+    "kZ2/rad3 GF5": lambda: cyclic_nakayama(PrimeField(5), 2, 3),
+    "kZ3/rad2 QQ": lambda: cyclic_nakayama(QQ, 3, 2),
+    "kZ3/rad3 GF7": lambda: cyclic_nakayama(PrimeField(7), 3, 3),
+    "kZ4/rad3 QQ": lambda: cyclic_nakayama(QQ, 4, 3),
+}
+
+
+def extension_solving_every_degree(iota, maps):
+    """extend_along's components, from one solve in every degree: the
+    comparison theorem run straight, over hom_basis of the two terms."""
+    X, I = iota.source, iota.target
+    T = maps[0].target
+    f = I.algebra.field
+    (s,) = X.parts
+    comps = [{} for _ in maps]
+    for k in range(s, I.max_deg() + 1):
+        if k == s:
+            pre, rhs = iota.comp(s), [g.comp(s) for g in maps]
+        else:
+            pre, d_T = I.d_full(k - 1), T.d_full(k - 1)
+            rhs = [c[k - 1].then(d_T) if k - 1 in c
+                   else ModuleMap.zero(pre.source, d_T.target) for c in comps]
+        basis = hom_basis(I.module(k), T.module(k))
+        if not basis:
+            assert all(r.is_zero() for r in rhs)
+            continue
+        M = Mat(f, [_flat(pre.then(h)) for h in basis])
+        sol = M.transpose().solve(
+            Mat(f, list(zip(*[_flat(r) for r in rhs])), ncols=len(rhs)))
+        assert sol is not None
+        for i, c in enumerate(comps):
+            coeffs = [sol[b, i] for b in range(len(basis))]
+            if any(coeffs):
+                c[k] = combine(I.module(k), T.module(k), basis, coeffs)
+    return comps
+
+
+def rescaled(T, rng):
+    """T with the differential of each degree times a random 1 or -1: an
+    isomorphic complex whose blocks differ from degree to degree where
+    T's repeat."""
+    minus = T.algebra.field.of(-1)
+    return Complex(T.algebra, T.parts, {
+        n: {kl: b.scale(minus) for kl, b in grid.items()}
+        if rng.random() < 0.5 else grid for n, grid in T.blocks.items()},
+        approx_above=T.approx_above)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(NAKAYAMA_ALGEBRAS)))
+def test_extension_equals_the_extension_solved_in_every_degree(seed, key):
+    """Over kZ_n/rad^r a stalk's coresolution repeats with a short
+    period, so most degrees of an extension repeat a state and copy its
+    solution.  The copies must be what solving gives, block for block,
+    also where T's differential changes sign from degree to degree and
+    the maps' components with it."""
+    A = NAKAYAMA_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    X = random_stalk(A, rng)
+    top = X.max_deg() + 24
+    iota = coresolve_complex(X, top=top).aug
+    Y = random_stalk(A, rng)
+    T = rescaled(direct_sum_complexes([
+        iota.target, coresolve_complex(Y, top=top).complex]), rng)
+    maps, _ = h0_chain_maps(X, T)
+    f = A.field
+    maps.append(ChainMap.zero(X, T))
+    for g in maps[:-1]:
+        maps[-1] = maps[-1].add(g.scale(f.of(rng.randint(-2, 2))))
+    lifts = extend_along(iota, maps)
+    assert [e.comps for e in lifts] == \
+        extension_solving_every_degree(iota, maps)
+    (s,) = X.parts
+    for g, e in zip(maps, lifts):
+        assert e.commutes()
+        assert iota.comp(s).then(e.comp(s)) == g.comp(s)
+
+
+def test_extension_solves_each_repeated_degree_once(monkeypatch):
+    """The coresolution of a simple over kZ_3/rad^3 repeats with period
+    2 (Omega^-2 S_i = S_(i-3) = S_i), and so does the extension of its
+    coaugmentation along itself.  So extending it to top 30, or 40,
+    takes one solve in degree 0 and one per state of the period: the
+    count is bounded by the distinct states, not by the top."""
+    A = cyclic_nakayama(PrimeField(7), 3, 3)
+    solve = Mat.solve
+    for top in (30, 40):
+        iota = coresolve_complex(S(A, 0), top=top).aug
+        assert sorted(iota.target.parts) == list(range(top + 1))
+        calls = []
+
+        def counted(self, b):
+            calls.append(1)
+            return solve(self, b)
+
+        monkeypatch.setattr(Mat, "solve", counted)
+        (lift,) = extend_along(iota, [iota])
+        monkeypatch.setattr(Mat, "solve", solve)
+        assert len(calls) == 3
+        assert lift.comps == extension_solving_every_degree(iota, [iota])[0]
 
 
 def two_term(A, w, v):
