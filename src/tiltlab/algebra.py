@@ -134,11 +134,16 @@ class Algebra:
         # the memo, which lives as long as the algebra and serves every
         # job on it: tag tuple -> (direct sum module, offsets) and
         # (source tags, target tags) -> (hom basis, Echelon of its
-        # flattened maps), filled by complexes; and (side, terms, cut
-        # markers, limit) -> Resolution of a complex with no
+        # flattened maps), filled by complexes; a module map between
+        # modules of equal dims, by value (dims, rows of its vertex
+        # blocks) -> whether it is an isomorphism, and -> its inverse's
+        # vertex blocks, filled by complexes.minimize; and (side, terms,
+        # cut markers, limit) -> Resolution of a complex with no
         # differential, filled by derived.member_resolution
         self.sum_memo = {}
         self.hom_memo = {}
+        self.iso_memo = {}
+        self.inverse_memo = {}
         self.resolution_memo = {}
 
     # ---- construction internals ----

@@ -16,9 +16,10 @@ writes into one after the complex that holds it is built.
 
 The terms of every complex are sums drawn from the same few
 indecomposables, so the algebra keeps a memo: one sum module per tag
-tuple (summand_sum) and one hom basis with its coordinate solver per
-pair of tag tuples (hom_block).  It lives as long as the algebra, so
-every job on the algebra reads what earlier ones built.
+tuple (summand_sum), one hom basis with its coordinate solver per
+pair of tag tuples (hom_block), and minimize's iso test and inverse per
+block value.  It lives as long as the algebra, so every job on the
+algebra reads what earlier ones built.
 
 Constructing a Complex or a ChainMap never checks it: Complex.validate
 (block keys, block shapes, module maps, d^2 = 0) and ChainMap.commutes
@@ -223,6 +224,7 @@ class Complex:
         self.approx_below = approx_below
         self._sums = {}
         self._dfull = {}
+        self._negated = {}  # id of a block dict held here -> its negation
 
     # ---- structure access ----
 
@@ -237,9 +239,6 @@ class Complex:
 
     def is_zero(self):
         return not self.parts
-
-    def part_modules(self, n):
-        return [tag_module(self.algebra, t) for t in self.parts.get(n, ())]
 
     def module(self, n):
         """The sum module of degree n.  It is summand_sum's module for the
@@ -262,6 +261,16 @@ class Complex:
     def block(self, n, k, l):
         """The (k, l) block of the degree-n differential; None for zero."""
         return self.blocks.get(n, {}).get((k, l))
+
+    def negated(self, n):
+        """The block dict of -d in degree n, never to be written into:
+        one per dict object, so degrees that share a dict share it."""
+        grid = self.blocks.get(n)
+        if grid is not None and id(grid) not in self._negated:
+            minus_one = self.algebra.field.of(-1)
+            self._negated[id(grid)] = {
+                kl: b.scale(minus_one) for kl, b in grid.items()}
+        return {} if grid is None else self._negated[id(grid)]
 
     def d_full(self, n):
         """Differential as one ModuleMap; zero map when a side is absent."""
@@ -319,20 +328,22 @@ class Complex:
     # ---- operations ----
 
     def shift(self, m):
-        """Degree shift: result at n is this complex at n + m."""
+        """Degree shift: result at n is this complex at n + m.  An odd
+        shift negates d, and records that the negations of its dicts are
+        this complex's: a cone or a second odd shift reads them back."""
         if m == 0:
             return self
         parts = {n - m: p for n, p in self.parts.items()}
-        if m % 2:
-            minus_one = self.algebra.field.of(-1)
-            blocks = {n - m: {kl: b.scale(minus_one) for kl, b in grid.items()}
-                      for n, grid in self.blocks.items()}
-        else:
-            blocks = {n - m: grid for n, grid in self.blocks.items()}
+        read = self.negated if m % 2 else self.blocks.get
+        blocks = {n - m: read(n) for n in self.blocks}
         above = None if self.approx_above is None else self.approx_above - m
         below = None if self.approx_below is None else self.approx_below - m
-        return Complex(self.algebra, parts, blocks, approx_above=above,
-                       approx_below=below)
+        Y = Complex(self.algebra, parts, blocks, approx_above=above,
+                    approx_below=below)
+        if m % 2:
+            Y._negated.update((id(blocks[n - m]), grid)
+                              for n, grid in self.blocks.items())
+        return Y
 
     def cut_above(self, t):
         """Drop degrees above t and record the cut."""
@@ -477,28 +488,13 @@ def cone(f: ChainMap):
     X, Y = f.source, f.target
     algebra = X.algebra
     above = _combine_approx(
-        None if X.approx_above is None else X.approx_above - 1,
-        Y.approx_above,
-    )
+        None if X.approx_above is None else X.approx_above - 1, Y.approx_above)
     below = _combine_below(
-        None if X.approx_below is None else X.approx_below - 1,
-        Y.approx_below,
-    )
-    parts = {}
-    degrees = set()
-    for n in X.parts:
-        degrees.add(n - 1)
-    degrees |= set(Y.parts)
-    for n in sorted(degrees):
-        if above is not None and n > above:
-            continue
-        if below is not None and n < below:
-            continue
-        p = tuple(X.parts.get(n + 1, ())) + tuple(Y.parts.get(n, ()))
-        if p:
-            parts[n] = p
+        None if X.approx_below is None else X.approx_below - 1, Y.approx_below)
+    parts = {n: X.parts.get(n + 1, ()) + Y.parts.get(n, ())
+             for n in sorted({n - 1 for n in X.parts} | set(Y.parts))
+             if (above is None or n <= above) and (below is None or n >= below)}
     blocks = {}
-    minus_one = algebra.field.of(-1)
     for n in parts:
         if (n + 1) not in parts:
             continue
@@ -506,8 +502,7 @@ def cone(f: ChainMap):
         xq = len(X.parts.get(n + 2, ()))
         # -d_X, then the nonzero blocks of f from the X rows to the Y
         # columns, then d_Y
-        grid = {kl: b.scale(minus_one)
-                for kl, b in X.blocks.get(n + 1, {}).items()}
+        grid = dict(X.negated(n + 1))
         for k in range(xp):
             for l in range(len(Y.parts.get(n + 1, ()))):
                 blk = f.block(n + 1, k, l)
@@ -525,144 +520,148 @@ def cone(f: ChainMap):
 MinimizeResult = namedtuple("MinimizeResult", ["complex", "to_min", "from_min", "homotopy"])
 
 
-def _find_cancellable(X: Complex, start):
-    """The first iso block (n, k, l) in degrees n >= start, if any."""
-    for n in sorted(m for m in X.blocks if m >= start):
-        grid = X.blocks[n]
-        # row by row: which block is cancelled first decides the result
-        for k, l in sorted(grid):
-            blk = grid[k, l]
-            if blk.is_iso():
-                return n, k, l
-    return None
-
-
-def _drop_index(parts, idx):
-    return tuple(p for i, p in enumerate(parts) if i != idx)
-
-
-def _cancel_step(X: Complex, n, k, l):
-    """Cancel summand k of degree n against summand l of degree n+1.
-
-    Returns the smaller complex and phi_inv, a function that gives the
-    inverse of the cancelled block.  The inverse is computed on the first
-    call only, and the step itself calls it only for a Schur correction
-    (a block in column l and one in row k besides the cancelled one)."""
-    algebra = X.algebra
-    phi_inv = functools.cache(X.blocks[n][k, l].inverse)
-    minus_one = algebra.field.of(-1)
-
-    new_parts = dict(X.parts)
-    new_parts[n] = _drop_index(X.parts[n], k)
-    new_parts[n + 1] = _drop_index(X.parts[n + 1], l)
-
-    def drop(i, gone):
-        return i - (i > gone)
-
-    grid = X.blocks[n]
-    new_blocks = dict(X.blocks)
-    new_blocks[n] = {(drop(a, k), drop(b, l)): blk
-                     for (a, b), blk in grid.items() if a != k and b != l}
-    column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
-    row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
-    for a, gamma in column:
-        for b, beta in row:
-            corr = gamma.then(phi_inv()).then(beta).scale(minus_one)
-            key = (drop(a, k), drop(b, l))
-            delta = new_blocks[n].get(key)
-            new_blocks[n][key] = corr if delta is None else delta.add(corr)
-    if n - 1 in X.blocks:
-        new_blocks[n - 1] = {(a, drop(b, k)): blk for (a, b), blk
-                             in X.blocks[n - 1].items() if b != k}
-    if n + 1 in X.blocks:
-        new_blocks[n + 1] = {(drop(a, l), b): blk for (a, b), blk
-                             in X.blocks[n + 1].items() if a != l}
-    # the constructor drops the dicts of degrees that lost all summands
-    Y = Complex(algebra, new_parts, new_blocks, approx_above=X.approx_above,
-                approx_below=X.approx_below)
-    return Y, phi_inv
-
-
-def _cancel_witnesses(X: Complex, Y: Complex, n, k, l, phi_inv):
-    """g: X -> Y, fm: Y -> X and h: X -> X[-1] of one cancellation;
-    phi_inv is the function _cancel_step returns."""
-    minus_one = X.algebra.field.of(-1)
-    phi_inv = phi_inv()
-    g_comps = {}
-    f_comps = {}
-    for m in X.parts:
-        Xm = X.module(m)
-        if m not in (n, n + 1):
-            ident = ModuleMap.identity(Xm)
-            g_comps[m] = ident
-            f_comps[m] = ident
-            continue
-        drop = k if m == n else l
-        keep = [i for i in range(len(X.parts[m])) if i != drop]
-        mods = X.part_modules(m)
-        g_blocks = {}
-        f_blocks = {}
-        for new, old in enumerate(keep):
-            # identity on kept parts
-            ident = ModuleMap.identity(mods[old])
-            g_blocks[(old, new)] = ident
-            f_blocks[(new, old)] = ident
-            if m == n + 1:
-                # g at degree n+1: v-part maps by -phi_inv @ beta into kept summands
-                beta = X.block(n, k, old)
-                if beta is not None:
-                    g_blocks[(l, new)] = phi_inv.then(beta).scale(minus_one)
-            else:
-                # f at degree n: kept summand a gains -gamma @ phi_inv into the u-part
-                gamma = X.block(n, old, l)
-                if gamma is not None:
-                    f_blocks[(new, k)] = gamma.then(phi_inv).scale(minus_one)
-        Ym = Y.module(m)
-        g_comps[m] = map_placement(Xm, X.offsets(m), Ym, Y.offsets(m), g_blocks)
-        f_comps[m] = map_placement(Ym, Y.offsets(m), Xm, X.offsets(m), f_blocks)
-    h_comps = {n + 1: map_placement(X.module(n + 1), X.offsets(n + 1), X.module(n),
-                                    X.offsets(n), {(l, k): phi_inv})}
-    g = ChainMap(X, Y, g_comps)
-    fmap = ChainMap(Y, X, f_comps)
-    return g, fmap, h_comps
-
-
 def minimize(X: Complex, verify=True) -> MinimizeResult:
     """Strip all cancellable summand pairs, by block Gaussian elimination.
 
-    With verify, the witnesses are built and checked: to_min: X -> Xmin,
-    from_min: Xmin -> X with to_min after from_min the identity, and
-    identity minus (from_min then to_min) equal to dh + hd.  Without
-    verify no witness is built, and to_min, from_min and homotopy are None.
+    The elimination works on the ids of each degree's surviving summands
+    (their positions in X) and block dicts keyed by them.  Cancelling
+    id k of degree n against id l of degree n + 1 replaces the dicts of
+    degrees n - 1, n and n + 1 (X's are never written), and one Complex
+    is built at the end: ids renumbered once, untouched dicts kept, X
+    itself when nothing cancels.  The first iso block of the lowest
+    degree, row by row, is cancelled first, which decides the result;
+    ids keep their order, so the scan meets the blocks in the order of
+    their positions in the complex the cancellations so far leave.  A
+    degree is scanned until it holds no iso block: dicts below it only
+    lose blocks.
+
+    Each block value's iso test and inverse are read from the algebra's
+    memo (keyed by the dims and vertex block rows), which lives as long
+    as the algebra: values recur from call to call, and over kZ_n/rad^r
+    a few fill every cone of the iteration.  An inverse is read only for
+    a Schur correction (the cancelled block's column and row each hold
+    another block) or for the witnesses.
+
+    With verify, each step's witnesses are built from its dict and
+    surviving tags, composed and checked: to_min: X -> Xmin, from_min:
+    Xmin -> X with to_min after from_min the identity, and identity
+    minus (from_min then to_min) equal to dh + hd.  Without verify,
+    to_min, from_min and homotopy are None.
     """
-    cur = X
-    if verify:
-        g_total = ChainMap.identity(X)
-        f_total = ChainMap.identity(X)
-        h_total = {}
-    start = min(X.blocks, default=0)
-    while True:
-        found = _find_cancellable(cur, start)
-        if found is None:
-            break
-        # a cancellation in degree n rewrites only the grids n - 1, n and
-        # n + 1, and every grid below n had no iso block, so the scan
-        # resumes at n - 1 and finds what a scan from the lowest would
-        start = found[0] - 1
-        nxt, phi_inv = _cancel_step(cur, *found)
-        if verify:
-            g, fm, h = _cancel_witnesses(cur, nxt, *found, phi_inv)
-            # h_total = h_total + g_total h f_total (as maps on X)
-            for m, hm in h.items():
-                term = g_total.comp(m).then(hm).then(f_total.comp(m - 1))
-                h_total[m] = h_total[m].add(term) if m in h_total else term
-            g_total = g_total.then(g)
-            f_total = fm.then(f_total)
-        cur = nxt
+    A = X.algebra
+    grids = dict(X.blocks)
+    ids = {}  # degree -> surviving ids, once a summand of it is cancelled
+    g, fm, h = {}, {}, {}  # the witnesses' components, built with verify
+    for n in sorted(grids):
+        while (found := next(((k, l) for k, l in sorted(grids[n])
+                              if _is_iso(A, grids[n][k, l])), None)):
+            for m in (n, n + 1):
+                ids.setdefault(m, list(range(len(X.parts[m]))))
+            inverse = functools.partial(_iso_inverse, A, grids[n][found])
+            if verify:
+                _step_witnesses(X, grids[n], ids, n, *found, inverse(),
+                                g, fm, h)
+            _cancel(grids, ids, n, *found, inverse)
+    Y = X
+    if ids:
+        at = {m: {k: p for p, k in enumerate(kept)} for m, kept in ids.items()}
+        Y = Complex(A, {m: _surviving(X, ids, m) for m in X.parts}, {
+            m: grid if grid is X.blocks[m] else {
+                (at.get(m, {}).get(k, k), at.get(m + 1, {}).get(l, l)): b
+                for (k, l), b in grid.items()}
+            for m, grid in grids.items()},
+            approx_above=X.approx_above, approx_below=X.approx_below)
     if not verify:
-        return MinimizeResult(cur, None, None, None)
-    _verify_minimize(X, cur, g_total, f_total, h_total)
-    return MinimizeResult(cur, g_total, f_total, h_total)
+        return MinimizeResult(Y, None, None, None)
+    # g and fm are the identity in every degree no cancellation touched
+    kept = {m: ModuleMap.identity(X.module(m)) for m in X.parts if m not in g}
+    g, fm = ChainMap(X, Y, {**kept, **g}), ChainMap(Y, X, {**kept, **fm})
+    _verify_minimize(X, Y, g, fm, h)
+    return MinimizeResult(Y, g, fm, h)
+
+
+def _is_iso(algebra, blk):
+    """Whether blk is an isomorphism, rank-tested once per value."""
+    if blk.source.dims != blk.target.dims:
+        return False
+    key = blk.source.dims, _map_value(blk)
+    got = algebra.iso_memo.get(key)
+    if got is None:
+        got = algebra.iso_memo[key] = blk.is_iso()
+    return got
+
+
+def _iso_inverse(algebra, blk):
+    """The inverse of the iso blk: vertex blocks inverted once per value,
+    around blk's own modules."""
+    key = blk.source.dims, _map_value(blk)
+    got = algebra.inverse_memo.get(key)
+    if got is None:
+        got = algebra.inverse_memo[key] = blk.inverse().blocks
+    return ModuleMap(blk.target, blk.source, got)
+
+
+def _surviving(X, ids, m):
+    """The tags of degree m that no cancellation has removed."""
+    return tuple(X.parts[m][k] for k in ids[m]) if m in ids \
+        else X.parts.get(m, ())
+
+
+def _cancel(grids, ids, n, k, l, inverse):
+    """Cancel id k of degree n against id l of degree n + 1; inverse()
+    gives the cancelled block's inverse, read for a Schur correction."""
+    grid = grids[n]
+    new = {(a, b): blk for (a, b), blk in grid.items() if a != k and b != l}
+    column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
+    row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
+    if column and row:
+        phi_inv, minus_one = inverse(), grid[k, l].source.algebra.field.of(-1)
+        for a, gamma in column:
+            for b, beta in row:
+                corr = gamma.then(phi_inv).then(beta).scale(minus_one)
+                delta = new.get((a, b))
+                new[a, b] = corr if delta is None else delta.add(corr)
+    grids[n] = new
+    if n - 1 in grids:
+        grids[n - 1] = {ab: b for ab, b in grids[n - 1].items() if ab[1] != k}
+    if n + 1 in grids:
+        grids[n + 1] = {ab: b for ab, b in grids[n + 1].items() if ab[0] != l}
+    ids[n].remove(k)
+    ids[n + 1].remove(l)
+
+
+def _step_witnesses(X, grid, ids, n, k, l, phi_inv, g, fm, h):
+    """Compose one cancellation's witnesses into g (X -> current), fm
+    (current -> X), each the identity in an absent degree, and h (X ->
+    X[-1]); grid and ids are the state before the step."""
+    A = X.algebra
+    minus_one = A.field.of(-1)
+    at = {n: ids[n].index(k), n + 1: ids[n + 1].index(l)}
+    tags = {m: _surviving(X, ids, m) for m in at}
+    cur = {m: summand_sum(A, tags[m]) for m in at}
+    # h += g h_step fm, h_step: current^{n+1} -> current^n by phi_inv
+    term = map_placement(*cur[n + 1], *cur[n], {(at[n + 1], at[n]): phi_inv})
+    term = g[n + 1].then(term) if n + 1 in g else term
+    term = term.then(fm[n]) if n in fm else term
+    h[n + 1] = h[n + 1].add(term) if n + 1 in h else term
+    for m, drop in at.items():
+        nxt = summand_sum(A, tags[m][:drop] + tags[m][drop + 1:])
+        g_blocks, f_blocks = {}, {}
+        for new, old in enumerate(p for p in range(len(tags[m])) if p != drop):
+            g_blocks[old, new] = f_blocks[new, old] = \
+                ModuleMap.identity(tag_module(A, tags[m][old]))
+            # -phi_inv beta from the cancelled summand of degree n + 1,
+            # -gamma phi_inv into the cancelled one of degree n
+            beta = grid.get((k, ids[m][old])) if m > n else None
+            gamma = grid.get((ids[m][old], l)) if m == n else None
+            if beta is not None:
+                g_blocks[drop, new] = phi_inv.then(beta).scale(minus_one)
+            if gamma is not None:
+                f_blocks[new, drop] = gamma.then(phi_inv).scale(minus_one)
+        step_g = map_placement(*cur[m], *nxt, g_blocks)
+        step_f = map_placement(*nxt, *cur[m], f_blocks)
+        g[m] = g[m].then(step_g) if m in g else step_g
+        fm[m] = step_f.then(fm[m]) if m in fm else step_f
 
 
 def _verify_minimize(X, Y, g, fm, h):

@@ -182,7 +182,10 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
             seen[K] = n
         n -= 1
 
-    parts = {m: tuple(Summand("P", v) for v in vs)
+    # one tag tuple per distinct vertex tuple, so a copied period shares
+    # its tags as it shares its block dicts
+    tags = {}
+    parts = {m: tags.setdefault(tuple(vs), tuple(Summand("P", v) for v in vs))
              for m, vs in verts.items() if vs}
     lowest = n + 1
     below = X.approx_below

@@ -20,10 +20,11 @@ from tiltlab.complexes import (
     stalk_complex,
     tag_module,
 )
-from tiltlab.derived import dual_complex, resolve_complex
+from tiltlab.derived import coresolve_complex, dual_complex, resolve_complex
 from tiltlab.linalg import QQ, Mat, PrimeField, Subquotient
 from tiltlab.tilting import hom_to_element, left_mult_map
 
+from test_derived import cyclic_nakayama
 from test_direct_sums import (ALGEBRAS, FIELDS, dense_blocks, from_dense,
                               random_chain_map, random_complex)
 
@@ -140,6 +141,33 @@ def test_cone_stores_no_zero_block(A):
     assert C.support() == [-1, 0]
     assert C.blocks == {}
     assert C.homology_dims() == {-1: (0, 1), 0: (1, 1)}
+
+
+def test_a_cone_out_of_an_odd_shift_reads_back_the_unshifted_blocks():
+    """An odd shift negates d once per block dict and records that the
+    negation of its dicts is the source's; so the cone of a map out of
+    I[-1] holds I's own block objects in its I rows, and so does a
+    second odd shift.  Degrees that share a dict in I share its
+    negation in I[-1]."""
+    A = cyclic_nakayama(PrimeField(7), 3, 3)
+    I = coresolve_complex(stalk_complex(A, Summand("S", 0)), top=10).complex
+    U = I.shift(-1)
+    for n, grid in I.blocks.items():
+        assert U.blocks[n + 1] == {kl: b.scale(A.field.of(-1))
+                                   for kl, b in grid.items()}
+        assert I.shift(-2).blocks[n + 2] is grid
+        assert U.shift(-1).blocks[n + 2] is grid
+        assert U.shift(1).blocks[n] is grid
+        for m, other in I.blocks.items():
+            if other is grid:
+                assert U.blocks[m + 1] is U.blocks[n + 1]
+    assert len({id(g) for g in I.blocks.values()}) < len(I.blocks)
+    C = cone(ChainMap.identity(U))
+    for n, grid in I.blocks.items():
+        # degree n of C begins with U^{n+1} = I^n, whose -d is d_I
+        for kl, b in grid.items():
+            assert C.blocks[n][kl] is b
+    C.validate()
 
 
 def test_minimize_kills_contractible(A):

@@ -302,6 +302,19 @@ def test_resolutions_of_simples_over_cyclic_nakayama_follow_the_closed_form(
             for k in range(depth + 1)}
 
 
+def test_a_periodic_resolution_shares_one_tag_tuple_per_value():
+    """Over kZ_3/rad^3 the resolution of S_1 alternates P_1 and P_2; the
+    copied degrees share the tag tuple of the degree they copy, as they
+    share its block dict."""
+    A = cyclic_nakayama(PrimeField(7), 3, 3)
+    P = resolve_complex(S(A, 0), bottom=-20).complex
+    assert len(P.parts) == 21
+    first = {}
+    for p in P.parts.values():
+        assert first.setdefault(p, p) is p
+    assert sorted(first) == [(Summand("P", 0),), (Summand("P", 1),)]
+
+
 def reference_resolve(X, bottom=None):
     """resolve_complex as it was before it copied periods: every degree
     down to the cut is computed."""

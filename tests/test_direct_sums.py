@@ -4,9 +4,12 @@ map_slice and map_placement are checked against the composition through
 dense inclusion and projection matrices that direct_sum_modules used to
 return; that construction is kept here as the reference.  minimize
 without verify must reach the same complex as with it, on cones of
-random chain maps between random bounded complexes.
+random chain maps between random bounded complexes, and cancel the
+blocks that the elimination by whole-complex steps, kept here as the
+reference, cancels.
 """
 
+import functools
 import random
 
 import pytest
@@ -15,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from tiltlab import complexes
 from tiltlab.algebra import (Algebra, Module, ModuleMap, Quiver,
                              direct_sum_modules, map_placement, map_slice)
-from tiltlab.complexes import (ChainMap, Summand, cone, direct_sum_complexes,
-                               h0_chain_maps, minimize, stalk_complex,
-                               tag_module)
+from tiltlab.complexes import (ChainMap, Complex, Summand, cone,
+                               direct_sum_complexes, h0_chain_maps, minimize,
+                               stalk_complex, tag_module)
 from tiltlab.derived import resolve_complex
 from tiltlab.linalg import Mat, PrimeField, QQ
 
@@ -200,20 +203,95 @@ def test_minimize_without_witnesses_reaches_the_same_complex(
     assert full.to_min.commutes() and full.from_min.commutes()
 
 
+# The elimination as minimize ran it before it worked in place: every
+# cancellation built a new Complex over every degree.  Kept verbatim as
+# the reference for the cancelled blocks and the result.
+
+def _find_cancellable(X: Complex, start):
+    """The first iso block (n, k, l) in degrees n >= start, if any."""
+    for n in sorted(m for m in X.blocks if m >= start):
+        grid = X.blocks[n]
+        # row by row: which block is cancelled first decides the result
+        for k, l in sorted(grid):
+            blk = grid[k, l]
+            if blk.is_iso():
+                return n, k, l
+    return None
+
+
+def _drop_index(parts, idx):
+    return tuple(p for i, p in enumerate(parts) if i != idx)
+
+
+def _cancel_step(X: Complex, n, k, l):
+    """Cancel summand k of degree n against summand l of degree n+1.
+
+    Returns the smaller complex and phi_inv, a function that gives the
+    inverse of the cancelled block.  The inverse is computed on the first
+    call only, and the step itself calls it only for a Schur correction
+    (a block in column l and one in row k besides the cancelled one)."""
+    algebra = X.algebra
+    phi_inv = functools.cache(X.blocks[n][k, l].inverse)
+    minus_one = algebra.field.of(-1)
+
+    new_parts = dict(X.parts)
+    new_parts[n] = _drop_index(X.parts[n], k)
+    new_parts[n + 1] = _drop_index(X.parts[n + 1], l)
+
+    def drop(i, gone):
+        return i - (i > gone)
+
+    grid = X.blocks[n]
+    new_blocks = dict(X.blocks)
+    new_blocks[n] = {(drop(a, k), drop(b, l)): blk
+                     for (a, b), blk in grid.items() if a != k and b != l}
+    column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
+    row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
+    for a, gamma in column:
+        for b, beta in row:
+            corr = gamma.then(phi_inv()).then(beta).scale(minus_one)
+            key = (drop(a, k), drop(b, l))
+            delta = new_blocks[n].get(key)
+            new_blocks[n][key] = corr if delta is None else delta.add(corr)
+    if n - 1 in X.blocks:
+        new_blocks[n - 1] = {(a, drop(b, k)): blk for (a, b), blk
+                             in X.blocks[n - 1].items() if b != k}
+    if n + 1 in X.blocks:
+        new_blocks[n + 1] = {(drop(a, l), b): blk for (a, b), blk
+                             in X.blocks[n + 1].items() if a != l}
+    # the constructor drops the dicts of degrees that lost all summands
+    Y = Complex(algebra, new_parts, new_blocks, approx_above=X.approx_above,
+                approx_below=X.approx_below)
+    return Y, phi_inv
+
+
 def reference_minimize(X):
-    """minimize(X, verify=False) as it was before its scan resumed: after
-    each cancellation the search for an iso block restarts at the lowest
+    """minimize(X, verify=False) by the reference: after each
+    cancellation the search for an iso block restarts at the lowest
     degree.  Returns the minimal complex and the (n, k, l) cancelled."""
     steps = []
     while True:
-        found = next(((n, k, l) for n in sorted(X.blocks)
-                      for (k, l), b in sorted(X.blocks[n].items())
-                      if b.source.dims == b.target.dims and b.is_iso()),
-                     None)
+        found = _find_cancellable(X, min(X.blocks, default=0))
         if found is None:
             return X, steps
         steps.append(found)
-        X, _ = complexes._cancel_step(X, *found)
+        X, _ = _cancel_step(X, *found)
+
+
+def recording_cancel(record):
+    """complexes._cancel, reporting to record each cancellation's state
+    before it runs: (n, k, l) in the positions of the complex that the
+    cancellations so far leave, and the dict of degree n."""
+    cancel = complexes._cancel
+
+    def recording(grids, ids, n, k, l, inverse):
+        record((n, ids[n].index(k), ids[n + 1].index(l)), grids[n], k, l)
+        return cancel(grids, ids, n, k, l, inverse)
+    return recording
+
+
+def block_value(blk):
+    return blk.source.dims, tuple(b.data for b in blk.blocks.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,14 +308,9 @@ def test_minimize_cancels_what_a_scan_from_the_lowest_degree_finds(
     want, want_steps = reference_minimize(C)
 
     steps = []
-    cancel = complexes._cancel_step
-
-    def recording(Y, n, k, l):
-        steps.append((n, k, l))
-        return cancel(Y, n, k, l)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_cancel_step", recording)
+        mp.setattr(complexes, "_cancel", recording_cancel(
+            lambda step, grid, k, l: steps.append(step)))
         got = minimize(C, verify=False).complex
     assert steps == want_steps
     assert got == want
@@ -250,29 +323,67 @@ def test_minimize_inverts_a_cancelled_block_only_where_it_is_read(
         seed, field_key, algebra_key):
     """Without witnesses a cancelled block is inverted only for a Schur
     correction, when its column and its row each hold another block;
-    with them, once per cancellation."""
-    A = ALGEBRAS[algebra_key](FIELDS[field_key])
-    rng = random.Random(seed)
-    C = cone(random_chain_map(random_complex(A, rng),
-                              random_complex(A, rng), rng))
-    cancel, inverse = complexes._cancel_step, ModuleMap.inverse
+    with them, for every cancellation.  The algebra inverts each block
+    value once, so on a fresh algebra the inversions are the distinct
+    values among those blocks."""
+    inverse = ModuleMap.inverse
     for verify in (False, True):
-        cancelled, corrected, inversions = [], [], []
+        A = ALGEBRAS[algebra_key](FIELDS[field_key])
+        rng = random.Random(seed)
+        C = cone(random_chain_map(random_complex(A, rng),
+                                  random_complex(A, rng), rng))
+        cancelled, corrected, inversions = set(), set(), []
 
-        def recording(Y, n, k, l):
-            keys = Y.blocks[n]
-            cancelled.append((n, k, l))
-            if any(b == l and a != k for a, b in keys) and \
-                    any(a == k and b != l for a, b in keys):
-                corrected.append((n, k, l))
-            return cancel(Y, n, k, l)
+        def record(step, grid, k, l):
+            value = block_value(grid[k, l])
+            cancelled.add(value)
+            if any(b == l and a != k for a, b in grid) and \
+                    any(a == k and b != l for a, b in grid):
+                corrected.add(value)
 
         def counting(m):
             inversions.append(m)
             return inverse(m)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(complexes, "_cancel_step", recording)
+            mp.setattr(complexes, "_cancel", recording_cancel(record))
             mp.setattr(ModuleMap, "inverse", counting)
             minimize(C, verify=verify)
         assert len(inversions) == len(cancelled if verify else corrected)
+
+
+def test_minimize_scans_each_degree_row_by_row():
+    """The first iso block row by row is cancelled first: here (0, 1),
+    which comes after (1, 0) column by column."""
+    A = ALGEBRAS["A2"](QQ)
+    P = Summand("P", 0)
+    ident = ModuleMap.identity(A.projective(0))
+    C = Complex(A, {0: (P, P), 1: (P, P)}, {0: {(1, 0): ident, (0, 1): ident}})
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_cancel", recording_cancel(
+            lambda step, grid, k, l: steps.append(step)))
+        assert minimize(C, verify=False).complex.is_zero()
+    assert steps == reference_minimize(C)[1] == [(0, 0, 1), (0, 0, 0)]
+
+
+def test_minimize_returns_a_minimal_complex_itself():
+    A = ALGEBRAS["A3/ab"](QQ)
+    X = resolve_complex(stalk_complex(A, Summand("S", 0))).complex
+    assert X.blocks
+    assert minimize(X, verify=False).complex is X
+    res = minimize(X)
+    assert res.complex is X and res.homotopy == {}
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_minimize_tells_equal_rows_on_different_vertices_apart(verify):
+    """The identities of S_1 and of S_2 have the same rows, at different
+    vertices; the memo must keep their tests and inverses apart."""
+    A = ALGEBRAS["A2"](QQ)
+    pieces = []
+    for v in (0, 1, 0):
+        S = stalk_complex(A, Summand("S", v), v)
+        pieces.append(cone(ChainMap.identity(S)))
+    C = direct_sum_complexes(pieces)
+    assert minimize(C, verify=verify).complex.is_zero()

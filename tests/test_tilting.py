@@ -38,6 +38,7 @@ from tiltlab.tilting import (
 
 from test_derived import (STALK_ALGEBRAS, _flat, combine, cyclic_nakayama,
                           random_stalk)
+from test_direct_sums import reference_minimize
 
 
 @pytest.fixture
@@ -371,6 +372,71 @@ def test_extension_solves_each_repeated_degree_once(monkeypatch):
         monkeypatch.setattr(Mat, "solve", solve)
         assert len(calls) == 3
         assert lift.comps == extension_solving_every_degree(iota, [iota])[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(sorted(NAKAYAMA_ALGEBRAS)))
+def test_minimize_equals_the_reference_on_cones_along_a_coresolution(
+        seed, key):
+    """The shape the cone iteration minimizes over a self-injective
+    algebra: the cone of a class map S[m] -> T extended along S[m]'s
+    coresolution, T a minimized coresolution of a simple and then each
+    round's result.  Long, periodic, and full of iso blocks of a few
+    values; minimize must give the reference's complex block for
+    block, with or without witnesses."""
+    A = NAKAYAMA_ALGEBRAS[key]()
+    rng = random.Random(seed)
+    tau = 2 * A.dim + 4
+    simples = [S(A, v) for v in range(A.quiver.n)]
+    cores = [coresolve_complex(X, top=tau) for X in simples]
+    T = minimize(rng.choice(cores).complex, verify=False).complex
+    for _ in range(3):
+        found = [(j, m, U, maps)
+                 for j, X in enumerate(simples) for m in (-3, -2, -1)
+                 for U in [X.shift(m)] for maps in [h0_chain_maps(U, T)[0]]
+                 if maps]
+        if not found:
+            break
+        j, m, U, maps = rng.choice(found)
+        f = maps[0]
+        for g in maps[1:]:
+            f = f.add(g.scale(A.field.of(rng.randint(-2, 2))))
+        (lift,) = extend_along(shift_coresolution(cores[j], U, m, tau), [f])
+        C = cone(lift)
+        want, _ = reference_minimize(C)
+        assert minimize(C, verify=False).complex == want
+        if rng.random() < 0.3:
+            assert minimize(C).complex == want
+        T = clip(want)
+
+
+def test_minimize_reads_rank_once_per_block_value():
+    """A second minimize of an equal complex, its blocks new objects,
+    makes no rank test: the algebra's memo holds every value."""
+    A = NAKAYAMA_ALGEBRAS["kZ3/rad3 GF7"]()
+    # the coresolution of S_1 repeats with period 2, and a class S_1[-2]
+    # -> its coresolution lifts to an iso in every degree from 2 up
+    core = coresolve_complex(S(A, 0), top=12)
+    U = S(A, 0).shift(-2)
+    (f,) = h0_chain_maps(U, core.complex)[0]
+    (lift,) = extend_along(shift_coresolution(core, U, -2, 12), [f])
+    C = cone(lift)
+    copy = Complex(A, C.parts, {
+        n: {kl: b.scale(A.field.one()) for kl, b in grid.items()}
+        for n, grid in C.blocks.items()}, approx_above=C.approx_above)
+    first = minimize(C, verify=False).complex
+    assert len(first.parts) < len(C.parts)
+    rank, calls = Mat.rank, []
+
+    def counting(self):
+        calls.append(self)
+        return rank(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Mat, "rank", counting)
+        again = minimize(copy, verify=False).complex
+    assert calls == []
+    assert again == first
 
 
 def two_term(A, w, v):
