@@ -1083,9 +1083,14 @@ class FiniteAlgebra:
 
     products is the degree-zero block {(0, 0): {(a, b): ((k, c), ...)}}
     of the sparse format (see sparse_structure); the unit fixes the
-    dimension.  The basis need not be adapted to the idempotents: the
-    Peirce corners are read through the matrix of x -> e_i x e_j, built
-    once per pair (i, j) from sparse products.
+    dimension.  The basis need not be adapted to the idempotents.  The
+    Peirce corners are read through two tables, computed once from 2 n
+    dim sparse products: e_i b_k and b_k e_i for every idempotent e_i
+    and basis element b_k.  Every corner e_i A e_j is then built in one
+    pass over k, from e_i b_k e_j = sum_t (e_i b_k)_t b_t e_j.  On an
+    adapted basis, which every endomorphism algebra the pipeline builds
+    has, each b_k is fixed by one e_i on the left and one e_j on the
+    right and lies in one corner, so the pass costs O(n dim).
 
     The radical (radical_rows, radical_powers) assumes a basic algebra
     over a split field: each corner e_i A e_i local, with residue field
@@ -1103,8 +1108,6 @@ class FiniteAlgebra:
         self.products = sparse_structure(products, {0: self.dim},
                                          AlgebraError)
         self.idempotents = [tuple(e) for e in idempotents]
-        self._corners = {}
-        self._peirce = {}
         self.verify_structure()
 
     def mult(self, x, y):
@@ -1118,31 +1121,87 @@ class FiniteAlgebra:
         check_idempotents(f, self.products, self.idempotents, self.unit,
                           AlgebraError)
 
-    def _corner_map(self, i, j):
-        """The matrix of x -> e_i x e_j, whose row k holds e_i b_k e_j."""
-        if (i, j) not in self._corners:
-            f, one = self.field, self.field.one()
-            ei, ej = ([(a, c) for a, c in enumerate(e) if c]
-                      for e in (self.idempotents[i], self.idempotents[j]))
-            rows = []
+    @cached_property
+    def _sides(self):
+        """(left, right): left[i] = {k: e_i b_k} and right[i] = {k: b_k
+        e_i}, each product sparse and listed only when nonzero."""
+        f, one = self.field, self.field.one()
+        left, right = [], []
+        for e in self.idempotents:
+            e = [(a, c) for a, c in enumerate(e) if c]
+            lt, rt = {}, {}
             for k in range(self.dim):
-                left = sparse_product(f, self.products, 0, ei, 0, ((k, one),))
-                row = sparse_product(f, self.products, 0, left.items(), 0, ej)
-                rows.append([row.get(t, f.zero()) for t in range(self.dim)])
-            self._corners[(i, j)] = Mat(f, rows, ncols=self.dim)
-        return self._corners[(i, j)]
+                b = ((k, one),)
+                lt[k] = sparse_product(f, self.products, 0, e, 0, b)
+                rt[k] = sparse_product(f, self.products, 0, b, 0, e)
+            left.append({k: p for k, p in lt.items() if p})
+            right.append({k: p for k, p in rt.items() if p})
+        return left, right
+
+    def _combine(self, x, table):
+        """sum_t x_t table[t] over the (t, x_t) pairs of x, as {index:
+        coefficient} with its nonzero coordinates only."""
+        f = self.field
+        out = {}
+        for t, c in x:
+            p = table.get(t)
+            if p is None:
+                continue
+            for s, v in p.items():
+                w = f.mul(c, v)
+                out[s] = f.add(out[s], w) if s in out else w
+        return {s: c for s, c in out.items() if c}
+
+    def _basis_of(self, rows):
+        """Row basis of the span of sparse rows; 0 x dim, without a row
+        reduction, when there are none."""
+        f = self.field
+        if not rows:
+            return Mat.zeros(f, 0, self.dim)
+        dense = []
+        for z in rows:
+            row = [f.zero()] * self.dim
+            for s, c in z.items():
+                row[s] = c
+            dense.append(row)
+        return Mat(f, dense).row_space_basis()
+
+    @cached_property
+    def _bases(self):
+        """_bases[i][j], the row basis of e_i A e_j, every corner from one
+        pass over the basis elements b_k."""
+        left, right = self._sides
+        n = len(self.idempotents)
+        rows = [[[] for _ in range(n)] for _ in range(n)]
+        for k in range(self.dim):
+            for i in range(n):
+                y = left[i].get(k)
+                if y is None:
+                    continue
+                for j in range(n):
+                    z = self._combine(y.items(), right[j])
+                    if z:
+                        rows[i][j].append(z)
+        return [[self._basis_of(r) for r in row] for row in rows]
 
     def corner_rows(self, i, j, rows):
-        """Row basis of the span of e_i x e_j over the rows x of a Mat: the
-        row space of rows times the matrix of x -> e_i x e_j.  It is the
-        reduced echelon form, which depends only on the span."""
-        return rows.mul(self._corner_map(i, j)).row_space_basis()
+        """Row basis of the span of e_i x e_j over the rows x of a Mat, each
+        row mapped sparsely through the two tables.  It is the reduced
+        echelon form, which depends only on the span."""
+        left, right = self._sides
+        li = left[i]
+        out = []
+        for x in rows.data:
+            y = self._combine(((k, x[k]) for k in li if x[k]), li)
+            z = self._combine(y.items(), right[j])
+            if z:
+                out.append(z)
+        return self._basis_of(out)
 
     def peirce_basis(self, i, j):
-        """Row basis of e_i A e_j inside the whole space, built once."""
-        if (i, j) not in self._peirce:
-            self._peirce[(i, j)] = self._corner_map(i, j).row_space_basis()
-        return self._peirce[(i, j)]
+        """Row basis of e_i A e_j inside the whole space, built once with
+        every other corner."""
+        return self._bases[i][j]
 
     def cartan_matrix(self):
         n = len(self.idempotents)

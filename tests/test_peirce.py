@@ -2,11 +2,11 @@
 
 h0_endomorphism_algebra forms a class product only when the first
 factor arrives at a companion the second leaves from; the reference
-here forms all dim^2 products.  FiniteAlgebra reads its corners through
-one matrix of x -> e_i x e_j per pair; the reference multiplies every
-row by both idempotents.  tilting._b_table reads every shift of a
-member from one hom complex; the reference builds one per shift with
-h0_chain_maps.  The random finite algebras are incidence algebras of
+here forms all dim^2 products.  FiniteAlgebra reads its corners from
+the sparse products e_i b_k and b_k e_i, formed once; the reference
+multiplies every row by both idempotents.  tilting._b_table reads every
+shift of a member from one hom complex; the reference builds one per
+shift with h0_chain_maps.  The random finite algebras are incidence algebras of
 posets tensored with k[x]/x^r, written in a random basis, so their
 Cartan matrix and radical are known in closed form and their basis is
 usually not adapted to the idempotents.
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import tilting
+from tiltlab import algebra, tilting
 from tiltlab.algebra import (AlgebraError, FiniteAlgebra, map_slice,
                              summand_offsets)
 from tiltlab.complexes import (ChainMap, Complex, HomComplex, cone,
@@ -28,7 +28,7 @@ from tiltlab.complexes import (ChainMap, Complex, HomComplex, cone,
                                zero_complex)
 from tiltlab.derived import injective_form
 from tiltlab.linalg import Mat, PrimeField, QQ
-from tiltlab.reporting import parse_job
+from tiltlab.reporting import parse_job, run_pipeline
 from tiltlab.tilting import check_tilting, end_homology, h0_endomorphism_algebra
 
 from test_derived import STALK_ALGEBRAS, random_stalk
@@ -156,11 +156,12 @@ def test_class_products_are_formed_once_per_composable_pair(monkeypatch):
 
 # ---- corners ----
 
-def incidence_algebra(f, rng):
+def incidence_algebra(f, rng, adapted=False):
     """(algebra, Cartan matrix, radical rows): the incidence algebra of a
     random poset on 1-3 points (1-2 when r > 2, which keeps the dimension
     at most 15) tensored with k[x]/x^r, r = 1 to 5, in a
-    basis b'_k = sum_l P[k][l] b_l for a random invertible P.  The old
+    basis b'_k = sum_l P[k][l] b_l for a random invertible P, or for a
+    random permutation matrix P when adapted is set.  The old
     basis is (i, j, s) for i <= j and s < r, with (i, j, s) (j, k, t) =
     (i, k, s + t) and zero otherwise; its radical is spanned by the
     (i, j, s) with i != j or s > 0."""
@@ -191,7 +192,8 @@ def incidence_algebra(f, rng):
                  else f.zero() for j in range(d)] for i in range(d)])
     U = Mat(f, [[f.one() if i == j else f.of(rng.choice(coef)) if i < j
                  else f.zero() for j in range(d)] for i in range(d)])
-    P = L.mul(U) if rng.random() < 0.8 else Mat.identity(f, d)
+    P = L.mul(U) if not adapted and rng.random() < 0.8 \
+        else Mat.identity(f, d)
     P = Mat(f, rng.sample(P.data, d))
     Pinv = P.inverse()
 
@@ -259,9 +261,17 @@ def test_corners_match_the_double_product_reference(seed, f):
 def test_corners_of_a_basis_that_is_not_adapted(f):
     G = upper_triangular(f)
     eye = Mat.identity(f, 3)
+    rng = random.Random(11)
+    rows = Mat(f, [[f.of(rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+                   for _ in range(2)])
+    hit = 0
     for i in range(2):
         for j in range(2):
             assert G.peirce_basis(i, j) == double_mult_corner(G, i, j, eye)
+            got = G.corner_rows(i, j, rows)
+            assert got == double_mult_corner(G, i, j, rows)
+            hit += got.nrows > 0
+    assert hit > 1  # the random rows span several corners
     assert G.cartan_matrix() == [[1, 1], [0, 1]]
     assert G.radical_rows() == Mat(f, [[0, 0, 1]])
 
@@ -279,6 +289,76 @@ def test_corners_make_no_mult_call(monkeypatch):
         for j in range(n):
             G.corner_rows(i, j, rows)
     assert G.cartan_matrix() == cartan
+
+
+def test_corners_cost_two_sparse_products_per_idempotent_and_element(
+        monkeypatch):
+    # on an adapted basis every b_k lies in one corner, so every corner is
+    # read off the tables e_i b_k and b_k e_i, with no dim x dim matrix
+    f = QQ
+    G, cartan, radical = incidence_algebra(f, random.Random(3), adapted=True)
+    n, eye = len(G.idempotents), Mat.identity(f, G.dim)
+    assert n > 1
+    want = {(i, j): (double_mult_corner(G, i, j, eye),
+                     double_mult_corner(G, i, j, radical))
+            for i in range(n) for j in range(n)}
+    products, sizes = [], []
+    product, identity = algebra.sparse_product, Mat.identity
+
+    def counted_product(*args):
+        products.append(1)
+        return product(*args)
+
+    def counted_identity(field, size):
+        sizes.append(size)
+        return identity(field, size)
+
+    monkeypatch.setattr(algebra, "sparse_product", counted_product)
+    monkeypatch.setattr(Mat, "identity", staticmethod(counted_identity))
+    got = {(i, j): (G.peirce_basis(i, j), G.corner_rows(i, j, radical))
+           for i in range(n) for j in range(n)}
+    assert G.cartan_matrix() == cartan
+    assert got == want
+    assert len(products) <= 2 * n * G.dim
+    assert G.dim not in sizes
+
+
+def gamma_presentation(n, field, rad2):
+    """The gamma stage's presentation for the simples of linear A_n,
+    1 -> 2 -> ... -> n, hereditary or with every path of length 2 zero."""
+    arrows = [{"from": v, "to": v + 1, "label": f"a{v}"} for v in range(1, n)]
+    relations = [{"terms": [{"coeff": 1, "path": [f"a{v}", f"a{v + 1}"]}]}
+                 for v in range(1, n - 1)] if rad2 else []
+    rep = run_pipeline(parse_job({
+        "field": field, "quiver": {"vertices": n, "arrows": arrows},
+        "relations": relations, "objects": "simples"}), upto="gamma")
+    assert rep["verdict"]["tilting"] == "TILTING"
+    assert rep["gamma"]["status"] == "computed"
+    return rep["gamma"]
+
+
+@pytest.mark.parametrize("field", ["rational", {"prime": 31847}],
+                         ids=["Q", "GF31847"])
+@pytest.mark.parametrize("n", [6, 9])
+def test_gamma_of_the_simples_of_linear_a_n_in_closed_form(n, field):
+    # Gamma = End(S_1 + ... + S_n) over D^b: the linear quiver again, with
+    # the algebra's own relations, whatever the corners are read with
+    chain = [(v, v + 1) for v in range(1, n)]
+    g = gamma_presentation(n, field, rad2=False)
+    assert g["dim"] == n * (n + 1) // 2
+    assert [(i, j) for _, i, j in g["arrows"]] == chain
+    assert g["relations"] == []
+    assert g["radical_layers"] == [(n - k) * (n - k + 1) // 2
+                                   for k in range(1, n)]
+    assert g["cartan"] == [[int(i <= j) for j in range(n)] for i in range(n)]
+    g = gamma_presentation(n, field, rad2=True)
+    assert g["dim"] == 2 * n - 1
+    assert [(i, j) for _, i, j in g["arrows"]] == chain
+    assert len(g["relations"]) == n - 2
+    assert all(r.count("*") == 1 for r in g["relations"])
+    assert g["radical_layers"] == [n - 1]
+    assert g["cartan"] == [[int(j in (i, i + 1)) for j in range(n)]
+                           for i in range(n)]
 
 
 # ---- one hom complex per member and round ----
