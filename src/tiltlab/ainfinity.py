@@ -43,7 +43,7 @@ was cut.
 from collections import namedtuple
 
 from .algebra import (check_idempotents, check_unit, peirce_tags,
-                      sparse_product, sparse_structure)
+                      sparse_norm, sparse_product, sparse_structure)
 from .dg import DgAlgebra, endomorphism_dg_algebra
 from .derived import member_resolution
 from .linalg import Echelon, Mat, independent_rows
@@ -61,15 +61,16 @@ class PositivityViolation(AInfError):
     pass
 
 
-def _sign(f, parity):
-    return f.one() if parity % 2 == 0 else f.neg(f.one())
+def _sign(parity):
+    """(-1)^parity, as a raw int that the caller norms."""
+    return -1 if parity % 2 else 1
 
 
-def _accumulate(f, out, c, coords):
-    """out += c * coords, for a dict out and ((index, coefficient), ...)."""
+def _accumulate(out, c, coords):
+    """out += c * coords, for a dict out and ((index, coefficient), ...),
+    the sums raw: the caller norms each coordinate once."""
     for k, v in coords:
-        t = f.mul(c, v)
-        out[k] = f.add(out[k], t) if k in out else t
+        out[k] = out[k] + c * v if k in out else c * v
 
 
 class AInfAlgebra:
@@ -109,11 +110,10 @@ class AInfAlgebra:
     @property
     def unit(self):
         """The sum of the idempotents, by its nonzero coordinates."""
-        f = self.field
         acc = {}
         for e in self.idempotents:
-            _accumulate(f, acc, f.one(), enumerate(e))
-        return tuple((a, c) for a, c in sorted(acc.items()) if c)
+            _accumulate(acc, 1, enumerate(e))
+        return tuple(sorted(sparse_norm(self.field, acc).items()))
 
     def shifted_op(self, key):
         """b_n on the shifted basis elements key = ((degree, index), ...),
@@ -123,7 +123,7 @@ class AInfAlgebra:
         val = self.ops.get(n, {}).get(degs, {}).get(
             tuple(a for _, a in key), ())
         if sum((n - 1 - t) * d for t, d in enumerate(degs)) % 2:
-            return tuple((k, self.field.neg(c)) for k, c in val)
+            return tuple((k, self.field.norm(-c)) for k, c in val)
         return val
 
     def left_tag(self, deg, idx):
@@ -176,9 +176,9 @@ class AInfAlgebra:
                     for a, c in self.shifted_op(inner_key):
                         outer_key = key[:t] + ((inner_deg, a),) + \
                             key[t + k:]
-                        _accumulate(f, acc, f.mul(_sign(f, prefix), c),
+                        _accumulate(acc, _sign(prefix) * c,
                                     self.shifted_op(outer_key))
-            acc = {k: c for k, c in acc.items() if c}
+            acc = sparse_norm(f, acc)
             if acc:
                 return key, acc
         return None
@@ -203,7 +203,7 @@ class AInfAlgebra:
         m2 = self.ops.get(2, {})
         n0 = self.dim_at(0)
         coords = dict(self.unit)
-        unit = [coords.get(a, f.zero()) for a in range(n0)]
+        unit = [coords.get(a, 0) for a in range(n0)]
         check_idempotents(f, m2, self.idempotents, unit, AInfError)
         check_unit(f, m2, self.dims, unit, AInfError)
         span = Echelon(Mat(f, self.idempotents, ncols=n0))
@@ -254,7 +254,7 @@ def _blockwise_contraction(E: DgAlgebra):
         n = len(idxs)
         nxt = blocks.get((k + 1, tag), [])
         d_loc = [[E.d[k].data[a][b] for b in nxt] if k in E.d
-                 else [f.zero()] * len(nxt) for a in idxs]
+                 else [0] * len(nxt) for a in idxs]
         dm = Mat(f, d_loc, ncols=len(nxt))
         Z = dm.left_kernel_basis().row_space_basis()
         zrows[(k, tag)] = Z
@@ -269,7 +269,7 @@ def _blockwise_contraction(E: DgAlgebra):
         cprev = crows.get((k - 1, tag), [])
         brows = []
         for c in cprev:
-            vec = [f.zero()] * E.dim_at(k - 1)
+            vec = [0] * E.dim_at(k - 1)
             for pos, a in enumerate(prev):
                 vec[a] = c[pos]
             img = E.elem_d(k - 1, tuple(vec))
@@ -303,8 +303,8 @@ def _blockwise_contraction(E: DgAlgebra):
             h = {}
             for c, crow in zip(coords[:nb], cprev):
                 if c:
-                    _accumulate(f, h, c, zip(prev, crow))
-            htp[(k, a)] = tuple((b, c) for b, c in sorted(h.items()) if c)
+                    _accumulate(h, c, zip(prev, crow))
+            htp[(k, a)] = tuple(sorted(sparse_norm(f, h).items()))
     hdims = {k: n for k, n in hdims.items() if n}
     return _Contraction(hdims, htags, emb, proj, htp)
 
@@ -329,8 +329,8 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
         """The sparse rows indexed by degree k applied to vec."""
         out = {}
         for a, c in vec.items():
-            _accumulate(f, out, c, rows.get((k, a), ()))
-        return {b: c for b, c in out.items() if c}
+            _accumulate(out, c, rows.get((k, a), ()))
+        return sparse_norm(f, out)
 
     def trees(word):
         """(degree, vector) of the sum over planar binary trees with
@@ -341,12 +341,12 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
             dr, vr = branch(word[s:])
             if not vl or not vr:
                 continue
-            sign = _sign(f, dl)  # b_2(x, y) = (-1)^|x| xy
-            _accumulate(f, acc, sign,
+            # b_2(x, y) = (-1)^|x| xy
+            _accumulate(acc, _sign(dl),
                         sparse_product(f, E.mult, dl, vl.items(),
                                        dr, vr.items()).items())
         deg = sum(d for d, _ in word) + 2 - len(word)
-        return deg, {k: c for k, c in acc.items() if c}
+        return deg, sparse_norm(f, acc)
 
     memo = {}  # each proper subword of a key, one leaf or h(trees(word))
 
@@ -375,16 +375,16 @@ def kadeishvili_minimal_model(E: DgAlgebra, arity_cap=4) -> AInfAlgebra:
                 continue
             # fold in the shift conversion so the stored operation and
             # its shifted form agree with the transferred value
-            sign = _sign(f, sum((n - 1 - t) * key[t][0] for t in range(n)))
+            sign = _sign(sum((n - 1 - t) * key[t][0] for t in range(n)))
             table.setdefault(tuple(d for d, _ in key), {})[
                 tuple(a for _, a in key)] = tuple(
-                    (j, f.mul(sign, c)) for j, c in sorted(hvec.items()))
+                    (j, f.norm(sign * c)) for j, c in sorted(hvec.items()))
         if table:
             ops[n] = table
 
     idems = []
     for e in E.idempotents:
-        vec = [f.zero()] * hdims[0]
+        vec = [0] * hdims[0]
         for j, c in apply(con.proj, 0, dict(enumerate(e))).items():
             vec[j] = c
         idems.append(tuple(vec))
@@ -483,7 +483,7 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
     def prefix_parity(w, t):
         return sum(lw[la] for la in w[:t])
 
-    d = {k: [[f.zero()] * dims[k + 1] for _ in lst]
+    d = {k: [[0] * dims[k + 1] for _ in lst]
          for k, lst in basis.items() if dims.get(k + 1, 0)}
     # differential: for each target word, each run of letters, pair the
     # collapsed word against the source duals
@@ -504,12 +504,11 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
                         continue
                     pS = sum(lw[la] for la in S)
                     parity = 1 + pS + prefix_parity(T, t)
-                    coeff = f.mul(_sign(f, parity), c)
                     rS = index[(S, None)][1]
                     cTpos = index[(T, None)][1]
-                    row = d[kS][rS]
-                    row[cTpos] = f.add(row[cTpos], coeff)
-    d = {k: Mat(f, rows, ncols=dims[k + 1]) for k, rows in d.items()}
+                    d[kS][rS][cTpos] += _sign(parity) * c
+    d = {k: Mat(f, [[f.norm(x) for x in row] for row in rows],
+                ncols=dims[k + 1]) for k, rows in d.items()}
 
     # one signed coordinate per composable word pair, at their concatenation
     mult = {}
@@ -526,17 +525,17 @@ def dual_bar_dg(X: AInfAlgebra, degree_window=4, tensor_cap=6) -> DualBar:
                     if tgt in index:
                         p1 = sum(lw[la] for la in w1)
                         p2 = sum(lw[la] for la in w2)
-                        block[(a, b)] = ((index[tgt][1], _sign(f, p1 * p2)),)
+                        block[(a, b)] = ((index[tgt][1],
+                                          f.norm(_sign(p1 * p2))),)
             if block:
                 mult[(k1, k2)] = block
 
-    unit = [f.zero()] * dims[0]
+    unit = [0] * dims[0]
     idems = []
     for i in range(r):
-        vec = [f.zero()] * dims[0]
+        vec = [0] * dims[0]
         pos = index[((), i)][1]
-        vec[pos] = f.one()
-        unit[pos] = f.one()
+        vec[pos] = unit[pos] = 1
         idems.append(tuple(vec))
     algebra = DgAlgebra(f, dims, d, mult, tuple(unit), idems)
 

@@ -178,7 +178,6 @@ class Algebra:
     def _build_reduction(self, bound, paths, path_index):
         """Row-reduce the span of {p * rel * q} inside the path space."""
         f = self.field
-        z = f.zero()
         npaths = len(paths)
         rows = []
         for rel in self.relations_raw:
@@ -198,14 +197,14 @@ class Algebra:
                     for q in paths:
                         if q[0] != rt:
                             continue
-                        vec = [z] * npaths
+                        vec = [0] * npaths
                         nonzero = False
                         for c, arrs in terms:
                             full = p[1] + arrs + q[1]
                             if len(full) >= bound:
                                 continue
                             k = path_index[(p[0], full)]
-                            vec[k] = f.add(vec[k], c)
+                            vec[k] = f.norm(vec[k] + c)
                             nonzero = True
                         if nonzero and any(vec):
                             rows.append(vec)
@@ -217,12 +216,12 @@ class Algebra:
 
     def _reduce_path_vector(self, vec):
         """Coordinates over self.basis of a vector in the path space."""
-        f = self.field
+        norm = self.field.norm
         vec = list(vec)
         for pc, row in self._reduction[0]:
             c = vec[pc]
             if c:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
+                vec = [norm(x - c * y) for x, y in zip(vec, row)]
         return tuple(vec[k] for k in self.basis)
 
     @cached_property
@@ -239,25 +238,22 @@ class Algebra:
     # ---- elements ----
 
     def idempotent(self, v):
-        z = self.field.zero()
-        vec = [z] * self.dim
-        vec[self.basis_index[self.path_index[(v, ())]]] = self.field.one()
+        vec = [0] * self.dim
+        vec[self.basis_index[self.path_index[(v, ())]]] = 1
         return tuple(vec)
 
     def one(self):
-        f = self.field
-        vec = [f.zero()] * self.dim
+        vec = [0] * self.dim
         for v in range(self.quiver.n):
-            vec[self.basis_index[self.path_index[(v, ())]]] = f.one()
+            vec[self.basis_index[self.path_index[(v, ())]]] = 1
         return tuple(vec)
 
     def arrow_elem(self, label):
         a = self.quiver.by_label[label]
         s = self.quiver.source(a)
         k = self.path_index[(s, (a,))]
-        z = self.field.zero()
-        vec = [z] * len(self.paths)
-        vec[k] = self.field.one()
+        vec = [0] * len(self.paths)
+        vec[k] = 1
         return self._reduce_path_vector(vec)
 
     def _concat_reduce(self, pu, pv):
@@ -267,9 +263,8 @@ class Algebra:
         arrs = pu[1] + pv[1]
         if len(arrs) >= self.bound:
             return None
-        z = self.field.zero()
-        vec = [z] * len(self.paths)
-        vec[self.path_index[(pu[0], arrs)]] = self.field.one()
+        vec = [0] * len(self.paths)
+        vec[self.path_index[(pu[0], arrs)]] = 1
         return self._reduce_path_vector(vec)
 
     @cached_property
@@ -317,16 +312,14 @@ class Algebra:
     def to_op(self, x):
         """Image of an element under the anti-isomorphism onto the opposite."""
         opp = self.op()
-        f = self.field
-        z = f.zero()
-        vec = [z] * len(opp.paths)
+        vec = [0] * len(opp.paths)
         for i, c in enumerate(x):
             if not c:
                 continue
             src, arrs = self.paths[self.basis[i]]
             rsrc = self.path_target(self.paths[self.basis[i]])
             rev = (rsrc, tuple(reversed(arrs)))
-            vec[opp.path_index[rev]] = f.add(vec[opp.path_index[rev]], c)
+            vec[opp.path_index[rev]] = c
         return opp._reduce_path_vector(vec)
 
     # ---- canonical modules ----
@@ -355,9 +348,8 @@ class Algebra:
         return M
 
     def _unit_coord(self, i):
-        z = self.field.zero()
-        vec = [z] * self.dim
-        vec[i] = self.field.one()
+        vec = [0] * self.dim
+        vec[i] = 1
         return tuple(vec)
 
     def simple(self, v):
@@ -560,7 +552,6 @@ def hom_basis(M: Module, N: Module):
     """Basis of the space of module maps M -> N."""
     A = M.algebra
     f = A.field
-    z = f.zero()
     support = vertex_support(M.dims, N.dims)
     offs = {}
     total = 0
@@ -577,14 +568,14 @@ def hom_basis(M: Module, N: Module):
         AM, AN = M.mats.get(a), N.mats.get(a)
         for p in range(M.dims[s]):
             for q in range(N.dims[t]):
-                row = [z] * total
+                row = [0] * total
                 if AM is not None:
                     for k, x in enumerate(AM.data[p]):
                         row[offs[t] + k * N.dims[t] + q] = x
                 if AN is not None:
                     for l, y in enumerate(AN.data):
                         j = offs[s] + p * N.dims[s] + l
-                        row[j] = f.sub(row[j], y[q])
+                        row[j] = f.norm(row[j] - y[q])
                 if any(row):
                     rows.append(row)
     out = []
@@ -619,7 +610,7 @@ def direct_sum_modules(algebra, mods):
     mats = {}
     for a, s, t in arrow_support(algebra.quiver, dims):
         # block diagonal assembly
-        big = [[f.zero()] * dims[t] for _ in range(dims[s])]
+        big = [[0] * dims[t] for _ in range(dims[s])]
         for m, off in zip(mods, offsets):
             ro, co = off[s], off[t]
             for r, row in enumerate(m.mats[a].data if a in m.mats else ()):
@@ -645,10 +636,9 @@ def map_placement(source: Module, rows, target: Module, cols, blocks):
     a map from the summand at offsets rows[k] to the one at cols[l]; zero
     outside the given blocks."""
     f = source.algebra.field
-    z = f.zero()
     out = {}
     for v in vertex_support(source.dims, target.dims):
-        full = [[z] * target.dims[v] for _ in range(source.dims[v])]
+        full = [[0] * target.dims[v] for _ in range(source.dims[v])]
         for (k, l), b in blocks.items():
             r, c = rows[k][v], cols[l][v]
             for i, row in enumerate(b.blocks[v].data if v in b.blocks else ()):
@@ -754,7 +744,6 @@ def generator_map(M: Module, gens):
     of each summand to its row."""
     A = M.algebra
     f = A.field
-    z = f.zero()
     P, _ = direct_sum_modules(A, [A.projective(v) for v, _ in gens])
     # block t stacks the summands' rows at t, in order
     rows = {t: [] for t in vertex_support(P.dims, M.dims)}
@@ -774,15 +763,14 @@ def generator_map(M: Module, gens):
         for t, out in rows.items():
             for i in A.projective(v)._proj_basis[t]:
                 g = act(A.paths[A.basis[i]][1])
-                out.append((z,) * M.dims[t] if g is None else g.data[0])
+                out.append((0,) * M.dims[t] if g is None else g.data[0])
     return ModuleMap(P, M, {t: Mat(f, r) for t, r in rows.items()})
 
 
 def projective_cover(M: Module):
     """Returns (vertices, P, cover map) with P the sum of A.projective(v),
     one per coset representative of top_data, which its generator hits."""
-    f = M.algebra.field
-    gens = [(v, [f.one() if c == j else f.zero() for c in range(M.dims[v])])
+    gens = [(v, [1 if c == j else 0 for c in range(M.dims[v])])
             for v, reps in enumerate(top_data(M)) for j in reps]
     cover = generator_map(M, gens)
     return [v for v, _ in gens], cover.source, cover
@@ -879,22 +867,31 @@ def sparse_product(field, structure, i, x, j, y):
     out = {}
     if block is None:
         return out
-    f = field
     for a, ca in x:
         for b, cb in y:
             prod = block.get((a, b))
             if prod is None:
                 continue
-            cab = f.mul(ca, cb)
+            cab = ca * cb
             for k, c in prod:
-                t = f.mul(cab, c)
-                out[k] = f.add(out[k], t) if k in out else t
-    return {k: c for k, c in out.items() if c}
+                out[k] = out[k] + cab * c if k in out else cab * c
+    return sparse_norm(field, out)
+
+
+def sparse_norm(field, raw):
+    """{index: value}, each raw sum normed once, the zeros dropped."""
+    norm = field.norm
+    return {k: c for k, v in raw.items() if (c := norm(v))}
+
+
+def sparse_rows(m):
+    """The rows of a Mat by their nonzero coordinates ((k, c), ...)."""
+    return [[(k, c) for k, c in enumerate(x) if c] for x in m.data]
 
 
 def dense_product(field, structure, i, x, j, y, width):
     """sparse_product on coordinate vectors, as a vector of length width."""
-    out = [field.zero()] * width
+    out = [0] * width
     prod = sparse_product(field, structure,
                           i, [(a, c) for a, c in enumerate(x) if c],
                           j, [(b, c) for b, c in enumerate(y) if c])
@@ -911,13 +908,12 @@ def peirce_tags(field, structure, dims, idempotents, error):
     s and t; orthogonal idempotents, which the callers check, make them
     the only ones.  Raises `error` otherwise.
     """
-    one = field.one()
     idems = [[(a, c) for a, c in enumerate(e) if c] for e in idempotents]
     tags = {}
     for k in sorted(dims):
         row = []
         for a in range(dims[k]):
-            x, fixed = ((a, one),), {a: one}
+            x, fixed = ((a, 1),), {a: 1}
             left = [sparse_product(field, structure, 0, e, k, x)
                     for e in idems]
             right = [sparse_product(field, structure, k, x, 0, e)
@@ -948,7 +944,6 @@ def is_associative(field, structure, inner=None):
     by b and defaults to structure.  An algebra passes its own table, and
     a right module passes its action with its algebra's table as inner.
     """
-    one = field.one()
     inner = structure if inner is None else inner
 
     def mul(i, x, j, y):
@@ -967,8 +962,8 @@ def is_associative(field, structure, inner=None):
                 zs |= right.get((i + j, d), set())
             for k, c in zs:
                 bc = inner.get((j, k), {}).get((b, c), ())
-                if mul(i + j, ab, k, ((c, one),)) != \
-                        mul(i, ((a, one),), j + k, bc):
+                if mul(i + j, ab, k, ((c, 1),)) != \
+                        mul(i, ((a, 1),), j + k, bc):
                     return False
     # The triples left have xa = 0, so (xa)b = 0 and x(ab) must vanish;
     # it does unless x is a left partner of a coordinate of ab.
@@ -979,7 +974,7 @@ def is_associative(field, structure, inner=None):
                 xs |= left.get((j + k, d), set())
             for i, a in xs:
                 if (a, b) not in structure.get((i, j), {}) and \
-                        mul(i, ((a, one),), j + k, bc):
+                        mul(i, ((a, 1),), j + k, bc):
                     return False
     return True
 
@@ -999,7 +994,6 @@ def satisfies_leibniz(field, structure, left_d, right_d):
     pairs does.
     """
     f = field
-    one = f.one()
 
     def support(d):
         """d of each basis element, by its nonzero coordinates."""
@@ -1016,9 +1010,8 @@ def satisfies_leibniz(field, structure, left_d, right_d):
         out = {}
         for a, ca in x:
             for t, c in dl.get((i, a), ()):
-                v = f.mul(ca, c)
-                out[t] = f.add(out[t], v) if t in out else v
-        return {t: c for t, c in out.items() if c}
+                out[t] = out[t] + ca * c if t in out else ca * c
+        return sparse_norm(f, out)
 
     right, left = _partners(structure)
     pairs = {(x, y) for x, ys in right.items() for y in ys}
@@ -1030,11 +1023,11 @@ def satisfies_leibniz(field, structure, left_d, right_d):
             pairs.update((x, (j, b)) for x in left.get((j + 1, c), ()))
     for (i, a), (j, b) in pairs:
         lhs = diff(i + j, structure.get((i, j), {}).get((a, b), ()))
-        rhs = mul(i + 1, dl.get((i, a), ()), j, ((b, one),))
-        for t, c in mul(i, ((a, one),), j + 1, dr.get((j, b), ())).items():
-            v = c if i % 2 == 0 else f.neg(c)
-            rhs[t] = f.add(rhs[t], v) if t in rhs else v
-        if lhs != {t: c for t, c in rhs.items() if c}:
+        rhs = mul(i + 1, dl.get((i, a), ()), j, ((b, 1),))
+        for t, c in mul(i, ((a, 1),), j + 1, dr.get((j, b), ())).items():
+            v = -c if i % 2 else c
+            rhs[t] = rhs[t] + v if t in rhs else v
+        if lhs != sparse_norm(f, rhs):
             return False
     return True
 
@@ -1043,11 +1036,10 @@ def check_unit(field, structure, dims, unit, error, left=True):
     """Raise `error` unless x * unit = x, and unit * x = x when left, for
     every basis element x of dims, by degree; unit is a degree-zero
     vector.  A right module passes its action and left=False."""
-    one = field.one()
     u = [(a, c) for a, c in enumerate(unit) if c]
     for k in sorted(dims):
         for a in range(dims[k]):
-            x, fixed = ((a, one),), {a: one}
+            x, fixed = ((a, 1),), {a: 1}
             if left and sparse_product(field, structure, 0, u, k, x) != fixed:
                 raise error("unit fails on the left")
             if sparse_product(field, structure, k, x, 0, u) != fixed:
@@ -1070,8 +1062,8 @@ def check_idempotents(field, structure, idempotents, unit, error):
     acc = {}
     for e in sparse:
         for a, c in e:
-            acc[a] = field.add(acc[a], c) if a in acc else c
-    if {a: c for a, c in acc.items() if c} != \
+            acc[a] = acc[a] + c if a in acc else c
+    if sparse_norm(field, acc) != \
             {a: c for a, c in enumerate(unit) if c}:
         raise error("idempotents do not sum to the unit")
 
@@ -1086,11 +1078,12 @@ class FiniteAlgebra:
     dimension.  The basis need not be adapted to the idempotents.  The
     Peirce corners are read through two tables, computed once from 2 n
     dim sparse products: e_i b_k and b_k e_i for every idempotent e_i
-    and basis element b_k.  Every corner e_i A e_j is then built in one
-    pass over k, from e_i b_k e_j = sum_t (e_i b_k)_t b_t e_j.  On an
-    adapted basis, which every endomorphism algebra the pipeline builds
-    has, each b_k is fixed by one e_i on the left and one e_j on the
-    right and lies in one corner, so the pass costs O(n dim).
+    and basis element b_k.  corners maps each row of a span once into
+    every corner, by e_i x e_j = sum_t (e_i x)_t b_t e_j, and the Peirce
+    corners e_i A e_j are the corners of the b_k.  On an adapted basis,
+    which every endomorphism algebra the pipeline builds has, each b_k
+    is fixed by one e_i on the left and one e_j on the right and lies in
+    one corner, so the pass over the b_k costs O(n dim).
 
     The radical (radical_rows, radical_powers) assumes a basic algebra
     over a split field: each corner e_i A e_i local, with residue field
@@ -1125,13 +1118,13 @@ class FiniteAlgebra:
     def _sides(self):
         """(left, right): left[i] = {k: e_i b_k} and right[i] = {k: b_k
         e_i}, each product sparse and listed only when nonzero."""
-        f, one = self.field, self.field.one()
+        f = self.field
         left, right = [], []
         for e in self.idempotents:
             e = [(a, c) for a, c in enumerate(e) if c]
             lt, rt = {}, {}
             for k in range(self.dim):
-                b = ((k, one),)
+                b = ((k, 1),)
                 lt[k] = sparse_product(f, self.products, 0, e, 0, b)
                 rt[k] = sparse_product(f, self.products, 0, b, 0, e)
             left.append({k: p for k, p in lt.items() if p})
@@ -1141,16 +1134,14 @@ class FiniteAlgebra:
     def _combine(self, x, table):
         """sum_t x_t table[t] over the (t, x_t) pairs of x, as {index:
         coefficient} with its nonzero coordinates only."""
-        f = self.field
         out = {}
         for t, c in x:
             p = table.get(t)
             if p is None:
                 continue
             for s, v in p.items():
-                w = f.mul(c, v)
-                out[s] = f.add(out[s], w) if s in out else w
-        return {s: c for s, c in out.items() if c}
+                out[s] = out[s] + c * v if s in out else c * v
+        return sparse_norm(self.field, out)
 
     def _basis_of(self, rows):
         """Row basis of the span of sparse rows; 0 x dim, without a row
@@ -1160,43 +1151,36 @@ class FiniteAlgebra:
             return Mat.zeros(f, 0, self.dim)
         dense = []
         for z in rows:
-            row = [f.zero()] * self.dim
+            row = [0] * self.dim
             for s, c in z.items():
                 row[s] = c
             dense.append(row)
         return Mat(f, dense).row_space_basis()
 
-    @cached_property
-    def _bases(self):
-        """_bases[i][j], the row basis of e_i A e_j, every corner from one
-        pass over the basis elements b_k."""
+    def corners(self, rows):
+        """grid[i][j], the row basis of the span of e_i x e_j over the rows
+        x, each given by its nonzero coordinates ((k, c), ...) and mapped
+        once into every corner through the two tables.  Each basis is the
+        reduced echelon form, which depends only on the span."""
         left, right = self._sides
         n = len(self.idempotents)
-        rows = [[[] for _ in range(n)] for _ in range(n)]
-        for k in range(self.dim):
+        grid = [[[] for _ in range(n)] for _ in range(n)]
+        for x in rows:
             for i in range(n):
-                y = left[i].get(k)
-                if y is None:
+                y = self._combine(x, left[i])
+                if not y:
                     continue
                 for j in range(n):
                     z = self._combine(y.items(), right[j])
                     if z:
-                        rows[i][j].append(z)
-        return [[self._basis_of(r) for r in row] for row in rows]
+                        grid[i][j].append(z)
+        return [[self._basis_of(r) for r in row] for row in grid]
 
-    def corner_rows(self, i, j, rows):
-        """Row basis of the span of e_i x e_j over the rows x of a Mat, each
-        row mapped sparsely through the two tables.  It is the reduced
-        echelon form, which depends only on the span."""
-        left, right = self._sides
-        li = left[i]
-        out = []
-        for x in rows.data:
-            y = self._combine(((k, x[k]) for k in li if x[k]), li)
-            z = self._combine(y.items(), right[j])
-            if z:
-                out.append(z)
-        return self._basis_of(out)
+    @cached_property
+    def _bases(self):
+        """_bases[i][j], the row basis of e_i A e_j, every corner from one
+        pass over the basis elements b_k."""
+        return self.corners(((k, 1),) for k in range(self.dim))
 
     def peirce_basis(self, i, j):
         """Row basis of e_i A e_j inside the whole space, built once with
@@ -1211,13 +1195,12 @@ class FiniteAlgebra:
     def _trace(self):
         """tau_a = tr(x -> b_a x), the coefficient of b_k in b_a b_k summed
         over k, read once off the sparse table."""
-        f = self.field
-        tau = [f.zero()] * self.dim
+        tau = [0] * self.dim
         for (a, k), prod in self.products[(0, 0)].items():
             for t, c in prod:
                 if t == k:
-                    tau[a] = f.add(tau[a], c)
-        return tau
+                    tau[a] += c
+        return [self.field.norm(t) for t in tau]
 
     def _residues(self, i):
         """The residue lambda(b) of each row b of the basis of e_i A e_i:
@@ -1237,10 +1220,10 @@ class FiniteAlgebra:
         corner = self.peirce_basis(i, i)
         p = getattr(f, "p", None)
         if p is None:
-            width = f.of(sum(self.peirce_basis(i, j).nrows
-                             for j in range(len(self.idempotents))))
-            return [f.div(f.norm(sum(c * t for c, t in zip(b, self._trace))),
-                          width) for b in corner.data]
+            inv = f.inv(sum(self.peirce_basis(i, j).nrows
+                            for j in range(len(self.idempotents))))
+            return [f.norm(sum(c * t for c, t in zip(b, self._trace)) * inv)
+                    for b in corner.data]
         q = p
         while q < corner.nrows:
             q *= p
@@ -1262,7 +1245,7 @@ class FiniteAlgebra:
                 s >>= 1
                 if s:
                     x = mul(x, x)
-            out.append(f.div(power.get(t, f.zero()), e[t]))
+            out.append(f.norm(power.get(t, 0) * f.inv(e[t])))
         return out
 
     def radical_rows(self):
@@ -1278,7 +1261,7 @@ class FiniteAlgebra:
         for i in range(n):
             corner, e = self.peirce_basis(i, i), self.idempotents[i]
             for b, lam in zip(corner.data, self._residues(i)):
-                rows.append([f.sub(x, f.mul(lam, y)) for x, y in zip(b, e)])
+                rows.append([f.norm(x - lam * y) for x, y in zip(b, e)])
         return Mat(f, rows).row_space_basis() if rows else Mat.zeros(f, 0, self.dim)
 
     def radical_powers(self):
@@ -1291,23 +1274,19 @@ class FiniteAlgebra:
         f = self.field
         if J.nrows != self.dim - len(self.idempotents):
             raise AlgebraError("radical has wrong codimension")
-        one = f.one()
 
         def mul(x, y):
             return sparse_product(f, self.products, 0, x, 0, y)
 
         def dense(prod):
-            return [prod.get(k, f.zero()) for k in range(self.dim)]
-
-        def rows(m):
-            return [[(k, c) for k, c in enumerate(x) if c] for x in m.data]
+            return [prod.get(k, 0) for k in range(self.dim)]
 
         # two-sided ideal, on the sparse rows of J; a zero product is in it
         ideal = Echelon(J)
-        rad = rows(J)
+        rad = sparse_rows(J)
         for x in rad:
             for k in range(self.dim):
-                b = ((k, one),)
+                b = ((k, 1),)
                 for y in (mul(x, b), mul(b, x)):
                     if y and ideal.coords(dense(y)) is None:
                         raise AlgebraError("radical candidate is not an ideal")
@@ -1317,7 +1296,7 @@ class FiniteAlgebra:
             cur = powers[-1]
             if cur.nrows == 0:
                 return powers
-            prods = (mul(x, y) for x in rows(cur) for y in rad)
+            prods = (mul(x, y) for x in sparse_rows(cur) for y in rad)
             nxt_rows = [dense(p) for p in prods if p]
             powers.append(Mat(f, nxt_rows, ncols=self.dim).row_space_basis())
         raise AlgebraError("radical candidate is not nilpotent")

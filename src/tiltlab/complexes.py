@@ -267,9 +267,8 @@ class Complex:
         one per dict object, so degrees that share a dict share it."""
         grid = self.blocks.get(n)
         if grid is not None and id(grid) not in self._negated:
-            minus_one = self.algebra.field.of(-1)
             self._negated[id(grid)] = {
-                kl: b.scale(minus_one) for kl, b in grid.items()}
+                kl: b.scale(-1) for kl, b in grid.items()}
         return {} if grid is None else self._negated[id(grid)]
 
     def d_full(self, n):
@@ -615,10 +614,10 @@ def _cancel(grids, ids, n, k, l, inverse):
     column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
     row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
     if column and row:
-        phi_inv, minus_one = inverse(), grid[k, l].source.algebra.field.of(-1)
+        phi_inv = inverse()
         for a, gamma in column:
             for b, beta in row:
-                corr = gamma.then(phi_inv).then(beta).scale(minus_one)
+                corr = gamma.then(phi_inv).then(beta).scale(-1)
                 delta = new.get((a, b))
                 new[a, b] = corr if delta is None else delta.add(corr)
     grids[n] = new
@@ -635,7 +634,6 @@ def _step_witnesses(X, grid, ids, n, k, l, phi_inv, g, fm, h):
     (current -> X), each the identity in an absent degree, and h (X ->
     X[-1]); grid and ids are the state before the step."""
     A = X.algebra
-    minus_one = A.field.of(-1)
     at = {n: ids[n].index(k), n + 1: ids[n + 1].index(l)}
     tags = {m: _surviving(X, ids, m) for m in at}
     cur = {m: summand_sum(A, tags[m]) for m in at}
@@ -655,9 +653,9 @@ def _step_witnesses(X, grid, ids, n, k, l, phi_inv, g, fm, h):
             beta = grid.get((k, ids[m][old])) if m > n else None
             gamma = grid.get((ids[m][old], l)) if m == n else None
             if beta is not None:
-                g_blocks[drop, new] = phi_inv.then(beta).scale(minus_one)
+                g_blocks[drop, new] = phi_inv.then(beta).scale(-1)
             if gamma is not None:
-                f_blocks[new, drop] = gamma.then(phi_inv).scale(minus_one)
+                f_blocks[new, drop] = gamma.then(phi_inv).scale(-1)
         step_g = map_placement(*cur[m], *nxt, g_blocks)
         step_f = map_placement(*nxt, *cur[m], f_blocks)
         g[m] = g[m].then(step_g) if m in g else step_g
@@ -742,8 +740,8 @@ class HomComplex:
                     img[k] = t1
                 t2 = self.X.d_full(k - 1).then(h)
                 if not t2.is_zero():
-                    sign = self.field.of(-((-1) ** (n % 2)))
-                    t2 = t2.scale(sign)
+                    if n % 2 == 0:
+                        t2 = t2.scale(-1)
                     img[k - 1] = img[k - 1].add(t2) if (k - 1) in img else t2
                 rows.append(self.coords(n + 1, img))
             self.diffs[n] = Mat(self.field, rows, ncols=self.dims[n + 1])
@@ -765,7 +763,7 @@ class HomComplex:
     def coords(self, n, img):
         """Coordinates of {k: ModuleMap} over the degree-n basis."""
         self._require(n, n)
-        out = [self.field.zero()] * len(self.bases.get(n, []))
+        out = [0] * len(self.bases.get(n, []))
         for k, m in img.items():
             if m.is_zero():
                 continue
@@ -896,11 +894,13 @@ def complex_iso_search(X: Complex, Y: Complex):
             return c
     f = X.algebra.field
     rng = _random.Random(0)
-    pool = list(range(f.p)) if hasattr(f, "p") else list(range(-3, 4))
+    # randrange draws what choice over range(p) or range(-3, 4) would,
+    # with no list of p scalars
+    bounds = (f.p,) if hasattr(f, "p") else (-3, 4)
     for _ in range(ISO_SEARCH_TRIES):
         acc = ChainMap.zero(X, Y)
         for c in cands:
-            acc = acc.add(c.scale(f.of(rng.choice(pool))))
+            acc = acc.add(c.scale(rng.randrange(*bounds)))
         if acc.is_degreewise_iso():
             return acc
     return None

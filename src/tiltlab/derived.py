@@ -115,7 +115,6 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     xhi, xlo = X.max_deg(), X.min_deg()
     if bottom is None:
         bottom = xlo - default_depth(A, xhi - xlo)
-    minus_one = A.field.of(-1)
     origin = (0,) * A.quiver.n  # offsets of a module that is one summand
 
     verts = {}
@@ -137,7 +136,7 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
         # pairs (x, k) with d(x) = phi(k)
         t = map_placement(Sum, sum_offsets, X.module(n + 1), [origin], {
             (0, 0): X.d_full(n),
-            (1, 0): kinc.then(cur_phi).scale(minus_one)})
+            (1, 0): kinc.then(cur_phi).scale(-1)})
         W, winc = kernel_module(t)
         if W.total == 0 and n <= xlo:
             exact = True

@@ -38,23 +38,14 @@ class DgError(Exception):
     pass
 
 
-def _zeros(f, n):
-    return tuple([f.zero()] * n)
-
-
-def _unit_vec(f, n, k):
-    z = f.zero()
-    return tuple(f.one() if i == k else z for i in range(n))
-
-
 def _sparse(vec):
     """The nonzero coordinates of a vector, as (index, coefficient) pairs."""
     return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
-def _dense(f, n, coords):
+def _dense(n, coords):
     """The vector of length n with the coordinates {index: coefficient}."""
-    out = [f.zero()] * n
+    out = [0] * n
     for k, c in coords.items():
         out[k] = c
     return tuple(out)
@@ -117,7 +108,7 @@ class DgAlgebra:
 
     def elem_d(self, i, x):
         if i not in self.d:
-            return _zeros(self.field, self.dim_at(i + 1))
+            return (0,) * self.dim_at(i + 1)
         return tuple(Mat(self.field, [list(x)]).mul(self.d[i]).data[0])
 
     def validate(self):
@@ -179,7 +170,7 @@ class DgModule:
 
     def elem_d(self, k, x):
         if k not in self.d:
-            return _zeros(self.field, self.dim_at(k + 1))
+            return (0,) * self.dim_at(k + 1)
         return tuple(Mat(self.field, [list(x)]).mul(self.d[k]).data[0])
 
     def validate(self):
@@ -230,7 +221,6 @@ def _perfect_module(A: DgAlgebra, tags, pieces, delta) -> DgModule:
     once, by DgModule.
     """
     f = A.field
-    one = f.one()
     # pos[t][k]: the basis elements of A^k in piece t's slice, each with
     # its position inside the slice
     pos = [{k: {a: r for r, a in enumerate(
@@ -242,7 +232,7 @@ def _perfect_module(A: DgAlgebra, tags, pieces, delta) -> DgModule:
             if p:
                 offs[(k - s, t)] = dims.get(k - s, 0)
                 dims[k - s] = offs[(k - s, t)] + len(p)
-    rows = {m: [[f.zero()] * dims[m + 1] for _ in range(n)]
+    rows = {m: [[0] * dims[m + 1] for _ in range(n)]
             for m, n in dims.items() if m + 1 in dims}
 
     def put(m, t, r, u, b, coef, what):
@@ -253,22 +243,22 @@ def _perfect_module(A: DgAlgebra, tags, pieces, delta) -> DgModule:
             raise DgError(f"{what} left its slice")
         row = rows[m][offs[(m, t)] + r]
         c += offs[(m + 1, u)]
-        row[c] = f.add(row[c], coef)
+        row[c] = f.norm(row[c] + coef)
 
     for t, (s, _) in enumerate(pieces):
-        sgn = one if s % 2 == 0 else f.neg(one)
         for k, p in pos[t].items():
             for a, r in (p.items() if k in A.d else ()):
                 for b, c in enumerate(A.d[k].data[a]):
                     if c:
-                        put(k - s, t, r, t, b, f.mul(sgn, c), "differential")
+                        put(k - s, t, r, t, b, -c if s % 2 else c,
+                            "differential")
     for (t, u), x in delta.items():
         deg = _delta_degree(pieces, t, u)
         s = pieces[t][0]
         for k, p in pos[t].items():
             for a, r in p.items():
                 img = sparse_product(f, A.mult, deg, _sparse(x), k,
-                                     ((a, one),))
+                                     ((a, 1),))
                 for b, coef in img.items():
                     put(k - s, t, r, u, b, coef, "connecting map")
     d = {m: Mat(f, r, ncols=dims[m + 1]) for m, r in rows.items()}
@@ -322,7 +312,6 @@ def _subquotient_action(M: DgModule, reps, coords):
     representatives in M^k of its degree-k basis, and coords(k, vec) the
     coordinates of a vector of M^k in that basis."""
     f = M.field
-    one = f.one()
     A = M.algebra
     action = {}
     for k, rows in reps.items():
@@ -333,9 +322,9 @@ def _subquotient_action(M: DgModule, reps, coords):
             for m, row in enumerate(rows.data):
                 x = _sparse(row)
                 for a in range(A.dim_at(i)):
-                    prod = sparse_product(f, M.action, k, x, i, ((a, one),))
+                    prod = sparse_product(f, M.action, k, x, i, ((a, 1),))
                     img = _sparse(coords(k + i, _dense(
-                        f, M.dim_at(k + i), prod))) if prod else ()
+                        M.dim_at(k + i), prod))) if prod else ()
                     if img:
                         block[(m, a)] = img
             if block:
@@ -389,8 +378,8 @@ def truncate(M: DgModule):
             proj[k] = Mat.identity(f, M.dim_at(k))
         elif k == 1 and quo is not None and quo.dim:
             hi_dims[1] = quo.dim
-            rows = [list(quo.coords(_unit_vec(f, M.dim_at(1), m)))
-                    for m in range(M.dim_at(1))]
+            rows = [list(quo.coords(u))
+                    for u in Mat.identity(f, M.dim_at(1)).data]
             proj[1] = Mat(f, rows, ncols=quo.dim)
     rep = {k: (quo.reps if k == 1 and quo is not None
                else Mat.identity(f, M.dim_at(k)))
@@ -417,8 +406,7 @@ def _right_slice_rows(N: DgModule, k, i):
     if n == 0:
         return Mat.zeros(f, 0, 0)
     e = _sparse(N.algebra.idempotents[i])
-    rows = [list(_dense(f, n, sparse_product(f, N.action, k,
-                                             ((m, f.one()),), 0, e)))
+    rows = [list(_dense(n, sparse_product(f, N.action, k, ((m, 1),), 0, e)))
             for m in range(n)]
     return Mat(f, rows, ncols=n).row_space_basis()
 
@@ -462,12 +450,11 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
     for k in sorted(dims):
         if dims.get(k + 1, 0) == 0:
             continue
-        sgn = f.one() if k % 2 == 0 else f.neg(f.one())
         rows = []
         for (t, r) in basis[k]:
             s_t, i_t = sp.pieces[t]
             v = tuple(slices[(t, k)].data[r])
-            out = {q: list(_zeros(f, slices[(q, k + 1)].nrows))
+            out = {q: [0] * slices[(q, k + 1)].nrows
                    for q in range(len(sp.pieces)) if (q, k + 1) in slices}
             dv = N.elem_d(k - s_t, v)
             if any(dv):
@@ -475,7 +462,7 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
                     raise DgError("hom differential left its slice")
                 cr = slice_coords[(t, k + 1)](dv, "hom value")
                 for c, coef in enumerate(cr):
-                    out[t][c] = f.add(out[t][c], coef)
+                    out[t][c] += coef
             # the generator of piece p maps to x_{pt} inside piece t,
             # so the value at p picks up v . x_{pt}
             for (p, u), x in sp.delta.items():
@@ -489,13 +476,10 @@ def hom_perfect_module(sp: StrictPerfect, N: DgModule) -> HomData:
                 if (p, k + 1) not in slices:
                     raise DgError("hom differential left its slice")
                 cr = slice_coords[(p, k + 1)](
-                    _dense(f, N.dim_at(k - s_t + deg), w), "hom value")
+                    _dense(N.dim_at(k - s_t + deg), w), "hom value")
                 for c, coef in enumerate(cr):
-                    out[p][c] = f.sub(out[p][c], f.mul(sgn, coef))
-            row = []
-            for (q, rr) in basis[k + 1]:
-                row.append(out[q][rr])
-            rows.append(row)
+                    out[p][c] += coef if k % 2 else -coef
+            rows.append([f.norm(out[q][rr]) for (q, rr) in basis[k + 1]])
         m = Mat(f, rows, ncols=dims[k + 1])
         if not m.is_zero():
             d[k] = m
@@ -522,7 +506,6 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
     """
     A = sp.algebra
     f = A.field
-    one = f.one()
     tags = A.peirce_tags()
     ybasis = {}
     for k in range(min(A.degrees()) + min(s for s, _ in sp.pieces),
@@ -542,22 +525,21 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
         rows = []
         for (t, a) in ybasis[k]:
             s_t, _ = sp.pieces[t]
-            out = [f.zero()] * len(ybasis.get(k + 1, []))
-            da = A.elem_d(k - s_t, _unit_vec(f, A.dim_at(k - s_t), a))
+            out = [0] * len(ybasis.get(k + 1, []))
+            da = A.d[k - s_t].data[a] if k - s_t in A.d else ()
             for b, coef in enumerate(da):
                 if coef:
                     out[ypos[k + 1][(t, b)]] = coef
-            sgn = f.one() if k % 2 == 0 else f.neg(f.one())
             for (p, u), x in sp.delta.items():
                 if u != t:
                     continue
-                prod = sparse_product(f, A.mult, k - s_t, ((a, one),),
+                prod = sparse_product(f, A.mult, k - s_t, ((a, 1),),
                                       _delta_degree(sp.pieces, p, u),
                                       _sparse(x))
                 for b, coef in prod.items():
                     c = ypos[k + 1][(p, b)]
-                    out[c] = f.sub(out[c], f.mul(sgn, coef))
-            rows.append(out)
+                    out[c] += coef if k % 2 else -coef
+            rows.append([f.norm(x) for x in out])
         return Mat(f, rows, ncols=len(ybasis.get(k + 1, [])))
 
     dims = {-k: len(v) for k, v in ybasis.items()}
@@ -565,9 +547,7 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
     for m in dims:
         if dims.get(m + 1, 0) == 0:
             continue
-        base = y_d(-m - 1).transpose()
-        sgn = f.one() if m % 2 == 0 else f.neg(f.one())
-        d[m] = base.scale(f.neg(sgn))
+        d[m] = y_d(-m - 1).transpose().scale(1 if m % 2 else -1)
     # psi in degree m times a in degree j is the functional
     # y -> psi(a y) in degree m + j, on the y of degree -m - j; the c-th
     # such y, times a, has coordinate coef at the b-th element of degree
@@ -582,8 +562,8 @@ def dg_nakayama(sp: StrictPerfect) -> DgModule:
             for c, (t, a2) in enumerate(ybasis[k]):
                 s_t = sp.pieces[t][0]
                 for a in range(A.dim_at(j)):
-                    prod = sparse_product(f, A.mult, j, ((a, one),),
-                                          k - s_t, ((a2, one),))
+                    prod = sparse_product(f, A.mult, j, ((a, 1),),
+                                          k - s_t, ((a2, 1),))
                     for b2, coef in prod.items():
                         b = ypos[-m][(t, b2)]
                         block.setdefault((b, a), []).append((c, coef))
@@ -643,7 +623,7 @@ def endomorphism_dg_algebra(pieces):
         for (p, q), hc in blocks.items():
             dm = hc.diffs.get(m)
             for a in range(len(hc.bases.get(m, ()))):
-                row = list(_zeros(f, dims[m + 1]))
+                row = [0] * dims[m + 1]
                 if dm is not None:
                     off = offsets[(m + 1, p, q)]
                     row[off:off + dm.ncols] = dm.data[a]
@@ -667,9 +647,9 @@ def endomorphism_dg_algebra(pieces):
             mult[(i, j)] = block
 
     idems = []
-    unit = list(_zeros(f, dims[0]))
+    unit = [0] * dims[0]
     for p, X in enumerate(pieces):
-        e = list(_zeros(f, dims[0]))
+        e = [0] * dims[0]
         for t, c in coords_of(0, p, p, {n: ModuleMap.identity(X.module(n))
                                         for n in X.parts}):
             e[t] = unit[t] = c
@@ -708,13 +688,12 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
     if ker.nrows:
         dims[0] = ker.nrows
     ker_coords = _span_coords(ker)
-    one = f.one()
 
     def coords(k, prod):
         """The nonzero coordinates, in ascending order, of a nonzero
         {index: coefficient} vector of E^k in the basis of degree k."""
         if k == 0:
-            return _sparse(ker_coords(_dense(f, E.dim_at(0), prod),
+            return _sparse(ker_coords(_dense(E.dim_at(0), prod),
                                       "degree-zero cycle"))
         return tuple(sorted(prod.items()))
 
@@ -725,7 +704,7 @@ def truncate_algebra(E: DgAlgebra) -> DgAlgebra:
                     for r in m.data]
             d[k] = Mat(f, [list(r) for r in rows], ncols=dims[k + 1])
     basis = {k: [_sparse(r) for r in ker.data] if k == 0
-             else [((a, one),) for a in range(n)] for k, n in dims.items()}
+             else [((a, 1),) for a in range(n)] for k, n in dims.items()}
     mult = {}
     for i in dims:
         for j in dims:

@@ -2,11 +2,12 @@
 
 Scalars are plain python ints: residues in [0, p) over GF(p), and over
 the rationals every integral value, with fractions.Fraction only for a
-true non-integer.  No floats appear anywhere.  The matrix kernels
-compute with Python's operators and reduce each entry they produce once,
-through the field's norm.  Row reduction uses partial pivoting by first
-nonzero entry with lowest-index tie-breaking, so every derived basis is
-deterministic.
+true non-integer.  No floats appear anywhere.  Every module computes
+with Python's operators on these values, writes 0, 1 and -1 as
+literals, and reduces a result once, through the field's norm, before
+it keeps or tests it; a Field has no per-operation arithmetic (see
+Field).  Row reduction uses partial pivoting by first nonzero entry
+with lowest-index tie-breaking, so every derived basis is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from fractions import Fraction
 
 
 class Field:
-    """Common interface for the two supported scalar fields."""
+    """Common interface for the two supported scalar fields.
+
+    A field keeps only what Python's operators cannot do: zero and one,
+    reading a value in (of, parse), inversion, the reduction norm, and
+    printing.  Code computes with + - * on the scalars, f.inv for a
+    division, and f.norm once wherever a value is kept: stored in a
+    matrix, a structure table, a returned tuple or a memo key, or tested
+    against zero (an unreduced p over GF(p) is truthy).  An accumulator
+    adds raw products and norms each output coordinate once.
+    """
 
     def zero(self):
         raise NotImplementedError
@@ -26,35 +36,20 @@ class Field:
     def of(self, x):
         raise NotImplementedError
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
 
     def norm(self, x):
         """The field element of an operator result (a sum of products of
-        elements); the kernels call it once per entry they produce."""
+        elements), in its one stored form."""
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def parse(self, text):
         """Read a scalar from its report form ("3", "-2/5")."""
         text = str(text).strip()
         if "/" in text:
             num, den = text.split("/")
-            return self.div(self.of(int(num)), self.of(int(den)))
+            return self.norm(self.of(int(num)) * self.inv(self.of(int(den))))
         return self.of(int(text))
 
     def to_str(self, a):
@@ -119,20 +114,8 @@ class PrimeField(Field):
         if isinstance(x, Fraction):
             if x.denominator == 1:
                 return x.numerator % self.p
-            return self.div(x.numerator % self.p, x.denominator % self.p)
+            return x.numerator * self.inv(x.denominator) % self.p
         return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -164,9 +147,9 @@ class RationalField(Field):
     Fraction.
 
     An int and the equal Fraction agree in ==, hash, ordering and str,
-    so reports and memo keys do not see the representation.  Every
-    operation returns through _q, which is also norm, the one reduction
-    the kernels apply to each entry they produce.
+    so reports and memo keys do not see the representation.  of and inv
+    return through _q, which is also norm, the one reduction applied to
+    each value that is kept.
     """
 
     def zero(self):
@@ -177,18 +160,6 @@ class RationalField(Field):
 
     def of(self, x):
         return _q(Fraction(x))
-
-    def add(self, a, b):
-        return _q(a + b)
-
-    def sub(self, a, b):
-        return _q(a - b)
-
-    def mul(self, a, b):
-        return _q(a * b)
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         # a unit pivot is the common case, and it is its own inverse
@@ -265,20 +236,16 @@ class Mat:
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return cls._trusted(field, ((field.zero(),) * ncols,) * nrows, ncols)
+        return cls._trusted(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
         return cls._trusted(field, tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def __eq__(self, other):
         return (
@@ -328,7 +295,7 @@ class Mat:
                 if a:
                     acc = [a * y for y in b] if acc is None else \
                         [x + a * y for x, y in zip(acc, b)]
-            out.append((f.zero(),) * other.ncols if acc is None
+            out.append((0,) * other.ncols if acc is None
                        else tuple(map(norm, acc)))
         return Mat._trusted(f, tuple(out), other.ncols)
 
@@ -389,16 +356,15 @@ class Mat:
     def _null_vectors(self):
         """Vectors v with self @ v = 0, one per free column of the reduced
         echelon form, as tuples: a basis of the kernel."""
-        f = self.field
-        z, o, norm = f.zero(), f.one(), f.norm
+        norm = self.field.norm
         R, pivots = self.rref()
         pivset = set(pivots)
         vecs = []
         for j in range(self.ncols):
             if j in pivset:
                 continue
-            v = [z] * self.ncols
-            v[j] = o
+            v = [0] * self.ncols
+            v[j] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = norm(-R.data[r][j])
             vecs.append(tuple(v))
@@ -409,7 +375,6 @@ class Mat:
         if b.nrows != self.nrows:
             raise ValueError("shape mismatch in solve")
         f = self.field
-        z = f.zero()
         aug = self.hstack(b)
         R, pivots = aug.rref()
         for col in pivots:
@@ -417,7 +382,7 @@ class Mat:
                 return None
         xs = []
         for k in range(b.ncols):
-            x = [z] * self.ncols
+            x = [0] * self.ncols
             for r, pc in enumerate(pivots):
                 x[pc] = R.data[r][self.ncols + k]
             xs.append(x)
@@ -543,8 +508,7 @@ class Subquotient:
         comb = self._echelon.coords(vec)
         if comb is None:
             return None
-        z = self.reps.field.zero()
-        return tuple(comb.get(self._first + i, z) for i in range(self.dim))
+        return tuple(comb.get(self._first + i, 0) for i in range(self.dim))
 
 
 def smith_normal_form(rows):

@@ -41,7 +41,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .algebra import Algebra, AlgebraError, Quiver
+from .algebra import Algebra, AlgebraError, Quiver, sparse_rows
 from .ainfinity import (AInfError, collection_ext_model, dual_bar_dg)
 from .complexes import Summand, minimize, stalk_complex
 from .derived import resolve_complex, validate_simple_minded
@@ -309,12 +309,12 @@ def algebra_presentation(G):
     L = len(layers) + 1  # rad^L = 0
 
     arrows = []  # (label, i, j, element)
+    rad = G.corners(sparse_rows(powers[0]))
+    # J^2, which is J itself when J = 0
+    rad2 = G.corners(sparse_rows(powers[1])) if len(powers) > 1 else rad
     for i in range(r):
         for j in range(r):
-            part = G.corner_rows(i, j, powers[0])
-            sq = G.corner_rows(i, j, powers[1]) if len(powers) > 1 \
-                else Mat.zeros(f, 0, G.dim)
-            for row in independent_rows(sq, part.data):
+            for row in independent_rows(rad2[i][j], rad[i][j].data):
                 arrows.append((_arrow_label(len(arrows)), i, j, row))
 
     # composable paths of length 2..L, in (length, discovery) order
@@ -348,7 +348,7 @@ def algebra_presentation(G):
                 continue
             ev = Mat(f, [list(values[n]) for n in idxs], ncols=G.dim)
             for krow in ev.left_kernel_basis().data:
-                vec = [f.zero()] * len(paths)
+                vec = [0] * len(paths)
                 for t, c in zip(idxs, krow):
                     vec[t] = c
                 kernel.append(vec)
@@ -359,11 +359,11 @@ def algebra_presentation(G):
     for v in kernel:
         for k in range(len(arrows)):
             for side in ("L", "R"):
-                w = [f.zero()] * len(paths)
+                w = [0] * len(paths)  # each path n gives its own q
                 for n, c in enumerate(v):
                     q = (k,) + paths[n] if side == "L" else paths[n] + (k,)
                     if c and q in pos:
-                        w[pos[q]] = f.add(w[pos[q]], c)
+                        w[pos[q]] = c
                 if any(w):
                     multiples.append(w)
 
@@ -372,7 +372,7 @@ def algebra_presentation(G):
     gens = []
     for vec in independent_rows(Mat(f, multiples, ncols=len(paths)), kernel):
         inv = f.inv(next(c for c in vec if c))
-        gens.append(tuple(f.mul(inv, c) for c in vec))
+        gens.append(tuple(f.norm(inv * c) for c in vec))
 
     # sanity: evaluation is onto, so its kernel fixes the dimension
     if r + len(arrows) + len(paths) - len(kernel) != G.dim:

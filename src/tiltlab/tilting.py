@@ -48,8 +48,7 @@ def hom_to_element(f: ModuleMap, u, v):
     """
     A = f.source.algebra
     Pv = A.projective(v)
-    z = A.field.zero()
-    vec = [z] * A.dim
+    vec = [0] * A.dim
     # e_u, trivial paths coming first, is P_u's first path at u; f has no
     # block at u only when P_v is zero there, and then the loop is empty
     blk = f.block(u)
@@ -123,13 +122,6 @@ def nu_inverse_complex(X: Complex) -> Complex:
 ObjectRun = namedtuple(
     "ObjectRun",
     ["complex", "status", "cones", "rounds", "b_tables", "certified_exact"])
-
-
-def _clip(T: Complex) -> Complex:
-    """Enforce the cut convention: nothing stored above the marker."""
-    if T.approx_above is not None and T.parts and T.max_deg() > T.approx_above:
-        return T.cut_above(T.approx_above)
-    return T
 
 
 def _fingerprint(T: Complex, btab):
@@ -227,7 +219,7 @@ def _iterate_object(T, sources, budget, tau):
             status = "budget_exceeded"
             break
         U, f = _assemble_evaluation(pieces, T)
-        T = _clip(injective_form(cone(f), top=tau))
+        T = injective_form(cone(f), top=tau)
         cones += len(pieces)
         rounds += 1
     return T, status, cones, rounds, b_tables
@@ -501,7 +493,7 @@ def _twist_check(runs, tau):
         return "unstable"
     free = list(range(len(Ts)))
     for i, T in enumerate(Ts):
-        back = _clip(injective_form(nu_inverse_complex(T), top=tau))
+        back = injective_form(nu_inverse_complex(T), top=tau)
         tried = False
         for j in sorted(free, key=lambda j: j != i):
             lim = min((v for v in (Ts[j].approx_above, back.approx_above)

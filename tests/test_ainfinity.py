@@ -174,7 +174,7 @@ def ref_stasheff_defect(X, n):
         sign = f.of((-1) ** sum((m - 1 - t) * d
                                 for t, (d, _) in enumerate(key)))
         for k, c in val:
-            out[k] = f.mul(sign, c)
+            out[k] = f.norm(sign * c)
         return out
 
     for key in chaining_keys(X, n):
@@ -186,7 +186,7 @@ def ref_stasheff_defect(X, n):
                 sign = f.of((-1) ** sum(d - 1 for d, _ in key[:t]))
                 for a, c in enumerate(inner):
                     outer = b(key[:t] + ((deg, a),) + key[t + k:])
-                    acc = [f.add(x, f.mul(f.mul(sign, c), y))
+                    acc = [f.norm(x + sign * c * y)
                            for x, y in zip(acc, outer)]
         if any(acc):
             return key, {k: c for k, c in enumerate(acc) if c}
@@ -233,7 +233,7 @@ def test_stasheff_defect_matches_every_chaining_tuple(data):
         degs, idx = tuple(d for d, _ in key), tuple(a for _, a in key)
         block = ops.setdefault(n, {}).setdefault(degs, {})
         coords = dict(block.get(idx, ()))
-        coords[k] = f.add(coords.get(k, f.zero()), delta)
+        coords[k] = f.norm(coords.get(k, f.zero()) + delta)
         block[idx] = tuple((j, c) for j, c in sorted(coords.items()) if c)
         if not block[idx]:
             del block[idx]

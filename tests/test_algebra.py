@@ -661,7 +661,7 @@ def ref_products(A, arrows, relations):
                         full = p[1] + arrs + q[1]
                         if len(full) < A.bound:
                             k = index[(p[0], full)]
-                            row[k] = f.add(row[k], c)
+                            row[k] = f.norm(row[k] + c)
                     if any(row):
                         ideal.append(row)
     ideal = Mat(f, ideal, ncols=len(paths)).row_space_basis()
@@ -732,5 +732,5 @@ def test_path_algebra_products_match_concatenation(case):
         for a, xa in enumerate(x):
             for b, yb in enumerate(y):
                 for k, c in enumerate(table[a][b]):
-                    prod[k] = f.add(prod[k], f.mul(f.mul(xa, yb), c))
+                    prod[k] = f.norm(prod[k] + xa * yb * c)
         assert A.mult(tuple(x), tuple(y)) == tuple(prod)

@@ -270,6 +270,17 @@ def test_complex_iso_search(A):
     assert iso is not None and iso.is_degreewise_iso() and iso.commutes()
 
 
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59],
+                         ids=["GF(2^61-1)", "GF(2^64-59)"])
+def test_complex_iso_search_draws_over_a_large_prime(p):
+    # no cycle-basis element of End(S1 + S1) is invertible, so the search
+    # draws random combinations, each coefficient uniform in [0, p)
+    A = Algebra(PrimeField(p), Quiver(2, [("a", 0, 1)]), [])
+    X = Complex(A, {0: (Summand("S", 0),) * 2}, {})
+    iso = complex_iso_search(X, X)
+    assert iso is not None and iso.is_degreewise_iso() and iso.commutes()
+
+
 def test_not_iso_to_split_sum(A):
     X = res_s1(A)
     # same degreewise parts, zero differential: not homotopy equivalent

@@ -462,7 +462,7 @@ def ref_module_failure(A, dims, d, action):
             x = ref_unit_vec(f, dims[k], m)
             if any(ref_d(f, d, dims, k + 1, ref_d(f, d, dims, k, x))):
                 return "square"
-    sgn = {0: f.one(), 1: f.neg(f.one())}
+    sgn = {0: f.one(), 1: f.norm(-1)}
     for k in sorted(dims):
         for m in range(dims[k]):
             xm = ref_unit_vec(f, dims[k], m)
@@ -478,7 +478,7 @@ def ref_module_failure(A, dims, d, action):
                     t2 = ref_product(f, action, dims, k, xm, i + 1,
                                      ref_d(f, ad, adims, i, ya))
                     if ref_d(f, d, dims, k + i, xa) != tuple(
-                            f.add(p, f.mul(sgn[k % 2], q))
+                            f.norm(p + sgn[k % 2] * q)
                             for p, q in zip(t1, t2)):
                         return "Leibniz"
                     # (x a) b = x (a b)
@@ -598,7 +598,7 @@ def ref_free_module(A, i, shift):
             for k in A.degrees()}
     dims = {k - shift: len(pick[k]) for k in A.degrees() if pick[k]}
     pos = {k: {a: r for r, a in enumerate(pick[k])} for k in A.degrees()}
-    sgn = f.one() if shift % 2 == 0 else f.neg(f.one())
+    sgn = f.one() if shift % 2 == 0 else f.norm(-1)
     d = {}
     for k in A.degrees():
         if not pick[k] or k not in A.d:
@@ -608,7 +608,7 @@ def ref_free_module(A, i, shift):
             row = [f.zero()] * len(pick.get(k + 1, []))
             for b, c in enumerate(A.d[k].data[a]):
                 if c:
-                    row[pos[k + 1][b]] = f.mul(sgn, c)
+                    row[pos[k + 1][b]] = f.norm(sgn * c)
             rows.append(row)
         if pick.get(k + 1):
             d[k - shift] = Mat(f, rows, ncols=len(pick[k + 1]))
@@ -663,7 +663,7 @@ def ref_perfect_module(A, pieces, delta):
                 for b, coef in img.items():
                     row = rows[offs[k][t] + r]
                     c = offs[k + 1][u] + pos_u[b]
-                    row[c] = f.add(row[c], coef)
+                    row[c] = f.norm(row[c] + coef)
         d[k] = Mat(f, rows, ncols=dims[k + 1])
     action = {}
     for t, M in enumerate(frees):

@@ -23,7 +23,8 @@ function, method or lambda in src/tiltlab is never read in its body
 the interface methods of linalg.Field).  A fifth fails when a module of
 src/tiltlab other than linalg imports fractions or names Fraction: the
 scalar representation is linalg's alone, and every other module computes
-through the field's operations.  A sixth fails when a module of
+with Python's operators on the scalars and reduces through the field's
+norm.  A sixth fails when a module of
 src/tiltlab other than algebra names the attribute `mats`: how a module
 stores its arrow matrices (on its support only) is algebra's alone.
 A seventh fails when a module other than algebra names dense_product,
@@ -31,7 +32,10 @@ or when a method of a class outside algebra reads a unit or idempotents
 and multiplies: the unit and idempotent checks are algebra's
 check_unit and check_idempotents, which every class calls.  An eighth
 fails when an entry of bench/tracer.py's BOUNDARIES names no function,
-method or class that the package defines.
+method or class that the package defines.  A ninth fails when
+linalg.Field, or a class of the package derived from it, defines add,
+sub, mul, neg or div: a second arithmetic idiom beside the operators
+and norm.
 """
 
 import ast
@@ -257,3 +261,24 @@ def test_only_algebra_checks_units_and_multiplies_densely():
                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
                   and _multiplies_unit(fn)]
     assert not found, "outside algebra: " + ", ".join(found)
+
+
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg", "div"}
+
+
+def test_fields_define_no_arithmetic():
+    classes = [node for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    fields, grew = {"Field"}, True
+    while grew:
+        found = {cls.name for cls in classes
+                 if any(getattr(b, "id", getattr(b, "attr", None)) in fields
+                        for b in cls.bases)}
+        grew = not found <= fields
+        fields |= found
+    defined = [f"{cls.name}.{fn.name}" for cls in classes
+               if cls.name in fields for fn in cls.body
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name in FIELD_ARITHMETIC]
+    assert not defined, "field arithmetic methods: " + ", ".join(defined)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiltlab import algebra, tilting
 from tiltlab.algebra import (AlgebraError, FiniteAlgebra, map_slice,
-                             summand_offsets)
+                             sparse_rows, summand_offsets)
 from tiltlab.complexes import (ChainMap, Complex, HomComplex, cone,
                                direct_sum_complexes, h0_chain_maps,
                                zero_complex)
@@ -184,7 +184,7 @@ def incidence_algebra(f, rng, adapted=False):
                 (i, j, s), (j2, k, t) = old[a], old[b]
                 if ca and cb and j == j2 and s + t < r:
                     c = pos[(i, k, s + t)]
-                    out[c] = f.add(out[c], f.mul(ca, cb))
+                    out[c] = f.norm(out[c] + ca * cb)
         return out
 
     coef = [0, 0, 1, -1, 2]
@@ -248,9 +248,10 @@ def test_corners_match_the_double_product_reference(seed, f):
     n = len(G.idempotents)
     rows = Mat(f, [[f.of(rng.randrange(-2, 3)) for _ in range(G.dim)]
                    for _ in range(rng.randint(0, G.dim))], ncols=G.dim)
+    grid = G.corners(sparse_rows(rows))
     for i in range(n):
         for j in range(n):
-            assert G.corner_rows(i, j, rows) == double_mult_corner(G, i, j, rows)
+            assert grid[i][j] == double_mult_corner(G, i, j, rows)
             eye = Mat.identity(f, G.dim)
             assert G.peirce_basis(i, j) == double_mult_corner(G, i, j, eye)
     assert G.cartan_matrix() == cartan
@@ -265,10 +266,11 @@ def test_corners_of_a_basis_that_is_not_adapted(f):
     rows = Mat(f, [[f.of(rng.choice([-2, -1, 1, 2])) for _ in range(3)]
                    for _ in range(2)])
     hit = 0
+    grid = G.corners(sparse_rows(rows))
     for i in range(2):
         for j in range(2):
             assert G.peirce_basis(i, j) == double_mult_corner(G, i, j, eye)
-            got = G.corner_rows(i, j, rows)
+            got = grid[i][j]
             assert got == double_mult_corner(G, i, j, rows)
             hit += got.nrows > 0
     assert hit > 1  # the random rows span several corners
@@ -283,11 +285,7 @@ def test_corners_make_no_mult_call(monkeypatch):
         raise AssertionError("corner read through FiniteAlgebra.mult")
 
     monkeypatch.setattr(FiniteAlgebra, "mult", refuse)
-    rows = Mat.identity(QQ, G.dim)
-    n = len(G.idempotents)
-    for i in range(n):
-        for j in range(n):
-            G.corner_rows(i, j, rows)
+    G.corners(sparse_rows(Mat.identity(QQ, G.dim)))
     assert G.cartan_matrix() == cartan
 
 
@@ -315,7 +313,8 @@ def test_corners_cost_two_sparse_products_per_idempotent_and_element(
 
     monkeypatch.setattr(algebra, "sparse_product", counted_product)
     monkeypatch.setattr(Mat, "identity", staticmethod(counted_identity))
-    got = {(i, j): (G.peirce_basis(i, j), G.corner_rows(i, j, radical))
+    rad = G.corners(sparse_rows(radical))
+    got = {(i, j): (G.peirce_basis(i, j), rad[i][j])
            for i in range(n) for j in range(n)}
     assert G.cartan_matrix() == cartan
     assert got == want

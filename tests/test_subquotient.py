@@ -42,7 +42,7 @@ def combination(f, rng, gens, ncols):
     acc = [f.zero()] * ncols
     for g in gens:
         c = f.of(rng.randrange(-2, 3))
-        acc = [f.add(a, f.mul(c, x)) for a, x in zip(acc, g)]
+        acc = [f.norm(a + c * x) for a, x in zip(acc, g)]
     return tuple(acc)
 
 
