@@ -242,9 +242,9 @@ class Complex:
 
     def module(self, n):
         """The sum module of degree n.  It is summand_sum's module for the
-        degree's tag tuple, so complexes over one algebra share it, and
-        so do their maps; each complex keeps the one it first read, so
-        its maps stay composable even if the memo were emptied."""
+        degree's tag tuple, held in the algebra's memo for as long as the
+        algebra lives, so complexes over one algebra share it, and so do
+        their maps."""
         return self._sum(n)[0]
 
     def offsets(self, n):
@@ -859,11 +859,6 @@ def _flatten_map(m: ModuleMap):
             for row in b.data:
                 out.extend(row)
     return out
-
-
-def chain_map_from_component_dict(X, Y, comps):
-    """Wrap {k: ModuleMap X^k -> Y^k} as a ChainMap X -> Y."""
-    return ChainMap(X, Y, comps)
 
 
 def h0_chain_maps(X: Complex, Y: Complex):

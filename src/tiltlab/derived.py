@@ -89,7 +89,7 @@ def dual_complex(X: Complex) -> Complex:
 
 # ---- projective resolution of a bounded complex ----
 
-def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
+def resolve_complex(X: Complex, bottom=None) -> Resolution:
     """Complex of projectives mapping quasi-isomorphically onto X.
 
     bottom caps how deep the construction may run.  If the run stops on
@@ -102,9 +102,8 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     differential, which the copies share.  Each computed degree slices
     its differential into blocks as soon as it is covered.  A source
     that is itself cut from above cannot be resolved (the construction
-    starts at the top, where nothing is trustworthy).  With validate the
-    result is checked once built, by Complex.validate and by
-    ChainMap.commutes on the augmentation ("not a chain map").
+    starts at the top, where nothing is trustworthy).  Complex.validate
+    and ChainMap.commutes on the augmentation check the result.
     """
     A = X.algebra
     if X.approx_above is not None:
@@ -195,10 +194,6 @@ def resolve_complex(X: Complex, bottom=None, validate=False) -> Resolution:
     # is kept
     aug = ChainMap(P_cx, X, {m: f for m, f in phis.items()
                              if m in parts and f.blocks})
-    if validate:
-        P_cx.validate()
-        if not aug.commutes():
-            raise AlgebraError("not a chain map")
     return Resolution(P_cx, aug, exact)
 
 
@@ -385,27 +380,55 @@ def simple_stalk_profile(X: Complex):
     return dims.index(1), deg
 
 
-GENERATION_HOM_CAP = 6  # chain maps coned per pair of reached objects
+GENERATION_HOM_CAP = 6  # classes coned per pair of reached objects and shift
+
+
+def _class_maps(reached):
+    """The chain maps the generation search cones, in search order.
+
+    Each round runs over the objects reached before it: for each pair
+    (U, V) and shift s of V within their spread, the first
+    GENERATION_HOM_CAP class representatives U -> V[s], all nonzero.
+    The search grows reached; a round in which it did not grow is the
+    last.
+    """
+    while True:
+        snapshot = list(reached)
+        span = max((C.max_deg() - C.min_deg() for C in snapshot),
+                   default=0) + 1
+        for U in snapshot:
+            for V in snapshot:
+                for s in range(-span, span + 1):
+                    maps, _ = h0_chain_maps(U, V.shift(s))
+                    yield from maps[:GENERATION_HOM_CAP]
+        if len(reached) == len(snapshot):
+            return
 
 
 def generation_certificate(objects, cone_budget=48):
     """Search for the simples inside the triangulated closure of the objects.
 
-    Breadth-first over cones of chain maps between reached objects (all
-    shifts within the degree spread).  Finding every simple certifies
-    that the objects generate; running out of budget proves nothing.
+    Breadth-first over cones of the maps of _class_maps; a cone joins
+    the reached objects unless it is zero, beyond a size cap, or reached
+    before (same terms and homology).  The search stops after the cone
+    that spends cone_budget or reaches every simple, or after a round
+    that reached nothing new (a saturated search).
     Returns (all_found, sorted vertex list, cones_used).
+
+    Finding every simple certifies that the objects generate, as the
+    simples generate.  A saturated search proves only that these cones
+    reach nothing more, not that the objects fail to generate: its maps
+    are homotopy classes of chain maps between the complexes as given,
+    not all maps of the derived category (between stalks of modules that
+    are not projective most Ext classes have no chain map), capped per
+    pair and shift, and it drops large cones.  A spent budget proves
+    nothing either.
     """
     A = objects[0].algebra
     want = set(range(A.quiver.n))
     found = set()
     reached = []
     sigs = set()
-
-    def consider(C):
-        prof = simple_stalk_profile(C)
-        if prof is not None:
-            found.add(prof[0])
 
     def add(C):
         if C.is_zero():
@@ -418,49 +441,24 @@ def generation_certificate(objects, cone_budget=48):
             return
         sigs.add(sig)
         reached.append(C)
-        consider(C)
+        prof = simple_stalk_profile(C)
+        if prof is not None:
+            found.add(prof[0])
 
     for X in objects:
         add(minimize(X, verify=False).complex)
     size_cap = 6 * max(A.dim, max((X.total_dim() for X in reached),
                                   default=A.dim))
     cones_used = 0
-    if found >= want:
-        return True, sorted(found), cones_used
-
-    budget = cone_budget
-    while budget > 0 and not found >= want:
-        snapshot = list(reached)
-        span = max((C.max_deg() - C.min_deg() for C in snapshot), default=0) + 1
-        grew = False
-        for U in snapshot:
-            for V in snapshot:
-                for s in range(-span, span + 1):
-                    if budget <= 0:
-                        break
-                    Vs = V.shift(s)
-                    maps, _ = h0_chain_maps(U, Vs)
-                    for f in maps[:GENERATION_HOM_CAP]:
-                        if f.is_zero() or budget <= 0:
-                            continue
-                        budget -= 1
-                        cones_used += 1
-                        Cm = minimize(cone(f), verify=False).complex
-                        if Cm.total_dim() > size_cap:
-                            continue
-                        before = len(reached)
-                        add(Cm)
-                        grew = grew or len(reached) > before
-                        if found >= want:
-                            break
-                    if found >= want:
-                        break
-                if found >= want or budget <= 0:
-                    break
-            if found >= want or budget <= 0:
-                break
-        if not grew:
+    search = _class_maps(reached)
+    while not found >= want and cones_used < cone_budget:
+        f = next(search, None)
+        if f is None:
             break
+        cones_used += 1
+        C = minimize(cone(f), verify=False).complex
+        if C.total_dim() <= size_cap:
+            add(C)
     return found >= want, sorted(found), cones_used
 
 

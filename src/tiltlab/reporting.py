@@ -409,13 +409,6 @@ def _smc_stage(job):
     }
 
 
-def _construction_gate(res):
-    """True when the built family is trustworthy end to end."""
-    return (all(r.status == "terminated" for r in res["runs"])
-            and all(r.certified_exact for r in res["runs"])
-            and res["verification"]["status"] == "certified")
-
-
 def run_pipeline(job, upto="ainf"):
     """Run the stages through `upto` and return a report dict.
 
@@ -502,8 +495,7 @@ def run_pipeline(job, upto="ainf"):
         return report
 
     t0 = perf_counter()
-    gate = _construction_gate(res)
-    if not gate:
+    if not res["certified"]:
         report["gamma"] = {"status": "skipped: the construction is not "
                                      "certified end to end"}
     elif res["gamma"] is None:
@@ -518,14 +510,14 @@ def run_pipeline(job, upto="ainf"):
         return report
 
     t0 = perf_counter()
-    report["ainf"] = _ainf_stage(job, res, gate)
+    report["ainf"] = _ainf_stage(job, res)
     report["timings"]["ainf"] = perf_counter() - t0
     if report["ainf"].get("crosscheck") == "FAIL":
         report["exit_code"] = EXIT_FAIL
     return report
 
 
-def _ainf_stage(job, res, gate):
+def _ainf_stage(job, res):
     out = {}
     try:
         X = collection_ext_model(job["objects"],
@@ -547,7 +539,7 @@ def _ainf_stage(job, res, gate):
     model["truncated"] = db.truncated
     out.update(model)
 
-    if not gate:
+    if not res["certified"]:
         out["crosscheck"] = "SKIPPED"
         out["crosscheck_note"] = "the construction is not certified"
         return out
@@ -585,19 +577,12 @@ def _mat_text(rows):
         "[" + ", ".join(str(c) for c in row) + "]" for row in rows) + "]"
 
 
-def _vfail_text(fl):
-    return (f"X{fl['source'] + 1}->T{fl['target'] + 1} "
-            f"shift {fl['shift']} dim {fl['dim']}")
-
-
-def _c1_text(fl):
-    return (f"X{fl['source'] + 1}->X{fl['target'] + 1} "
-            f"shift {fl['shift']} dim {fl['dim']}")
-
-
-def _c2_text(fl):
-    return (f"X{fl['source'] + 1}->X{fl['target'] + 1} "
-            f"dim {fl['dim']} expected {fl['expected']}")
+def _failure_text(fl, letter):
+    """X<source> -> <letter><target>, the shift when the failure has one,
+    and the dim found."""
+    shift = f" shift {fl['shift']}" if "shift" in fl else ""
+    return (f"X{fl['source'] + 1}->{letter}{fl['target'] + 1}{shift} "
+            f"dim {fl['dim']}")
 
 
 def render_report(report):
@@ -622,9 +607,10 @@ def render_report(report):
         f"members: {smc['members']} ({smc['objects']} objects over "
         f"{smc['vertices']} vertices)",
         "no_negative_maps: " + smc["cond1"] + "".join(
-            f" [{_c1_text(fl)}]" for fl in smc["cond1_failures"]),
+            f" [{_failure_text(fl, 'X')}]" for fl in smc["cond1_failures"]),
         "orthonormal_endomorphisms: " + smc["cond2"] + "".join(
-            f" [{_c2_text(fl)}]" for fl in smc["cond2_failures"]),
+            f" [{_failure_text(fl, 'X')} expected {fl['expected']}]"
+            for fl in smc["cond2_failures"]),
         f"generation: {smc['cond3']}"
         + (f" (cones_used={smc['cones_used']})"
            if smc["cones_used"] is not None else ""),
@@ -647,7 +633,7 @@ def render_report(report):
         f"orthogonality: {con['orthogonality']} "
         f"(failures={len(con['failures'])}, unchecked={con['unchecked']})")
     for fl in con["failures"]:
-        lines.append(f"  failure: {_vfail_text(fl)} "
+        lines.append(f"  failure: {_failure_text(fl, 'T')} "
                      f"(expected {fl['expected']})")
     if "verdict" not in report:
         return "\n".join(lines) + "\n"

@@ -10,15 +10,16 @@ extended along the stalk's coresolution (complexes.extend_along), so
 each round cones the lifted map into a complex of injectives that only
 needs minimizing: nothing is re-coresolved.  A member that is not a
 stalk hands its class maps over as they are, and its cones are
-coresolved as a whole.  A terminated run is then
-re-verified against the defining property
+coresolved as a whole.  Each companion's final complex is then
+checked once against the defining property
 
     dim Hom(X_j, T_i shifted by m) = 1 when (i, m) = (j, 0), else 0,
 
 which certifies the output independently of how it was found.  Over
 algebras of infinite global dimension the intermediate complexes carry
 cut markers; a certificate that passes on a gap-trimmed candidate
-upgrades the result to an exact one.
+upgrades the result to an exact one, and that certificate is the
+companion's one check.
 
 The Nakayama twist (projectives to injectives and back) is implemented
 by extracting the algebra element behind each map between projectives,
@@ -121,7 +122,8 @@ def nu_inverse_complex(X: Complex) -> Complex:
 
 ObjectRun = namedtuple(
     "ObjectRun",
-    ["complex", "status", "cones", "rounds", "b_tables", "certified_exact"])
+    ["complex", "status", "cones", "rounds", "b_tables", "certified_exact",
+     "dual_basis"])
 
 
 def _fingerprint(T: Complex, btab):
@@ -258,34 +260,32 @@ def _pair_range(X: Complex, T: Complex):
     return T.min_deg() - X.max_deg(), T.max_deg() - X.min_deg()
 
 
-def _dual_basis_entries(objects, T, i):
-    """(j, m, dim Hom(X_j, T[m]) or None where uncertified, expected dim)
-    over the structural range of every pair, generated lazily."""
+def _dual_basis_table(objects, T, i):
+    """Companion T_i's rows (j, m, dim Hom(X_j, T_i[m]) or None where
+    uncertified, expected dim) over the structural range of every
+    pair, one derived_hom call per member."""
+    rows = []
     for j, Xj in enumerate(objects):
         lo, hi = _pair_range(Xj, T)
         lo, hi = min(lo, 0), max(hi, 0)
         tab = derived_hom(Xj, T, lo, hi)
-        for m in range(lo, hi + 1):
-            yield j, m, tab.entries.get(m), 1 if (i == j and m == 0) else 0
+        rows.extend((j, m, tab.entries.get(m), 1 if (i == j and m == 0) else 0)
+                    for m in range(lo, hi + 1))
+    return rows
 
 
-def _dual_basis_check_one(objects, T, i):
-    """Full orthogonality check of a single exact candidate against all X_j."""
-    return all(got == want
-               for _, _, got, want in _dual_basis_entries(objects, T, i))
+def verify_dual_basis(tables):
+    """Aggregate the companions' dual-basis tables into one report.
 
-
-def verify_dual_basis(objects, Ts):
-    """Check dim Hom(X_j, T_i[m]) = delta_(ij) delta_(m0) over all pairs.
-
-    Exact pairs are checked over their whole structural range; cut
-    complexes only inside the certified window, with the skipped
-    degrees reported.  status: certified / windowed / failed.
+    tables[i] is companion T_i's one table (_dual_basis_table): exact
+    companions are checked over their whole structural range, cut ones
+    only inside the certified window, with the skipped degrees reported.
+    status: certified / windowed / failed.
     """
     failures = []
     unchecked = []
-    for i, T in enumerate(Ts):
-        for j, m, got, want in _dual_basis_entries(objects, T, i):
+    for i, rows in enumerate(tables):
+        for j, m, got, want in rows:
             if got is None:
                 unchecked.append({"source": j, "target": i, "shift": m})
             elif got != want:
@@ -311,6 +311,9 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
     Returns {"runs": [ObjectRun], "verification": report, ...}.  A run
     whose final complex carries no cut marker, or whose trimmed
     candidate passes the full orthogonality check, is certified exact.
+    Each companion's dual-basis table is computed once, for its final
+    complex (an adopted candidate keeps the table that adopted it), and
+    kept on its run as dual_basis; verification only aggregates them.
 
     Every member is coresolved once, to top tau, by
     derived.member_resolution, which keeps a stalk's coresolution for
@@ -354,15 +357,18 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
         T0 = minimize(cores[i].complex, verify=False).complex
         T, status, cones, rounds, b_tables = _iterate_object(
             T0, sources, budget, tau)
-        certified = T.approx_above is None
-        if not certified and status == "terminated":
+        table = None
+        if status == "terminated":
             for cand in _exactness_candidates(T):
-                if _dual_basis_check_one(objects, cand, i):
-                    T = cand
-                    certified = True
+                rows = _dual_basis_table(objects, cand, i)
+                if all(got == want for _, _, got, want in rows):
+                    T, table = cand, rows
                     break
-        runs.append(ObjectRun(T, status, cones, rounds, b_tables, certified))
-    verification = verify_dual_basis(objects, [r.complex for r in runs])
+        if table is None:
+            table = _dual_basis_table(objects, T, i)
+        runs.append(ObjectRun(T, status, cones, rounds, b_tables,
+                              T.approx_above is None, table))
+    verification = verify_dual_basis([r.dual_basis for r in runs])
     return {
         "objects": objects,
         "runs": runs,
@@ -523,6 +529,9 @@ def check_tilting(objects, window=4, budget=64, depth=None):
     witness.  INCONCLUSIVE: the window hid the deciding degrees.
     INTERNAL_INVARIANT_VIOLATION: the construction contradicted itself;
     the output cannot be trusted.
+
+    certified: the construction is trustworthy end to end: every run
+    terminated and is certified exact, and so is the verification.
     """
     built = build_dual_objects(objects, window=window, budget=budget,
                                depth=depth)
@@ -610,6 +619,9 @@ def check_tilting(objects, window=4, budget=64, depth=None):
         "gamma_info": gamma_info,
         "gamma_error": gamma_error,
         "nu_stable": nu_ok,
+        "certified": (not unfinished
+                      and all(r.certified_exact for r in runs)
+                      and ver["status"] == "certified"),
         "verdict": verdict,
         "verdict_reason": reason,
         "witness": witness,

@@ -11,8 +11,7 @@ import random
 from tiltlab.algebra import Algebra, Quiver, nakayama_permutation
 from tiltlab.ainfinity import AInfError, collection_ext_model, dual_bar_dg
 from tiltlab.cli import default_corpus_dir
-from tiltlab.complexes import (Summand, chain_map_from_component_dict,
-                               complex_iso_search, cone,
+from tiltlab.complexes import (ChainMap, Summand, complex_iso_search, cone,
                                direct_sum_complexes, h0_chain_maps, minimize,
                                stalk_complex, tag_module)
 from tiltlab.derived import (derived_hom, injective_form, resolve_complex,
@@ -169,7 +168,10 @@ def test_criterion_6_randomized_invariant_suite():
     for _ in range(40):
         A = rng.choice([A2, A3, A4C])
         X = random_stalk_sum(A)
-        R = resolve_complex(X, validate=True).complex
+        res = resolve_complex(X)
+        res.complex.validate()
+        assert res.aug.commutes()
+        R = res.complex
         for n in R.support():
             assert R.d_full(n).then(R.d_full(n + 1)).is_zero()
         counted += 1
@@ -179,8 +181,7 @@ def test_criterion_6_randomized_invariant_suite():
         A = rng.choice([A2, A3])
         X, Y = random_stalk_sum(A), random_stalk_sum(A)
         maps, _ = h0_chain_maps(X, Y)
-        f = rng.choice(maps) if maps else \
-            chain_map_from_component_dict(X, Y, {})
+        f = rng.choice(maps) if maps else ChainMap(X, Y, {})
         C = cone(f)
         mC = minimize(C).complex
         Z = random_stalk_sum(A, n=1)

@@ -23,6 +23,8 @@ from tiltlab.complexes import (
     ChainMap,
     Complex,
     Summand,
+    cone,
+    h0_chain_maps,
     minimize,
     stalk_complex,
     summand_sum,
@@ -31,6 +33,7 @@ from tiltlab.complexes import (
     zero_module,
 )
 from tiltlab.derived import (
+    GENERATION_HOM_CAP,
     class_matrix,
     coresolve_complex,
     derived_hom,
@@ -82,7 +85,8 @@ def P(A, v, deg=0):
 # ---- projective resolutions ----
 
 def test_resolution_of_simple(A2):
-    res = resolve_complex(S(A2, 0), validate=True)
+    res = resolve_complex(S(A2, 0))
+    res.complex.validate()
     assert res.exact
     assert res.complex.approx_below is None
     assert res.complex.parts == {
@@ -92,7 +96,9 @@ def test_resolution_of_simple(A2):
 
 
 def test_resolution_of_projective_is_itself(A2):
-    res = resolve_complex(P(A2, 1), validate=True)
+    res = resolve_complex(P(A2, 1))
+    res.complex.validate()
+    assert res.aug.commutes()
     assert res.exact
     assert res.complex.parts == {0: (Summand("P", 1),)}
 
@@ -100,14 +106,18 @@ def test_resolution_of_projective_is_itself(A2):
 def test_resolution_of_two_term_complex(A2):
     X = Complex(A2, {-1: (Summand("S", 1),), 0: (Summand("S", 0),)}, {})
     X.validate()
-    res = resolve_complex(X, validate=True)
+    res = resolve_complex(X)
+    res.complex.validate()
+    assert res.aug.commutes()
     assert res.exact
     assert res.complex.homology_dims() == {-1: (0, 1), 0: (1, 0)}
     assert all(t.kind == "P" for p in res.complex.parts.values() for t in p)
 
 
 def test_capped_resolution_reports_cut(DUAL):
-    res = resolve_complex(S(DUAL, 0), bottom=-3, validate=True)
+    res = resolve_complex(S(DUAL, 0), bottom=-3)
+    res.complex.validate()
+    assert res.aug.commutes()
     assert not res.exact
     assert res.complex.approx_below == -3
     assert sorted(res.complex.parts) == [-3, -2, -1, 0]
@@ -286,7 +296,9 @@ def test_resolutions_of_simples_over_cyclic_nakayama_follow_the_closed_form(
     # 2n / gcd(n, r); run three periods and a bit
     depth = 3 * (2 * n // math.gcd(n, r)) + 1
     for i in range(n):
-        res = resolve_complex(S(A, i), bottom=-depth, validate=True)
+        res = resolve_complex(S(A, i), bottom=-depth)
+        res.complex.validate()
+        assert res.aug.commutes()
         assert res.exact is False
         assert res.complex.approx_below == -depth
         assert res.complex.parts == {
@@ -562,6 +574,124 @@ def test_generation_needs_one_cone(A2):
     ok, reached, used = generation_certificate([P(A2, 0), S(A2, 1, deg=-1)])
     assert ok and reached == [0, 1]
     assert used >= 1
+
+
+
+# The generation search as it stood when it tested each stop condition
+# at every level of its loops, kept verbatim as the reference for
+# (all_found, vertices, cones_used).
+def reference_generation_certificate(objects, cone_budget=48):
+    """Search for the simples inside the triangulated closure of the objects.
+
+    Breadth-first over cones of chain maps between reached objects (all
+    shifts within the degree spread).  Finding every simple certifies
+    that the objects generate; running out of budget proves nothing.
+    Returns (all_found, sorted vertex list, cones_used).
+    """
+    A = objects[0].algebra
+    want = set(range(A.quiver.n))
+    found = set()
+    reached = []
+    sigs = set()
+
+    def consider(C):
+        prof = simple_stalk_profile(C)
+        if prof is not None:
+            found.add(prof[0])
+
+    def add(C):
+        if C.is_zero():
+            return
+        sig = (
+            tuple(sorted((n, C.parts[n]) for n in C.parts)),
+            tuple(sorted(C.homology_dims().items())),
+        )
+        if sig in sigs:
+            return
+        sigs.add(sig)
+        reached.append(C)
+        consider(C)
+
+    for X in objects:
+        add(minimize(X, verify=False).complex)
+    size_cap = 6 * max(A.dim, max((X.total_dim() for X in reached),
+                                  default=A.dim))
+    cones_used = 0
+    if found >= want:
+        return True, sorted(found), cones_used
+
+    budget = cone_budget
+    while budget > 0 and not found >= want:
+        snapshot = list(reached)
+        span = max((C.max_deg() - C.min_deg() for C in snapshot), default=0) + 1
+        grew = False
+        for U in snapshot:
+            for V in snapshot:
+                for s in range(-span, span + 1):
+                    if budget <= 0:
+                        break
+                    Vs = V.shift(s)
+                    maps, _ = h0_chain_maps(U, Vs)
+                    for f in maps[:GENERATION_HOM_CAP]:
+                        if f.is_zero() or budget <= 0:
+                            continue
+                        budget -= 1
+                        cones_used += 1
+                        Cm = minimize(cone(f), verify=False).complex
+                        if Cm.total_dim() > size_cap:
+                            continue
+                        before = len(reached)
+                        add(Cm)
+                        grew = grew or len(reached) > before
+                        if found >= want:
+                            break
+                    if found >= want:
+                        break
+                if found >= want or budget <= 0:
+                    break
+            if found >= want or budget <= 0:
+                break
+        if not grew:
+            break
+    return found >= want, sorted(found), cones_used
+
+
+def _stalk_collection(A, rng):
+    return [stalk_complex(A, Summand(rng.choice("PIS"),
+                                     rng.randrange(A.quiver.n)),
+                          rng.choice((0, -1, -2)))
+            for _ in range(A.quiver.n)]
+
+
+def test_generation_search_matches_the_reference_loop(NAK2):
+    A3 = linear_a(QQ, 3)
+    A3_rad2 = Algebra(QQ, A3.quiver, [[(1, ["a0", "a1"])]])
+    rng = random.Random(0)
+    samples = [_stalk_collection(rng.choice([A3, A3_rad2, NAK2]), rng)
+               for _ in range(40)]
+    # {P1, P3[-1], S2[-1]} over A3: tilting, yet its chain maps never
+    # reach S3, so the search spends any budget it is given
+    stuck = [P(A3, 0), P(A3, 2, deg=-1), S(A3, 1, deg=-1)]
+    samples.append(stuck)
+    outcomes = set()
+    for objs in samples:
+        for budget in (0, 1, 2, 3, 48):
+            got = generation_certificate(objs, cone_budget=budget)
+            assert got == reference_generation_certificate(
+                objs, cone_budget=budget)
+            ok, _, used = got
+            if budget == 48:
+                outcomes.add("found" if ok else
+                             "spent" if used == budget else "saturated")
+    assert outcomes == {"found", "saturated", "spent"}
+    # its first round has more class maps than budgets 1-3 allow, so
+    # each of them runs out in mid-round
+    first_round = sum(1 for _ in derived._class_maps(
+        [minimize(X, verify=False).complex for X in stuck]))
+    assert first_round > 3
+    assert [generation_certificate(stuck, cone_budget=b)[2]
+            for b in (1, 2, 3, 48)] == [1, 2, 3, 48]
+    assert not generation_certificate(stuck, cone_budget=48)[0]
 
 
 # ---- full collection validation ----

@@ -1,11 +1,13 @@
 """Job parsing and report assembly."""
 
 import gc
+import json
 import weakref
 
 import pytest
 
 from tiltlab import complexes, derived, reporting
+from tiltlab.cli import default_corpus_dir
 from tiltlab.reporting import (JobError, parse_job, render_report,
                                run_pipeline)
 
@@ -203,6 +205,26 @@ def test_render_is_pure_text_with_stable_sections():
               "== GAMMA ==", "== AINF ==")]
     assert order == sorted(order)
     assert render_report(rep) == text
+
+
+
+def test_a_construction_not_certified_end_to_end_closes_the_gate():
+    """a2_apr with no cone budget: T1 stops at budget_exceeded, so
+    check_tilting's certified flag is off, Gamma is not presented and
+    the cross-check is skipped."""
+    path = default_corpus_dir() / "a2_apr.json"
+    job = parse_job(json.loads(path.read_text()), name="a2_apr",
+                    overrides={"budget": 0})
+    rep = run_pipeline(job, upto="ainf")
+    assert [r["status"] for r in rep["construction"]["runs"]] == [
+        "budget_exceeded", "terminated"]
+    assert rep["exit_code"] == reporting.EXIT_INCONCLUSIVE == 3
+    assert rep["gamma"] == {"status": "skipped: the construction is not "
+                                      "certified end to end"}
+    assert rep["ainf"]["status"] == "computed"
+    assert rep["ainf"]["crosscheck"] == "SKIPPED"
+    assert rep["ainf"]["crosscheck_note"] == \
+        "the construction is not certified"
 
 
 SQUARE_DATA = {

@@ -106,7 +106,10 @@ def test_twist_of_projective_map(A2):
 
 
 def test_twist_complex_roundtrip(A2):
-    X = resolve_complex(S(A2, 0), validate=True).complex
+    res = resolve_complex(S(A2, 0))
+    res.complex.validate()
+    assert res.aug.commutes()
+    X = res.complex
     N = nu_complex(X)
     N.validate()
     assert sorted(N.parts) == [-1, 0]
@@ -518,6 +521,39 @@ def test_simples_over_cyclic_nakayama(NAK2):
     assert rep["verdict"] == "TILTING"
     assert rep["gamma"].dim == 4
     assert rep["gamma"].cartan_matrix() == [[1, 1], [1, 1]]
+
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Algebra(QQ, Quiver(2, [("a", 0, 1), ("b", 1, 0)]),
+                    [[(1, ["a", "b"])], [(1, ["b", "a"])]],
+                    nilpotency_bound=2),
+    lambda: cyclic_nakayama(PrimeField(31847), 3, 4),
+], ids=["nakayama2", "kZ3/rad4-GF(31847)"])
+def test_each_companion_is_checked_once(monkeypatch, make):
+    """Every companion's cut complex is adopted in trimmed form, and the
+    dual-basis table that adopted it is the one the verification reads:
+    one derived_hom call per (member, companion) pair."""
+    A = make()
+    objects = [S(A, v) for v in range(A.quiver.n)]
+    calls = []
+    inner = tilting.derived_hom
+
+    def counted(X, T, lo, hi):
+        calls.append((id(X), id(T)))
+        return inner(X, T, lo, hi)
+
+    monkeypatch.setattr(tilting, "derived_hom", counted)
+    built = build_dual_objects(objects, window=2)
+    runs = built["runs"]
+    assert all(r.status == "terminated" and r.certified_exact for r in runs)
+    assert built["verification"]["status"] == "certified"
+    assert len(calls) == len(set(calls)) == len(objects) ** 2
+    assert {T for _, T in calls} == {id(r.complex) for r in runs}
+    for i, run in enumerate(runs):
+        assert [(j, m) for j, m, got, want in run.dual_basis
+                if got != want] == []
+        assert (i, 0, 1, 1) in run.dual_basis
 
 
 @pytest.mark.parametrize("name, iso_found, verdict, reason", [
