@@ -137,14 +137,25 @@ class Algebra:
         # flattened maps), filled by complexes; a module map between
         # modules of equal dims, by value (dims, rows of its vertex
         # blocks) -> whether it is an isomorphism, and -> its inverse's
-        # vertex blocks, filled by complexes.minimize; and (side, terms,
-        # cut markers, limit) -> Resolution of a complex with no
-        # differential, filled by derived.member_resolution
+        # vertex blocks, and three maps (gamma, phi, beta) by value ->
+        # the vertex blocks of the Schur correction -gamma phi^-1 beta,
+        # filled by complexes.minimize; a degree state of an extension
+        # along a coresolution -> the components it gives, with their
+        # summand blocks, filled by complexes.extend_along; (side,
+        # terms, cut markers, limit) -> Resolution of a complex with no
+        # differential, filled by derived.member_resolution; and a
+        # syzygy that recurs in a resolution -> the period below it
+        # (vertex tuples and block dicts), filled by
+        # derived.resolve_complex (the opposite algebra keeps the
+        # coresolutions' own)
         self.sum_memo = {}
         self.hom_memo = {}
         self.iso_memo = {}
         self.inverse_memo = {}
+        self.correction_memo = {}
+        self.extension_memo = {}
         self.resolution_memo = {}
+        self.period_memo = {}
 
     # ---- construction internals ----
 

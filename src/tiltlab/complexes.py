@@ -17,9 +17,13 @@ writes into one after the complex that holds it is built.
 The terms of every complex are sums drawn from the same few
 indecomposables, so the algebra keeps a memo: one sum module per tag
 tuple (summand_sum), one hom basis with its coordinate solver per
-pair of tag tuples (hom_block), and minimize's iso test and inverse per
-block value.  It lives as long as the algebra, so every job on the
-algebra reads what earlier ones built.
+pair of tag tuples (hom_block), minimize's iso test and inverse per
+block value and its Schur correction per value of the three blocks it
+is formed from, and extend_along's solution, with its summand blocks,
+per degree state.  It lives as long as the algebra, so every job on
+the algebra reads what earlier ones built; over a self-injective
+algebra, whose coresolutions never stop but repeat, each periodic
+piece of the cone iteration is solved once per algebra.
 
 Constructing a Complex or a ChainMap never checks it: Complex.validate
 (block keys, block shapes, module maps, d^2 = 0) and ChainMap.commutes
@@ -110,24 +114,31 @@ def extend_along(iota, maps):
     and every map's component e^{k-1}.  The tags fix the hom_block
     basis and the modules, the blocks fix d_I and d_T, and the solve
     and the sum of basis maps are deterministic, so one state always
-    gives the same e^k.  Each distinct state is therefore solved once
-    per call and a repeat copies the e^k it gave (the same ModuleMap
-    objects), as resolve_complex copies a recurring syzygy's period.
-    States are compared by value (the rows of every vertex block), so a
-    period of I or T repeats even where its block dicts are not shared.
-    Over kZ_n/rad^r a coresolution repeats with a short period, and most
-    of the degrees up to the cut repeat a state.
+    gives the same e^k, in every call on the algebra.  Each distinct
+    state is therefore solved once per algebra, through its memo, and a
+    repeat copies the e^k it gave (the same ModuleMap objects), as
+    resolve_complex copies a recurring syzygy's period.  States are
+    compared by value (the rows of every vertex block), so a period of I
+    or T repeats even where its block dicts are not shared.  Over
+    kZ_n/rad^r a coresolution repeats with a short period, and most of
+    the degrees up to the cut repeat a state; so do the rounds and
+    companions of a cone iteration, which extend along the same few
+    coresolutions into targets that share their periods.
+
+    Each solution also keeps every e^k's nonzero summand blocks, sliced
+    once, and the chain maps carry them (ChainMap.grid), so cone reads
+    them instead of slicing the components again.
     """
     X, I = iota.source, iota.target
     T = maps[0].target
     A = I.algebra
     (s,) = X.parts
     comps = [{} for _ in maps]
-    solved = {}  # state of a degree above s -> the e^k it gave
+    grids = [{} for _ in maps]
     for k in range(s, I.max_deg() + 1):
         if k == s:
-            es = _extension_step(A, k, I, T, iota.comp(s),
-                                 [g.comp(s) for g in maps])
+            got = _extension_step(A, k, I, T, iota.comp(s),
+                                  [g.comp(s) for g in maps])
         else:
             state = (I.parts.get(k - 1, ()), I.parts.get(k, ()),
                      T.parts.get(k - 1, ()), T.parts.get(k, ()),
@@ -135,23 +146,25 @@ def extend_along(iota, maps):
                      _grid_value(T.blocks.get(k - 1, {})),
                      tuple(_map_value(c[k - 1]) if k - 1 in c else None
                            for c in comps))
-            es = solved.get(state)
-            if es is None:
+            got = A.extension_memo.get(state)
+            if got is None:
                 pre = I.d_full(k - 1)
                 d_T = T.d_full(k - 1)
                 rhs = [c[k - 1].then(d_T) if k - 1 in c
                        else ModuleMap.zero(pre.source, d_T.target)
                        for c in comps]
-                es = solved[state] = _extension_step(A, k, I, T, pre, rhs)
-        for c, e in zip(comps, es):
+                got = A.extension_memo[state] = _extension_step(
+                    A, k, I, T, pre, rhs)
+        for c, grid, (e, blocks) in zip(comps, grids, got):
             if e is not None:
-                c[k] = e
-    return [ChainMap(I, T, c) for c in comps]
+                c[k], grid[k] = e, blocks
+    return [ChainMap(I, T, c, grid) for c, grid in zip(comps, grids)]
 
 
 def _extension_step(A, k, I, T, pre, rhs):
     """The maps e: I^k -> T^k with pre then e = r, one per r in rhs, as
-    combinations of the hom_block basis; None for a zero map."""
+    combinations of the hom_block basis, each with its nonzero summand
+    blocks; (None, None) for a zero map."""
     f = A.field
     basis, _ = hom_block(A, I.parts.get(k, ()), T.parts.get(k, ()))
     cols = [_flatten_map(r) for r in rhs]
@@ -159,7 +172,7 @@ def _extension_step(A, k, I, T, pre, rhs):
         if any(x for col in cols for x in col):
             raise AlgebraError(f"no extension along the coaugmentation "
                                f"in degree {k}")
-        return [None] * len(rhs)
+        return [(None, None)] * len(rhs)
     M = Mat(f, [_flatten_map(pre.then(h)) for h in basis])
     sol = M.transpose().solve(Mat(f, list(zip(*cols)), ncols=len(cols)))
     if sol is None:
@@ -172,8 +185,21 @@ def _extension_step(A, k, I, T, pre, rhs):
             x = sol[b, i]
             if x:
                 acc = h.scale(x) if acc is None else acc.add(h.scale(x))
-        es.append(acc)
+        blocks = None if acc is None else _nonzero_blocks(
+            A, acc, I.parts.get(k, ()), T.parts.get(k, ()))
+        es.append((acc, blocks))
     return es
+
+
+def _nonzero_blocks(A, m, src, tgt):
+    """The nonzero summand blocks {(k, l): block} of m, a map between the
+    sums of the tag tuples src and tgt, sliced in the order of their
+    positions."""
+    rows, cols = summand_sum(A, src)[1], summand_sum(A, tgt)[1]
+    sliced = (((k, l), map_slice(m, tag_module(A, u), rows[k],
+                                 tag_module(A, v), cols[l]))
+              for k, u in enumerate(src) for l, v in enumerate(tgt))
+    return {kl: b for kl, b in sliced if not b.is_zero()}
 
 
 def _map_value(m: ModuleMap):
@@ -418,12 +444,18 @@ def direct_sum_complexes(complexes):
 class ChainMap:
     """Degreewise module maps commuting with the differentials: comps is
     {degree: ModuleMap}, an absent degree a zero component.  Construction
-    does not check that they commute; commutes() does."""
+    does not check that they commute; commutes() does.
 
-    def __init__(self, source: Complex, target: Complex, comps):
+    grids, when the builder has them (extend_along), is {degree: the
+    nonzero summand blocks {(k, l): block} of that component}, in the
+    format of Complex.blocks; grid() reads it, or slices a component
+    when it is None."""
+
+    def __init__(self, source: Complex, target: Complex, comps, grids=None):
         self.source = source
         self.target = target
         self.comps = {int(n): c for n, c in comps.items()}
+        self.grids = grids
 
     def comp(self, n):
         c = self.comps.get(n)
@@ -440,11 +472,16 @@ class ChainMap:
                 return False
         return True
 
-    def block(self, n, k, l):
-        X, Y = self.source, self.target
-        A = X.algebra
-        return map_slice(self.comp(n), tag_module(A, X.parts[n][k]), X.offsets(n)[k],
-                         tag_module(A, Y.parts[n][l]), Y.offsets(n)[l])
+    def grid(self, n):
+        """The nonzero summand blocks {(k, l): block} of the degree-n
+        component, never to be written into."""
+        if self.grids is not None:
+            return self.grids.get(n, {})
+        if n not in self.comps:
+            return {}
+        return _nonzero_blocks(self.source.algebra, self.comps[n],
+                               self.source.parts.get(n, ()),
+                               self.target.parts.get(n, ()))
 
     def then(self, other):
         if other.source is not self.target:
@@ -482,7 +519,9 @@ def cone(f: ChainMap):
     """Mapping cone of f: X -> Y.
 
     Degree n is X^{n+1} followed by Y^n; the differential is
-    (-d_X, f) on the X^{n+1} part and d_Y on the Y^n part.
+    (-d_X, f) on the X^{n+1} part and d_Y on the Y^n part.  f's blocks
+    are read from f.grid: kept by extend_along, sliced for any other
+    map.
     """
     X, Y = f.source, f.target
     algebra = X.algebra
@@ -502,11 +541,7 @@ def cone(f: ChainMap):
         # -d_X, then the nonzero blocks of f from the X rows to the Y
         # columns, then d_Y
         grid = dict(X.negated(n + 1))
-        for k in range(xp):
-            for l in range(len(Y.parts.get(n + 1, ()))):
-                blk = f.block(n + 1, k, l)
-                if not blk.is_zero():
-                    grid[k, xq + l] = blk
+        grid.update(((k, xq + l), b) for (k, l), b in f.grid(n + 1).items())
         grid.update(((xp + k, xq + l), b)
                     for (k, l), b in Y.blocks.get(n, {}).items())
         blocks[n] = grid
@@ -537,9 +572,11 @@ def minimize(X: Complex, verify=True) -> MinimizeResult:
     Each block value's iso test and inverse are read from the algebra's
     memo (keyed by the dims and vertex block rows), which lives as long
     as the algebra: values recur from call to call, and over kZ_n/rad^r
-    a few fill every cone of the iteration.  An inverse is read only for
-    a Schur correction (the cancelled block's column and row each hold
-    another block) or for the witnesses.
+    a few fill every cone of the iteration.  So does each Schur
+    correction -gamma phi^-1 beta (the cancelled block phi's column
+    holds gamma and its row beta), formed once per algebra for each
+    value of (gamma, phi, beta).  An inverse is read only for a
+    correction the memo does not hold or for the witnesses.
 
     With verify, each step's witnesses are built from its dict and
     surviving tags, composed and checked: to_min: X -> Xmin, from_min:
@@ -600,6 +637,20 @@ def _iso_inverse(algebra, blk):
     return ModuleMap(blk.target, blk.source, got)
 
 
+def _correction(gamma, phi, beta, inverse):
+    """The Schur correction -gamma phi^-1 beta, its vertex blocks formed
+    once per value of (gamma, phi, beta) through the algebra's memo,
+    around gamma's source and beta's target; inverse() gives phi^-1."""
+    algebra = phi.source.algebra
+    key = (gamma.source.dims, phi.source.dims, beta.target.dims,
+           _map_value(gamma), _map_value(phi), _map_value(beta))
+    got = algebra.correction_memo.get(key)
+    if got is None:
+        got = algebra.correction_memo[key] = \
+            gamma.then(inverse()).then(beta).scale(-1).blocks
+    return ModuleMap(gamma.source, beta.target, got)
+
+
 def _surviving(X, ids, m):
     """The tags of degree m that no cancellation has removed."""
     return tuple(X.parts[m][k] for k in ids[m]) if m in ids \
@@ -608,18 +659,18 @@ def _surviving(X, ids, m):
 
 def _cancel(grids, ids, n, k, l, inverse):
     """Cancel id k of degree n against id l of degree n + 1; inverse()
-    gives the cancelled block's inverse, read for a Schur correction."""
+    gives the cancelled block's inverse, read for a Schur correction
+    that the algebra's memo does not hold."""
     grid = grids[n]
+    phi = grid[k, l]
     new = {(a, b): blk for (a, b), blk in grid.items() if a != k and b != l}
     column = [(a, gamma) for (a, b), gamma in grid.items() if b == l and a != k]
     row = [(b, beta) for (a, b), beta in grid.items() if a == k and b != l]
-    if column and row:
-        phi_inv = inverse()
-        for a, gamma in column:
-            for b, beta in row:
-                corr = gamma.then(phi_inv).then(beta).scale(-1)
-                delta = new.get((a, b))
-                new[a, b] = corr if delta is None else delta.add(corr)
+    for a, gamma in column:
+        for b, beta in row:
+            corr = _correction(gamma, phi, beta, inverse)
+            delta = new.get((a, b))
+            new[a, b] = corr if delta is None else delta.add(corr)
     grids[n] = new
     if n - 1 in grids:
         grids[n - 1] = {ab: b for ab, b in grids[n - 1].items() if ab[1] != k}

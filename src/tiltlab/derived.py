@@ -6,12 +6,16 @@ keeps the result minimal.  Each step slices its differential into the
 block dict of complexes.Complex as soon as the degree is covered.  Below
 the source each step reads only the last syzygy, so once a syzygy recurs
 the run is periodic, and the rest down to the cut is copied from one
-period above instead of computed, block dicts included (over kZ_n/rad^r
-every simple recurs this way).  Injective coresolutions are the dual run
-over the opposite algebra, whose blocks are the transposed ones.  A run
-that terminates yields an honest quasi-isomorphic replacement; one that
-hits its length cap carries a cut marker, and every hom computed through
-it reports the degree window on which it can be trusted.
+period instead of computed, block dicts included (over kZ_n/rad^r every
+simple recurs this way).  The algebra's memo keeps each period under
+every syzygy of its cycle, so a later resolution on the algebra that
+meets one copies it at once: each period is solved once per algebra.
+Injective coresolutions are the dual run over the opposite algebra,
+whose blocks are the transposed ones and whose memo keeps their
+periods.  A run that terminates yields an honest quasi-isomorphic
+replacement; one that hits its length cap carries a cut marker, and
+every hom computed through it reports the degree window on which it can
+be trusted.
 """
 
 from collections import namedtuple
@@ -96,11 +100,14 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
     its own the triple is exact everywhere; if it is cut, the complex
     carries approx_below at its lowest degree.  Two degrees or more below
     the source, a syzygy (kernel with its arrow matrices) that was met
-    before makes the run periodic: computing stops there, and every
-    degree down to bottom is copied from one period above: its
-    projectives, its augmentation component and the block dict of its
-    differential, which the copies share.  Each computed degree slices
-    its differential into blocks as soon as it is covered.  A source
+    before makes the run periodic.  Its period (the projectives and
+    block dicts of the degrees below it, the augmentation being zero
+    there) is kept in the algebra's memo under every syzygy of the
+    cycle, so each period is found once per algebra: a run that meets
+    one of those syzygies, first or again, stops computing there and
+    copies the period down to bottom, its copies sharing the period's
+    block dicts and tag tuples.  Each computed degree slices its
+    differential into blocks as soon as it is covered.  A source
     that is itself cut from above cannot be resolved (the construction
     starts at the top, where nothing is trustworthy).  Complex.validate
     and ChainMap.commutes on the augmentation check the result.
@@ -155,26 +162,24 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
         cur_verts, cur_offsets = vlist, offs
         cur_P, cur_phi, cur_d = P, phis[n], d
         if n <= xlo - 2:
-            if K in seen:
-                # The syzygy recurs p degrees below its first sight, so
-                # the run repeats with period p from here to the cut.
-                # Below xlo - 1, X is zero in degrees n and n + 1, so step
-                # n reads only K with its action: it covers K by
-                # c: P -> K, and d_n = c then the inclusion i of K.
-                # ker(c i) = ker(c) as i is injective; kernel_module reads
-                # its basis off the reduced echelon form of the transposed
-                # block, which is unique and depends only on the block's
-                # column space, and c i has the column space of c.  So the
-                # next syzygy, with its action and its inclusion into
-                # P_n = P_{n+p}, is the one p degrees above, and so is
-                # every degree from n - 1 down.  Degree n itself is
-                # computed: d_n lands in P_{n+1}, which P_{n+p+1} need not
-                # equal.  The copies share the block dicts of the period.
-                p = seen[K] - n
-                for m in range(n - 1, bottom - 1, -1):
-                    verts[m] = verts[m + p]
-                    phis[m] = phis[m + p]
-                    blocks[m] = blocks[m + p]
+            # Below xlo - 1, X is zero in degrees n and n + 1, so step n
+            # reads only K with its action: it covers K by c: P -> K, and
+            # d_n = c then the inclusion i of K.  ker(c i) = ker(c) as i
+            # is injective; kernel_module reads its basis off the reduced
+            # echelon form of the transposed block, which is unique and
+            # depends only on the block's column space, and c i has the
+            # column space of c.  So the next syzygy, with its action and
+            # its inclusion into P_n, depends on K alone, and so does
+            # every degree from n - 1 down: the period the algebra's memo
+            # keeps under K, in this run or an earlier one.  Degree n
+            # itself is computed: d_n lands in P_{n+1}, which depends on
+            # the run.  The copies share the block dicts of the period.
+            period = A.period_memo.get(K)
+            if period is None and K in seen:
+                period = _keep_period(A, seen, K, n, verts, blocks)
+            if period is not None:
+                for i, m in enumerate(range(n - 1, bottom - 1, -1)):
+                    verts[m], blocks[m] = period[i % len(period)]
                 n = bottom - 1
                 break
             seen[K] = n
@@ -195,6 +200,24 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
     aug = ChainMap(P_cx, X, {m: f for m, f in phis.items()
                              if m in parts and f.blocks})
     return Resolution(P_cx, aug, exact)
+
+
+def _keep_period(A, seen, K, n, verts, blocks):
+    """Keep in the algebra's memo the period of a run whose syzygy K,
+    first met at step seen[K], recurs at step n, and return K's.
+
+    The degrees from seen[K] - 1 down repeat with period p = seen[K] - n,
+    and the syzygy met at step j of the cycle (n < j <= seen[K]) fixes
+    the degrees from j - 1 down: its period is the p degrees j - 1, ...,
+    j - p, read one period up where they lie below n.
+    """
+    first = seen[K]
+    cycle = [(tuple(verts[m]), blocks[m]) for m in range(first - 1, n - 1, -1)]
+    for syzygy, j in seen.items():
+        if n < j <= first:
+            A.period_memo[syzygy] = tuple(cycle[first - j:]
+                                          + cycle[:first - j])
+    return A.period_memo[K]
 
 
 def coresolve_complex(X: Complex, top=None) -> Resolution:

@@ -468,10 +468,14 @@ def assert_runs_match_the_reference(X, depth):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from(sorted(RESOLUTION_ALGEBRAS)))
 def test_periodic_runs_match_the_run_that_computes_every_degree(seed, key):
+    """Three runs on one algebra: a later one reads the periods the
+    earlier ones kept in the memo."""
     A = RESOLUTION_ALGEBRAS[key]()
     rng = random.Random(seed)
-    X = random_short_complex(A, rng)
-    assert_runs_match_the_reference(X, rng.choice([None, rng.randint(0, 14)]))
+    for _ in range(3):
+        X = random_short_complex(A, rng)
+        assert_runs_match_the_reference(
+            X, rng.choice([None, rng.randint(0, 14)]))
 
 
 def two_degree_complex(A, src, tgt):
@@ -503,6 +507,47 @@ def test_periodic_runs_match_where_a_copy_could_go_wrong(case):
         X = two_degree_complex(A, (Summand("P", 1),),
                                (Summand("S", 1), Summand("P", 0)))
     assert_runs_match_the_reference(X, 12)
+
+
+def value_of(C):
+    """A complex by value (terms, cut markers, vertex rows of each
+    block), to compare complexes over two algebras."""
+    return C.parts, C.approx_above, C.approx_below, {
+        n: {kl: tuple(b.data for b in blk.blocks.values())
+            for kl, blk in grid.items()} for n, grid in C.blocks.items()}
+
+
+def test_a_coresolution_reads_the_period_an_earlier_one_kept(monkeypatch):
+    """Over kZ_5/rad^2 the cosyzygies of S_1 run through every simple,
+    so its coresolution keeps one period under each of them, in the
+    memo of the opposite algebra.  A coresolution of any other simple
+    S_j built after it covers S_j and its first two cosyzygies, finds the second in the
+    memo and copies the rest: three covers.  It is what a fresh algebra
+    builds, and what the run that computes every degree builds, block
+    for block."""
+    top = 16
+    for j in range(1, 5):
+        A = cyclic_nakayama(PrimeField(7), 5, 2)
+        coresolve_complex(S(A, 0), top=top)
+        assert not A.period_memo and len(A.op().period_memo) == 5
+        cover, covers = derived.projective_cover, []
+        monkeypatch.setattr(derived, "projective_cover",
+                            lambda M: covers.append(M) or cover(M))
+        warm = coresolve_complex(S(A, j), top=top)
+        monkeypatch.undo()
+        assert len(covers) == 3
+        fresh = coresolve_complex(
+            S(cyclic_nakayama(PrimeField(7), 5, 2), j), top=top)
+        assert value_of(warm.complex) == value_of(fresh.complex)
+        assert {n: [b.data for b in c.values()]
+                for n, c in blocks_of(warm.aug).items()} == \
+            {n: [b.data for b in c.values()]
+             for n, c in blocks_of(fresh.aug).items()}
+        monkeypatch.setattr(derived, "resolve_complex", reference_resolve)
+        want = coresolve_complex(S(A, j), top=top)
+        monkeypatch.undo()
+        assert warm.complex == want.complex
+        assert blocks_of(warm.aug) == blocks_of(want.aug)
 
 
 def test_coresolution_cap_marks_cut(DUAL):

@@ -9,6 +9,11 @@ The hereditary A5 family (all 32 collections of simples shifted by 0 or
 -1 on 1 -> 2 -> 3 <- 4 <- 5) checks the rest: renaming vertices and
 arrows and shifting every member by one amount keep what they must, and
 jobs that share an algebra report what each reports alone, in any order.
+
+The cyclic Nakayama jobs check the memos of a self-injective algebra,
+which keep the periods of the cone iteration: a job reports the same on
+an algebra whose memos earlier jobs filled, and running the jobs again
+adds nothing to any memo.
 """
 
 import gc
@@ -151,3 +156,55 @@ def test_jobs_sharing_an_algebra_report_what_each_reports_alone():
         for name, job in parsed:
             assert _text(job) == alone[name], name
         del parsed, job
+
+
+# the (n, r) of the self-injective benchmark jobs kZ_n/rad^r
+NAKAYAMA = ((2, 3), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4))
+
+
+def nakayama_job(n, r, shift):
+    """The simples of kZ_n/rad^r over GF(31847), each shifted by shift:
+    with shift 0, a job of the self-injective benchmark workload."""
+    arrows = [{"from": i + 1, "to": (i + 1) % n + 1, "label": f"x{i + 1}"}
+              for i in range(n)]
+    relations = [{"terms": [{"coeff": 1, "path": [
+        f"x{(i + k) % n + 1}" for k in range(r)]}]} for i in range(n)]
+    return {"field": {"prime": 31847},
+            "quiver": {"vertices": n, "arrows": arrows},
+            "relations": relations,
+            "objects": "simples" if shift == 0 else {
+                "preset": "shifted", "shifts": [shift] * n}}
+
+
+def _memo_sizes(algebras):
+    """The size of every memo of the algebras and their opposites."""
+    return {(id(B), name): len(memo) for A in algebras for B in (A, A.op())
+            for name, memo in vars(B).items() if name.endswith("_memo")}
+
+
+def test_warm_memos_change_no_report_and_a_second_pass_adds_nothing():
+    # two jobs per algebra: the simples, and the simples shifted by -1
+    jobs = [(f"nakayama_{n}_{r}{shift}", nakayama_job(n, r, shift))
+            for n, r in NAKAYAMA for shift in (0, -1)]
+    alone, last = {}, None
+    for name, data in jobs:
+        gc.collect()
+        assert last is None or last() is None  # each on a fresh algebra
+        job = parse_job(data, name=name)
+        last = weakref.ref(job["algebra"])
+        alone[name] = render_report(run_pipeline(job, upto="ainf"))
+        del job
+    for ordered in (jobs, jobs[::-1]):
+        gc.collect()
+        parsed = [(name, parse_job(data, name=name)) for name, data in ordered]
+        algebras = {id(job["algebra"]): job["algebra"] for _, job in parsed}
+        assert len(algebras) == len(NAKAYAMA)
+        for name, job in parsed:
+            assert render_report(run_pipeline(job, upto="ainf")) == \
+                alone[name], name
+        filled = _memo_sizes(algebras.values())
+        for name, job in parsed:
+            assert render_report(run_pipeline(job, upto="ainf")) == \
+                alone[name], name
+        assert _memo_sizes(algebras.values()) == filled
+        del parsed, job, algebras

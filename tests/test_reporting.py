@@ -209,15 +209,19 @@ def test_render_is_pure_text_with_stable_sections():
 
 
 def test_a_construction_not_certified_end_to_end_closes_the_gate():
-    """a2_apr with no cone budget: T1 stops at budget_exceeded, so
-    check_tilting's certified flag is off, Gamma is not presented and
-    the cross-check is skipped."""
+    """a2_apr with no cone budget: T1 stops at budget_exceeded, so its
+    run line does not read certified, check_tilting's certified flag is
+    off, Gamma is not presented and the cross-check is skipped."""
     path = default_corpus_dir() / "a2_apr.json"
     job = parse_job(json.loads(path.read_text()), name="a2_apr",
                     overrides={"budget": 0})
     rep = run_pipeline(job, upto="ainf")
     assert [r["status"] for r in rep["construction"]["runs"]] == [
         "budget_exceeded", "terminated"]
+    assert [r["certified"] for r in rep["construction"]["runs"]] == [
+        False, True]
+    assert "T1: [0: I2]  status=budget_exceeded cones=0 certified=no\n" \
+        in render_report(rep)
     assert rep["exit_code"] == reporting.EXIT_INCONCLUSIVE == 3
     assert rep["gamma"] == {"status": "skipped: the construction is not "
                                       "certified end to end"}

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import tilting
+from tiltlab import complexes, tilting
 from tiltlab.algebra import (Algebra, AlgebraError, ModuleMap, Quiver,
                              hom_basis)
 from tiltlab.complexes import (
@@ -38,7 +38,7 @@ from tiltlab.tilting import (
 
 from test_derived import (STALK_ALGEBRAS, _flat, combine, cyclic_nakayama,
                           random_stalk)
-from test_direct_sums import reference_minimize
+from test_direct_sums import recording_cancel, reference_minimize
 
 
 @pytest.fixture
@@ -356,24 +356,31 @@ def test_extension_equals_the_extension_solved_in_every_degree(seed, key):
 def test_extension_solves_each_repeated_degree_once(monkeypatch):
     """The coresolution of a simple over kZ_3/rad^3 repeats with period
     2 (Omega^-2 S_i = S_(i-3) = S_i), and so does the extension of its
-    coaugmentation along itself.  So extending it to top 30, or 40,
-    takes one solve in degree 0 and one per state of the period: the
-    count is bounded by the distinct states, not by the top."""
+    coaugmentation along itself.  So extending it to top 30 takes one
+    solve in degree 0 and one per state of the period.  The states are
+    kept in the algebra's memo, so a second extension on the algebra, to
+    top 40, solves degree 0 alone: the count is bounded by the distinct
+    states of the algebra, not by the top or the number of calls."""
     A = cyclic_nakayama(PrimeField(7), 3, 3)
-    solve = Mat.solve
-    for top in (30, 40):
+    solve, step = Mat.solve, complexes._extension_step
+    for top, degrees in ((30, [0, 1, 2]), (40, [0])):
         iota = coresolve_complex(S(A, 0), top=top).aug
         assert sorted(iota.target.parts) == list(range(top + 1))
-        calls = []
+        calls, solved = [], []
 
         def counted(self, b):
-            calls.append(1)
+            calls.append(solved[-1])
             return solve(self, b)
 
+        def stepping(A, k, *args):
+            solved.append(k)
+            return step(A, k, *args)
+
         monkeypatch.setattr(Mat, "solve", counted)
+        monkeypatch.setattr(complexes, "_extension_step", stepping)
         (lift,) = extend_along(iota, [iota])
-        monkeypatch.setattr(Mat, "solve", solve)
-        assert len(calls) == 3
+        monkeypatch.undo()
+        assert calls == degrees
         assert lift.comps == extension_solving_every_degree(iota, [iota])[0]
 
 
@@ -411,6 +418,81 @@ def test_minimize_equals_the_reference_on_cones_along_a_coresolution(
         if rng.random() < 0.3:
             assert minimize(C).complex == want
         T = clip(want)
+
+
+def lifted_class_maps(A):
+    """(I, T, lifts) over kZ_n/rad^r: for every simple S_v, T its
+    minimized coresolution, and every S_u[m] with m = -3, -2, -1 that
+    maps to T, I the coresolution of S_u[m] and lifts its classes S_u[m]
+    -> T extended along it."""
+    tau = 2 * A.dim + 4
+    cores = [coresolve_complex(S(A, v), top=tau) for v in range(A.quiver.n)]
+    for core in cores:
+        T = minimize(core.complex, verify=False).complex
+        for m in (-3, -2, -1):
+            for u, cu in enumerate(cores):
+                U = S(A, u).shift(m)
+                maps, _ = h0_chain_maps(U, T)
+                if maps:
+                    iota = shift_coresolution(cu, U, m, tau)
+                    yield iota.target, T, extend_along(iota, maps)
+
+
+def value(m):
+    """A module map by value: its modules' dims and its vertex rows."""
+    return m.source.dims, m.target.dims, tuple(
+        b.data for b in m.blocks.values())
+
+
+@pytest.mark.parametrize("key", sorted(NAKAYAMA_ALGEBRAS))
+def test_minimize_forms_each_schur_correction_once(key):
+    """The cones of lifted class maps cancel iso blocks whose column and
+    row hold further blocks, and the corrections -gamma phi^-1 beta
+    repeat: over kZ_n/rad^r a few values fill every cone.  On a fresh
+    algebra each distinct value (gamma, phi, beta) is formed once, two
+    compositions each, and minimize makes no other composition."""
+    A = NAKAYAMA_ALGEBRAS[key]()
+    wanted, formed = [], []
+
+    def record(step, grid, k, l):
+        wanted.extend((value(gamma), value(grid[k, l]), value(beta))
+                      for (a, b), gamma in grid.items() if b == l and a != k
+                      for (c, d), beta in grid.items() if c == k and d != l)
+
+    then = ModuleMap.then
+
+    def composing(self, other):
+        formed.append(1)
+        return then(self, other)
+
+    cones = [cone(e) for _, _, lifts in lifted_class_maps(A) for e in lifts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_cancel", recording_cancel(record))
+        mp.setattr(ModuleMap, "then", composing)
+        mins = [minimize(C, verify=False).complex for C in cones]
+    assert len(wanted) > len(set(wanted))
+    assert len(formed) == 2 * len(set(wanted)) == 2 * len(A.correction_memo)
+    assert mins == [reference_minimize(C)[0] for C in cones]
+
+
+@pytest.mark.parametrize("key", sorted(NAKAYAMA_ALGEBRAS))
+def test_cone_reads_the_blocks_an_extension_kept(key):
+    """A lifted class map carries its components' nonzero summand blocks,
+    and so does a map assembled from two lifts; cone reads them and
+    slices nothing.  Its cone is the cone of the same components sliced,
+    block for block."""
+    A = NAKAYAMA_ALGEBRAS[key]()
+    cones = 0
+    for I, T, lifts in lifted_class_maps(A):
+        maps = [(I, e) for e in lifts]
+        assembled = tilting._assemble_evaluation(maps + maps[:1], T)
+        for U, f in maps + [assembled]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(complexes, "map_slice", None)
+                got = cone(f)
+            assert got == cone(ChainMap(U, T, f.comps))
+            cones += 1
+    assert cones > 4
 
 
 def test_minimize_reads_rank_once_per_block_value():
@@ -479,6 +561,7 @@ def test_budget_exhaustion_is_reported(A2):
     rep = check_tilting([S(A2, 0), S(A2, 1)], window=2, budget=0)
     assert rep["runs"][0].status == "terminated"
     assert rep["runs"][1].status == "budget_exceeded"
+    assert not rep["runs"][1].certified_exact
     assert rep["verdict"] == "INCONCLUSIVE"
     assert "stopped early" in rep["verdict_reason"]
     assert rep["verification"]["failures"]
