@@ -143,11 +143,16 @@ class Algebra:
         # along a coresolution -> the components it gives, with their
         # summand blocks, filled by complexes.extend_along; (side,
         # terms, cut markers, limit) -> Resolution of a complex with no
-        # differential, filled by derived.member_resolution; and a
+        # differential, filled by derived.member_resolution; a
         # syzygy that recurs in a resolution -> the period below it
         # (vertex tuples and block dicts), filled by
         # derived.resolve_complex (the opposite algebra keeps the
-        # coresolutions' own)
+        # coresolutions' own); and a pair of complexes with no
+        # differential and no cut marker, by (source's terms, target's
+        # terms, both relative to their lowest degrees, offset between
+        # those degrees) -> {m: dim Hom(source, target[m])} for the
+        # certified m the collection check reads, filled by
+        # derived.validate_simple_minded
         self.sum_memo = {}
         self.hom_memo = {}
         self.iso_memo = {}
@@ -156,6 +161,7 @@ class Algebra:
         self.extension_memo = {}
         self.resolution_memo = {}
         self.period_memo = {}
+        self.validation_memo = {}
 
     # ---- construction internals ----
 

@@ -250,6 +250,7 @@ class Complex:
         self.approx_below = approx_below
         self._sums = {}
         self._dfull = {}
+        self._homology = None
         self._negated = {}  # id of a block dict held here -> its negation
 
     # ---- structure access ----
@@ -392,7 +393,15 @@ class Complex:
     def homology_dims(self):
         """{n: dimension vector of H^n} over the support, from the ranks
         of the differential's vertex blocks (untrustworthy outside
-        (approx_below, approx_above))."""
+        (approx_below, approx_above)).
+
+        A complex is fixed at construction, so the dict is computed on
+        the first call and kept, as the sum modules and differentials
+        are; every later call returns the same dict, never to be written
+        into.
+        """
+        if self._homology is not None:
+            return self._homology
         d = {n: self.d_full(n) for n in self.blocks}
         for n in d:
             if n + 1 in d and not d[n].then(d[n + 1]).is_zero():
@@ -409,6 +418,7 @@ class Complex:
             dims = tuple(h.get(n, 0) for h in per_vertex)
             if any(dims):
                 out[n] = dims
+        self._homology = out
         return out
 
 
@@ -762,10 +772,12 @@ class HomComplex:
         A = X.algebra
         self.field = A.field
         self.bases = {}
+        self._valid = self._valid_range()
         # (n, k) -> (index of the block's first entry, its Echelon)
         self._solvers = {}
-        lo = min((m - k for k in X.parts for m in Y.parts), default=0)
-        hi = max((m - k for k in X.parts for m in Y.parts), default=-1)
+        lo, hi = 0, -1
+        if X.parts and Y.parts:
+            lo, hi = Y.min_deg() - X.max_deg(), Y.max_deg() - X.min_deg()
         if degrees is not None:
             lo, hi = max(lo, degrees[0]), min(hi, degrees[1])
         for n in range(lo, hi + 1):
@@ -849,7 +861,12 @@ class HomComplex:
         long exact sequence of the truncation triangle: the error term
         Hom(discarded part, Y) or Hom(X, discarded part) is concentrated
         in hom degrees computable from the supports.  None = unbounded.
+        Both complexes and their markers are fixed at construction, so
+        the bounds are computed once, when the hom complex is built.
         """
+        return self._valid
+
+    def _valid_range(self):
         lo, hi = None, None
         if self.X.parts and self.Y.parts:
             xlo, xhi = min(self.X.parts), max(self.X.parts)
@@ -873,7 +890,7 @@ class HomComplex:
         return lo, hi
 
     def is_valid_degree(self, n):
-        lo, hi = self.valid_range()
+        lo, hi = self._valid
         return (lo is None or n >= lo) and (hi is None or n <= hi)
 
     def h_dim(self, n):

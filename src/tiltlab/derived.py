@@ -243,10 +243,11 @@ def member_resolution(X: Complex, side, limit=None) -> Resolution:
     it: every step reads degrees only relative to X's (the default
     limit too), and with no differential there is no sign to move.  So
     the memo is keyed by the side and by the terms, markers and limit
-    taken relative to X's lowest degree, and an entry serves X at any
-    degree: it is re-indexed by the distance between the two, its
-    degrees, cut markers and augmentation moved and nothing else, not
-    signed as Complex.shift would sign an odd shift.  The result is the
+    taken relative to X's lowest degree (the terms by _relative_terms,
+    which keys the collection check's memo too), and an entry serves X
+    at any degree: it is re-indexed by the distance between the two,
+    its degrees, cut markers and augmentation moved and nothing else,
+    not signed as Complex.shift would sign an odd shift.  The result is the
     very resolution the call would build, for every later member with
     that key, in this job or another on the algebra.  Each call gets its
     own Complex over the entry's terms and blocks, so the differentials
@@ -258,10 +259,9 @@ def member_resolution(X: Complex, side, limit=None) -> Resolution:
     build = resolve_complex if side == "P" else coresolve_complex
     if X.blocks:
         return build(X, limit)
-    low = X.min_deg()
-    key = (side, tuple((n - low, p) for n, p in sorted(X.parts.items())),
-           _moved(X.approx_above, -low), _moved(X.approx_below, -low),
-           _moved(limit, -low))
+    low, terms = _relative_terms(X)
+    key = (side, terms, _moved(X.approx_above, -low),
+           _moved(X.approx_below, -low), _moved(limit, -low))
     memo = X.algebra.resolution_memo
     got = memo.get(key)
     if got is None:
@@ -276,6 +276,19 @@ def member_resolution(X: Complex, side, limit=None) -> Resolution:
     comps = {n + step: c for n, c in res.aug.comps.items()}
     aug = ChainMap(R, X, comps) if side == "P" else ChainMap(X, R, comps)
     return Resolution(R, aug, res.exact)
+
+
+def _relative_terms(X: Complex):
+    """(X's lowest degree, X's terms in degree order, each degree taken
+    relative to the lowest).
+
+    With the cut markers, this fixes a complex with no differential up
+    to a translation of its degrees, which moves no hom dimension
+    between two such complexes when both move.  member_resolution and
+    validate_simple_minded key their memos by it.
+    """
+    low = X.min_deg()
+    return low, tuple((n - low, p) for n, p in sorted(X.parts.items()))
 
 
 def _moved(n, step):
@@ -503,19 +516,36 @@ def validate_simple_minded(objects, cone_budget=48):
     by the cone search when it reaches every simple; unimodularity of
     the class matrix is reported as the necessary part otherwise.
 
-    Each member that is not a complex of projectives is resolved once,
-    to the deepest bottom any target needs (the lowest target degree
-    minus two), and that resolution is the source of every hom out of
-    it: a deeper cut agrees with a shallower one in every degree the
+    Conditions 1 and 2 read dim Hom(X_i, X_j[m]) for
+    min(floor, 0) <= m <= 0 for each ordered pair of members, floor the
+    distance between X_j's lowest and X_i's highest homology degree.  A
+    pair of members with no differential and no cut marker (every
+    member a job builds) is fixed by its relative terms and the offset
+    between its lowest degrees (_relative_terms), and so are those
+    dimensions and floor: moving both members by one degree changes
+    none of them.  The algebra's validation memo keeps them under that
+    key once every one was certified, so a pair met before, in this job
+    or another on the algebra, is read, not computed.  A pair that
+    misses is one derived_hom over X_i's resolution.  Each member that
+    is not a complex of projectives is resolved at its first miss, to
+    the deepest bottom any target needs (the lowest target degree minus
+    two), and that resolution is the source of every hom out of it: a
+    deeper cut agrees with a shallower one in every degree the
     shallower one computes.  The resolution comes from
-    member_resolution, so a stalk resolved to the same bottom before,
-    in this job or another on the algebra, is not resolved again.
+    member_resolution, so a stalk resolved to the same bottom before is
+    not resolved again.  A member with no miss is not resolved.  Each
+    member's homology is computed once (Complex.homology_dims) and read
+    for its window, its class vector, its stalk profile and its
+    generation signature.
     """
     A = objects[0].algebra
     mins = [minimize(X, verify=False).complex for X in objects]
     windows = [_homology_window(X) for X in mins]
     bottom = min((X.min_deg() for X, w in zip(mins, windows) if w is not None),
                  default=0) - 2
+    fixed = [None if X.blocks or X.approx_above is not None
+             or X.approx_below is not None else _relative_terms(X)
+             for X in mins]
 
     report = {"objects": [X.describe() for X in mins]}
     report["count"] = {
@@ -532,24 +562,33 @@ def validate_simple_minded(objects, cone_budget=48):
             # acyclic member: no negative maps to check, endo check
             # below will fail it
             continue
-        if not all_tags(Xi, "P"):
-            Xi = member_resolution(Xi, "P", bottom).complex
+        source = None  # Xi's resolution, built at its first miss
         for j, Xj in enumerate(mins):
             wj = windows[j]
             if wj is None:
                 continue
-            # one hom complex for the negative shifts and shift zero
             floor = wj[0] - wi[1]
-            tab = derived_hom(Xi, Xj, min(floor, 0), 0)
+            key = None
+            if fixed[i] is not None and fixed[j] is not None:
+                (li, ti), (lj, tj) = fixed[i], fixed[j]
+                key = (ti, tj, lj - li)
+            dims = None if key is None else A.validation_memo.get(key)
+            if dims is None:
+                if source is None:
+                    source = Xi if all_tags(Xi, "P") else \
+                        member_resolution(Xi, "P", bottom).complex
+                # one hom complex for the negative shifts and shift zero
+                tab = derived_hom(source, Xj, min(floor, 0), 0)
+                dims = {m: tab.dim(m) for m in range(min(floor, 0), 1)}
+                if key is not None:
+                    A.validation_memo[key] = dims
             for m in range(floor, 0):
-                d = tab.dim(m)
-                if d:
+                if dims[m]:
                     fail1.append({"source": i, "target": j,
-                                  "shift": m, "dim": d})
-            d0 = tab.dim(0)
+                                  "shift": m, "dim": dims[m]})
             want = 1 if i == j else 0
-            if d0 != want:
-                fail2.append({"source": i, "target": j, "dim": d0,
+            if dims[0] != want:
+                fail2.append({"source": i, "target": j, "dim": dims[0],
                               "expected": want})
     for i, w in enumerate(windows):
         if w is None:

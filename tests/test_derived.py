@@ -1,7 +1,12 @@
 """Resolutions, coresolutions, derived hom tables, collection checks."""
 
+import functools
+import gc
+import importlib.util
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +52,7 @@ from tiltlab.derived import (
     validate_simple_minded,
 )
 from tiltlab.linalg import QQ, Mat, PrimeField, is_unimodular
+from tiltlab.reporting import parse_job
 
 from test_direct_sums import dense_blocks
 
@@ -829,42 +835,65 @@ def _per_pair_failures(objects):
     return fail1, fail2
 
 
+def _members(n):
+    """The (kind, vertex, degree) of a collection of stalks on n vertices:
+    each simple in a degree of its own, sometimes with one dropped or
+    with a stalk of any kind added, so that failing counts and
+    projective or injective members are reached too."""
+    @st.composite
+    def members(draw):
+        shifts = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
+        out = [("S", v, s) for v, s in enumerate(shifts)]
+        extra = draw(st.sampled_from(["none", "none", "drop", "add"]))
+        if extra == "drop":
+            out.pop(draw(st.integers(0, n - 1)))
+        elif extra == "add":
+            out.append((draw(st.sampled_from("SPI")),
+                        draw(st.integers(0, n - 1)),
+                        draw(st.integers(-2, 1))))
+        return out
+    return members()
+
+
 @st.composite
 def _collections(draw):
+    """(a builder of a fresh algebra, a collection, a second collection
+    over the same algebra), each collection as _members gives it."""
     shape = draw(st.sampled_from(["A3", "A4", "nakayama_3_3"]))
     if shape == "nakayama_3_3":
-        A = _cyclic_nakayama_3_3()
+        n, build = 3, _cyclic_nakayama_3_3
     else:
         n = int(shape[1])
-        A = _hereditary(n, draw(st.lists(st.booleans(), min_size=n - 1,
-                                         max_size=n - 1)))
-    n = A.quiver.n
-    shifts = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
-    members = [("S", v, s) for v, s in enumerate(shifts)]
-    # sometimes drop a simple or add a stalk of any kind, so that failing
-    # counts and projective or injective members are reached too
-    extra = draw(st.sampled_from(["none", "none", "drop", "add"]))
-    if extra == "drop":
-        members.pop(draw(st.integers(0, n - 1)))
-    elif extra == "add":
-        members.append((draw(st.sampled_from("SPI")),
-                        draw(st.integers(0, n - 1)), draw(st.integers(-2, 1))))
+        flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        build = functools.partial(_hereditary, n, flips)
+    return build, draw(_members(n)), draw(_members(n))
+
+
+def _stalks(A, members):
     return [stalk_complex(A, Summand(kind, v), deg)
             for kind, v, deg in members]
 
 
 @settings(max_examples=100, deadline=None)
 @given(_collections())
-def test_validation_matches_the_per_pair_reference(objects):
-    rep = validate_simple_minded(objects)
-    fail1, fail2 = _per_pair_failures(objects)
-    assert rep["cond1"] == {"status": "FAIL" if fail1 else "PASS",
-                            "failures": fail1}
-    assert rep["cond2"] == {"status": "FAIL" if fail2 else "PASS",
-                            "failures": fail2}
-    assert rep["is_smc"] == (rep["count"]["status"] == "PASS"
-                             and not fail1 and not fail2
-                             and rep["cond3"]["status"] != "FAIL")
+def test_validation_matches_the_per_pair_reference(drawn):
+    build, members, others = drawn
+    # on a fresh algebra, and on one whose validation memo the other
+    # collection filled first
+    for warm in (None, others):
+        A = build()
+        if warm is not None:
+            validate_simple_minded(_stalks(A, warm))
+        objects = _stalks(A, members)
+        rep = validate_simple_minded(objects)
+        fail1, fail2 = _per_pair_failures(objects)
+        assert rep["cond1"] == {"status": "FAIL" if fail1 else "PASS",
+                                "failures": fail1}
+        assert rep["cond2"] == {"status": "FAIL" if fail2 else "PASS",
+                                "failures": fail2}
+        assert rep["is_smc"] == (rep["count"]["status"] == "PASS"
+                                 and not fail1 and not fail2
+                                 and rep["cond3"]["status"] != "FAIL")
 
 
 def test_validation_resolves_each_member_once(monkeypatch):
@@ -880,3 +909,83 @@ def test_validation_resolves_each_member_once(monkeypatch):
     validate_simple_minded(objects)
     assert len(calls) == 5
     assert len({X.describe() for X in calls}) == 5
+
+
+# ---- the hereditary benchmark family on one algebra ----
+
+def _load_workloads():
+    """bench/workloads.py, which generates the benchmark's jobs and
+    imports nothing of tiltlab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hereditary_family(seed):
+    """(job dict, parsed job) for the 32 collections of simples shifted by
+    0 or -1 on one relabelled A5, as the benchmark builds them at seed;
+    all parsed before any runs, so every job holds one algebra, a fresh
+    one once no earlier job holds it."""
+    gc.collect()
+    jobs = [(data, parse_job(data, name=name))
+            for name, data in _load_workloads().hereditary_jobs(seed)]
+    assert len({id(job["algebra"]) for _, job in jobs}) == 1
+    return jobs
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_hereditary_family_fails_orthogonality_exactly_at_its_arrows(
+        seed):
+    # S_v sits in degree s_v.  A is hereditary, so Ext^{>=2} = 0, and
+    # Ext^1(S_i, S_j) has one dimension per arrow i -> j.  Between
+    # degrees 0 and -1 no negative shift reaches Hom or Ext^1, so
+    # condition 1 holds, and Hom(S_i, S_j[0]) = Ext^1(S_i, S_j) is
+    # nonzero exactly when i -> j and (s_i, s_j) = (0, -1).
+    for data, job in _hereditary_family(seed):
+        shifts = data["objects"]["shifts"]
+        arrows = Counter((a["from"] - 1, a["to"] - 1)
+                         for a in data["quiver"]["arrows"])
+        rep = validate_simple_minded(job["objects"])
+        assert rep["cond1"] == {"status": "PASS", "failures": []}
+        want = [{"source": i, "target": j, "dim": arrows[i, j],
+                 "expected": 0}
+                for i in range(5) for j in range(5)
+                if arrows[i, j] and (shifts[i], shifts[j]) == (0, -1)]
+        assert rep["cond2"] == {"status": "FAIL" if want else "PASS",
+                                "failures": want}
+
+
+def test_validation_asks_each_stalk_pair_once_per_algebra(monkeypatch):
+    jobs = _hereditary_family(0)
+    assert not jobs[0][1]["algebra"].validation_memo
+    homs, resolutions = [], []
+
+    def counting_hom(X, Y, *args):
+        homs.append((X, Y))
+        return derived_hom(X, Y, *args)
+
+    def counting_resolution(X, *args):
+        resolutions.append(X)
+        return member_resolution(X, *args)
+
+    monkeypatch.setattr(derived, "derived_hom", counting_hom)
+    monkeypatch.setattr(derived, "member_resolution", counting_resolution)
+    # a pair of stalks is its two tag tuples and the distance between
+    # their degrees
+    pairs = {(X.parts[X.min_deg()], Y.parts[Y.min_deg()],
+              Y.min_deg() - X.min_deg())
+             for _, job in jobs for X in job["objects"]
+             for Y in job["objects"]}
+    for _, job in jobs:
+        validate_simple_minded(job["objects"])
+    # 5 pairs of a simple with itself, 20 ordered pairs of two simples
+    # at 3 distances; the 32 jobs ask 32 * 25 = 800
+    assert len(homs) == len(pairs) == 5 + 20 * 3
+    # on the warm algebra every pair is read: nothing is resolved
+    homs.clear()
+    resolutions.clear()
+    for _, job in jobs:
+        validate_simple_minded(job["objects"])
+    assert homs == resolutions == []

@@ -203,6 +203,9 @@ def test_warm_memos_change_no_report_and_a_second_pass_adds_nothing():
             assert render_report(run_pipeline(job, upto="ainf")) == \
                 alone[name], name
         filled = _memo_sizes(algebras.values())
+        # the collection check's memo is among them, and the jobs fill it
+        assert all(filled[id(A), "validation_memo"]
+                   for A in algebras.values())
         for name, job in parsed:
             assert render_report(run_pipeline(job, upto="ainf")) == \
                 alone[name], name
