@@ -395,10 +395,14 @@ def collection_ext_model(objects, arity_cap=4):
     """Minimal model of the endomorphism dg algebra of resolutions.
 
     Each object is replaced by its projective form, from
-    derived.member_resolution, which shares a stalk's resolution with
-    every job on the algebra.  The resolutions must terminate, otherwise
-    the endomorphism algebra would only see a truncation and the
-    transferred operations would be wrong in high degrees.
+    derived.member_resolution at the default bottom, the entry
+    derived.validate_simple_minded fills too unless a target lies far
+    below the member, so a stalk's resolution is shared with validation
+    and every job on the algebra.  The resolutions must terminate, otherwise the
+    endomorphism algebra would only see a truncation and the transferred
+    operations would be wrong in high degrees; over a self-injective
+    algebra none does, and finding that out costs one memo read per
+    member once validation ran.
     """
     forms = []
     for X in objects:

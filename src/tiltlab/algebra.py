@@ -144,8 +144,9 @@ class Algebra:
         # summand blocks, filled by complexes.extend_along; (side,
         # terms, cut markers, limit) -> Resolution of a complex with no
         # differential, filled by derived.member_resolution; a
-        # syzygy that recurs in a resolution -> the period below it
-        # (vertex tuples and block dicts), filled by
+        # module a resolution step covers (a syzygy, or a stalk's term)
+        # that recurs -> the period below it (vertex tuples and block
+        # dicts), filled by
         # derived.resolve_complex (the opposite algebra keeps the
         # coresolutions' own); and a pair of complexes with no
         # differential and no cut marker, by (source's terms, target's

@@ -10,6 +10,8 @@ period instead of computed, block dicts included (over kZ_n/rad^r every
 simple recurs this way).  The algebra's memo keeps each period under
 every syzygy of its cycle, so a later resolution on the algebra that
 meets one copies it at once: each period is solved once per algebra.
+A complex in one degree (a stalk) reads the memo from its first step,
+so a stalk whose module lies in a kept cycle costs one cover.
 Injective coresolutions are the dual run over the opposite algebra,
 whose blocks are the transposed ones and whose memo keeps their
 periods.  A run that terminates yields an honest quasi-isomorphic
@@ -56,6 +58,13 @@ def default_depth(algebra, span):
     return 2 * algebra.dim + span + 2
 
 
+def _default_limit(X: Complex, side):
+    """The bottom resolve_complex (side "P") or the top coresolve_complex
+    (side "I") takes for X when the caller gives none."""
+    depth = default_depth(X.algebra, X.max_deg() - X.min_deg())
+    return X.min_deg() - depth if side == "P" else X.max_deg() + depth
+
+
 # ---- duality between a complex and its opposite-algebra counterpart ----
 
 def dual_complex(X: Complex) -> Complex:
@@ -98,19 +107,23 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
 
     bottom caps how deep the construction may run.  If the run stops on
     its own the triple is exact everywhere; if it is cut, the complex
-    carries approx_below at its lowest degree.  Two degrees or more below
-    the source, a syzygy (kernel with its arrow matrices) that was met
-    before makes the run periodic.  Its period (the projectives and
-    block dicts of the degrees below it, the augmentation being zero
-    there) is kept in the algebra's memo under every syzygy of the
-    cycle, so each period is found once per algebra: a run that meets
-    one of those syzygies, first or again, stops computing there and
-    copies the period down to bottom, its copies sharing the period's
-    block dicts and tag tuples.  Each computed degree slices its
-    differential into blocks as soon as it is covered.  A source
-    that is itself cut from above cannot be resolved (the construction
-    starts at the top, where nothing is trustworthy).  Complex.validate
-    and ChainMap.commutes on the augmentation check the result.
+    carries approx_below at its lowest degree.  Each step covers a
+    module W (kernel with its arrow matrices).  Two degrees or more
+    below the source W is the last syzygy, and when X has one degree W
+    fixes every degree below its step from the first step on, so there
+    a W that was met before makes the run periodic.  Its period (the
+    projectives and block dicts of the degrees below it, the
+    augmentation being zero there) is kept in the algebra's memo under
+    every W of the cycle, so each period is found once per algebra: a
+    stalk whose module lies in a kept cycle computes one cover, and a
+    run that meets one of those modules, first or again, stops
+    computing there and copies the period down to bottom, its copies
+    sharing the period's block dicts and tag tuples.  Each computed
+    degree slices its differential into blocks as soon as it is
+    covered.  A source that is itself cut from above cannot be resolved
+    (the construction starts at the top, where nothing is trustworthy).
+    Complex.validate and ChainMap.commutes on the augmentation check the
+    result.
     """
     A = X.algebra
     if X.approx_above is not None:
@@ -120,13 +133,13 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
         return Resolution(Z, ChainMap(Z, X, {}), True)
     xhi, xlo = X.max_deg(), X.min_deg()
     if bottom is None:
-        bottom = xlo - default_depth(A, xhi - xlo)
+        bottom = _default_limit(X, "P")
     origin = (0,) * A.quiver.n  # offsets of a module that is one summand
 
     verts = {}
     phis = {}
     blocks = {}
-    seen = {}  # syzygy below the source -> the degree it was first met
+    seen = {}  # covered module that fixes the degrees below -> its step
     cur_verts, cur_offsets = [], []
     cur_P = zero_module(A)
     cur_phi = ModuleMap.zero(cur_P, X.module(xhi + 1))
@@ -161,28 +174,35 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
         blocks[n] = {kl: b for kl, b in sliced if not b.is_zero()}
         cur_verts, cur_offsets = vlist, offs
         cur_P, cur_phi, cur_d = P, phis[n], d
-        if n <= xlo - 2:
-            # Below xlo - 1, X is zero in degrees n and n + 1, so step n
-            # reads only K with its action: it covers K by c: P -> K, and
-            # d_n = c then the inclusion i of K.  ker(c i) = ker(c) as i
-            # is injective; kernel_module reads its basis off the reduced
-            # echelon form of the transposed block, which is unique and
-            # depends only on the block's column space, and c i has the
-            # column space of c.  So the next syzygy, with its action and
-            # its inclusion into P_n, depends on K alone, and so does
-            # every degree from n - 1 down: the period the algebra's memo
-            # keeps under K, in this run or an earlier one.  Degree n
-            # itself is computed: d_n lands in P_{n+1}, which depends on
-            # the run.  The copies share the block dicts of the period.
-            period = A.period_memo.get(K)
-            if period is None and K in seen:
-                period = _keep_period(A, seen, K, n, verts, blocks)
+        if n <= xlo - 2 or xhi == xlo:
+            # Step n covers W by c: P -> W, and every degree from n - 1
+            # down depends on W alone.  Below xlo - 1, X is zero in
+            # degrees n and n + 1, so W is K by value and d_n is c then
+            # the inclusion i of K.  ker(c i) = ker(c) as i is injective;
+            # kernel_module reads its basis off the reduced echelon form
+            # of the transposed block, which is unique and depends only
+            # on the block's column space, and c i has the column space
+            # of c.  So the next syzygy, with its action and its
+            # inclusion into P_n, is ker(c).  When X has the one degree
+            # xlo, step xlo covers W = X_xlo and d_xlo is zero, so the
+            # next K is all of P_xlo; step xlo - 1 covers the kernel of
+            # the augmentation, c then the injective W -> X_xlo, which
+            # is ker(c) again, and its d is the cover then the inclusion
+            # into K = P_xlo.  There too the degrees below read W, not
+            # K, from the first step on.  Either way the degrees from
+            # n - 1 down are the period the algebra's memo keeps under
+            # W, in this run or an earlier one.  Degree n itself is
+            # computed: d_n lands in P_{n+1}, which depends on the run.
+            # The copies share the block dicts of the period.
+            period = A.period_memo.get(W)
+            if period is None and W in seen:
+                period = _keep_period(A, seen, W, n, verts, blocks)
             if period is not None:
                 for i, m in enumerate(range(n - 1, bottom - 1, -1)):
                     verts[m], blocks[m] = period[i % len(period)]
                 n = bottom - 1
                 break
-            seen[K] = n
+            seen[W] = n
         n -= 1
 
     # one tag tuple per distinct vertex tuple, so a copied period shares
@@ -203,13 +223,14 @@ def resolve_complex(X: Complex, bottom=None) -> Resolution:
 
 
 def _keep_period(A, seen, K, n, verts, blocks):
-    """Keep in the algebra's memo the period of a run whose syzygy K,
-    first met at step seen[K], recurs at step n, and return K's.
+    """Keep in the algebra's memo the period of a run whose covered
+    module K, first met at step seen[K], recurs at step n, and return
+    K's.
 
     The degrees from seen[K] - 1 down repeat with period p = seen[K] - n,
-    and the syzygy met at step j of the cycle (n < j <= seen[K]) fixes
-    the degrees from j - 1 down: its period is the p degrees j - 1, ...,
-    j - p, read one period up where they lie below n.
+    and the module covered at step j of the cycle (n < j <= seen[K])
+    fixes the degrees from j - 1 down: its period is the p degrees
+    j - 1, ..., j - p, read one period up where they lie below n.
     """
     first = seen[K]
     cycle = [(tuple(verts[m]), blocks[m]) for m in range(first - 1, n - 1, -1)]
@@ -236,7 +257,9 @@ def coresolve_complex(X: Complex, top=None) -> Resolution:
 def member_resolution(X: Complex, side, limit=None) -> Resolution:
     """resolve_complex(X, bottom=limit) for side "P" and
     coresolve_complex(X, top=limit) for side "I", kept in the algebra's
-    resolution memo when X has no differential.
+    resolution memo when X has no differential.  limit None is the
+    default bottom or top those take, and is keyed as that degree, so
+    the two spellings share one entry.
 
     Such a complex (every member a job builds is a stalk) is fixed by its
     terms and cut markers.  Both builders are translation invariant on
@@ -259,6 +282,8 @@ def member_resolution(X: Complex, side, limit=None) -> Resolution:
     build = resolve_complex if side == "P" else coresolve_complex
     if X.blocks:
         return build(X, limit)
+    if limit is None:
+        limit = _default_limit(X, side)
     low, terms = _relative_terms(X)
     key = (side, terms, _moved(X.approx_above, -low),
            _moved(X.approx_below, -low), _moved(limit, -low))
@@ -528,15 +553,19 @@ def validate_simple_minded(objects, cone_budget=48):
     or another on the algebra, is read, not computed.  A pair that
     misses is one derived_hom over X_i's resolution.  Each member that
     is not a complex of projectives is resolved at its first miss, to
-    the deepest bottom any target needs (the lowest target degree minus
-    two), and that resolution is the source of every hom out of it: a
+    the default bottom of resolve_complex, or to the deepest bottom any
+    target needs (the lowest target degree minus two) where that is
+    deeper, and that resolution is the source of every hom out of it: a
     deeper cut agrees with a shallower one in every degree the
-    shallower one computes.  The resolution comes from
-    member_resolution, so a stalk resolved to the same bottom before is
-    not resolved again.  A member with no miss is not resolved.  Each
-    member's homology is computed once (Complex.homology_dims) and read
-    for its window, its class vector, its stalk profile and its
-    generation signature.
+    shallower one computes, so it only widens the certified window.
+    The resolution comes from member_resolution, at the default limit
+    unless a target starts more than 2 dim A + span(X_i) degrees below
+    X_i's lowest degree, so validation, ainfinity.collection_ext_model
+    and every later job on the algebra share one entry, and a stalk
+    resolved before is not resolved again.  A member with no miss is
+    not resolved.  Each member's homology is computed once
+    (Complex.homology_dims) and read for its window, its class vector,
+    its stalk profile and its generation signature.
     """
     A = objects[0].algebra
     mins = [minimize(X, verify=False).complex for X in objects]
@@ -575,8 +604,8 @@ def validate_simple_minded(objects, cone_budget=48):
             dims = None if key is None else A.validation_memo.get(key)
             if dims is None:
                 if source is None:
-                    source = Xi if all_tags(Xi, "P") else \
-                        member_resolution(Xi, "P", bottom).complex
+                    source = Xi if all_tags(Xi, "P") else member_resolution(
+                        Xi, "P", min(bottom, _default_limit(Xi, "P"))).complex
                 # one hom complex for the negative shifts and shift zero
                 tab = derived_hom(source, Xj, min(floor, 0), 0)
                 dims = {m: tab.dim(m) for m in range(min(floor, 0), 1)}

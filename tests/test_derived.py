@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab import derived
+from tiltlab.ainfinity import AInfError, collection_ext_model
 from tiltlab.algebra import (
     Algebra,
     AlgebraError,
@@ -269,18 +270,28 @@ def test_member_resolutions_are_the_resolutions_of_the_members(seed, key):
         X = random_stalk(A, rng)
         side = rng.choice("PI")
         build = resolve_complex if side == "P" else coresolve_complex
-        limit = rng.choice([None, X.min_deg() - rng.randint(0, 4)
-                            if side == "P"
-                            else X.max_deg() + rng.randint(0, 4)])
-        want = build(X, limit)
-        for _ in range(2):  # built, then read from the memo
-            got = member_resolution(X, side, limit)
-            assert got.exact == want.exact
-            assert got.complex == want.complex
-            assert got.aug.comps == want.aug.comps
-            assert (got.aug.target if side == "P" else got.aug.source) is X
-            assert (got.aug.source if side == "P" else got.aug.target) \
-                is got.complex
+        depth = derived.default_depth(A, X.max_deg() - X.min_deg())
+        default = X.min_deg() - depth if side == "P" else X.max_deg() + depth
+        # None and the default limit it stands for, in either order, are
+        # one limit: the second spelling reads the entry of the first
+        limits = rng.choice([[None, default], [default, None],
+                             [X.min_deg() - rng.randint(0, 4) if side == "P"
+                              else X.max_deg() + rng.randint(0, 4)]])
+        entries = None
+        for limit in limits:
+            want = build(X, limit)
+            for _ in range(2):  # built, then read from the memo
+                got = member_resolution(X, side, limit)
+                if entries is None:
+                    entries = len(A.resolution_memo)
+                assert len(A.resolution_memo) == entries
+                assert got.exact == want.exact
+                assert got.complex == want.complex
+                assert got.aug.comps == want.aug.comps
+                assert (got.aug.target if side == "P"
+                        else got.aug.source) is X
+                assert (got.aug.source if side == "P"
+                        else got.aug.target) is got.complex
     assert A.resolution_memo
 
 
@@ -527,10 +538,10 @@ def test_a_coresolution_reads_the_period_an_earlier_one_kept(monkeypatch):
     """Over kZ_5/rad^2 the cosyzygies of S_1 run through every simple,
     so its coresolution keeps one period under each of them, in the
     memo of the opposite algebra.  A coresolution of any other simple
-    S_j built after it covers S_j and its first two cosyzygies, finds the second in the
-    memo and copies the rest: three covers.  It is what a fresh algebra
-    builds, and what the run that computes every degree builds, block
-    for block."""
+    S_j built after it reads the memo from its first step: S_j is one of
+    those cosyzygies, so it covers S_j and copies the rest, one cover.
+    It is what a fresh algebra builds, and what the run that computes
+    every degree builds, block for block."""
     top = 16
     for j in range(1, 5):
         A = cyclic_nakayama(PrimeField(7), 5, 2)
@@ -541,7 +552,7 @@ def test_a_coresolution_reads_the_period_an_earlier_one_kept(monkeypatch):
                             lambda M: covers.append(M) or cover(M))
         warm = coresolve_complex(S(A, j), top=top)
         monkeypatch.undo()
-        assert len(covers) == 3
+        assert len(covers) == 1
         fresh = coresolve_complex(
             S(cyclic_nakayama(PrimeField(7), 5, 2), j), top=top)
         assert value_of(warm.complex) == value_of(fresh.complex)
@@ -554,6 +565,80 @@ def test_a_coresolution_reads_the_period_an_earlier_one_kept(monkeypatch):
         monkeypatch.undo()
         assert warm.complex == want.complex
         assert blocks_of(warm.aug) == blocks_of(want.aug)
+
+
+def resolution_value(res):
+    """A resolution by value: its complex (value_of), its augmentation's
+    vertex rows, and whether it is exact."""
+    return value_of(res.complex), {
+        n: [b.data for b in c.values()]
+        for n, c in blocks_of(res.aug).items()}, res.exact
+
+
+@functools.lru_cache(maxsize=None)
+def simple_run_elsewhere(p, n, r, i, side, depth):
+    """The resolution (side "P") or coresolution (side "I") of S_i over
+    kZ_n/rad^r at GF(p), depth degrees deep, by value, twice over: built
+    on a fresh algebra, and by the run that computes every degree."""
+    def run():
+        X = S(cyclic_nakayama(PrimeField(p), n, r), i)
+        if side == "P":
+            return resolve_complex(X, bottom=-depth)
+        return coresolve_complex(X, top=depth)
+    fresh = resolution_value(run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derived, "resolve_complex", reference_resolve)
+        want = resolution_value(run())
+    return fresh, want
+
+
+@pytest.mark.parametrize("prime", ["GF(7)", "workload prime"])
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_simples_on_one_algebra_make_the_closed_form_count_of_covers(
+        prime, data):
+    """Resolve and coresolve every simple over kZ_n/rad^r on one
+    algebra, in any order, for the (n, r) of the self-injective
+    workload.  Omega S_i = rad P_i and Omega^2 S_i = S_{i+r}
+    (nakayama_shift), so the simples fall into g = gcd(n, r) orbits of
+    n / g.  For r >= 3 the first simple of an orbit covers the 2n / g
+    syzygies of its cycle and the first one again where the cycle
+    closes, and each other simple of the orbit is a syzygy of that
+    cycle, read from the memo at its first step after one cover:
+    2n / g + 1 + n / g - 1 = 3n / g, so 3n over the orbits.  For r = 2,
+    rad P_i = S_{i+1}: one orbit whose n syzygies are the simples, and
+    n + 1 + n - 1 = 2n.  The coresolutions are the same count over the
+    opposite algebra, again a cyclic Nakayama algebra: 108 covers for
+    the workload's six algebras.  Every run is what a fresh algebra
+    builds and what the run that computes every degree builds."""
+    workloads = _load_workloads()
+    p = 7 if prime == "GF(7)" else workloads.workload_prime(0)
+    total = 0
+    for n, r in workloads.NAKAYAMA:
+        A = cyclic_nakayama(PrimeField(p), n, r)
+        depth = 3 * (2 * n // math.gcd(n, r)) + 1
+        order = data.draw(st.permutations(
+            [(i, side) for i in range(n) for side in "PI"]))
+        cover, covers = derived.projective_cover, Counter()
+
+        def counting(M):
+            covers["P" if M.algebra is A else "I"] += 1
+            return cover(M)
+
+        got = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(derived, "projective_cover", counting)
+            for i, side in order:
+                X = S(A, i)
+                got[i, side] = resolve_complex(X, bottom=-depth) \
+                    if side == "P" else coresolve_complex(X, top=depth)
+        per_side = (2 if r == 2 else 3) * n
+        assert covers == {"P": per_side, "I": per_side}
+        total += sum(covers.values())
+        for (i, side), res in got.items():
+            fresh, want = simple_run_elsewhere(p, n, r, i, side, depth)
+            assert resolution_value(res) == fresh == want
+    assert total == 108
 
 
 def test_coresolution_cap_marks_cut(DUAL):
@@ -909,6 +994,33 @@ def test_validation_resolves_each_member_once(monkeypatch):
     validate_simple_minded(objects)
     assert len(calls) == 5
     assert len({X.describe() for X in calls}) == 5
+
+
+def test_the_ext_model_reads_the_resolutions_validation_made(monkeypatch):
+    """Validation resolves each member to the default bottom, the one
+    collection_ext_model asks for, so that on kZ_3/rad^4, where no
+    resolution terminates, the A-infinity stage reads every member's
+    resolution from the memo: it raises what it raises on a fresh
+    algebra, and resolves and covers nothing."""
+    def simples():
+        A = cyclic_nakayama(PrimeField(5), 3, 4)
+        return [S(A, v) for v in range(3)]
+
+    with pytest.raises(AInfError) as cold:
+        collection_ext_model(simples())
+    objects = simples()
+    validate_simple_minded(objects)
+    calls = []
+    resolve, cover = derived.resolve_complex, derived.projective_cover
+    monkeypatch.setattr(derived, "resolve_complex",
+                        lambda *a, **k: calls.append(a) or resolve(*a, **k))
+    monkeypatch.setattr(derived, "projective_cover",
+                        lambda M: calls.append(M) or cover(M))
+    with pytest.raises(AInfError) as warm:
+        collection_ext_model(objects)
+    assert type(warm.value) is type(cold.value)
+    assert str(warm.value) == str(cold.value)
+    assert calls == []
 
 
 # ---- the hereditary benchmark family on one algebra ----
