@@ -43,7 +43,10 @@ def _add_job_args(p):
     p.add_argument("--budget", type=int, metavar="N",
                    help="maximum number of cones per object")
     p.add_argument("--length", type=int, metavar="L",
-                   help="resolution depth (default: derived from dim)")
+                   help="rickard/tilt/gamma/ainf-check: coresolution "
+                        "length past the window (default: 2, deepened to "
+                        "2*dim+4 when a companion is not certified); "
+                        "dg-reduce: resolution length")
     p.add_argument("--arity-cap", type=int, dest="arity_cap", metavar="K",
                    help="highest operation arity kept in the minimal model")
     p.add_argument("--policy", choices=("proceed", "strict"),

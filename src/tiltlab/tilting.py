@@ -5,8 +5,10 @@ engine grows one companion T_i per object.  T_i starts as the minimal
 injective form of X_i and is repeatedly corrected by coning off every
 homotopy class of maps from negatively shifted members, nearest shift
 first, until the inspected window is clean.  Each member is coresolved
-once, at the cut tau, and a class map out of a shifted stalk is
-extended along the stalk's coresolution (complexes.extend_along), so
+once, at the cut tau (two degrees past the window, deepened to the old
+cut only when the result is not certified), and a class map out of a
+shifted stalk is extended along the stalk's coresolution
+(complexes.extend_along), so
 each round cones the lifted map into a complex of injectives that only
 needs minimizing: nothing is re-coresolved.  A member that is not a
 stalk hands its class maps over as they are, and its cones are
@@ -306,48 +308,9 @@ def verify_dual_basis(tables):
     return {"status": status, "failures": failures, "unchecked": unchecked}
 
 
-def build_dual_objects(objects, window=4, budget=64, depth=None):
-    """Run the cone iteration for every member of the family.
-
-    window: how many negative shifts are inspected each round.
-    budget: total cones allowed per object.
-    depth: extra coresolution length beyond the window (default scales
-    with the algebra dimension).
-
-    Returns {"runs": [ObjectRun], "verification": report, ...}.  A run
-    that terminated is certified exact when its final complex carries no
-    cut marker, or when its trimmed candidate passes the full
-    orthogonality check; a run that stopped early (budget_exceeded,
-    window_stable) never is.
-    Each companion's dual-basis table is computed once, for its final
-    complex (an adopted candidate keeps the table that adopted it), and
-    kept on its run as dual_basis; verification only aggregates them.
-
-    Every member is coresolved once, to top tau, by
-    derived.member_resolution, which keeps a stalk's coresolution for
-    every later job on the algebra with the same stalk and tau.  A run
-    starts from the minimized coresolution of its member, and a shifted
-    stalk X_j[m] is mapped into its coresolution by
-    derived.shift_coresolution, along which _b_table extends its class
-    maps.  That coaugmentation is built the first time a round cones a
-    class out of X_j[m] and kept for every later round of every run in
-    the call; a shift that no round cones is never built.
-    """
-    if not objects:
-        raise AlgebraError("empty object family")
-    A = objects[0].algebra
-    for X in objects:
-        if X.algebra is not A:
-            raise AlgebraError("objects live over different algebras")
-        if X.approx_above is not None or X.approx_below is not None:
-            raise AlgebraError("input objects must be exact complexes")
-    objects = [minimize(X, verify=False).complex for X in objects]
-    if any(X.is_zero() for X in objects):
-        raise AlgebraError("zero object in the input family")
-    if depth is None:
-        depth = 2 * A.dim + 4
-    maxd = max(X.max_deg() for X in objects)
-    tau = maxd + window + depth
+def _dual_family(objects, window, budget, tau):
+    """The cone iteration for every member of the checked, minimized
+    family, every coresolution cut at tau: (runs, verification)."""
     cores = [member_resolution(X, "I", tau) for X in objects]
     sources = []
     for j, X in enumerate(objects):
@@ -377,11 +340,74 @@ def build_dual_objects(objects, window=4, budget=64, depth=None):
         runs.append(ObjectRun(T, status, cones, rounds, b_tables,
                               status == "terminated"
                               and T.approx_above is None, table))
-    verification = verify_dual_basis([r.dual_basis for r in runs])
+    return runs, verify_dual_basis([r.dual_basis for r in runs])
+
+
+def build_dual_objects(objects, window=4, budget=64, depth=None):
+    """Run the cone iteration for every member of the family.
+
+    window: how many negative shifts are inspected each round.
+    budget: total cones allowed per object.
+    depth: extra coresolution length beyond the window, so that every
+    coresolution is cut at tau = (highest degree of a member) + window +
+    depth.  None first cuts at depth 2 and keeps that result only when it
+    is certified end to end; otherwise it reruns at depth 2 dim A + 4 and
+    returns that run, certified or not.
+
+    Returns {"runs": [ObjectRun], "verification": report, "certified":
+    flag, "tau": the cut of the returned runs, ...}.  A run that
+    terminated is certified exact when its final complex carries no cut
+    marker, or when its trimmed candidate passes the full orthogonality
+    check; a run that stopped early (budget_exceeded, window_stable)
+    never is.  certified: every run is certified exact and the
+    verification is certified.
+    Each companion's dual-basis table is computed once, for its final
+    complex (an adopted candidate keeps the table that adopted it), and
+    kept on its run as dual_basis; verification only aggregates them.
+
+    The shallow cut loses nothing a certified result shows.  Everything
+    from degree window + 1 down is built the same at either cut: minimize
+    cancels lowest degree first and never rewrites a lower degree,
+    extend_along builds upward, and a shallower coresolution is a prefix
+    of a deeper one.  The dual-basis certificate proves a companion
+    whatever the cut; the tail above reaches only the window_stable stop
+    rule and the degrees end_homology cannot check, and both appear only
+    in results that are not certified, which the deeper cut recomputes.
+
+    Every member is coresolved once per cut, to top tau, by
+    derived.member_resolution, which keeps a stalk's coresolution for
+    every later job on the algebra with the same stalk and tau.  A run
+    starts from the minimized coresolution of its member, and a shifted
+    stalk X_j[m] is mapped into its coresolution by
+    derived.shift_coresolution, along which _b_table extends its class
+    maps.  That coaugmentation is built the first time a round cones a
+    class out of X_j[m] and kept for every later round of every run at
+    that cut; a shift that no round cones is never built.
+    """
+    if not objects:
+        raise AlgebraError("empty object family")
+    A = objects[0].algebra
+    for X in objects:
+        if X.algebra is not A:
+            raise AlgebraError("objects live over different algebras")
+        if X.approx_above is not None or X.approx_below is not None:
+            raise AlgebraError("input objects must be exact complexes")
+    objects = [minimize(X, verify=False).complex for X in objects]
+    if any(X.is_zero() for X in objects):
+        raise AlgebraError("zero object in the input family")
+    maxd = max(X.max_deg() for X in objects)
+    for d in ((2, 2 * A.dim + 4) if depth is None else (depth,)):
+        tau = maxd + window + d
+        runs, verification = _dual_family(objects, window, budget, tau)
+        certified = (all(r.certified_exact for r in runs)
+                     and verification["status"] == "certified")
+        if certified:
+            break
     return {
         "objects": objects,
         "runs": runs,
         "verification": verification,
+        "certified": certified,
         "window": window,
         "budget": budget,
         "tau": tau,
@@ -540,7 +566,11 @@ def check_tilting(objects, window=4, budget=64, depth=None):
     the output cannot be trusted.
 
     certified: the construction is trustworthy end to end: every run is
-    certified exact (so it terminated), and so is the verification.
+    certified exact (so it terminated), and so is the verification.  It
+    is build_dual_objects' flag, which also decides the cut: depth None
+    cuts two degrees past the window and deepens to 2 dim A + 4 only when
+    that result is not certified, so every uncertified report comes from
+    the deep cut; an explicit depth is used as given.
     """
     built = build_dual_objects(objects, window=window, budget=budget,
                                depth=depth)
@@ -628,8 +658,7 @@ def check_tilting(objects, window=4, budget=64, depth=None):
         "gamma_info": gamma_info,
         "gamma_error": gamma_error,
         "nu_stable": nu_ok,
-        "certified": (all(r.certified_exact for r in runs)
-                      and ver["status"] == "certified"),
+        "certified": built["certified"],
         "verdict": verdict,
         "verdict_reason": reason,
         "witness": witness,

@@ -1,5 +1,6 @@
 """Cone iteration, the Nakayama twist, endomorphisms, verdicts."""
 
+import functools
 import random
 
 import pytest
@@ -21,7 +22,8 @@ from tiltlab.complexes import (
     stalk_complex,
 )
 from tiltlab.derived import (all_tags, coresolve_complex, injective_form,
-                             resolve_complex, shift_coresolution)
+                             resolve_complex, shift_coresolution,
+                             validate_simple_minded)
 from tiltlab.linalg import QQ, Mat, PrimeField
 from tiltlab.reporting import algebra_presentation
 from tiltlab.tilting import (
@@ -36,8 +38,9 @@ from tiltlab.tilting import (
     nu_stability,
 )
 
-from test_derived import (STALK_ALGEBRAS, _flat, combine, cyclic_nakayama,
-                          random_stalk)
+from test_derived import (STALK_ALGEBRAS, _flat, _hereditary_family,
+                          _load_workloads, combine, cyclic_nakayama,
+                          linear_a, random_stalk)
 from test_direct_sums import recording_cancel, reference_minimize
 
 
@@ -676,3 +679,106 @@ def test_gamma_product_orientation(A2):
     gamma = rep["gamma"]
     assert gamma.peirce_basis(0, 1).nrows == 1
     assert gamma.peirce_basis(1, 0).nrows == 0
+
+
+# ---- the cut of the coresolutions ----
+
+def _workload_algebras():
+    """The kZ_n/rad^r of the self-injective benchmark workload, over the
+    word-size prime 31847."""
+    return {f"kZ{n}/rad{r}": functools.partial(
+        cyclic_nakayama, PrimeField(31847), n, r)
+        for n, r in _load_workloads().NAKAYAMA}
+
+
+CUT_ALGEBRAS = {
+    **_workload_algebras(),
+    "kZ1/rad3": lambda: cyclic_nakayama(QQ, 1, 3),
+    "kZ2/rad5": lambda: cyclic_nakayama(PrimeField(5), 2, 5),
+    "A3": lambda: linear_a(QQ, 3),
+    "A3/rad2": lambda: Algebra(QQ, Quiver(3, [("a", 0, 1), ("b", 1, 2)]),
+                               [[(1, ["a", "b"])]]),
+}
+
+
+def outcome(objects, **params):
+    """What check_tilting reports, down to the runs and Gamma, or the
+    message it raised."""
+    try:
+        rep = check_tilting(objects, **params)
+    except AlgebraError as e:
+        return str(e)
+    gamma = rep["gamma"]
+    return {
+        "runs": [(r.complex.describe(), r.complex.approx_above, r.status,
+                  r.cones, r.certified_exact) for r in rep["runs"]],
+        "verification": rep["verification"],
+        "verdict": (rep["verdict"], rep["verdict_reason"], rep["witness"],
+                    rep["nu_stable"], rep["certified"]),
+        "end": (rep["end_homology"], rep["end_unchecked"]),
+        "gamma": (gamma.dim, gamma.cartan_matrix()) if gamma else
+        rep["gamma_error"],
+    }
+
+
+@pytest.mark.parametrize("key", sorted(CUT_ALGEBRAS))
+def test_the_default_cut_reports_what_the_deep_cut_reports(key):
+    """The default cut (two degrees past the window, deepened only when
+    the result is not certified end to end) gives the report of the old
+    default 2 dim A + 4, on sampled stalk sets of P, I and S in degrees
+    0..-2 that need not be simple-minded."""
+    A = CUT_ALGEBRAS[key]()
+    rng = random.Random(key)
+    simples = [S(A, v) for v in range(A.quiver.n)]
+    samples = [(simples, w, b) for w, b in ((1, 8), (2, 64), (3, 8), (4, 64))]
+    for _ in range(6):
+        objects = [stalk_complex(A, Summand(rng.choice("PIS"),
+                                            rng.randrange(A.quiver.n)),
+                                 rng.randint(-2, 0))
+                   for _ in range(rng.randint(1, A.quiver.n))]
+        samples.append((objects, rng.randint(1, 4), rng.choice((8, 64))))
+    for objects, w, b in samples:
+        assert outcome(objects, window=w, budget=b) == outcome(
+            objects, window=w, budget=b, depth=2 * A.dim + 4), (
+            [X.describe() for X in objects], w, b)
+
+
+def coresolution_tops(monkeypatch):
+    """The top of every coresolution build_dual_objects asks for."""
+    tops = []
+    inner = tilting.member_resolution
+
+    def recorded(X, side, limit=None):
+        if side == "I":
+            tops.append(limit)
+        return inner(X, side, limit)
+
+    monkeypatch.setattr(tilting, "member_resolution", recorded)
+    return tops
+
+
+def test_certified_families_are_cut_two_degrees_past_the_window(monkeypatch):
+    tops = coresolution_tops(monkeypatch)
+    families = [[S(A, v) for v in range(A.quiver.n)]
+                for A in (make() for make in _workload_algebras().values())]
+    families += [job["objects"] for _, job in _hereditary_family(0)
+                 if validate_simple_minded(job["objects"])["is_smc"]]
+    assert len(families) == 6 + 10
+    for objects in families:
+        tops.clear()
+        rep = check_tilting(objects)
+        assert rep["certified"]
+        tau = max(X.max_deg() for X in objects) + rep["window"] + 2
+        assert rep["tau"] == tau
+        assert set(tops) == {tau}
+
+
+def test_an_uncertified_cut_is_deepened_to_the_old_default(monkeypatch):
+    """The simple of k[x]/(x^3) at window 1 stops window_stable at the
+    shallow cut, so the build reruns once, at 1 + 2 * 3 + 4."""
+    tops = coresolution_tops(monkeypatch)
+    rep = check_tilting([S(cyclic_nakayama(QQ, 1, 3), 0)], window=1)
+    assert tops == [3, 11]
+    assert rep["tau"] == 11
+    assert not rep["certified"]
+    assert rep["end_unchecked"] == list(range(-11, 12))
